@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import oracle, recon2d, recon_nd, oneshot, wl
 from .cloudfile import cloud_to_json, load_cloud, save_cloud
-from .config import RunConfig, default_seed
+from .config import (DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_DEPTH, DEFAULT_MAX_TUPLES,
+                     DEFAULT_TOL, RunConfig, default_seed)
 from .errors import CapExceededError, GeowlError
 from .geometry import PointCloud
 
@@ -40,13 +41,13 @@ def _add_run_options(p: argparse.ArgumentParser, *, ell=True, iters=True) -> Non
         p.add_argument("--iters", type=int, default=3, help="number of refinement iterations")
     p.add_argument("--mode", choices=("exact", "float"), default=None,
                    help="arithmetic mode (default: exact for rational inputs)")
-    p.add_argument("--tol", type=float, default=1e-9, help="float-mode tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: GEOWL_SEED or 0)")
     p.add_argument("--jobs", type=int, default=1, help="parallelism for inner maps")
-    p.add_argument("--max-tuples", type=int, default=100_000)
-    p.add_argument("--max-candidates", type=int, default=4096)
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
+    p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.add_argument("-o", "--out", default=None, help="write the JSON result to a file")
 
 

@@ -36,7 +36,12 @@ class Alignment:
 
 
 def _anchor_indices(A: np.ndarray, tol: float) -> list[int]:
-    """Greedy affinely independent subset, largest first for stability."""
+    """Greedy affinely independent subset of rows, picked in index order.
+
+    Row 0 is always taken; each later row is kept when it raises the affine
+    dimension, judged at a fixed tolerance of 1e-12 (the `tol` argument is
+    unused), until dim + 1 rows are held.
+    """
     n = A.shape[0]
     idx = [0]
     for i in range(1, n):

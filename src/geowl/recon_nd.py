@@ -211,7 +211,8 @@ def select_cone_tuple(eps, tol: float = 1e-9, samples: int = DEFAULT_SELECT_SAMP
     returned.  Full-dimensional clouds: all d-dimensional profiles, sorted by
     a common-seed Monte Carlo estimate of the anchor cone's solid angle; the
     true minimizer satisfies the cone condition, and estimation error is
-    absorbed by the caller's verify-and-fallback loop.
+    absorbed by the caller's verify-and-fallback loop.  Cones whose generators
+    fail the float rank check are skipped; if none remain, ReconstructionError.
     """
     eps = list(eps)
     if not eps:
@@ -227,8 +228,13 @@ def select_cone_tuple(eps, tol: float = 1e-9, samples: int = DEFAULT_SELECT_SAMP
     scored = []
     for ep in cands:
         zs = _embed_anchors(ep, tol)
-        cone = ConeSpec(generators=tuple(map(tuple, zs)))
+        try:
+            cone = ConeSpec(generators=tuple(map(tuple, zs)))
+        except ValueError:
+            continue  # exactly full-dimensional, but too thin for the float rank check
         scored.append((solid_angle_mc(cone, samples, seed), ep.sort_key(), ep))
+    if not scored:
+        raise ReconstructionError("every full-dimensional anchor cone is numerically singular")
     scored.sort(key=lambda s: (s[0], s[1]))
     return [s[2] for s in scored]
 

@@ -14,21 +14,32 @@ one interner is decided structurally; digests give a stable cross-run order
 and serialization.  Distance payloads are exact rationals in exact mode and
 are snapped to a quantization grid before interning in float mode (the
 grid is this library's equality surrogate for inexact inputs).
+
+Exact distances of a rational cloud are computed as integers: coordinates
+are scaled by the common denominator D, each unordered pair's squared
+distance is an int S, and each distinct S is interned once as the rational
+S / D^2.  All other runs take one float distance matrix, summed in the same
+coordinate order as `geometry.sq_dist`, so every value keeps all its bits.
+Each record list is put in canonical order by sorting the records' digest
+ranks (and the distance's value rank at ell = 1); the canonical bytes of
+each distance are framed once, when it is interned.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product
 
+import numpy as np
+
+from .config import DEFAULT_MAX_TUPLES, DEFAULT_TOL
 from .errors import CapExceededError, ParameterMismatchError
-from .geometry import PointCloud, Scalar, is_exact, sq_dist
-
-DEFAULT_SNAP = 1e-9
-DEFAULT_MAX_TUPLES = 100_000
+from .geometry import PointCloud, Scalar
 
 KIND_ZERO = 0   # the shared ell=1 leaf color
 KIND_MAT = 1    # ell x ell squared-distance matrix, row-major distance ids
@@ -40,6 +51,15 @@ def _frame(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
 
+def _ranking(keys: list) -> tuple[list[int], list[int]]:
+    """(rank of each id, id at each rank) for ids ordered by their keys."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
+    for r, i in enumerate(order):
+        ranks[i] = r
+    return ranks, order
+
+
 class Interner:
     """Bijection between canonical color structures and dense integer ids.
 
@@ -48,7 +68,7 @@ class Interner:
     structurally equal colors).
     """
 
-    def __init__(self, mode: str = "exact", snap: float = DEFAULT_SNAP):
+    def __init__(self, mode: str = "exact", snap: float = DEFAULT_TOL):
         if mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -59,8 +79,9 @@ class Interner:
         self.digests: list[bytes] = []
         self._dist_index: dict = {}
         self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
-        self._rank_cache: tuple[int, list[int]] = (0, [])
-        self._dist_rank_cache: tuple[int, list[int]] = (0, [])
+        self._dist_frames: list[bytes] = []  # did -> framed canonical bytes of its key
+        self._rank_cache: tuple[int, tuple] = (0, ([], []))
+        self._dist_rank_cache: tuple[int, tuple] = (0, ([], []))
 
     # -- distances ---------------------------------------------------------
 
@@ -69,11 +90,16 @@ class Interner:
             key = value if isinstance(value, Fraction) else Fraction(value)
         else:
             key = int((float(value) / self.snap) + 0.5)  # round half up; values >= 0
+        return self._intern_key(key)
+
+    def _intern_key(self, key) -> int:
         did = self._dist_index.get(key)
         if did is None:
             did = len(self.dist_keys)
             self._dist_index[key] = did
             self.dist_keys.append(key)
+            self._dist_frames.append(_frame(
+                str(key).encode("ascii") if self.mode == "exact" else b"q%d" % key))
         return did
 
     def dist_value(self, did: int) -> Scalar:
@@ -82,20 +108,11 @@ class Interner:
             return key
         return key * self.snap
 
-    def _dist_bytes(self, did: int) -> bytes:
-        key = self.dist_keys[did]
-        if self.mode == "exact":
-            return str(key).encode("ascii")
-        return b"q%d" % key
-
-    def distance_ranks(self) -> list[int]:
+    def distance_ranking(self) -> tuple[list[int], list[int]]:
+        """Distance ids ranked by value: (rank of each id, id at each rank)."""
         count = len(self.dist_keys)
         if self._dist_rank_cache[0] != count:
-            order = sorted(range(count), key=lambda i: self.dist_keys[i])
-            ranks = [0] * count
-            for r, i in enumerate(order):
-                ranks[i] = r
-            self._dist_rank_cache = (count, ranks)
+            self._dist_rank_cache = (count, _ranking(self.dist_keys))
         return self._dist_rank_cache[1]
 
     # -- colors ------------------------------------------------------------
@@ -120,7 +137,7 @@ class Interner:
         cid = self._index.get(key)
         if cid is None:
             enc = b"M" + ell.to_bytes(2, "big") + b"".join(
-                _frame(self._dist_bytes(d)) for d in dids)
+                map(self._dist_frames.__getitem__, dids))
             cid = self._add(key, KIND_MAT, (ell, dids), enc)
         return cid
 
@@ -128,11 +145,11 @@ class Interner:
         key = (KIND_NODE1, prev, records)
         cid = self._index.get(key)
         if cid is None:
-            parts = [b"1", self.digests[prev]]
-            for did, child in records:
-                parts.append(_frame(self._dist_bytes(did)))
-                parts.append(self.digests[child])
-            cid = self._add(key, KIND_NODE1, (prev, records), b"".join(parts))
+            dids, children = zip(*records)
+            enc = b"1" + self.digests[prev] + b"".join(chain.from_iterable(zip(
+                map(self._dist_frames.__getitem__, dids),
+                map(self.digests.__getitem__, children))))
+            cid = self._add(key, KIND_NODE1, (prev, records), enc)
         return cid
 
     def intern_node(self, ell: int, prev: int,
@@ -140,21 +157,16 @@ class Interner:
         key = (KIND_NODE, prev, records)
         cid = self._index.get(key)
         if cid is None:
-            parts = [b"N", ell.to_bytes(2, "big"), self.digests[prev]]
-            for rec in records:
-                for child in rec:
-                    parts.append(self.digests[child])
-            cid = self._add(key, KIND_NODE, (prev, records), b"".join(parts))
+            enc = b"N" + ell.to_bytes(2, "big") + self.digests[prev] + b"".join(
+                map(self.digests.__getitem__, chain.from_iterable(records)))
+            cid = self._add(key, KIND_NODE, (prev, records), enc)
         return cid
 
-    def color_ranks(self) -> list[int]:
+    def color_ranking(self) -> tuple[list[int], list[int]]:
+        """Color ids ranked by digest: (rank of each id, id at each rank)."""
         count = len(self.kinds)
         if self._rank_cache[0] != count:
-            order = sorted(range(count), key=lambda i: self.digests[i])
-            ranks = [0] * count
-            for r, i in enumerate(order):
-                ranks[i] = r
-            self._rank_cache = (count, ranks)
+            self._rank_cache = (count, _ranking(self.digests))
         return self._rank_cache[1]
 
     def kind(self, cid: int) -> int:
@@ -176,7 +188,6 @@ class ColorStore:
         self.dist_ids = dist_ids
         self.label = label
         self.tables: list[list[int]] = []
-        self._bases: list[tuple[int, ...]] | None = None
 
     @property
     def iterations(self) -> int:
@@ -192,22 +203,6 @@ class ColorStore:
     def class_counts(self) -> list[int]:
         return [len(set(t)) for t in self.tables]
 
-    def _substitution_bases(self) -> list[tuple[int, ...]]:
-        # bases[T][i] = T with the i-th digit zeroed (row-major index arithmetic)
-        if self._bases is None:
-            n, ell = self.n, self.ell
-            strides = [n ** (ell - 1 - i) for i in range(ell)]
-            bases = []
-            for t in range(n ** ell):
-                rem = t
-                digs = []
-                for s in strides:
-                    digs.append(rem // s)
-                    rem %= s
-                bases.append(tuple(t - digs[i] * strides[i] for i in range(ell)))
-            self._bases = bases
-        return self._bases
-
 
 def _mode_for(cloud: PointCloud, mode: str | None) -> str:
     if mode is not None:
@@ -215,86 +210,134 @@ def _mode_for(cloud: PointCloud, mode: str | None) -> str:
     return "exact" if cloud.exact else "float"
 
 
-def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
-                         snap: float = DEFAULT_SNAP, interner: Interner | None = None,
-                         max_tuples: int = DEFAULT_MAX_TUPLES,
-                         label: str | None = None) -> ColorStore:
-    """Iteration-0 store built directly from an n x n squared-distance matrix."""
+def _checked_interner(interner: Interner | None, mode: str, snap: float, n: int,
+                      ell: int, max_tuples: int) -> Interner:
+    """The run's interner, after the checks that must precede any interning."""
     if interner is None:
         interner = Interner(mode, snap)
     elif interner.mode != mode or (mode == "float" and interner.snap != float(snap)):
         raise ValueError("interner mode/snap does not match the requested run")
-    n = len(values)
     if n ** ell > max_tuples:
         raise CapExceededError(
             f"tuple space size {n}^{ell} exceeds the cap of {max_tuples}")
-    dist_ids = tuple(tuple(interner.intern_distance(v) for v in row) for row in values)
-    store = ColorStore(interner, ell, n, dim, dist_ids, label=label)
+    return interner
+
+
+def _store(interner: Interner, ell: int, dim: int, dist_ids: list[list[int]],
+           label: str | None) -> ColorStore:
+    """Iteration-0 store over an n x n matrix of distance ids."""
+    n = len(dist_ids)
+    store = ColorStore(interner, ell, n, dim, tuple(map(tuple, dist_ids)), label=label)
     if ell == 1:
-        zero = interner.intern_zero()
-        store.tables.append([zero] * n)
+        store.tables.append([interner.intern_zero()] * n)
     else:
-        strides = [n ** (ell - 1 - i) for i in range(ell)]
-        table = []
-        for t in range(n ** ell):
-            rem = t
-            digs = []
-            for s in strides:
-                digs.append(rem // s)
-                rem %= s
-            mat = tuple(dist_ids[i][j] for i in digs for j in digs)
-            table.append(interner.intern_matrix(ell, mat))
-        store.tables.append(table)
+        dist = store.dist_ids
+        store.tables.append([
+            interner.intern_matrix(ell, tuple(dist[i][j] for i in digs for j in digs))
+            for digs in product(range(n), repeat=ell)])
     return store
 
 
+def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
+                         snap: float = DEFAULT_TOL, interner: Interner | None = None,
+                         max_tuples: int = DEFAULT_MAX_TUPLES,
+                         label: str | None = None) -> ColorStore:
+    """Iteration-0 store built directly from an n x n squared-distance matrix."""
+    interner = _checked_interner(interner, mode, snap, len(values), ell, max_tuples)
+    dist_ids = [[interner.intern_distance(v) for v in row] for row in values]
+    return _store(interner, ell, dim, dist_ids, label)
+
+
+def _exact_distance_ids(points, interner: Interner) -> list[list[int]]:
+    """Distance ids of rational points, each pair's square computed once as an int.
+
+    Coordinates are scaled by the common denominator D, so the squared
+    distance of a pair is the integer S over D^2; each distinct S is turned
+    into a `Fraction` and interned once.  Pairs are visited in row-major order
+    over the upper triangle, which is where every value first occurs in the
+    full row-major matrix, so distance ids come out in the same order.
+    """
+    n = len(points)
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    cols = [[c.numerator * (den // c.denominator) for c in col] for col in zip(*points)]
+    den2 = den * den
+    seen: dict[int, int] = {}
+    ids = [[0] * n for _ in range(n)]
+    for i in range(n):
+        sums = [0] * (n - i)
+        for col in cols:
+            a = col[i]
+            sums = [s + (a - b) * (a - b) for s, b in zip(sums, col[i:])]
+        row = ids[i]
+        for j, s in enumerate(sums, i):
+            did = seen.get(s)
+            if did is None:
+                did = seen[s] = interner._intern_key(Fraction(s, den2))
+            row[j] = ids[j][i] = did
+    return ids
+
+
+def _float_sq_matrix(cloud: PointCloud):
+    """All squared distances in floating point, summed in coordinate order.
+
+    The order is that of `geometry.sq_dist`, so every value is bit-identical
+    to the pairwise computation.
+    """
+    return sum(np.square(col[:, None] - col[None, :]) for col in cloud.as_array().T).tolist()
+
+
 def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
-                     snap: float = DEFAULT_SNAP, interner: Interner | None = None,
+                     snap: float = DEFAULT_TOL, interner: Interner | None = None,
                      max_tuples: int = DEFAULT_MAX_TUPLES) -> ColorStore:
     """Color every tuple in S^ell by its intra-tuple squared-distance matrix."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
     mode = _mode_for(cloud, mode)
-    pts = cloud.points if mode == "exact" else cloud.as_array()
-    values = [[0 if i == j else sq_dist(pts[i], pts[j]) for j in range(cloud.n)]
-              for i in range(cloud.n)]
-    return store_from_sq_values(values, ell, cloud.dim, mode=mode, snap=snap,
-                                interner=interner, max_tuples=max_tuples,
-                                label=cloud.label)
+    interner = _checked_interner(interner, mode, snap, cloud.n, ell, max_tuples)
+    if mode == "exact" and cloud.exact:
+        dist_ids = _exact_distance_ids(cloud.points, interner)
+    else:
+        intern = interner.intern_distance
+        dist_ids = [[intern(v) for v in row] for row in _float_sq_matrix(cloud)]
+    return _store(interner, ell, cloud.dim, dist_ids, cloud.label)
 
 
 def refine(store: ColorStore) -> ColorStore:
-    """Append one refinement step to the store's color history."""
+    """Append one refinement step to the store's color history.
+
+    Records are ordered by the digest ranks of their colors (at ell=1, by
+    the value rank of the distance first).  Ranks are a bijection of ids, so
+    each record list is sorted as plain rank tuples and mapped back to ids.
+    """
     inter = store.interner
     n, ell = store.n, store.ell
     prev = store.tables[-1]
-    ranks = inter.color_ranks()
+    ranks, order = inter.color_ranking()
+    rprev = list(map(ranks.__getitem__, prev))
+    color_of = order.__getitem__
     if ell == 1:
-        dranks = inter.distance_ranks()
-        dist = store.dist_ids
+        dranks, dorder = inter.distance_ranking()
+        drank_of, dist_of = dranks.__getitem__, dorder.__getitem__
         table = []
-        for x in range(n):
-            row = dist[x]
-            recs = sorted(((row[y], prev[y]) for y in range(n)),
-                          key=lambda r: (dranks[r[0]], ranks[r[1]]))
-            table.append(inter.intern_node1(prev[x], tuple(recs)))
+        for x, row in enumerate(store.dist_ids):
+            dcol, ccol = zip(*sorted(zip(map(drank_of, row), rprev)))
+            table.append(inter.intern_node1(
+                prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
     else:
         strides = [n ** (ell - 1 - i) for i in range(ell)]
-        bases = store._substitution_bases()
-        rng_ell = range(ell)
         table = []
-        for t in range(n ** ell):
-            b = bases[t]
-            recs = [tuple(prev[b[i] + y * strides[i]] for i in rng_ell)
-                    for y in range(n)]
-            recs.sort(key=lambda r: tuple(ranks[c] for c in r))
-            table.append(inter.intern_node(ell, prev[t], tuple(recs)))
+        for t, digs in enumerate(product(range(n), repeat=ell)):
+            # the records' rank columns: position i of tuple t swept over all points
+            rcols = [rprev[t - dig * s:t + (n - dig) * s:s] for dig, s in zip(digs, strides)]
+            cols = zip(*sorted(zip(*rcols)))
+            table.append(inter.intern_node(
+                ell, prev[t], tuple(zip(*[map(color_of, col) for col in cols]))))
     store.tables.append(table)
     return store
 
 
 def run_wl(cloud: PointCloud, ell: int, iters: int, *, mode: str | None = None,
-           snap: float = DEFAULT_SNAP, interner: Interner | None = None,
+           snap: float = DEFAULT_TOL, interner: Interner | None = None,
            max_tuples: int = DEFAULT_MAX_TUPLES) -> ColorStore:
     """Initial coloring plus `iters` refinements, retaining full structure."""
     if iters < 0:
@@ -307,7 +350,7 @@ def run_wl(cloud: PointCloud, ell: int, iters: int, *, mode: str | None = None,
 
 
 def run_wl_from_sq_values(values, ell: int, iters: int, dim: int, *,
-                          mode: str = "exact", snap: float = DEFAULT_SNAP,
+                          mode: str = "exact", snap: float = DEFAULT_TOL,
                           interner: Interner | None = None,
                           max_tuples: int = DEFAULT_MAX_TUPLES) -> ColorStore:
     store = store_from_sq_values(values, ell, dim, mode=mode, snap=snap,

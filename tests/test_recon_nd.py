@@ -45,23 +45,23 @@ def _direct_profiles(cloud, m):
     return out
 
 
+def _direct_ep(cloud, b, tup):
+    """Oracle: the enhanced profile of one d-tuple, straight from coordinates."""
+    profiles = []
+    for i in range(cloud.dim):
+        sub = list(tup)
+        sub[i] = b
+        entries = tuple(sorted(tuple(sq_dist(y, a) for a in sub)
+                               for y in cloud.points))
+        profiles.append(entries)
+    return EnhancedProfile(a=squared_distance_matrix((b,) + tup), profiles=tuple(profiles))
+
+
 def _direct_eps(cloud):
     """Oracle: enhanced profiles over all d-tuples, straight from coordinates."""
     b = barycenter(cloud)
-    d = cloud.dim
-    out = Counter()
-    for tup in product(cloud.points, repeat=d):
-        anchors = (b,) + tup
-        A = squared_distance_matrix(anchors)
-        profiles = []
-        for i in range(d):
-            sub = list(tup)
-            sub[i] = b
-            entries = tuple(sorted(tuple(sq_dist(y, a) for a in sub)
-                                   for y in cloud.points))
-            profiles.append(entries)
-        out[EnhancedProfile(a=A, profiles=tuple(profiles))] += 1
-    return out
+    return Counter(_direct_ep(cloud, b, tup)
+                   for tup in product(cloud.points, repeat=cloud.dim))
 
 
 @pytest.mark.parametrize("cloud", [TET, PLANAR3], ids=["tetrahedron", "planar"])
@@ -323,3 +323,16 @@ def test_reconstruct_nd_d4_smoke():
         rep = reconstruct_nd(run_wl(cloud, 3, 3))
         align = oracle.is_isometric(rep.cloud, cloud)
         assert align is not None and align.residual < 1e-6, seed
+
+
+def test_select_skips_cones_the_float_rank_check_rejects():
+    # `geowl gen --n 20 --d 3 --seed 1`: the anchors (b, x12, x15, x19) are exactly
+    # affinely independent, yet their float cone generators fail ConeSpec's rank check
+    cloud = oracle.random_cloud(20, 3, 1)
+    b = barycenter(cloud)
+    thin = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (12, 15, 19)))
+    wide = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (0, 1, 2)))
+    assert thin.dimension() == wide.dimension() == 3
+    with pytest.raises(ReconstructionError):
+        select_cone_tuple([thin])
+    assert select_cone_tuple([thin, wide]) == [wide]

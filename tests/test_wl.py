@@ -165,3 +165,81 @@ def test_refine_is_incremental():
     refine(store)
     assert store.iterations == 2
     assert fingerprint(store, 2).entries == fingerprint(run_wl(cloud, 2, 2), 2).entries
+
+
+# Golden digests: fingerprints must stay bit-identical across engine changes.
+
+def _posed(n, d, seed):
+    return oracle.apply_random_isometry(oracle.random_cloud(n, d, seed=seed), seed=seed + 1)
+
+
+def _floats(cloud):
+    return PointCloud(cloud.dim, tuple(tuple(float(c) for c in p) for p in cloud.points))
+
+
+_GRID = PointCloud(2, tuple((x, y) for x in range(3) for y in range(3)))
+_HALF_GRID = PointCloud(2, tuple((F(x, 2), F(y, 3)) for x in range(3) for y in range(3)))
+
+
+@pytest.mark.parametrize("ell,n,d,seed,counts,digest", [
+    (1, 12, 2, 21, [1, 12, 12, 12], "80dd6d9667c833803fa9c4925cac8c76"),
+    (1, 9, 1, 22, [1, 9, 9, 9], "f12aede1f0704e4e23bd83e6c76088af"),
+    (2, 7, 3, 23, [22, 49, 49, 49], "09f985eaec389c9f9355469127380c7d"),
+    (2, 6, 1, 24, [15, 36, 36, 36], "c99b118c75871e3be17cc8606ed29b79"),
+    (3, 5, 2, 25, [91, 125, 125, 125], "f1b14de23923c1d10c3478b4dcd2e7d0"),
+    (3, 4, 1, 26, [43, 64, 64, 64], "8eee34a8420aab854edaf85d91cf1e99"),
+])
+def test_golden_digest_exact(ell, n, d, seed, counts, digest):
+    store = run_wl(_posed(n, d, seed), ell, 3)
+    assert store.class_counts() == counts
+    assert fingerprint(store).digest() == digest
+
+
+@pytest.mark.parametrize("ell,n,d,seed,as_float,forced_float,forced_exact", [
+    (1, 12, 2, 31, "b29d7983f9a92e64f1d933af8a394093", "b29d7983f9a92e64f1d933af8a394093",
+     "3a4a0a8998d183484b522838d8db6527"),
+    (2, 6, 3, 32, "63ef5799f7ce6684341a1142571ed1c9", "63ef5799f7ce6684341a1142571ed1c9",
+     "ab33a53bada3be8ac239a091c86d06f0"),
+    (3, 4, 1, 33, "8aa4816f08d231b6fad84751564941a9", "8aa4816f08d231b6fad84751564941a9",
+     "2bc18cc3a79f061320ff89067d3ea751"),
+])
+def test_golden_digest_float(ell, n, d, seed, as_float, forced_float, forced_exact):
+    cloud = _posed(n, d, seed)
+    flt = _floats(cloud)
+    assert fingerprint(run_wl(flt, ell, 3)).digest() == as_float
+    assert fingerprint(run_wl(cloud, ell, 3, mode="float")).digest() == forced_float
+    assert fingerprint(run_wl(flt, ell, 3, mode="exact")).digest() == forced_exact
+
+
+@pytest.mark.parametrize("ell,counts,grid,half,half_float", [
+    (1, [1, 3, 3, 3], "b99d87aec44b5ca360464f1b9486e032", "c8abd5dc99cc91584b45d16609a51965",
+     "c7cf2149a2773b3c30bce966c675e6b4"),
+    (2, [6, 15, 15, 15], "39b15a35b08b50edd517dd0af9cd38db", "3377d747fdc2dea3c3b74555c36b3852",
+     "e2564c3474874f93091d848726ea90d1"),
+])
+def test_golden_digest_symmetric_grid(ell, counts, grid, half, half_float):
+    # integer and mixed-denominator coordinates; many ties within each record list
+    store = run_wl(_GRID, ell, 3)
+    assert store.class_counts() == counts
+    assert fingerprint(store).digest() == grid
+    assert fingerprint(run_wl(_HALF_GRID, ell, 3)).digest() == half
+    assert fingerprint(run_wl(_floats(_HALF_GRID), ell, 3)).digest() == half_float
+
+
+def test_distance_matrix_matches_pairwise_sq_dist():
+    # the integer-exact and the vectorised float paths agree with sq_dist bit for bit
+    cloud = _posed(9, 3, 41)
+    for c, mode in ((cloud, None), (_floats(cloud), "exact")):
+        values = initial_coloring(c, 1, mode=mode).sq_matrix_values()
+        assert values == [[F(sq_dist(p, q)) for q in c.points] for p in c.points]
+
+
+def test_rejected_run_leaves_interner_empty():
+    cloud = oracle.random_cloud(6, 2, seed=3)
+    for inter, kwargs, err in (
+            (Interner("exact"), {"mode": "float"}, ValueError),
+            (Interner("float", 1e-6), {"mode": "float", "snap": 1e-9}, ValueError),
+            (Interner("exact"), {"max_tuples": 35}, CapExceededError)):
+        with pytest.raises(err):
+            initial_coloring(cloud, 2, interner=inter, **kwargs)
+        assert inter.dist_keys == [] and inter.kinds == []
