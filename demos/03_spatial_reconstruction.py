@@ -9,6 +9,7 @@ a growing forbidden region.
 
 from fractions import Fraction as F
 
+from geowl import reconstruct
 from geowl.geometry import PointCloud
 from geowl.oracle import is_isometric, random_cloud
 from geowl.recon_nd import (enhanced_profiles_from_wl3, reconstruct_nd,
@@ -32,11 +33,12 @@ candidates = select_cone_tuple(eps.keys(), samples=4096, seed=0)
 print(f"{len(candidates)} full-dimensional candidates,"
       " ordered by estimated cone angle")
 
-report = reconstruct_nd(store)
-align = is_isometric(report.cloud, cloud)
+# reconstruct_nd returns only a cloud whose re-coloring reproduces the input
+# fingerprint; reconstruct colors the cloud, calls it, and runs the oracle
+report = reconstruct(cloud, "wlnd")
 print(f"\nmethod: {report.method}, counters: {report.counters}")
-print(f"verified by fingerprint re-coloring: {report.verified}")
-print(f"oracle alignment residual: {align.residual:.2e}")
+print(f"verified by the isometry oracle: {report.verified}")
+print(f"oracle alignment residual: {report.alignment.residual:.2e}")
 
 print("\ndegenerate clouds route through subspace trilateration:")
 flat = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),

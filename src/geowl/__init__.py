@@ -16,7 +16,7 @@ from .recon_nd import EnhancedProfile, ForbiddenRegion, enhanced_profiles_from_w
     reconstruct_nd, select_cone_tuple
 from .oneshot import CandidateCloud, enumerate_candidates, reconstruct_one_iter, \
     supporting_tuple_scan, total_distance_sum
-from .report import ReconstructionReport
+from .report import ReconstructionReport, reconstruct
 from .config import RunConfig
 
 __version__ = "0.1.0"
@@ -31,8 +31,8 @@ __all__ = [
     "apply_random_isometry", "barycenter", "barycenter_sq_norms", "compare",
     "cone_coefficients", "enhanced_profiles_from_wl3", "enumerate_candidates",
     "fingerprint", "init2d", "initial_coloring", "is_isometric", "mirror_pair",
-    "random_cloud", "reconstruct2d", "reconstruct_nd", "reconstruct_one_iter",
-    "reconstruct_planar", "refine", "reflect", "run_wl",
+    "random_cloud", "reconstruct", "reconstruct2d", "reconstruct_nd",
+    "reconstruct_one_iter", "reconstruct_planar", "refine", "reflect", "run_wl",
     "search_indistinguishable", "select_cone_tuple", "solid_angle_mc", "sq_dist",
     "squared_distance_matrix", "supporting_tuple_scan", "total_distance_sum",
     "trilaterate",

@@ -13,12 +13,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import oracle, recon2d, recon_nd, oneshot, wl
+from . import oracle, wl
 from .cloudfile import cloud_to_json, load_cloud, save_cloud
 from .config import (DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_DEPTH, DEFAULT_MAX_TUPLES,
                      DEFAULT_TOL, RunConfig, default_seed)
 from .errors import CapExceededError, GeowlError
-from .geometry import PointCloud
+from .report import reconstruct
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -34,41 +34,36 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_run_options(p: argparse.ArgumentParser, *, ell=True, iters=True) -> None:
-    if ell:
-        p.add_argument("--ell", type=int, default=1, help="tuple dimension of the coloring")
-    if iters:
-        p.add_argument("--iters", type=int, default=3, help="number of refinement iterations")
-    p.add_argument("--mode", choices=("exact", "float"), default=None,
-                   help="arithmetic mode (default: exact for rational inputs)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: GEOWL_SEED or 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism for inner maps")
-    p.add_argument("--max-tuples", type=int, default=DEFAULT_MAX_TUPLES)
-    p.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+# RunConfig field -> (flags, argparse keywords); each subcommand declares the ones it reads
+_RUN_OPTIONS = {
+    "ell": (("--ell",), dict(type=int, default=1, help="tuple dimension of the coloring")),
+    "iters": (("--iters",), dict(type=int, default=3,
+                                 help="number of refinement iterations")),
+    "mode": (("--mode",), dict(choices=("exact", "float"), default=None,
+                               help="arithmetic mode (default: exact for rational inputs)")),
+    "tol": (("--tol",), dict(type=float, default=DEFAULT_TOL, help="float-mode tolerance")),
+    "seed": (("--seed",), dict(type=int, default=None,
+                               help="random seed (default: GEOWL_SEED or 0)")),
+    "jobs": (("--jobs",), dict(type=int, default=1, help="parallelism for inner maps")),
+    "max_tuples": (("--max-tuples",), dict(type=int, default=DEFAULT_MAX_TUPLES)),
+    "max_candidates": (("--max-candidates",), dict(type=int, default=DEFAULT_MAX_CANDIDATES)),
+    "max_depth": (("--max-depth",), dict(type=int, default=DEFAULT_MAX_DEPTH)),
+}
+
+
+def _add_run_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name, (flags, kwargs) in _RUN_OPTIONS.items():
+        if name in names:
+            p.add_argument(*flags, **kwargs)
     p.add_argument("-o", "--out", default=None, help="write the JSON result to a file")
 
 
-def _config_from(args, ell=None, iters=None) -> RunConfig:
-    return RunConfig(
-        ell=ell if ell is not None else getattr(args, "ell", 1),
-        iters=iters if iters is not None else getattr(args, "iters", 3),
-        mode=args.mode,
-        tol=args.tol,
-        seed=args.seed if args.seed is not None else default_seed(),
-        jobs=args.jobs,
-        max_tuples=args.max_tuples,
-        max_candidates=args.max_candidates,
-        max_depth=args.max_depth,
-    )
-
-
-def _run_store(cloud: PointCloud, cfg: RunConfig, ell: int, iters: int,
-               interner: wl.Interner | None = None) -> wl.ColorStore:
-    return wl.run_wl(cloud, ell, iters, mode=cfg.mode, snap=cfg.tol,
-                     interner=interner, max_tuples=cfg.max_tuples)
+def _config_from(args) -> RunConfig:
+    """A RunConfig from the run options the subcommand declares; the rest keep defaults."""
+    given = {name: getattr(args, name) for name in _RUN_OPTIONS if hasattr(args, name)}
+    if "seed" in given and given["seed"] is None:
+        given["seed"] = default_seed()
+    return RunConfig(**given)
 
 
 def cmd_gen(args) -> int:
@@ -84,7 +79,8 @@ def cmd_gen(args) -> int:
 def cmd_color(args) -> int:
     cloud = load_cloud(args.cloud)
     cfg = _config_from(args)
-    store = _run_store(cloud, cfg, cfg.ell, cfg.iters)
+    store = wl.run_wl(cloud, cfg.ell, cfg.iters, mode=cfg.mode, snap=cfg.tol,
+                      max_tuples=cfg.max_tuples)
     for t, count in enumerate(store.class_counts()):
         sys.stdout.write(f"iteration {t}: {count} color classes\n")
     fp = wl.fingerprint(store)
@@ -117,59 +113,32 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _roundtrip_report(cloud: PointCloud, algorithm: str, cfg: RunConfig):
-    if algorithm == "wl2d":
-        if cloud.dim != 2:
-            raise ValueError("wl2d needs a two-dimensional cloud")
-        store = _run_store(cloud, cfg, 1, max(cfg.iters, 3))
-        res = recon2d.reconstruct_planar(store, tol=cfg.tol)
-        counters = {"rounds": res.rounds, "round_bound": res.round_bound,
-                    "alpha": res.alpha}
-        return res.cloud, "wl2d", counters
-    if algorithm == "wlnd":
-        if cloud.dim < 3:
-            raise ValueError("wlnd needs dimension at least 3")
-        store = _run_store(cloud, cfg, cloud.dim - 1, max(cfg.iters, 3))
-        report = recon_nd.reconstruct_nd(store, tol=cfg.tol,
-                                         samples=cfg.select_samples, seed=cfg.seed,
-                                         max_depth=cfg.max_depth,
-                                         verify_snap=cfg.verify_snap)
-        return report.cloud, report.method, report.counters
-    if algorithm == "oneshot":
-        store = _run_store(cloud, cfg, cloud.dim, 1)
-        report = oneshot.reconstruct_one_iter(store, tol=cfg.tol,
-                                              cap=cfg.max_candidates)
-        return report.cloud, report.method, report.counters
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def cmd_roundtrip(args) -> int:
     cloud = load_cloud(args.cloud)
     cfg = _config_from(args)
     try:
-        recovered, method, counters = _roundtrip_report(cloud, args.algorithm, cfg)
+        report = reconstruct(cloud, args.algorithm, cfg)
     except CapExceededError:
         raise
     except GeowlError as exc:
         sys.stderr.write(f"reconstruction failed: {exc}\n")
         return EXIT_VERIFY_FAILED
-    alignment = oracle.is_isometric(recovered, cloud, tol=1e-6)
-    verified = alignment is not None
+    alignment = report.alignment
     residual = alignment.residual if alignment else None
-    sys.stdout.write(f"method: {method}\n")
+    sys.stdout.write(f"method: {report.method}\n")
     for key in ("rounds", "depth", "candidates_tried"):
-        if key in counters and counters[key] is not None:
-            sys.stdout.write(f"{key}: {counters[key]}\n")
-    sys.stdout.write("verified: " + ("yes" if verified else "no") + "\n")
+        if key in report.counters and report.counters[key] is not None:
+            sys.stdout.write(f"{key}: {report.counters[key]}\n")
+    sys.stdout.write("verified: " + ("yes" if report.verified else "no") + "\n")
     if residual is not None:
         sys.stdout.write(f"residual: {residual:.3e}\n")
     doc = {
         "algorithm": args.algorithm,
-        "method": method,
-        "verified": verified,
+        "method": report.method,
+        "verified": report.verified,
         "residual": residual,
-        "counters": counters,
-        "recovered": cloud_to_json(recovered),
+        "counters": report.counters,
+        "recovered": cloud_to_json(report.cloud),
     }
     if alignment is not None:
         doc["alignment"] = {
@@ -179,7 +148,7 @@ def cmd_roundtrip(args) -> int:
             "residual": alignment.residual,
         }
     _emit(doc, args.out)
-    return EXIT_OK if verified else EXIT_VERIFY_FAILED
+    return EXIT_OK if report.verified else EXIT_VERIFY_FAILED
 
 
 def _search_shard(params) -> list[dict]:
@@ -207,6 +176,9 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+COLOR_OPTIONS = ("ell", "iters", "mode", "tol", "max_tuples")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geowl",
@@ -225,27 +197,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="run the coloring and emit the fingerprint")
     p.add_argument("cloud")
-    _add_run_options(p)
+    _add_run_options(p, *COLOR_OPTIONS)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("compare", help="compare the fingerprints of two clouds")
     p.add_argument("cloud_a")
     p.add_argument("cloud_b")
-    _add_run_options(p)
+    _add_run_options(p, *COLOR_OPTIONS)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("roundtrip", help="reconstruct a cloud from its coloring "
                                          "and verify against the original")
     p.add_argument("cloud")
     p.add_argument("--algorithm", choices=("wl2d", "wlnd", "oneshot"), required=True)
-    _add_run_options(p, ell=False)
+    _add_run_options(p, "mode", "tol", "seed", "max_tuples", "max_candidates", "max_depth")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("search", help="search for equal-fingerprint non-isometric pairs")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=100)
-    _add_run_options(p, iters=True)
+    _add_run_options(p, "ell", "iters", "seed", "jobs")
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -1,4 +1,4 @@
-"""Run configuration shared by the CLI and the pipelines."""
+"""Run configuration shared by the CLI and the pipelines, and every library default."""
 
 from __future__ import annotations
 

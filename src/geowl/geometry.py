@@ -10,18 +10,17 @@ rational.  Square roots appear only inside the float-mode solvers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, NotRealizableError
 
 Scalar = Fraction | int | float
 Point = tuple[Scalar, ...]
-
-DEFAULT_TOL = 1e-9
 
 
 def is_exact(value) -> bool:
@@ -149,6 +148,22 @@ def barycenter_sq_norms(f_values: Sequence[Scalar], total: Scalar, n: int,
     return out
 
 
+def remove_nearest(entries: list, target: Sequence[float], limit: float) -> None:
+    """Remove the entry closest to target in the max norm.
+
+    Raises InconsistentDataError when no entry lies within limit.
+    """
+    best_i, best_err = -1, float("inf")
+    for i, e in enumerate(entries):
+        err = max(abs(a - b) for a, b in zip(e, target))
+        if err < best_err:
+            best_i, best_err = i, err
+    if best_i < 0 or best_err > limit:
+        raise InconsistentDataError(
+            f"no multiset entry matches {target} (best error {best_err:.3e})")
+    entries.pop(best_i)
+
+
 def _exact_rank(rows: list[list[Fraction]]) -> int:
     """Rank over the rationals by fraction-free Gaussian elimination."""
     m = [list(r) for r in rows]
@@ -180,8 +195,6 @@ def _float_rank(mat: np.ndarray, tol: float) -> int:
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0:
-        return 0
     cutoff = tol * max(1.0, float(sv[0])) * max(mat.shape)
     return int(np.sum(sv > cutoff))
 
@@ -350,11 +363,10 @@ def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """A hyperplane <normal, x> = offset with the anchor points that define it."""
+    """A hyperplane <normal, x> = offset."""
 
     normal: tuple[float, ...]
     offset: float
-    span_points: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self):
         nrm = math.sqrt(sum(c * c for c in self.normal))
@@ -383,8 +395,7 @@ class Hyperplane:
         elif normal[np.argmax(np.abs(normal))] < 0:
             normal = -normal
         offset = float(normal @ base)
-        return Hyperplane(normal=tuple(float(c) for c in normal), offset=offset,
-                          span_points=tuple(tuple(float(c) for c in p) for p in points))
+        return Hyperplane(normal=tuple(float(c) for c in normal), offset=offset)
 
     def signed_distance(self, p: Sequence[float]) -> float:
         return float(np.dot(self.normal, np.asarray(p, dtype=float)) - self.offset)

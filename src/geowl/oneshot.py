@@ -20,19 +20,17 @@ strict subadditivity under mirror mixing fails for squared distances.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import CapExceededError, InconsistentDataError, ReconstructionError
+from .config import DEFAULT_MAX_CANDIDATES, DEFAULT_TOL
+from .errors import CapExceededError, ReconstructionError
 from .geometry import (PointCloud, SquaredDistanceMatrix, affine_dim, anchor_embed,
-                       gram_affine_dim, mirror_pair, sq_dist, trilaterate)
+                       gram_affine_dim, mirror_pair, trilaterate)
 from .report import ReconstructionReport
 from .wl import KIND_MAT, KIND_NODE, KIND_NODE1, ColorStore
-
-DEFAULT_MAX_CANDIDATES = 4096
 
 
 def _pair_sum(points: np.ndarray) -> float:
@@ -56,12 +54,12 @@ def total_distance_sum(store: ColorStore) -> float:
             raise ValueError("the line case needs one refinement")
         total = 0.0
         for cid in store.tables[1]:
-            _, recs = store.interner.payload(cid)
+            _, recs = store.interner.payload(cid, KIND_NODE1)
             total += sum(math.sqrt(float(store.value_of(did))) for did, _ in recs)
         return total
     total = 0.0
     for cid in store.tables[0]:
-        dids = store.interner.payload(cid)[1]
+        dids = store.interner.payload(cid, KIND_MAT)[1]
         total += math.sqrt(float(store.value_of(dids[1])))
     return total / (n ** (ell - 2))
 
@@ -76,7 +74,7 @@ class CandidateCloud:
     total: float
 
 
-def enumerate_candidates(anchors, sq_tuples, tol: float = 1e-9,
+def enumerate_candidates(anchors, sq_tuples, tol: float = DEFAULT_TOL,
                          cap: int = DEFAULT_MAX_CANDIDATES) -> list[CandidateCloud]:
     """All candidate clouds realizing the distance tuples, up to global reflection.
 
@@ -122,26 +120,27 @@ def _color_tuple_data(store: ColorStore, cid: int):
     """Anchor distance matrix and distance-tuple multiset of a refined color."""
     ell = store.ell
     val = store.value_of
+    payload = store.interner.payload
     if ell == 1:
-        _, recs = store.interner.payload(cid)
+        _, recs = payload(cid, KIND_NODE1)
         mat = SquaredDistanceMatrix(order=1, entries=((0,),))
         tuples = [(val(did),) for did, _ in recs]
         return mat, tuples
-    prev, recs = store.interner.payload(cid)
-    dids = store.interner.payload(prev)[1]
+    prev, recs = payload(cid, KIND_NODE)
+    dids = payload(prev, KIND_MAT)[1]
     entries = tuple(tuple(0 if i == j else val(dids[i * ell + j])
                           for j in range(ell)) for i in range(ell))
     mat = SquaredDistanceMatrix(order=ell, entries=entries)
     tuples = []
     for rec in recs:
-        mat0 = store.interner.payload(rec[0])[1]
-        mat1 = store.interner.payload(rec[1])[1]
+        mat0 = payload(rec[0], KIND_MAT)[1]
+        mat1 = payload(rec[1], KIND_MAT)[1]
         dy = [val(mat1[ell])] + [val(mat0[j]) for j in range(1, ell)]
         tuples.append(tuple(dy))
     return mat, tuples
 
 
-def reconstruct_one_iter(store: ColorStore, tol: float = 1e-9,
+def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
                          cap: int = DEFAULT_MAX_CANDIDATES) -> ReconstructionReport:
     """Rebuild the cloud from one refinement of its d-tuple coloring."""
     if store.iterations < 1:
@@ -154,7 +153,7 @@ def reconstruct_one_iter(store: ColorStore, tol: float = 1e-9,
     if n == 1:
         cloud = PointCloud(dim=d, points=(tuple([0.0] * d),))
         return ReconstructionReport(cloud=cloud, method="oneshot-trivial",
-                                    verified=False, counters={"candidates_tried": 0})
+                                    counters={"candidates_tried": 0})
 
     digests = store.interner.digests
     colors = sorted(set(store.tables[1]), key=lambda c: digests[c])
@@ -170,7 +169,6 @@ def reconstruct_one_iter(store: ColorStore, tol: float = 1e-9,
         points = [tuple(trilaterate(anchors, t, tol)) for t in tuples]
         cloud = PointCloud(dim=d, points=tuple(points))
         return ReconstructionReport(cloud=cloud, method="oneshot-span",
-                                    verified=False,
                                     counters={"candidates_tried": 1,
                                               "anchor_dim": maxdim})
 
@@ -200,14 +198,14 @@ def reconstruct_one_iter(store: ColorStore, tol: float = 1e-9,
             except ValueError:
                 continue  # degenerate coincidences cannot be the accepted candidate
             return ReconstructionReport(
-                cloud=cloud, method="oneshot-halfspace", verified=False,
+                cloud=cloud, method="oneshot-halfspace",
                 counters={"candidates_tried": tried, "total_gap": total - ds_total,
                           "pair_sum": total})
     raise ReconstructionError(
         f"no hyperplane tuple accepted: {tried} tuples scanned, target sum {ds_total}")
 
 
-def supporting_tuple_scan(cloud: PointCloud, tol: float = 1e-9) -> tuple:
+def supporting_tuple_scan(cloud: PointCloud, tol: float = DEFAULT_TOL) -> tuple:
     """Brute-force search for d points spanning a supporting hyperplane.
 
     Returns d cloud points whose affine span has dimension d-1 and leaves the

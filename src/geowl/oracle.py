@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import wl
-from .geometry import PointCloud, affine_dim, sq_dist
+from .geometry import PointCloud, affine_dim
 
 # Exactness-preserving rational rotations: columns (a, b, c) with a^2+b^2=c^2.
 _PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
@@ -35,12 +35,12 @@ class Alignment:
         return points @ Q.T + t
 
 
-def _anchor_indices(A: np.ndarray, tol: float) -> list[int]:
+def _anchor_indices(A: np.ndarray) -> list[int]:
     """Greedy affinely independent subset of rows, picked in index order.
 
     Row 0 is always taken; each later row is kept when it raises the affine
-    dimension, judged at a fixed tolerance of 1e-12 (the `tol` argument is
-    unused), until dim + 1 rows are held.
+    dimension, judged at a fixed tolerance of 1e-12, until dim + 1 rows are
+    held.
     """
     n = A.shape[0]
     idx = [0]
@@ -107,7 +107,7 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
     if float(np.max(np.abs(sorted_sq(A) - sorted_sq(B)))) > pre_tol:
         return None
 
-    anchors = _anchor_indices(A, tol)
+    anchors = _anchor_indices(A)
     k = len(anchors)
     sqA = np.sum((A[:, None, :] - A[None, :, :]) ** 2, axis=2)
     sqB = np.sum((B[:, None, :] - B[None, :, :]) ** 2, axis=2)
@@ -116,8 +116,6 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
 
     def compatible(i, j):
         return float(np.max(np.abs(inv_a[i] - inv_b[j]))) <= pre_tol
-
-    best: Alignment | None = None
 
     def try_assignment(images: list[int]) -> Alignment | None:
         Q, t = _fit(A[anchors], B[images])

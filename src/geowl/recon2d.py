@@ -15,19 +15,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import PointCloud, Scalar, barycenter_sq_norms, is_exact
+from .geometry import PointCloud, Scalar, barycenter_sq_norms, is_exact, remove_nearest
+from .report import ReconstructionReport
 from .wl import KIND_NODE1, ColorStore
 
 TWO_PI = 2.0 * math.pi
-
-
-def _node1(store: ColorStore, cid: int) -> tuple[int, tuple]:
-    if store.interner.kind(cid) != KIND_NODE1:
-        raise ValueError("expected a refined single-point color")
-    return store.interner.payload(cid)
 
 
 def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
@@ -37,7 +32,7 @@ def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
     counts = Counter(store.tables[1])
     f_by_color = {}
     for cid in counts:
-        _, recs = _node1(store, cid)
+        _, recs = store.interner.payload(cid, KIND_NODE1)
         f_by_color[cid] = sum(store.value_of(did) for did, _ in recs)
     n = store.n
     total = sum(f_by_color[c] * m for c, m in counts.items())
@@ -53,7 +48,7 @@ def profiles_from_chi2(store: ColorStore) -> dict[int, tuple]:
     norms = norms_from_chi1(store)
     out = {}
     for cid in set(store.tables[2]):
-        _, recs = _node1(store, cid)
+        _, recs = store.interner.payload(cid, KIND_NODE1)
         entries = sorted((store.value_of(did), norms[c1]) for did, c1 in recs)
         out[cid] = tuple(entries)
     return out
@@ -106,10 +101,10 @@ def init2d(store: ColorStore) -> InitData2D:
     digests = store.interner.digests
 
     def chi1_of_chi2(c2: int) -> int:
-        return _node1(store, c2)[0]
+        return store.interner.payload(c2, KIND_NODE1)[0]
 
     def chi2_of_chi3(c3: int) -> int:
-        return _node1(store, c3)[0]
+        return store.interner.payload(c3, KIND_NODE1)[0]
 
     # pick u: positive norm, canonical by digest
     candidates = sorted(set(store.tables[3]), key=lambda c: digests[c])
@@ -123,7 +118,7 @@ def init2d(store: ColorStore) -> InitData2D:
     nu2 = norms[chi1_of_chi2(chi2_of_chi3(u_color))]
     m_u = profiles[chi2_of_chi3(u_color)]
 
-    _, recs = _node1(store, u_color)
+    _, recs = store.interner.payload(u_color, KIND_NODE1)
     best = None  # (q, N, tiebreak, d2, c2_y)
     for did, c2_y in recs:
         d2 = store.value_of(did)
@@ -224,20 +219,7 @@ class PlanarReconstruction:
     alpha: float | None
 
 
-def _remove_close(entries: list, target, tol: float) -> None:
-    best_i, best_err = -1, float("inf")
-    for i, e in enumerate(entries):
-        err = max(abs(a - b) for a, b in zip(e, target))
-        if err < best_err:
-            best_i, best_err = i, err
-    scale = max(1.0, *(abs(v) for v in target)) if target else 1.0
-    if best_i < 0 or best_err > tol * scale * 1000:
-        raise InconsistentDataError(
-            f"no multiset entry matches {target} (best error {best_err:.3e})")
-    entries.pop(best_i)
-
-
-def reconstruct2d(init: InitData2D, tol: float = 1e-9) -> PlanarReconstruction:
+def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstruction:
     """Rebuild a planar cloud, barycenter at the origin, from pivot data.
 
     Follows the candidate-elimination schedule: after placing the pivots and
@@ -291,8 +273,8 @@ def reconstruct2d(init: InitData2D, tol: float = 1e-9) -> PlanarReconstruction:
         n2 = p[0] * p[0] + p[1] * p[1]
         du2 = (p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2
         dv2 = (p[0] - v[0]) ** 2 + (p[1] - v[1]) ** 2
-        _remove_close(m_u, (du2, n2), tol)
-        _remove_close(m_v, (dv2, n2), tol)
+        remove_nearest(m_u, (du2, n2), tol * max(1.0, du2, n2) * 1000)
+        remove_nearest(m_v, (dv2, n2), tol * max(1.0, dv2, n2) * 1000)
         placed.append(p)
 
     place(u)
@@ -393,12 +375,17 @@ def _cloud2d(points) -> PointCloud:
     return PointCloud(dim=2, points=tuple((float(x), float(y)) for x, y in points))
 
 
-def reconstruct_planar(store: ColorStore, tol: float = 1e-9) -> PlanarReconstruction:
+def reconstruct_planar(store: ColorStore, tol: float = DEFAULT_TOL) -> ReconstructionReport:
     """End-to-end planar path: pivot extraction plus reconstruction.
 
-    Single-point clouds short-circuit to the origin.
+    The counters are the elimination rounds, their bound and the pivot
+    angle alpha (None for collinear clouds).  Single-point clouds
+    short-circuit to the origin.
     """
     if store.n == 1:
-        return PlanarReconstruction(cloud=_cloud2d([(0.0, 0.0)]), rounds=0,
-                                    round_bound=0, alpha=None)
-    return reconstruct2d(init2d(store), tol=tol)
+        res = PlanarReconstruction(cloud=_cloud2d([(0.0, 0.0)]), rounds=0,
+                                   round_bound=0, alpha=None)
+    else:
+        res = reconstruct2d(init2d(store), tol=tol)
+    counters = {"rounds": res.rounds, "round_bound": res.round_bound, "alpha": res.alpha}
+    return ReconstructionReport(res.cloud, "wl2d", counters)

@@ -25,28 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
+                     DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
 from .geometry import (ConeSpec, Hyperplane, PointCloud, SquaredDistanceMatrix,
-                       anchor_embed, barycenter_sq_norms, gram_affine_dim,
-                       mirror_pair, reflect, solid_angle_mc, sq_dist, trilaterate)
+                       _float_rank, anchor_embed, barycenter_sq_norms, gram_affine_dim,
+                       mirror_pair, remove_nearest, solid_angle_mc, sq_dist, trilaterate)
 from .report import ReconstructionReport
 from .wl import (KIND_MAT, KIND_NODE, ColorStore, Interner, compare, fingerprint,
                  run_wl, run_wl_from_sq_values)
-
-DEFAULT_VERIFY_SNAP = 1e-6
-DEFAULT_SELECT_SAMPLES = 4096
-
-
-def _node(store: ColorStore, cid: int) -> tuple[int, tuple]:
-    if store.interner.kind(cid) != KIND_NODE:
-        raise ValueError("expected a refined tuple color")
-    return store.interner.payload(cid)
-
-
-def _matrix_dids(store: ColorStore, cid: int) -> tuple[int, ...]:
-    if store.interner.kind(cid) != KIND_MAT:
-        raise ValueError("expected an initial tuple color")
-    return store.interner.payload(cid)[1]
 
 
 def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
@@ -62,15 +49,16 @@ def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
         raise ValueError("need a tuple history (ell >= 2) with at least one iteration")
     n = store.n
     val = store.value_of
+    payload = store.interner.payload
     counts = Counter(store.tables[1])
     slot_dists: dict[int, list[tuple]] = {}
     for c1 in counts:
-        _, recs = _node(store, c1)
+        _, recs = payload(c1, KIND_NODE)
         per_slot = []
         # slot 0 distances live in the (1,0) entry of the slot-1 substitution
-        per_slot.append(tuple(sorted(val(_matrix_dids(store, r[1])[m]) for r in recs)))
+        per_slot.append(tuple(sorted(val(payload(r[1], KIND_MAT)[1][m]) for r in recs)))
         for j in range(1, m):
-            per_slot.append(tuple(sorted(val(_matrix_dids(store, r[0])[j]) for r in recs)))
+            per_slot.append(tuple(sorted(val(payload(r[0], KIND_MAT)[1][j]) for r in recs)))
         slot_dists[c1] = per_slot
     multiplier = n ** (m - 1)
     global_counts: Counter = Counter()
@@ -100,14 +88,15 @@ def profiles_from_wl2(store: ColorStore) -> dict[int, tuple]:
         raise ValueError("need a tuple history (ell >= 2) with at least two iterations")
     bary = barycenter_dists_from_wl1(store)
     val = store.value_of
+    payload = store.interner.payload
     out = {}
     for c2 in set(store.tables[2]):
-        _, recs = _node(store, c2)
+        _, recs = payload(c2, KIND_NODE)
         entries = []
         for rec in recs:
-            c1_0 = _node(store, rec[0])[0]
-            mat0 = _matrix_dids(store, c1_0)
-            mat1 = _matrix_dids(store, _node(store, rec[1])[0])
+            c1_0 = payload(rec[0], KIND_NODE)[0]
+            mat0 = payload(c1_0, KIND_MAT)[1]
+            mat1 = payload(payload(rec[1], KIND_NODE)[0], KIND_MAT)[1]
             dy = [val(mat1[m])] + [val(mat0[j]) for j in range(1, m)]
             entries.append((bary[rec[0]][0], *dy))
         out[c2] = tuple(sorted(entries))
@@ -131,11 +120,7 @@ class EnhancedProfile:
         if len(self.profiles) != d:
             raise ValueError("need one substituted profile per anchor slot")
 
-    @property
-    def dim_slots(self) -> int:
-        return self.a.order - 1
-
-    def dimension(self, tol: float = 1e-9) -> int:
+    def dimension(self, tol: float = DEFAULT_TOL) -> int:
         return gram_affine_dim(self.a, tol)
 
     def sort_key(self):
@@ -152,19 +137,20 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
     bary = barycenter_dists_from_wl1(store)
     prof = profiles_from_wl2(store)
     val = store.value_of
+    payload = store.interner.payload
     result: Counter = Counter()
     for c3, count in Counter(store.tables[3]).items():
-        c2x, recs3 = _node(store, c3)
-        c1x = _node(store, c2x)[0]
-        matx = _matrix_dids(store, _node(store, c1x)[0])
+        c2x, recs3 = payload(c3, KIND_NODE)
+        c1x = payload(c2x, KIND_NODE)[0]
+        matx = payload(payload(c1x, KIND_NODE)[0], KIND_MAT)[1]
         bary_x = bary[c1x]
         profile_x = prof[c2x]
         last_profile = tuple(sorted((*e[1:], e[0]) for e in profile_x))
         for rec in recs3:
-            c1_0 = _node(store, rec[0])[0]
-            c1_1 = _node(store, rec[1])[0]
-            mat0 = _matrix_dids(store, _node(store, c1_0)[0])
-            mat1 = _matrix_dids(store, _node(store, c1_1)[0])
+            c1_0 = payload(rec[0], KIND_NODE)[0]
+            c1_1 = payload(rec[1], KIND_NODE)[0]
+            mat0 = payload(payload(c1_0, KIND_NODE)[0], KIND_MAT)[1]
+            mat1 = payload(payload(c1_1, KIND_NODE)[0], KIND_MAT)[1]
             d_y_x = [val(mat1[m])] + [val(mat0[j]) for j in range(1, m)]
             d_y_b = bary[c1_0][0]
             size = m + 2
@@ -203,7 +189,7 @@ def _embed_anchors(ep: EnhancedProfile, tol: float) -> np.ndarray:
     return pts[1:]  # barycenter row sits at the origin
 
 
-def select_cone_tuple(eps, tol: float = 1e-9, samples: int = DEFAULT_SELECT_SAMPLES,
+def select_cone_tuple(eps, tol: float = DEFAULT_TOL, samples: int = DEFAULT_SELECT_SAMPLES,
                       seed: int = 0) -> list[EnhancedProfile]:
     """Order enhanced profiles for reconstruction attempts.
 
@@ -239,7 +225,7 @@ def select_cone_tuple(eps, tol: float = 1e-9, samples: int = DEFAULT_SELECT_SAMP
     return [s[2] for s in scored]
 
 
-def reconstruct_lowdim(ep: EnhancedProfile, tol: float = 1e-9) -> np.ndarray:
+def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Trilaterate every cloud point inside a proper affine subspace.
 
     Applies when the anchors span less than the ambient dimension: some slot
@@ -248,12 +234,11 @@ def reconstruct_lowdim(ep: EnhancedProfile, tol: float = 1e-9) -> np.ndarray:
     """
     d = ep.a.order - 1
     zs = _embed_anchors(ep, tol)
-    pts_all = np.vstack([np.zeros((1, d)), zs])
-    k = _rank(zs, tol)
+    k = _float_rank(zs, tol)
     drop = None
     for i in range(d):
         others = np.delete(zs, i, axis=0)
-        if _rank(others, tol) == k:
+        if _float_rank(others, tol) == k:
             drop = i
             break
     if drop is None:
@@ -262,13 +247,6 @@ def reconstruct_lowdim(ep: EnhancedProfile, tol: float = 1e-9) -> np.ndarray:
     anchors[drop] = 0.0
     points = [trilaterate(anchors, entry, tol) for entry in ep.profiles[drop]]
     return np.array(points)
-
-
-def _rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, float(sv[0])) * max(mat.shape)))
 
 
 class ForbiddenRegion:
@@ -283,7 +261,7 @@ class ForbiddenRegion:
     """
 
     def __init__(self, cone: ConeSpec, epsilon: float,
-                 hyperplanes: tuple[Hyperplane, ...], tol: float = 1e-9):
+                 hyperplanes: tuple[Hyperplane, ...], tol: float = DEFAULT_TOL):
         self.cone = cone
         self.epsilon = float(epsilon)
         self.hyperplanes = hyperplanes
@@ -334,10 +312,6 @@ class ForbiddenRegion:
         return result
 
 
-def forbidden_membership(region: ForbiddenRegion, x, depth: int) -> bool:
-    return region.membership(x, depth)
-
-
 @dataclass
 class FulldimResult:
     points: np.ndarray
@@ -346,8 +320,8 @@ class FulldimResult:
     epsilon: float | None
 
 
-def reconstruct_fulldim(ep: EnhancedProfile, tol: float = 1e-9,
-                        max_depth: int = 10) -> FulldimResult:
+def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
+                        max_depth: int = DEFAULT_MAX_DEPTH) -> FulldimResult:
     """Forbidden-region elimination for full-dimensional anchor tuples.
 
     Phase 1 places every point lying on an anchor hyperplane (single mirror
@@ -360,7 +334,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = 1e-9,
     """
     d = ep.a.order - 1
     zs = _embed_anchors(ep, tol)
-    if _rank(zs, tol) != d:
+    if _float_rank(zs, tol) != d:
         raise ReconstructionError("anchors are not full-dimensional")
     scale = max(1.0, float(np.max(np.abs(zs))))
     plane_tol = tol * scale * 1000
@@ -384,22 +358,10 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = 1e-9,
             cand_cache[i][entry] = cands
         return cands
 
-    def remove_entry(j: int, target) -> None:
-        best_i, best_err = -1, float("inf")
-        for i, e in enumerate(profiles[j]):
-            err = max(abs(a - b) for a, b in zip(e, target))
-            if err < best_err:
-                best_i, best_err = i, err
-        if best_i < 0 or best_err > plane_tol * 100:
-            raise InconsistentDataError(
-                f"profile {j} has no entry matching a placed point "
-                f"(best error {best_err:.3e})")
-        profiles[j].pop(best_i)
-
     def place(p: np.ndarray) -> None:
         for j in range(d):
             target = tuple(float(sq_dist(p, a)) for a in anchor_sets[j])
-            remove_entry(j, target)
+            remove_nearest(profiles[j], target, plane_tol * 100)
         placed.append(p)
 
     # phase 1: hyperplane residents have a unique candidate
@@ -490,16 +452,17 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = 1e-9,
                          gamma_bound=gamma_bound, epsilon=epsilon)
 
 
-def reconstruct_nd(store: ColorStore, tol: float = 1e-9,
+def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                    samples: int = DEFAULT_SELECT_SAMPLES, seed: int = 0,
-                   max_depth: int = 10,
+                   max_depth: int = DEFAULT_MAX_DEPTH,
                    verify_snap: float = DEFAULT_VERIFY_SNAP) -> ReconstructionReport:
     """Full pipeline: extract enhanced profiles, try candidates, verify by fingerprint.
 
     Candidates are attempted in estimated-angle order; a candidate is
     accepted when rerunning the coloring on the reconstruction (in snapped
     float mode, against the input distances snapped the same way) reproduces
-    the input fingerprint, which certifies isometry.
+    the input fingerprint, which certifies isometry.  Only a cloud that
+    passes this certificate is returned; when none does, ReconstructionError.
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
@@ -507,7 +470,7 @@ def reconstruct_nd(store: ColorStore, tol: float = 1e-9,
     n = store.n
     if n == 1:
         cloud = PointCloud(dim=d, points=(tuple([0.0] * d),))
-        return ReconstructionReport(cloud=cloud, method="nd-trivial", verified=True,
+        return ReconstructionReport(cloud=cloud, method="nd-trivial",
                                     counters={"candidates_tried": 0})
 
     eps = enhanced_profiles_from_wl3(store)
@@ -543,8 +506,7 @@ def reconstruct_nd(store: ColorStore, tol: float = 1e-9,
         fr = fingerprint(run_wl(cloud, store.ell, 3, mode="float",
                                 snap=verify_snap, interner=verify_interner))
         if compare(fin, fr) == "equal":
-            return ReconstructionReport(cloud=cloud, method=method, verified=True,
-                                        counters=counters)
+            return ReconstructionReport(cloud=cloud, method=method, counters=counters)
         failures.append(f"candidate {tried}: fingerprint mismatch")
     raise ReconstructionError(
         "all enhanced-profile candidates exhausted; "

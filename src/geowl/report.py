@@ -1,23 +1,69 @@
-"""Result record shared by the reconstruction pipelines."""
+"""The reconstruction entry point and the result record of every pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import oracle, wl
+from .config import RunConfig
 from .geometry import PointCloud
-from .oracle import Alignment
 
 
 @dataclass
 class ReconstructionReport:
-    """Recovered cloud plus verification status and per-phase counters.
+    """Recovered cloud, the method that produced it and per-phase counters.
 
-    The alignment field is filled by callers that hold the source cloud and
-    run the isometry oracle against the reconstruction.
+    `reconstruct` fills the alignment by running the isometry oracle against
+    the source cloud; the cloud is verified exactly when it has one.
     """
 
     cloud: PointCloud
     method: str
-    verified: bool
-    counters: dict = field(default_factory=dict)
-    alignment: Alignment | None = None
+    counters: dict
+    alignment: oracle.Alignment | None = None
+
+    @property
+    def verified(self) -> bool:
+        return self.alignment is not None
+
+
+def reconstruct(cloud: PointCloud, algorithm: str,
+                cfg: RunConfig | None = None) -> ReconstructionReport:
+    """Color the cloud, rebuild it from the colors alone and check the result.
+
+    `wl2d` rebuilds a planar cloud from 3 iterations of the point coloring,
+    `wlnd` a cloud in R^d (d >= 3) from 3 iterations of the (d-1)-tuple
+    coloring, and `oneshot` any cloud from 1 iteration of the d-tuple
+    coloring.  The algorithm fixes the coloring, so `cfg.ell`, `cfg.iters`
+    and `cfg.jobs` are not read.  The isometry oracle then compares the
+    reconstruction with the input and fills `alignment`.
+    """
+    cfg = cfg or RunConfig()
+
+    def colored(ell: int, iters: int) -> wl.ColorStore:
+        return wl.run_wl(cloud, ell, iters, mode=cfg.mode, snap=cfg.tol,
+                         max_tuples=cfg.max_tuples)
+
+    if algorithm == "wl2d":
+        if cloud.dim != 2:
+            raise ValueError("wl2d needs a two-dimensional cloud")
+        report = recon2d.reconstruct_planar(colored(1, 3), tol=cfg.tol)
+    elif algorithm == "wlnd":
+        if cloud.dim < 3:
+            raise ValueError("wlnd needs dimension at least 3")
+        report = recon_nd.reconstruct_nd(colored(cloud.dim - 1, 3), tol=cfg.tol,
+                                         samples=cfg.select_samples, seed=cfg.seed,
+                                         max_depth=cfg.max_depth,
+                                         verify_snap=cfg.verify_snap)
+    elif algorithm == "oneshot":
+        report = oneshot.reconstruct_one_iter(colored(cloud.dim, 1), tol=cfg.tol,
+                                              cap=cfg.max_candidates)
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    report.alignment = oracle.is_isometric(report.cloud, cloud)
+    return report
+
+
+# The pipelines import ReconstructionReport from this module, so they are
+# imported only once it is defined.
+from . import oneshot, recon2d, recon_nd  # noqa: E402

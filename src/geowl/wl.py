@@ -169,10 +169,10 @@ class Interner:
             self._rank_cache = (count, _ranking(self.digests))
         return self._rank_cache[1]
 
-    def kind(self, cid: int) -> int:
-        return self.kinds[cid]
-
-    def payload(self, cid: int) -> tuple:
+    def payload(self, cid: int, kind: int) -> tuple:
+        """The payload of a color that must be of the given KIND_*."""
+        if self.kinds[cid] != kind:
+            raise ValueError(f"color {cid} has kind {self.kinds[cid]}, expected {kind}")
         return self.payloads[cid]
 
 

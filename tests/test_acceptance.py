@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from geowl import cli, oracle, recon2d, recon_nd, oneshot
+from geowl import cli, oracle, recon2d, recon_nd, oneshot, reconstruct
 from geowl.config import RunConfig
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, affine_dim,
                             barycenter, barycenter_sq_norms, mirror_pair, reflect,
@@ -76,10 +76,8 @@ _SPATIAL_RUNS: list[tuple[int, int]] = []
 
 
 def _roundtrip(cloud: PointCloud, algorithm: str, seed: int = 0):
-    cfg = RunConfig(iters=3, seed=seed)
-    recovered, method, counters = cli._roundtrip_report(cloud, algorithm, cfg)
-    align = oracle.is_isometric(recovered, cloud, tol=1e-6)
-    return recovered, method, counters, align
+    report = reconstruct(cloud, algorithm, RunConfig(seed=seed))
+    return report.cloud, report.method, report.counters, report.alignment
 
 
 def test_criterion_2_planar_roundtrips_and_completeness():

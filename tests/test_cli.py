@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from geowl import oracle
 from geowl.cli import main
 from geowl.cloudfile import cloud_to_json, load_cloud, parse_cloud_text, save_cloud
 from geowl.geometry import PointCloud
@@ -148,3 +150,67 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["dim"] == 2
+
+
+# sha256 of stdout, a NUL byte and the -o file; exact-mode outputs are portable
+GOLDEN_SHA256 = {
+    "gen": "8cb5e81b8d089e31d5ccdf9f5a758d0d9ee38cf3089f7979a20749b348493563",
+    "color": "8ed9998351ca8f05cc697aae5a9a55ae370b0c5f1d84effe43fa2d2f1b520391",
+    "compare-equal": "f9371161f065c01e2be982d4dda5cf312f669e24447cc3bb786d95c5f90103cf",
+    "compare-different": "66b2af0e5e4be807d3095ddcdcff2270413ab45d489899e81c2372188ff990db",
+    "search": "cd002d1b35dfc82dbf340f36db30b6ad46d9c3e82241be12476b96e28aabe067",
+}
+
+# roundtrip coordinates depend on the LAPACK build, so only these lines are pinned
+GOLDEN_ROUNDTRIP = {
+    "wl2d": ["method: wl2d", "rounds: 10", "verified: yes"],
+    "wlnd": ["method: nd-fulldim", "depth: 5", "candidates_tried: 1", "verified: yes"],
+    "oneshot": ["method: oneshot-halfspace", "candidates_tried: 1", "verified: yes"],
+}
+
+
+def _cli_bytes(argv, out, capsys) -> bytes:
+    assert main(argv + ["-o", str(out)]) == 0, argv
+    return capsys.readouterr().out.encode() + b"\0" + out.read_bytes()
+
+
+def test_cli_golden_output(tmp_path, capsys):
+    a, b, moved = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "moved.json"
+    got = {"gen": _cli_bytes(["gen", "--n", "6", "--d", "2", "--seed", "5"], a, capsys)}
+    _cli_bytes(["gen", "--n", "6", "--d", "2", "--seed", "6"], b, capsys)
+    save_cloud(oracle.apply_random_isometry(load_cloud(a), 1), moved)
+    got["color"] = _cli_bytes(["color", str(a), "--ell", "2", "--iters", "3"],
+                              tmp_path / "fp.json", capsys)
+    got["compare-equal"] = _cli_bytes(["compare", str(a), str(moved), "--ell", "2",
+                                       "--iters", "3"], tmp_path / "eq.json", capsys)
+    got["compare-different"] = _cli_bytes(["compare", str(a), str(b), "--ell", "2",
+                                           "--iters", "3"], tmp_path / "ne.json", capsys)
+    got["search"] = _cli_bytes(["search", "--d", "2", "--n", "5", "--ell", "1",
+                                "--iters", "0", "--budget", "6", "--seed", "1"],
+                               tmp_path / "s.json", capsys)
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN_ROUNDTRIP))
+def test_cli_golden_roundtrip_lines(tmp_path, capsys, algorithm):
+    cloud = tmp_path / "cloud.json"
+    d = "3" if algorithm == "wlnd" else "2"
+    _cli_bytes(["gen", "--n", "6", "--d", d, "--seed", "5"], cloud, capsys)
+    stdout = _cli_bytes(["roundtrip", str(cloud), "--algorithm", algorithm],
+                        tmp_path / "rep.json", capsys).decode().split("\0")[0]
+    lines = [line for line in stdout.splitlines() if not line.startswith("residual:")]
+    assert lines == GOLDEN_ROUNDTRIP[algorithm]
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "c.json", "--seed", "1"],
+    ["compare", "a.json", "b.json", "--jobs", "2"],
+    ["roundtrip", "c.json", "--algorithm", "wl2d", "--iters", "3"],
+    ["roundtrip", "c.json", "--algorithm", "wl2d", "--jobs", "2"],
+    ["search", "--d", "1", "--n", "3", "--tol", "1e-6"],
+    ["search", "--d", "1", "--n", "3", "--max-depth", "4"],
+])
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

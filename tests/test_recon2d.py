@@ -148,8 +148,8 @@ def test_reconstruct2d_round_trip_random():
         res = reconstruct_planar(run_wl(cloud, 1, 3))
         align = oracle.is_isometric(res.cloud, cloud)
         assert align is not None and align.residual < 1e-6, seed
-        if res.alpha is not None:
-            assert res.rounds <= math.ceil(1 + math.pi / res.alpha)
+        if res.counters["alpha"] is not None:
+            assert res.counters["rounds"] <= math.ceil(1 + math.pi / res.counters["alpha"])
 
 
 def test_reconstruct2d_rejects_inconsistent_multisets():

@@ -6,15 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from geowl import oracle
+from geowl import oracle, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter,
                             reflect, sq_dist, squared_distance_matrix)
 from geowl.recon_nd import (EnhancedProfile, ForbiddenRegion,
                             barycenter_dists_from_wl1, enhanced_profiles_from_wl3,
-                            forbidden_membership, profiles_from_wl2,
-                            reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
-                            select_cone_tuple)
+                            profiles_from_wl2, reconstruct_fulldim, reconstruct_lowdim,
+                            reconstruct_nd, select_cone_tuple)
 from geowl.wl import run_wl
 
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -201,14 +200,14 @@ def test_forbidden_membership_examples():
     region = ForbiddenRegion(cone, epsilon=0.1, hyperplanes=planes)
     inside = (1.0, 2.0, 3.0)
     for depth in range(4):
-        assert forbidden_membership(region, inside, depth)
+        assert region.membership(inside, depth)
     mirrored = reflect((1.0, 2.0, 3.0), planes[0])
-    assert not forbidden_membership(region, mirrored, 0)
-    assert forbidden_membership(region, mirrored, 1)
+    assert not region.membership(mirrored, 0)
+    assert region.membership(mirrored, 1)
     far = (-10.0, -10.0, -10.0)
     # brute-force word oracle: all sign flips needed, so depth 3 is the first hit
-    assert not forbidden_membership(region, far, 2)
-    assert forbidden_membership(region, far, 3)
+    assert not region.membership(far, 2)
+    assert region.membership(far, 3)
 
 
 def test_forbidden_membership_monotone():
@@ -294,7 +293,7 @@ def test_reconstruct_fulldim_fixtures():
     regular = PointCloud(3, ((F(1), F(1), F(1)), (F(1), F(-1), F(-1)),
                              (F(-1), F(1), F(-1)), (F(-1), F(-1), F(1))))
     for cloud in (TET, regular):
-        rep = reconstruct_nd(run_wl(cloud, 2, 3))
+        rep = reconstruct(cloud, "wlnd")
         align = oracle.is_isometric(rep.cloud, cloud)
         assert align is not None and align.residual < 1e-6
         assert rep.verified

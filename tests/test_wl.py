@@ -6,8 +6,8 @@ import pytest
 from geowl import oracle
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
-from geowl.wl import (Interner, compare, fingerprint, first_distinguishing_iteration,
-                      initial_coloring, refine, run_wl)
+from geowl.wl import (KIND_NODE1, Interner, compare, fingerprint,
+                      first_distinguishing_iteration, initial_coloring, refine, run_wl)
 
 
 def _line(*xs):
@@ -52,7 +52,7 @@ def test_refine_distinguishes_line_clouds():
     # and the colors decode back to exactly those multisets
     for store, want in ((sa, dist_multisets(a)), (sb, dist_multisets(b))):
         got = sorted(sorted(store.value_of(did) for did, _ in
-                            store.interner.payload(cid)[1])
+                            store.interner.payload(cid, KIND_NODE1)[1])
                      for cid in store.tables[1])
         assert got == want
 
