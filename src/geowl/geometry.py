@@ -305,18 +305,40 @@ def trilaterate(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
     r2 = np.array([float(v) for v in sq_dists], dtype=float)
     base, B = _span_basis(P, tol)
     scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
-    if B.shape[1] == 0:
-        x = base
-    else:
-        V = P[1:] - base
-        rhs = (r2[0] + np.sum(V * V, axis=1) - r2[1:]) / 2.0
-        t, *_ = np.linalg.lstsq(V @ B, rhs, rcond=None)
-        x = base + B @ t
+    t = _in_plane(P, base, B, r2[None, :])[0]
+    x = base if B.shape[1] == 0 else base + B @ t
     err = np.abs(np.sum((x - P) ** 2, axis=1) - r2)
     if float(np.max(err)) > tol * scale * 100:
         raise InconsistentDataError(
             f"trilateration residual {float(np.max(err)):.3e} exceeds tolerance")
     return x
+
+
+def _in_plane(P: np.ndarray, base: np.ndarray, B: np.ndarray, R2: np.ndarray):
+    """Span coordinates of the foot point for each row of squared distances R2.
+
+    Row i of the result solves <x - a_0, a_j - a_0> = (r_0^2 + |a_j - a_0|^2 - r_j^2)/2
+    in the basis B, by one least-squares solve with a right-hand side per row.
+    """
+    if B.shape[1] == 0:
+        return np.zeros((R2.shape[0], 0))
+    V = P[1:] - base
+    rhs = (R2[:, :1] + np.sum(V * V, axis=1) - R2[:, 1:]) / 2.0
+    t, *_ = np.linalg.lstsq(V @ B, rhs.T, rcond=None)
+    return t.T
+
+
+def _hyperplane_basis(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_span_basis` of anchors that must span a hyperplane."""
+    base, B = _span_basis(P, tol)
+    if B.shape[1] != P.shape[1] - 1:
+        raise ValueError("anchors must have affine dimension exactly d-1")
+    return base, B
+
+
+def _unit_normal(B: np.ndarray) -> np.ndarray:
+    """Unit normal of the hyperplane whose directions are the d-1 columns of B."""
+    return np.linalg.svd(B.T, full_matrices=True)[2][-1]
 
 
 def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
@@ -329,19 +351,10 @@ def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
     """
     P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
     r2 = np.array([float(v) for v in sq_dists], dtype=float)
-    d = P.shape[1]
-    base, B = _span_basis(P, tol)
-    if B.shape[1] != d - 1:
-        raise ValueError("anchors must have affine dimension exactly d-1")
+    base, B = _hyperplane_basis(P, tol)
     scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
-    if d == 1:
-        t = np.zeros(0)
-        p = base
-    else:
-        V = P[1:] - base
-        rhs = (r2[0] + np.sum(V * V, axis=1) - r2[1:]) / 2.0
-        t, *_ = np.linalg.lstsq(V @ B, rhs, rcond=None)
-        p = base + B @ t
+    t = _in_plane(P, base, B, r2[None, :])[0]
+    p = base if B.shape[1] == 0 else base + B @ t
     h2 = r2[0] - float(t @ t)
     if h2 < -tol * scale * 100:
         raise InconsistentDataError(
@@ -349,16 +362,47 @@ def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
     if h2 <= tol * scale * 100:
         cands = [p]
     else:
-        # unit normal of the span
-        u, s, vt = np.linalg.svd(B.T, full_matrices=True)
-        normal = vt[-1]
         h = math.sqrt(h2)
+        normal = _unit_normal(B)
         cands = [p + h * normal, p - h * normal]
     err = np.abs(np.sum((cands[0] - P) ** 2, axis=1) - r2)
     if float(np.max(err)) > tol * scale * 1000:
         raise InconsistentDataError(
             f"mirror-pair residual {float(np.max(err)):.3e} exceeds tolerance")
     return cands
+
+
+def mirror_residents(anchors: Sequence[Sequence[Scalar]],
+                     sq_tuples: Sequence[Sequence[Scalar]],
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per distance tuple, whether `mirror_pair` would place it on the anchors' span.
+
+    The flags equal `[len(mirror_pair(anchors, r, tol)) == 1 for r in sq_tuples]`,
+    and every tuple gets mirror_pair's checks, so unrealizable tuples raise
+    InconsistentDataError in the same cases; but all tuples share one span
+    basis, one normal and one least-squares solve.
+    """
+    P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
+    R2 = np.array([[float(v) for v in r] for r in sq_tuples], dtype=float)
+    base, B = _hyperplane_basis(P, tol)
+    scale = np.maximum(max(1.0, float(np.max(np.abs(P)))), R2.max(axis=1, initial=0.0))
+    T = _in_plane(P, base, B, R2)
+    # per-row matmul rounds like mirror_pair's t @ t; a row sum differs for d >= 3
+    h2 = R2[:, 0] - (T[:, None, :] @ T[:, :, None])[:, 0, 0]
+    bad = h2 < -tol * scale * 100
+    if bool(np.any(bad)):
+        raise InconsistentDataError(
+            f"negative out-of-plane component {float(h2[bad][0]):.3e}: "
+            "distances are unrealizable")
+    resident = h2 <= tol * scale * 100
+    h = np.where(resident, 0.0, np.sqrt(np.maximum(h2, 0.0)))
+    first = base + T @ B.T + h[:, None] * _unit_normal(B)
+    err = np.abs(np.sum((first[:, None, :] - P[None, :, :]) ** 2, axis=2) - R2)
+    worst = err.max(axis=1)
+    if bool(np.any(worst > tol * scale * 1000)):
+        raise InconsistentDataError(
+            f"mirror-pair residual {float(worst.max()):.3e} exceeds tolerance")
+    return resident
 
 
 @dataclass(frozen=True)
@@ -386,8 +430,7 @@ class Hyperplane:
         d = P.shape[1]
         if B.shape[1] != d - 1:
             raise ValueError("points do not span a hyperplane")
-        u, s, vt = np.linalg.svd(B.T, full_matrices=True)
-        normal = vt[-1]
+        normal = _unit_normal(B)
         if toward is not None:
             side = float(normal @ (np.asarray(toward, dtype=float) - base))
             if side < 0:

@@ -13,6 +13,12 @@ regimes cover everything:
   The accepted candidate is the one contained in a single closed half-space
   whose total matches.
 
+Hyperplane tuples are tried in order of how many points lie on their span
+("residents"), most first, because residents leave no mirror choice.  The
+ranking needs only those counts, so it takes one batched solve per tuple
+(`geometry.mirror_residents`); mirror pairs are built only for the entries
+of the tuples actually tried.
+
 This module works with true (unsquared) distances for the total-sum test:
 strict subadditivity under mirror mixing fails for squared distances.
 """
@@ -28,7 +34,7 @@ import numpy as np
 from .config import DEFAULT_MAX_CANDIDATES, DEFAULT_TOL
 from .errors import CapExceededError, ReconstructionError
 from .geometry import (PointCloud, SquaredDistanceMatrix, affine_dim, anchor_embed,
-                       gram_affine_dim, mirror_pair, trilaterate)
+                       gram_affine_dim, mirror_pair, mirror_residents, trilaterate)
 from .report import ReconstructionReport
 from .wl import KIND_MAT, KIND_NODE, KIND_NODE1, ColorStore
 
@@ -142,7 +148,15 @@ def _color_tuple_data(store: ColorStore, cid: int):
 
 def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
                          cap: int = DEFAULT_MAX_CANDIDATES) -> ReconstructionReport:
-    """Rebuild the cloud from one refinement of its d-tuple coloring."""
+    """Rebuild the cloud from one refinement of its d-tuple coloring.
+
+    Tuple colors spanning a hyperplane are ranked by (-residents, digest),
+    with residents counted by one batched solve per tuple; unrealizable
+    distance data raises InconsistentDataError during that pass.  The scan
+    then builds mirror pairs for one tuple at a time and accepts the first
+    whose positive-side cloud has the coloring's total distance sum.  At
+    most `cap` tuples are tried before CapExceededError is raised.
+    """
     if store.iterations < 1:
         raise ValueError("need at least one refinement")
     d = store.dim
@@ -181,15 +195,18 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
             continue
         mat, tuples = data[c]
         anchors = anchor_embed(mat, d, tol)
-        cands = [mirror_pair(anchors, t, tol) for t in tuples]
-        residents = sum(1 for cc in cands if len(cc) == 1)
-        ranked.append((-residents, digests[c], c, anchors, cands))
+        residents = int(np.count_nonzero(mirror_residents(anchors, tuples, tol)))
+        ranked.append((-residents, digests[c], anchors, tuples))
     ranked.sort(key=lambda r: (r[0], r[1]))
 
     tried = 0
-    for _, _, c, anchors, cands in ranked:
+    for _, _, anchors, tuples in ranked:
+        if tried == cap:
+            raise CapExceededError(
+                f"no hyperplane tuple accepted within the cap of {cap} tried tuples")
         tried += 1
-        points = [cc[0] for cc in cands]  # positive side for every two-sided entry
+        # positive side for every two-sided entry
+        points = [mirror_pair(anchors, t, tol)[0] for t in tuples]
         arr = np.array(points)
         total = _pair_sum(arr)
         if abs(total - ds_total) <= tol * n * n * scale:

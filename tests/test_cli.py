@@ -214,3 +214,14 @@ def test_unread_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_roundtrip_max_candidates_caps_oneshot(tmp_path, capsys):
+    cloud, out = tmp_path / "cloud.json", tmp_path / "rep.json"
+    _cli_bytes(["gen", "--n", "6", "--d", "2", "--seed", "4"], cloud, capsys)
+    assert main(["roundtrip", str(cloud), "--algorithm", "oneshot", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["verified"] and doc["counters"]["candidates_tried"] >= 2
+    assert main(["roundtrip", str(cloud), "--algorithm", "oneshot",
+                 "--max-candidates", "1"]) == 3
+    assert "error:" in capsys.readouterr().err

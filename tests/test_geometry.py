@@ -9,7 +9,7 @@ from geowl import oracle
 from geowl.errors import InconsistentDataError, NotRealizableError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, affine_dim,
                             anchor_embed, barycenter, barycenter_sq_norms,
-                            cone_coefficients, mirror_pair, reflect,
+                            cone_coefficients, mirror_pair, mirror_residents, reflect,
                             solid_angle_mc, sq_dist, squared_distance_matrix,
                             trilaterate)
 
@@ -182,6 +182,44 @@ def test_mirror_pair_symmetry_random():
             assert float(np.max(np.abs(reflect(cands[0], h) - cands[1]))) < 1e-9
         else:
             assert abs(h.signed_distance(cands[0])) < 1e-7
+
+
+def test_mirror_residents_match_mirror_pair():
+    rng = random.Random(9)
+    flags_seen = set()
+    for seed in range(80):
+        d = 1 + seed % 4
+        anchors = oracle.random_cloud(d, d, seed=6000 + seed, grid=4).points
+        if affine_dim(anchors) != d - 1:
+            continue
+        # rational affine combinations of the anchors lie on their span
+        on_plane = []
+        for _ in range(3):
+            w = [F(rng.randint(-4, 4), 3) for _ in range(d - 1)]
+            on_plane.append(tuple(a0 + sum(wj * (aj[i] - a0)
+                                           for wj, aj in zip(w, anchors[1:]))
+                                  for i, a0 in enumerate(anchors[0])))
+        points = on_plane + list(oracle.random_cloud(5, d, seed=7000 + seed).points)
+        tuples = [[sq_dist(p, a) for a in anchors] for p in points]
+        # lifting an on-plane point by h adds h^2 to every squared distance; these
+        # lifts sit at -1/2, 1/2 and 2 times the on-plane threshold 1e-7 * scale
+        for t in tuples[:3]:
+            scale = max(1, max(t), max(abs(c) for a in anchors for c in a))
+            tuples += [[v + F(k, 2) * 1e-7 * scale for v in t] for k in (-1, 1, 4)]
+        flags = mirror_residents(anchors, tuples)
+        assert list(flags) == [len(mirror_pair(anchors, t)) == 1 for t in tuples], seed
+        assert all(flags[:3]) and list(flags[8:]) == [True, True, False] * 3
+        flags_seen.update((d, bool(f)) for f in flags)
+    assert flags_seen == {(d, f) for d in range(1, 5) for f in (True, False)}
+
+
+def test_mirror_residents_rejects_unrealizable_tuples():
+    anchors = [(0, 0), (1, 0)]
+    assert list(mirror_residents(anchors, [[1, 2], [1, 4]])) == [False, True]
+    with pytest.raises(InconsistentDataError):
+        mirror_residents(anchors, [[1, 2], [1, 9], [1, 4]])
+    # d = 1: the anchor span is a single point and the basis has no columns
+    assert list(mirror_residents([(2,)], [[0], [4]])) == [True, False]
 
 
 def test_reflect_examples():

@@ -7,10 +7,10 @@ import pytest
 
 from geowl import oracle
 from geowl.errors import CapExceededError
-from geowl.geometry import PointCloud, affine_dim, anchor_embed, sq_dist, \
-    squared_distance_matrix
-from geowl.oneshot import (enumerate_candidates, reconstruct_one_iter,
-                           supporting_tuple_scan, total_distance_sum)
+from geowl.geometry import PointCloud, affine_dim, anchor_embed, gram_affine_dim, \
+    mirror_pair, sq_dist, squared_distance_matrix
+from geowl.oneshot import (_color_tuple_data, _pair_sum, enumerate_candidates,
+                           reconstruct_one_iter, supporting_tuple_scan, total_distance_sum)
 from geowl.wl import run_wl
 
 SQUARE = PointCloud(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
@@ -156,6 +156,37 @@ def test_reconstruct_round_trip_random():
         rep = reconstruct_one_iter(run_wl(cloud, d, 1))
         align = oracle.is_isometric(rep.cloud, cloud)
         assert align is not None and align.residual < 1e-6, (seed, d, n)
+
+
+def _eager_one_iter(store, tol=1e-9):
+    """Reference scan: mirror pairs for every entry, tuples ranked by residents."""
+    d, n = store.dim, store.n
+    digests = store.interner.digests
+    ranked = []
+    for c in set(store.tables[1]):
+        mat, tuples = _color_tuple_data(store, c)
+        if gram_affine_dim(mat, tol) == d - 1:
+            cands = [mirror_pair(anchor_embed(mat, d, tol), t, tol) for t in tuples]
+            ranked.append((-sum(len(cc) == 1 for cc in cands), digests[c], cands))
+    ranked.sort(key=lambda r: r[:2])
+    ds_total = total_distance_sum(store)
+    for tried, (_, _, cands) in enumerate(ranked, 1):
+        points = np.array([cc[0] for cc in cands])
+        if (abs(_pair_sum(points) - ds_total) <= tol * n * n * max(1.0, ds_total)
+                and len(set(map(tuple, points))) == n):
+            return tried, points
+    raise AssertionError("the eager scan accepted no tuple")
+
+
+def test_lazy_scan_matches_eager_ranking():
+    for seed in range(30):
+        d, n = (2, 5 + seed % 8) if seed < 16 else (3, 5 + seed % 5)
+        cloud = oracle.random_cloud(n, d, seed=9100 + seed, grid=4, span=2)
+        store = run_wl(cloud, d, 1)
+        rep = reconstruct_one_iter(store)
+        tried, points = _eager_one_iter(store)
+        assert rep.counters["candidates_tried"] == tried, seed
+        assert np.array_equal(rep.cloud.as_array(), points), seed
 
 
 def test_supporting_tuple_scan_examples():
