@@ -14,6 +14,7 @@ decimal or fraction literals.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,12 +27,17 @@ def _parse_coord(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {value!r} is not finite")
         return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(v, int) for v in value):
-        return Fraction(value[0], value[1])
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2 \
+                and all(isinstance(v, int) for v in value):
+            return Fraction(value[0], value[1])
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate {value!r} has a zero denominator") from None
     raise ValueError(f"cannot parse coordinate {value!r}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -162,6 +162,23 @@ def remove_nearest(entries: list, target: Sequence[float], limit: float) -> None
         raise InconsistentDataError(
             f"no multiset entry matches {target} (best error {best_err:.3e})")
     entries.pop(best_i)
+
+
+def sweep(entries: list, choose: Callable, place: Callable) -> None:
+    """Place entries one at a time until no entry has a position.
+
+    choose(entry) returns a position, or None while the entry is unresolved;
+    the first position found goes to place, which removes entries from the
+    list, so the scan then restarts from the front.
+    """
+    while True:
+        for entry in entries:
+            p = choose(entry)
+            if p is not None:
+                place(p)
+                break
+        else:
+            return
 
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:

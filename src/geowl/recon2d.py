@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import PointCloud, Scalar, barycenter_sq_norms, is_exact, remove_nearest
+from .geometry import (PointCloud, Scalar, barycenter_sq_norms, is_exact, remove_nearest,
+                       sweep)
 from .report import ReconstructionReport
 from .wl import KIND_NODE1, ColorStore
 
@@ -222,11 +223,12 @@ class PlanarReconstruction:
 def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstruction:
     """Rebuild a planar cloud, barycenter at the origin, from pivot data.
 
-    Follows the candidate-elimination schedule: after placing the pivots and
-    all points on the two pivot lines, each round resolves every entry with
-    exactly one admissible mirror candidate and then reflects the forbidden
-    angular region through both pivot lines, widening it by the pivot angle
-    per side.  Terminates within ceil(1 + pi/alpha) rounds.
+    Follows the candidate-elimination schedule.  After the pivots, one
+    `geometry.sweep` per pivot multiset over an empty forbidden region places
+    the points on the two pivot lines; each round then sweeps both multisets
+    with the current region and reflects it through both pivot lines,
+    widening it by the pivot angle per side.  Terminates within
+    ceil(1 + pi/alpha) rounds.
     """
     m_u = [(float(a), float(b)) for a, b in init.m_u]
     m_v = [(float(a), float(b)) for a, b in init.m_v]
@@ -298,62 +300,36 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
         h = math.sqrt(h2)
         return [(x * vx - h * vy, x * vy + h * vx), (x * vx + h * vy, x * vy - h * vx)]
 
-    def sweep_single(entries, cands_of) -> None:
-        while True:
-            found = False
-            for d2, n2 in entries:
-                cands = cands_of(d2, n2)
-                if len(cands) == 1:
-                    place(cands[0])
-                    found = True
-                    break
-            if not found:
-                return
+    ang_tol = max(tol, 1e-12) * 10
 
-    # points on the pivot lines have a unique candidate
-    sweep_single(m_u, u_candidates)
-    sweep_single(m_v, v_candidates)
+    def chooser(cands_of, forbidden: AngularIntervals):
+        def choose(entry):
+            cands = cands_of(*entry)
+            if len(cands) == 1:
+                return cands[0]
+            c1, c2 = cands
+            k1 = forbidden.classify(math.atan2(c1[1], c1[0]), ang_tol)
+            k2 = forbidden.classify(math.atan2(c2[1], c2[0]), ang_tol)
+            if k1 == "in" and k2 == "in":
+                raise ReconstructionError("both mirror candidates are forbidden")
+            if k1 == "in" or (k1 == "boundary" and k2 == "out"):
+                return c2
+            if k2 == "in" or (k2 == "boundary" and k1 == "out"):
+                return c1
+            return None
+        return choose
+
+    # points on the pivot lines have a unique candidate; nothing is forbidden yet
+    sweep(m_u, chooser(u_candidates, AngularIntervals()), place)
+    sweep(m_v, chooser(v_candidates, AngularIntervals()), place)
 
     forbidden = AngularIntervals([(0.0, alpha)])
     round_bound = math.ceil(1.0 + math.pi / alpha)
     rounds = 0
-    ang_tol = max(tol, 1e-12) * 10
-
-    def resolve(entries, cands_of) -> bool:
-        any_placed = False
-        while True:
-            found = False
-            for d2, n2 in entries:
-                cands = cands_of(d2, n2)
-                if len(cands) == 1:
-                    place(cands[0])
-                    found = True
-                    break
-                c1, c2 = cands
-                k1 = forbidden.classify(math.atan2(c1[1], c1[0]), ang_tol)
-                k2 = forbidden.classify(math.atan2(c2[1], c2[0]), ang_tol)
-                if k1 == "in" and k2 == "in":
-                    raise ReconstructionError("both mirror candidates are forbidden")
-                pick = None
-                if k1 == "in" and k2 != "in":
-                    pick = c2
-                elif k2 == "in" and k1 != "in":
-                    pick = c1
-                elif k1 == "boundary" and k2 == "out":
-                    pick = c2
-                elif k2 == "boundary" and k1 == "out":
-                    pick = c1
-                if pick is not None:
-                    place(pick)
-                    found = True
-                    break
-            if not found:
-                return any_placed
-            any_placed = True
 
     while m_u or m_v:
-        resolve(m_u, u_candidates)
-        resolve(m_v, v_candidates)
+        sweep(m_u, chooser(u_candidates, forbidden), place)
+        sweep(m_v, chooser(v_candidates, forbidden), place)
         if not m_u and not m_v:
             break
         grown = AngularIntervals(forbidden.spans())

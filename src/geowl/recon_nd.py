@@ -30,7 +30,8 @@ from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
 from .geometry import (ConeSpec, Hyperplane, PointCloud, SquaredDistanceMatrix,
                        _float_rank, anchor_embed, barycenter_sq_norms, gram_affine_dim,
-                       mirror_pair, remove_nearest, solid_angle_mc, sq_dist, trilaterate)
+                       mirror_pair, remove_nearest, solid_angle_mc, sq_dist, sweep,
+                       trilaterate)
 from .report import ReconstructionReport
 from .wl import (KIND_MAT, KIND_NODE, ColorStore, Interner, compare, fingerprint,
                  run_wl, run_wl_from_sq_values)
@@ -326,8 +327,9 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
 
     Phase 1 places every point lying on an anchor hyperplane (single mirror
     candidate).  Phase 2 derives the slab width from the doubled candidate
-    set, then repeatedly resolves entries whose mirror candidate falls in the
-    current region, deepening the region each round.  The depth is bounded by
+    set; each round then places the entries with exactly one mirror
+    candidate in the current region and deepens the region.  Both phases
+    are `geometry.sweep` calls over each profile.  The depth is bounded by
     the potential argument: each useful reflection raises sum_i <x, z_i> by
     at least c*epsilon with c twice the smallest anchor-to-hyperplane
     distance.
@@ -364,18 +366,24 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
             remove_nearest(profiles[j], target, plane_tol * 100)
         placed.append(p)
 
+    def chooser(i: int, member):
+        def choose(entry):
+            cands = candidates_for(i, entry)
+            if len(cands) == 1:
+                return cands[0]
+            m_plus, m_minus = member(cands[0]), member(cands[1])
+            if m_plus and m_minus:
+                raise ReconstructionError("both mirror candidates fall in the forbidden region")
+            if m_plus:
+                return cands[1]
+            if m_minus:
+                return cands[0]
+            return None
+        return choose
+
     # phase 1: hyperplane residents have a unique candidate
     for i in range(d):
-        while True:
-            found = False
-            for entry in profiles[i]:
-                cands = candidates_for(i, entry)
-                if len(cands) == 1:
-                    place(cands[0])
-                    found = True
-                    break
-            if not found:
-                break
+        sweep(profiles[i], chooser(i, lambda c: False), place)
 
     if not any(profiles):
         return FulldimResult(points=np.array(placed), depth=0, gamma_bound=0,
@@ -398,17 +406,6 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     cone = ConeSpec(generators=tuple(map(tuple, zs)))
     region = ForbiddenRegion(cone, epsilon, tuple(hyperplanes), tol=tol)
 
-    def strictly_interior(p) -> bool:
-        vals = [sum(row[i] * float(p[i]) for i in range(d)) for row in region._zinv]
-        return min(vals) > tol * max(1.0, max(abs(v) for v in vals))
-
-    # both mirror candidates of an entry strictly inside the cone means the
-    # true point is inside: this anchor tuple violates the cone condition
-    for entry in profiles[0]:
-        pair = candidates_for(0, entry)
-        if len(pair) == 2 and strictly_interior(pair[0]) and strictly_interior(pair[1]):
-            raise ReconstructionError("a cloud point lies inside the anchor cone")
-
     cand_norm = max(float(np.linalg.norm(c)) for c in all_cands)
     sum_z = float(sum(np.linalg.norm(z) for z in zs))
     c_const = 2.0 * min(abs(float(np.dot(zs[i], hyperplanes[i].normal)))
@@ -419,29 +416,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     depth = 0
     while any(profiles):
         for i in range(d):
-            while True:
-                found = False
-                for entry in profiles[i]:
-                    cands = candidates_for(i, entry)
-                    if len(cands) == 1:
-                        place(cands[0])
-                        found = True
-                        break
-                    m_plus = region.membership(cands[0], depth)
-                    m_minus = region.membership(cands[1], depth)
-                    if m_plus and m_minus:
-                        raise ReconstructionError(
-                            "both mirror candidates fall in the forbidden region")
-                    if m_plus:
-                        place(cands[1])
-                        found = True
-                        break
-                    if m_minus:
-                        place(cands[0])
-                        found = True
-                        break
-                if not found:
-                    break
+            sweep(profiles[i], chooser(i, lambda c: region.membership(c, depth)), place)
         if not any(profiles):
             break
         depth += 1

@@ -225,3 +225,49 @@ def test_roundtrip_max_candidates_caps_oneshot(tmp_path, capsys):
     assert main(["roundtrip", str(cloud), "--algorithm", "oneshot",
                  "--max-candidates", "1"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
+    workers = []
+
+    class InlinePool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("geowl.cli.ProcessPoolExecutor", InlinePool)
+    argv = ["search", "--d", "2", "--n", "5", "--budget", "2"]
+    serial = _cli_bytes(argv + ["--jobs", "1"], tmp_path / "serial.json", capsys)
+    sharded = _cli_bytes(argv + ["--jobs", "8"], tmp_path / "sharded.json", capsys)
+    assert workers == [2]
+    assert sharded == serial
+
+
+@pytest.mark.parametrize("points", [
+    '[[[1, 0], 0], [0, 1]]',
+    '[["1/0", 0], [0, 1]]',
+    '[[NaN, 0.5], [0, 1]]',
+    '[[Infinity, 0.5], [0, 1]]',
+])
+def test_bad_coordinates_are_parse_errors(tmp_path, capsys, points):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "points": ' + points + '}', encoding="utf-8")
+    assert main(["color", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_roundtrip_max_depth_is_honoured(tmp_path, capsys):
+    cloud = tmp_path / "cloud.json"
+    _cli_bytes(["gen", "--n", "6", "--d", "3", "--seed", "5"], cloud, capsys)
+    stdout = _cli_bytes(["roundtrip", str(cloud), "--algorithm", "wlnd", "--max-depth", "1"],
+                        tmp_path / "rep.json", capsys).decode().split("\0")[0]
+    lines = [line for line in stdout.splitlines() if not line.startswith("residual:")]
+    assert lines == ["method: nd-fulldim", "depth: 1", "candidates_tried: 7", "verified: yes"]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from geowl import oracle
-from geowl.errors import InconsistentDataError, NotRealizableError
+from geowl.errors import InconsistentDataError, NotRealizableError, ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, affine_dim,
                             anchor_embed, barycenter, barycenter_sq_norms,
                             cone_coefficients, mirror_pair, mirror_residents, reflect,
-                            solid_angle_mc, sq_dist, squared_distance_matrix,
+                            solid_angle_mc, sq_dist, squared_distance_matrix, sweep,
                             trilaterate)
 
 
@@ -304,3 +304,53 @@ def test_cone_angle_monotone_under_interior_swap():
         a = solid_angle_mc(cone, 1_000_000, seed=seed)
         b = solid_angle_mc(swapped, 1_000_000, seed=seed)
         assert b < a
+
+
+def test_sweep_places_first_resolvable_entry_and_restarts():
+    # 0 and 2 resolve at once, 1 only after 0 is placed
+    entries = [1, 0, 2]
+    asked, placed = [], []
+
+    def choose(e):
+        asked.append(e)
+        return None if e == 1 and 0 in entries else 10 * e
+
+    def place(p):
+        placed.append(p)
+        entries.remove(p // 10)
+
+    sweep(entries, choose, place)
+    assert placed == [0, 10, 20] and entries == []
+    assert asked == [1, 0, 1, 2]
+
+
+def test_sweep_placement_may_remove_several_entries():
+    entries = [5, 6, 7, 8]
+    placed = []
+
+    def place(p):
+        placed.append(p)
+        entries.remove(p)
+        entries.pop()  # a placed point also consumes its partner entry
+
+    sweep(entries, lambda e: e if e % 2 else None, place)
+    assert placed == [5, 7] and entries == []
+
+
+def test_sweep_stops_when_nothing_resolves():
+    entries = [3, 1, 2]
+    asked = []
+
+    def place(p):
+        raise AssertionError("nothing should be placed")
+
+    sweep(entries, lambda e: asked.append(e), place)
+    assert asked == [3, 1, 2] and entries == [3, 1, 2]
+
+
+def test_sweep_propagates_errors_from_choose():
+    def choose(e):
+        raise ReconstructionError("both mirror candidates are forbidden")
+
+    with pytest.raises(ReconstructionError, match="both mirror candidates"):
+        sweep([1], choose, lambda p: None)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from geowl import oracle
+from geowl import oracle, reconstruct
 from geowl.errors import InconsistentDataError
 from geowl.geometry import PointCloud, barycenter, sq_dist
 from geowl.recon2d import (AngularIntervals, InitData2D, init2d, norms_from_chi1,
@@ -182,3 +182,14 @@ def test_point_at_barycenter_is_recovered():
     res = reconstruct_planar(run_wl(cloud, 1, 3))
     align = oracle.is_isometric(res.cloud, cloud)
     assert align is not None and align.residual < 1e-6
+
+
+@pytest.mark.parametrize("n, seed, permutation", [
+    (6, 5, [5, 0, 4, 1, 2, 3]),         # `geowl gen --n 6 --d 2 --seed 5`
+    (60, 900, [33, 58, 37, 31, 11, 38, 46, 22, 24, 32, 10, 9, 7, 3, 36, 51, 48, 13, 57, 0,
+               2, 26, 1, 42, 20, 12, 17, 56, 35, 8, 50, 14, 30, 55, 41, 49, 53, 45, 5, 25,
+               19, 6, 59, 40, 54, 47, 34, 4, 21, 43, 15, 18, 23, 52, 28, 27, 39, 29, 16, 44]),
+])
+def test_placement_order_is_pinned(n, seed, permutation):
+    rep = reconstruct(oracle.random_cloud(n, 2, seed), "wl2d")
+    assert list(rep.alignment.permutation) == permutation

@@ -1,16 +1,16 @@
 import math
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from geowl import oracle, reconstruct
 from geowl.errors import ReconstructionError
-from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter,
+from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, mirror_pair,
                             reflect, sq_dist, squared_distance_matrix)
-from geowl.recon_nd import (EnhancedProfile, ForbiddenRegion,
+from geowl.recon_nd import (EnhancedProfile, ForbiddenRegion, _embed_anchors,
                             barycenter_dists_from_wl1, enhanced_profiles_from_wl3,
                             profiles_from_wl2, reconstruct_fulldim, reconstruct_lowdim,
                             reconstruct_nd, select_cone_tuple)
@@ -335,3 +335,49 @@ def test_select_skips_cones_the_float_rank_check_rejects():
     with pytest.raises(ReconstructionError):
         select_cone_tuple([thin])
     assert select_cone_tuple([thin, wide]) == [wide]
+
+
+@pytest.mark.parametrize("n, d, seed, permutation", [
+    (6, 3, 5, [0, 4, 2, 3, 1, 5]),      # `geowl gen --n 6 --d 3 --seed 5`
+    (5, 4, 4000, [4, 0, 3, 2, 1]),
+])
+def test_placement_order_is_pinned(n, d, seed, permutation):
+    rep = reconstruct(oracle.random_cloud(n, d, seed), "wlnd")
+    assert list(rep.alignment.permutation) == permutation
+
+
+def test_fulldim_depth_cap_is_enforced():
+    # the golden CLI cloud needs depth 5 on its first candidate
+    cloud = oracle.random_cloud(6, 3, 5)
+    first = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(cloud, 2, 3)).keys())[0]
+    assert reconstruct_fulldim(first, max_depth=5).depth == 5
+    with pytest.raises(ReconstructionError, match=r"depth bound \(cap 4\)"):
+        reconstruct_fulldim(first, max_depth=4)
+
+
+def test_profile0_mirror_candidates_never_both_inside_the_cone():
+    # profile 0's hyperplane is the cone face spanned by z_1..z_{d-1}, and its
+    # mirror candidates p +- h*n have cone coordinates lambda_0 of opposite signs
+    pairs = 0
+    for seed in range(8):
+        d = 3 + seed % 2
+        cloud = oracle.random_cloud(d + 3, d, 7000 + seed)
+        b = barycenter(cloud)
+        for combo in combinations(range(cloud.n), d):
+            idx = combo[seed % d:] + combo[:seed % d]  # vary the slot-0 point
+            ep = _direct_ep(cloud, b, tuple(cloud.points[i] for i in idx))
+            if ep.dimension() < d:
+                continue
+            zs = _embed_anchors(ep, 1e-9)
+            anchors = zs.copy()
+            anchors[0] = 0.0
+            for entry in ep.profiles[0]:
+                cands = mirror_pair(anchors, [float(v) for v in entry])
+                if len(cands) < 2:
+                    continue
+                lam = [np.linalg.solve(zs.T, c) for c in cands]
+                inside = [min(v) > 1e-9 * max(1.0, max(abs(v))) for v in lam]
+                assert not all(inside), (seed, idx)
+                assert lam[0][0] * lam[1][0] <= 1e-12, (seed, idx)
+                pairs += 1
+    assert pairs > 400
