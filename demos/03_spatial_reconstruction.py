@@ -29,9 +29,9 @@ eps = enhanced_profiles_from_wl3(store)
 print(f"{len(eps)} distinct enhanced profiles extracted"
       f" (multiset size {sum(eps.values())} = n^3)")
 
-candidates = select_cone_tuple(eps.keys(), samples=4096, seed=0)
+candidates = select_cone_tuple(eps.keys())
 print(f"{len(candidates)} full-dimensional candidates,"
-      " ordered by estimated cone angle")
+      " ordered by the elimination depth bound")
 
 # reconstruct_nd returns only a cloud whose re-coloring reproduces the input
 # fingerprint; reconstruct colors the cloud, calls it, and runs the oracle

@@ -23,7 +23,9 @@ class RunConfig:
     """Knobs for a coloring or reconstruction run.
 
     mode None selects exact arithmetic for rational inputs and float mode
-    (with distance snapping at step tol) otherwise.
+    (with distance snapping at step tol) otherwise.  select_samples is not
+    read: it sized the Monte Carlo cone-angle order that `wlnd` no longer
+    uses, and stays while perfbench/workloads.py passes it on.
     """
 
     ell: int = 1

@@ -358,35 +358,63 @@ def _unit_normal(B: np.ndarray) -> np.ndarray:
     return np.linalg.svd(B.T, full_matrices=True)[2][-1]
 
 
-def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
-                tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """The at-most-two points realizing squared distances to a (d-1)-dimensional anchor set.
+def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
+                 sq_tuples: Sequence[Sequence[Scalar]], tol: float):
+    """Shared solve of `mirror_pairs` and `mirror_residents`.
 
-    Returns one point when the solution lies on the anchors' span (the
-    out-of-plane component is below tolerance, and is snapped to zero),
-    otherwise the two mirror images across the span.
+    Returns, per distance tuple, the foot point on the anchors' span, the
+    points lifted off the span by the out-of-plane height along the normal
+    and against it, and whether the tuple is a span resident (height 0).
+    All tuples share one span basis, one normal and one least-squares solve,
+    and each row rounds as a one-row call does.  Raises
+    InconsistentDataError when any tuple is unrealizable.
     """
     P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
-    r2 = np.array([float(v) for v in sq_dists], dtype=float)
+    R2 = np.array([[float(v) for v in r] for r in sq_tuples], dtype=float)
     base, B = _hyperplane_basis(P, tol)
-    scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
-    t = _in_plane(P, base, B, r2[None, :])[0]
-    p = base if B.shape[1] == 0 else base + B @ t
-    h2 = r2[0] - float(t @ t)
-    if h2 < -tol * scale * 100:
+    scale = R2.max(axis=1, initial=max(1.0, float(np.abs(P).max())))
+    limit = tol * scale * 100
+    # contiguous rows and per-row matmuls round like the one-row t @ t and B @ t;
+    # strided rows, a row sum or one T @ B.T differ in the last bits for d >= 3
+    T = np.ascontiguousarray(_in_plane(P, base, B, R2))
+    h2 = R2[:, 0] - (T[:, None, :] @ T[:, :, None])[:, 0, 0]
+    if (h2 < -limit).any():
         raise InconsistentDataError(
-            f"negative out-of-plane component {h2:.3e}: distances are unrealizable")
-    if h2 <= tol * scale * 100:
-        cands = [p]
+            f"negative out-of-plane component {float(h2[h2 < -limit][0]):.3e}: "
+            "distances are unrealizable")
+    resident = h2 <= limit
+    feet = base + (B[None] @ T[:, :, None])[:, :, 0]
+    if resident.all():
+        up = down = feet
     else:
-        h = math.sqrt(h2)
-        normal = _unit_normal(B)
-        cands = [p + h * normal, p - h * normal]
-    err = np.abs(np.sum((cands[0] - P) ** 2, axis=1) - r2)
-    if float(np.max(err)) > tol * scale * 1000:
+        lift = np.sqrt(np.where(resident, 0.0, h2))[:, None] * _unit_normal(B)
+        up, down = feet + lift, feet - lift
+    worst = np.abs(((up[:, None, :] - P) ** 2).sum(axis=2) - R2).max(axis=1)
+    if (worst > tol * scale * 1000).any():
         raise InconsistentDataError(
-            f"mirror-pair residual {float(np.max(err)):.3e} exceeds tolerance")
-    return cands
+            f"mirror-pair residual {float(worst.max()):.3e} exceeds tolerance")
+    return feet, up, down, resident
+
+
+def mirror_pairs(anchors: Sequence[Sequence[Scalar]],
+                 sq_tuples: Sequence[Sequence[Scalar]],
+                 tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]:
+    """The at-most-two points realizing each tuple of squared distances to a
+    (d-1)-dimensional anchor set.
+
+    A tuple whose solution lies on the anchors' span (the out-of-plane
+    component is below tolerance, and is snapped to zero) gets one point,
+    any other tuple the two mirror images across the span.  One solve serves
+    every tuple; row i equals the one-row call on tuple i bit for bit.
+    """
+    feet, up, down, resident = _mirror_rows(anchors, sq_tuples, tol)
+    return [[p] if r else [u, w] for p, u, w, r in zip(feet, up, down, resident)]
+
+
+def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
+                tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """`mirror_pairs` for a single tuple of squared distances."""
+    return mirror_pairs(anchors, [sq_dists], tol)[0]
 
 
 def mirror_residents(anchors: Sequence[Sequence[Scalar]],
@@ -395,31 +423,9 @@ def mirror_residents(anchors: Sequence[Sequence[Scalar]],
     """Per distance tuple, whether `mirror_pair` would place it on the anchors' span.
 
     The flags equal `[len(mirror_pair(anchors, r, tol)) == 1 for r in sq_tuples]`,
-    and every tuple gets mirror_pair's checks, so unrealizable tuples raise
-    InconsistentDataError in the same cases; but all tuples share one span
-    basis, one normal and one least-squares solve.
+    and unrealizable tuples raise InconsistentDataError in the same cases.
     """
-    P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
-    R2 = np.array([[float(v) for v in r] for r in sq_tuples], dtype=float)
-    base, B = _hyperplane_basis(P, tol)
-    scale = np.maximum(max(1.0, float(np.max(np.abs(P)))), R2.max(axis=1, initial=0.0))
-    T = _in_plane(P, base, B, R2)
-    # per-row matmul rounds like mirror_pair's t @ t; a row sum differs for d >= 3
-    h2 = R2[:, 0] - (T[:, None, :] @ T[:, :, None])[:, 0, 0]
-    bad = h2 < -tol * scale * 100
-    if bool(np.any(bad)):
-        raise InconsistentDataError(
-            f"negative out-of-plane component {float(h2[bad][0]):.3e}: "
-            "distances are unrealizable")
-    resident = h2 <= tol * scale * 100
-    h = np.where(resident, 0.0, np.sqrt(np.maximum(h2, 0.0)))
-    first = base + T @ B.T + h[:, None] * _unit_normal(B)
-    err = np.abs(np.sum((first[:, None, :] - P[None, :, :]) ** 2, axis=2) - R2)
-    worst = err.max(axis=1)
-    if bool(np.any(worst > tol * scale * 1000)):
-        raise InconsistentDataError(
-            f"mirror-pair residual {float(worst.max()):.3e} exceeds tolerance")
-    return resident
+    return _mirror_rows(anchors, sq_tuples, tol)[3]
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,16 @@ affine subspace (degenerate clouds) or runs forbidden-region elimination:
 points on the anchor hyperplanes are placed first, a slab width epsilon is
 derived from the doubled candidate set, and rounds resolve any entry whose
 mirror candidate falls in the region grown by reflecting through the anchor
-hyperplanes, with a potential-function bound on the depth.
+hyperplanes, with a potential-function bound on the depth.  Candidate anchor
+tuples are tried in increasing order of that bound.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -30,8 +32,10 @@ from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
 from .geometry import (ConeSpec, Hyperplane, PointCloud, SquaredDistanceMatrix,
                        _float_rank, anchor_embed, barycenter_sq_norms, gram_affine_dim,
-                       mirror_pair, remove_nearest, solid_angle_mc, sq_dist, sweep,
-                       trilaterate)
+                       mirror_pairs, remove_nearest, sq_dist, sweep, trilaterate)
+# Not called here: perfbench/tracer.py binds both names on this module, and
+# its per-layer metrics read them (solid_angle_mc.calls stays 0).
+from .geometry import mirror_pair, solid_angle_mc  # noqa: F401
 from .report import ReconstructionReport
 from .wl import (KIND_MAT, KIND_NODE, ColorStore, Interner, compare, fingerprint,
                  run_wl, run_wl_from_sq_values)
@@ -115,19 +119,35 @@ class EnhancedProfile:
 
     a: SquaredDistanceMatrix
     profiles: tuple[tuple, ...]
+    # hash((a, *map(hash, profiles))), taken once: hashing rationals is slow, so
+    # extraction passes it in, built from one hash per distinct profile
+    part_hash: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.a.order - 1
         if len(self.profiles) != d:
             raise ValueError("need one substituted profile per anchor slot")
+        if self.part_hash is None:
+            object.__setattr__(self, "part_hash",
+                               hash((self.a, *map(hash, self.profiles))))
+
+    def __hash__(self) -> int:
+        return self.part_hash
+
+    def repeats_a_point(self) -> bool:
+        """Whether two of (b, x_1, ..., x_d) coincide, which caps the dimension below d."""
+        e = self.a.entries
+        return any(e[i][j] == 0 for i in range(len(e)) for j in range(i))
 
     def dimension(self, tol: float = DEFAULT_TOL) -> int:
         return gram_affine_dim(self.a, tol)
 
     def sort_key(self):
-        fa = tuple(tuple(float(x) for x in row) for row in self.a.entries)
-        fp = tuple(tuple(tuple(float(x) for x in e) for e in p) for p in self.profiles)
-        return (fa, fp)
+        return (_float_rows(self.a.entries), tuple(map(_float_rows, self.profiles)))
+
+
+def _float_rows(rows) -> tuple:
+    return tuple(tuple(float(x) for x in row) for row in rows)
 
 
 def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
@@ -139,6 +159,16 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
     prof = profiles_from_wl2(store)
     val = store.value_of
     payload = store.interner.payload
+    remapped: dict = {}
+
+    def substituted(c2: int, i: int) -> tuple:
+        """Profile of tuple color c2 with slot i moved last, and its hash."""
+        key = (c2, i)
+        if key not in remapped:
+            p = tuple(sorted((*e[1:1 + i], e[0], *e[2 + i:], e[1 + i]) for e in prof[c2]))
+            remapped[key] = (p, hash(p))
+        return remapped[key]
+
     result: Counter = Counter()
     for c3, count in Counter(store.tables[3]).items():
         c2x, recs3 = payload(c3, KIND_NODE)
@@ -147,6 +177,7 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
         bary_x = bary[c1x]
         profile_x = prof[c2x]
         last_profile = tuple(sorted((*e[1:], e[0]) for e in profile_x))
+        last_hash = hash(last_profile)
         for rec in recs3:
             c1_0 = payload(rec[0], KIND_NODE)[0]
             c1_1 = payload(rec[1], KIND_NODE)[0]
@@ -165,21 +196,10 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
                         A[1 + i][1 + j] = val(matx[i * m + j])
             for j in range(m):
                 A[1 + j][m + 1] = A[m + 1][1 + j] = d_y_x[j]
-            profiles = []
-            for i in range(m):
-                src = prof[rec[i]]
-                remapped = []
-                for e in src:
-                    out = [None] * (m + 1)
-                    for j in range(m):
-                        out[j] = e[0] if j == i else e[1 + j]
-                    out[m] = e[1 + i]
-                    remapped.append(tuple(out))
-                profiles.append(tuple(sorted(remapped)))
-            profiles.append(last_profile)
-            ep = EnhancedProfile(
-                a=SquaredDistanceMatrix(order=size, entries=tuple(map(tuple, A))),
-                profiles=tuple(profiles))
+            profiles, hashes = zip(*(substituted(rec[i], i) for i in range(m)))
+            a = SquaredDistanceMatrix(order=size, entries=tuple(map(tuple, A)))
+            ep = EnhancedProfile(a=a, profiles=(*profiles, last_profile),
+                                 part_hash=hash((a, *hashes, last_hash)))
             result[ep] += count
     return dict(result)
 
@@ -190,40 +210,108 @@ def _embed_anchors(ep: EnhancedProfile, tol: float) -> np.ndarray:
     return pts[1:]  # barycenter row sits at the origin
 
 
+def _anchor_frame(ep: EnhancedProfile, tol: float):
+    """The embedded anchors of a full-dimensional profile and what elimination needs.
+
+    Returns the anchors z_1..z_d, their cone, the d anchor sets (anchor set i
+    has the barycenter in slot i), the hyperplane of each set with its normal
+    oriented toward z_i, and the tolerance for lying on a hyperplane.  Raises
+    ReconstructionError when the anchors are not full-dimensional, and
+    ValueError when they are but fail the float rank check of the cone or a
+    hyperplane.
+    """
+    d = ep.a.order - 1
+    zs = _embed_anchors(ep, tol)
+    if _float_rank(zs, tol) != d:
+        raise ReconstructionError("anchors are not full-dimensional")
+    cone = ConeSpec(generators=tuple(map(tuple, zs)))
+    anchor_sets, hyperplanes = [], []
+    for i in range(d):
+        anchors = zs.copy()
+        anchors[i] = 0.0
+        anchor_sets.append(anchors)
+        hyperplanes.append(Hyperplane.from_points(anchors, tol=tol, toward=zs[i]))
+    plane_tol = tol * max(1.0, float(np.max(np.abs(zs)))) * 1000
+    return zs, cone, anchor_sets, hyperplanes, plane_tol
+
+
+def depth_bound(zs: np.ndarray, hyperplanes, cands: np.ndarray,
+                plane_tol: float) -> tuple[float, int]:
+    """Slab width epsilon and the potential bound gamma_bound on the elimination depth.
+
+    epsilon is half the smallest clearance rho(c) = min_i |<n_i, c>| above
+    plane_tol over the mirror candidates cands (one per row).  Each useful
+    reflection raises sum_i <x, z_i> by at least c*epsilon, with c twice the
+    smallest anchor-to-hyperplane distance, so the depth stays under
+    ceil(max |cand| * sum |z_i| / (c*epsilon)) + 1.
+    """
+    # per-row matmuls over contiguous rows round like one matvec per candidate
+    cands = np.ascontiguousarray(cands, dtype=float)
+    normals = np.array([h.normal for h in hyperplanes])
+    rho = np.min(np.abs((normals[None] @ cands[:, :, None])[:, :, 0]), axis=1)
+    clearances = rho[rho > plane_tol]
+    if clearances.size == 0:
+        raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
+    epsilon = float(np.min(clearances)) / 2.0
+    cand_norm = float(np.max(np.sqrt((cands[:, None, :] @ cands[:, :, None])[:, 0, 0])))
+    sum_z = float(sum(np.linalg.norm(z) for z in zs))
+    c_const = 2.0 * min(abs(float(np.dot(z, h.normal))) for z, h in zip(zs, hyperplanes))
+    if c_const == 0.0:
+        raise ReconstructionError("an anchor lies on its opposite hyperplane")
+    gamma_bound = math.ceil(cand_norm * sum_z / (c_const * epsilon)) + 1
+    return epsilon, gamma_bound
+
+
+def _stacked(pairs) -> np.ndarray:
+    return np.array([c for pair in pairs for c in pair])
+
+
 def select_cone_tuple(eps, tol: float = DEFAULT_TOL, samples: int = DEFAULT_SELECT_SAMPLES,
                       seed: int = 0) -> list[EnhancedProfile]:
     """Order enhanced profiles for reconstruction attempts.
 
     Degenerate clouds: any profile of maximal dimension works, so one is
-    returned.  Full-dimensional clouds: all d-dimensional profiles, sorted by
-    a common-seed Monte Carlo estimate of the anchor cone's solid angle; the
-    true minimizer satisfies the cone condition, and estimation error is
-    absorbed by the caller's verify-and-fallback loop.  Cones whose generators
-    fail the float rank check are skipped; if none remain, ReconstructionError.
+    returned.  Full-dimensional clouds: all d-dimensional profiles, in
+    increasing order of the `depth_bound` that `reconstruct_fulldim` would
+    derive, here from profile 0's mirror candidates before any elimination,
+    with ties broken by `sort_key`.  A wide cone with clear slabs has a
+    small bound and few rounds; a thin cone has a large bound and tends to
+    run to the depth cap.  A profile with a repeated point is never
+    full-dimensional and skips the exact rank test.  Profiles whose bound
+    cannot be computed rank last; cones whose generators fail the float
+    rank check are skipped, and if none remain, ReconstructionError.
+    `samples` and `seed` are not read: they sized and seeded the Monte Carlo
+    cone-angle order, and stay while the benchmark passes them on.
     """
     eps = list(eps)
     if not eps:
         raise ValueError("no enhanced profiles given")
     d = eps[0].a.order - 1
-    dims = {ep: ep.dimension(tol) for ep in eps}
-    maxdim = max(dims.values())
-    if maxdim < d:
-        best = sorted((ep for ep in eps if dims[ep] == maxdim),
-                      key=EnhancedProfile.sort_key)
-        return [best[0]]
-    cands = [ep for ep in eps if dims[ep] == d]
-    scored = []
+    cands = [ep for ep in eps if not ep.repeats_a_point() and ep.dimension(tol) == d]
+    if not cands:
+        dims = [ep.dimension(tol) for ep in eps]
+        maxdim = max(dims)
+        return [min((ep for ep, k in zip(eps, dims) if k == maxdim),
+                    key=EnhancedProfile.sort_key)]
+    ranked = []
     for ep in cands:
-        zs = _embed_anchors(ep, tol)
         try:
-            cone = ConeSpec(generators=tuple(map(tuple, zs)))
-        except ValueError:
+            zs, _, anchor_sets, hyperplanes, plane_tol = _anchor_frame(ep, tol)
+        except (ReconstructionError, ValueError):
             continue  # exactly full-dimensional, but too thin for the float rank check
-        scored.append((solid_angle_mc(cone, samples, seed), ep.sort_key(), ep))
-    if not scored:
+        try:
+            pairs = mirror_pairs(anchor_sets[0], ep.profiles[0], tol)
+            bound = depth_bound(zs, hyperplanes, _stacked(pairs), plane_tol)[1]
+        except (ReconstructionError, InconsistentDataError):
+            bound = math.inf
+        ranked.append((bound, _float_rows(ep.a.entries), ep))
+    if not ranked:
         raise ReconstructionError("every full-dimensional anchor cone is numerically singular")
-    scored.sort(key=lambda s: (s[0], s[1]))
-    return [s[2] for s in scored]
+    # sort_key starts with the float anchor matrix; its profile part, costly to
+    # build, settles only the rare ties left after the bound and that matrix
+    ranked.sort(key=lambda r: r[:2])
+    return [ep for _, run in groupby(ranked, key=lambda r: r[:2])
+            for ep in sorted((r[2] for r in run), key=EnhancedProfile.sort_key)]
 
 
 def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -321,44 +409,37 @@ class FulldimResult:
     epsilon: float | None
 
 
+FAILURE_REASONS = ("depth_cap", "both_in_region", "fingerprint_mismatch", "other")
+
+
+class CandidateRejected(ReconstructionError):
+    """A candidate failed for one of the counted FAILURE_REASONS."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> FulldimResult:
     """Forbidden-region elimination for full-dimensional anchor tuples.
 
     Phase 1 places every point lying on an anchor hyperplane (single mirror
-    candidate).  Phase 2 derives the slab width from the doubled candidate
-    set; each round then places the entries with exactly one mirror
-    candidate in the current region and deepens the region.  Both phases
-    are `geometry.sweep` calls over each profile.  The depth is bounded by
-    the potential argument: each useful reflection raises sum_i <x, z_i> by
-    at least c*epsilon with c twice the smallest anchor-to-hyperplane
-    distance.
+    candidate).  Phase 2 takes the slab width and the depth bound from the
+    remaining candidates of profile 0 (`depth_bound`); each round then
+    places the entries with exactly one mirror candidate in the current
+    region and deepens the region.  Both phases are `geometry.sweep` calls
+    over each profile, and each profile's mirror candidates come from one
+    batched solve.
     """
     d = ep.a.order - 1
-    zs = _embed_anchors(ep, tol)
-    if _float_rank(zs, tol) != d:
-        raise ReconstructionError("anchors are not full-dimensional")
-    scale = max(1.0, float(np.max(np.abs(zs))))
-    plane_tol = tol * scale * 1000
-
-    anchor_sets = []
-    hyperplanes = []
-    for i in range(d):
-        anchors = zs.copy()
-        anchors[i] = 0.0
-        anchor_sets.append(anchors)
-        hyperplanes.append(Hyperplane.from_points(anchors, tol=tol, toward=zs[i]))
+    zs, cone, anchor_sets, hyperplanes, plane_tol = _anchor_frame(ep, tol)
     profiles = [[tuple(float(v) for v in e) for e in p] for p in ep.profiles]
+    cands_of = []
+    for i in range(d):
+        distinct = list(dict.fromkeys(profiles[i]))
+        cands_of.append(dict(zip(distinct, mirror_pairs(anchor_sets[i], distinct, tol))))
     placed: list[np.ndarray] = []
-
-    cand_cache: list[dict] = [{} for _ in range(d)]
-
-    def candidates_for(i: int, entry) -> list:
-        cands = cand_cache[i].get(entry)
-        if cands is None:
-            cands = mirror_pair(anchor_sets[i], entry, tol)
-            cand_cache[i][entry] = cands
-        return cands
 
     def place(p: np.ndarray) -> None:
         for j in range(d):
@@ -368,12 +449,13 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
 
     def chooser(i: int, member):
         def choose(entry):
-            cands = candidates_for(i, entry)
+            cands = cands_of[i][entry]
             if len(cands) == 1:
                 return cands[0]
             m_plus, m_minus = member(cands[0]), member(cands[1])
             if m_plus and m_minus:
-                raise ReconstructionError("both mirror candidates fall in the forbidden region")
+                raise CandidateRejected(
+                    "both_in_region", "both mirror candidates fall in the forbidden region")
             if m_plus:
                 return cands[1]
             if m_minus:
@@ -389,28 +471,10 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         return FulldimResult(points=np.array(placed), depth=0, gamma_bound=0,
                              epsilon=None)
 
-    # phase 2: epsilon from the doubled candidate set of the first profile
-    region_normals = np.array([h.normal for h in hyperplanes])
-
-    def rho(x) -> float:
-        return float(np.min(np.abs(region_normals @ x)))
-
-    all_cands = []
-    for entry in profiles[0]:
-        all_cands.extend(candidates_for(0, entry))
-    clearances = [rho(c) for c in all_cands if rho(c) > plane_tol]
-    if not clearances:
-        raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
-    epsilon = min(clearances) / 2.0
-
-    cone = ConeSpec(generators=tuple(map(tuple, zs)))
+    # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
+    epsilon, gamma_bound = depth_bound(
+        zs, hyperplanes, _stacked(cands_of[0][e] for e in profiles[0]), plane_tol)
     region = ForbiddenRegion(cone, epsilon, tuple(hyperplanes), tol=tol)
-
-    cand_norm = max(float(np.linalg.norm(c)) for c in all_cands)
-    sum_z = float(sum(np.linalg.norm(z) for z in zs))
-    c_const = 2.0 * min(abs(float(np.dot(zs[i], hyperplanes[i].normal)))
-                        for i in range(d))
-    gamma_bound = math.ceil(cand_norm * sum_z / (c_const * epsilon)) + 1
     depth_cap = min(max_depth, gamma_bound)
 
     depth = 0
@@ -421,8 +485,8 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
             break
         depth += 1
         if depth > depth_cap:
-            raise ReconstructionError(
-                f"unresolved points at the depth bound (cap {depth_cap})")
+            raise CandidateRejected(
+                "depth_cap", f"unresolved points at the depth bound (cap {depth_cap})")
     return FulldimResult(points=np.array(placed), depth=depth,
                          gamma_bound=gamma_bound, epsilon=epsilon)
 
@@ -433,11 +497,15 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                    verify_snap: float = DEFAULT_VERIFY_SNAP) -> ReconstructionReport:
     """Full pipeline: extract enhanced profiles, try candidates, verify by fingerprint.
 
-    Candidates are attempted in estimated-angle order; a candidate is
-    accepted when rerunning the coloring on the reconstruction (in snapped
-    float mode, against the input distances snapped the same way) reproduces
-    the input fingerprint, which certifies isometry.  Only a cloud that
-    passes this certificate is returned; when none does, ReconstructionError.
+    Candidates are attempted in `select_cone_tuple`'s order, smallest depth
+    bound first; a candidate is accepted when rerunning the coloring on the
+    reconstruction (in snapped float mode, against the input distances
+    snapped the same way) reproduces the input fingerprint, which certifies
+    isometry.  Only a cloud that passes this certificate is returned; when
+    none does, ReconstructionError.  counters["failures"] counts the
+    candidates rejected before the accepted one by FAILURE_REASONS ("other"
+    is mostly a placed point that matches no profile entry).  `samples` and
+    `seed` are not read; they stay while perfbench/workloads.py passes them.
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
@@ -449,7 +517,7 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                                     counters={"candidates_tried": 0})
 
     eps = enhanced_profiles_from_wl3(store)
-    candidates = select_cone_tuple(eps.keys(), tol=tol, samples=samples, seed=seed)
+    candidates = select_cone_tuple(eps.keys(), tol=tol)
 
     verify_interner = Interner("float", verify_snap)
     in_values = [[float(v) for v in row] for row in store.sq_matrix_values()]
@@ -458,8 +526,10 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
         interner=verify_interner))
 
     failures: list[str] = []
+    reasons = dict.fromkeys(FAILURE_REASONS, 0)
     for tried, ep in enumerate(candidates, start=1):
-        counters = {"candidates_tried": tried, "total_candidates": len(candidates)}
+        counters = {"candidates_tried": tried, "total_candidates": len(candidates),
+                    "failures": dict(reasons)}
         try:
             if ep.dimension(tol) < d:
                 pts = reconstruct_lowdim(ep, tol)
@@ -476,12 +546,14 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
             cloud = PointCloud.from_array(pts)
         except (ReconstructionError, InconsistentDataError, NotRealizableError,
                 ValueError) as exc:
+            reasons[getattr(exc, "reason", "other")] += 1
             failures.append(f"candidate {tried}: {exc}")
             continue
         fr = fingerprint(run_wl(cloud, store.ell, 3, mode="float",
                                 snap=verify_snap, interner=verify_interner))
         if compare(fin, fr) == "equal":
             return ReconstructionReport(cloud=cloud, method=method, counters=counters)
+        reasons["fingerprint_mismatch"] += 1
         failures.append(f"candidate {tried}: fingerprint mismatch")
     raise ReconstructionError(
         "all enhanced-profile candidates exhausted; "

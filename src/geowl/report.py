@@ -52,7 +52,6 @@ def reconstruct(cloud: PointCloud, algorithm: str,
         if cloud.dim < 3:
             raise ValueError("wlnd needs dimension at least 3")
         report = recon_nd.reconstruct_nd(colored(cloud.dim - 1, 3), tol=cfg.tol,
-                                         samples=cfg.select_samples, seed=cfg.seed,
                                          max_depth=cfg.max_depth,
                                          verify_snap=cfg.verify_snap)
     elif algorithm == "oneshot":

@@ -164,7 +164,7 @@ GOLDEN_SHA256 = {
 # roundtrip coordinates depend on the LAPACK build, so only these lines are pinned
 GOLDEN_ROUNDTRIP = {
     "wl2d": ["method: wl2d", "rounds: 10", "verified: yes"],
-    "wlnd": ["method: nd-fulldim", "depth: 5", "candidates_tried: 1", "verified: yes"],
+    "wlnd": ["method: nd-fulldim", "depth: 0", "candidates_tried: 1", "verified: yes"],
     "oneshot": ["method: oneshot-halfspace", "candidates_tried: 1", "verified: yes"],
 }
 
@@ -256,6 +256,7 @@ def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
     '[["1/0", 0], [0, 1]]',
     '[[NaN, 0.5], [0, 1]]',
     '[[Infinity, 0.5], [0, 1]]',
+    '[[1e308, 0.0], [-1e308, 0.5], [0.0, 1.0]]',  # finite, but squared distances overflow
 ])
 def test_bad_coordinates_are_parse_errors(tmp_path, capsys, points):
     path = tmp_path / "bad.json"
@@ -266,8 +267,28 @@ def test_bad_coordinates_are_parse_errors(tmp_path, capsys, points):
 
 def test_roundtrip_max_depth_is_honoured(tmp_path, capsys):
     cloud = tmp_path / "cloud.json"
-    _cli_bytes(["gen", "--n", "6", "--d", "3", "--seed", "5"], cloud, capsys)
-    stdout = _cli_bytes(["roundtrip", str(cloud), "--algorithm", "wlnd", "--max-depth", "1"],
-                        tmp_path / "rep.json", capsys).decode().split("\0")[0]
-    lines = [line for line in stdout.splitlines() if not line.startswith("residual:")]
-    assert lines == ["method: nd-fulldim", "depth: 1", "candidates_tried: 7", "verified: yes"]
+    for seed, lines in [
+        (5, ["method: nd-fulldim", "depth: 0", "candidates_tried: 1", "verified: yes"]),
+        # the first candidate needs depth 2, so cap 1 rejects it and three more
+        (9, ["method: nd-fulldim", "depth: 0", "candidates_tried: 5", "verified: yes"]),
+    ]:
+        _cli_bytes(["gen", "--n", "6", "--d", "3", "--seed", str(seed)], cloud, capsys)
+        stdout = _cli_bytes(["roundtrip", str(cloud), "--algorithm", "wlnd",
+                             "--max-depth", "1"],
+                            tmp_path / "rep.json", capsys).decode().split("\0")[0]
+        assert [line for line in stdout.splitlines()
+                if not line.startswith("residual:")] == lines, seed
+
+
+def test_roundtrip_counts_wlnd_failure_reasons(tmp_path, capsys):
+    # `gen --n 10 --d 3 --seed 3`: the Monte Carlo cone-angle order tried 20 candidates
+    cloud, out = tmp_path / "cloud.json", tmp_path / "rep.json"
+    _cli_bytes(["gen", "--n", "10", "--d", "3", "--seed", "3"], cloud, capsys)
+    stdout = _cli_bytes(["roundtrip", str(cloud), "--algorithm", "wlnd"], out,
+                        capsys).decode().split("\0")[0]
+    assert [line for line in stdout.splitlines() if not line.startswith("residual:")] == [
+        "method: nd-fulldim", "depth: 3", "candidates_tried: 3", "verified: yes"]
+    counters = json.loads(out.read_text())["counters"]
+    assert counters["failures"] == {"depth_cap": 0, "both_in_region": 0,
+                                    "fingerprint_mismatch": 0, "other": 2}
+    assert sum(counters["failures"].values()) == counters["candidates_tried"] - 1

@@ -7,11 +7,11 @@ import pytest
 
 from geowl import oracle
 from geowl.errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, affine_dim,
-                            anchor_embed, barycenter, barycenter_sq_norms,
-                            cone_coefficients, mirror_pair, mirror_residents, reflect,
-                            solid_angle_mc, sq_dist, squared_distance_matrix, sweep,
-                            trilaterate)
+from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _hyperplane_basis, _in_plane,
+                            _unit_normal, affine_dim, anchor_embed, barycenter,
+                            barycenter_sq_norms, cone_coefficients, mirror_pair, mirror_pairs,
+                            mirror_residents, reflect, solid_angle_mc, sq_dist,
+                            squared_distance_matrix, sweep, trilaterate)
 
 
 def test_point_cloud_invariants():
@@ -184,6 +184,21 @@ def test_mirror_pair_symmetry_random():
             assert abs(h.signed_distance(cands[0])) < 1e-7
 
 
+def _mirror_pair_reference(anchors, sq_dists, tol=1e-9):
+    """One tuple solved on its own: mirror_pairs must reproduce it bit for bit."""
+    P = np.array([[float(c) for c in a] for a in anchors])
+    r2 = np.array([float(v) for v in sq_dists])
+    base, B = _hyperplane_basis(P, tol)
+    scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
+    t = _in_plane(P, base, B, r2[None, :])[0]
+    p = base if B.shape[1] == 0 else base + B @ t
+    h2 = r2[0] - float(t @ t)
+    if h2 <= tol * scale * 100:
+        return [p]
+    h = math.sqrt(h2)
+    return [p + h * _unit_normal(B), p - h * _unit_normal(B)]
+
+
 def test_mirror_residents_match_mirror_pair():
     rng = random.Random(9)
     flags_seen = set()
@@ -208,6 +223,11 @@ def test_mirror_residents_match_mirror_pair():
             tuples += [[v + F(k, 2) * 1e-7 * scale for v in t] for k in (-1, 1, 4)]
         flags = mirror_residents(anchors, tuples)
         assert list(flags) == [len(mirror_pair(anchors, t)) == 1 for t in tuples], seed
+        for t, got in zip(tuples, mirror_pairs(anchors, tuples)):
+            for row in (got, mirror_pair(anchors, t)):
+                want = _mirror_pair_reference(anchors, t)
+                assert len(row) == len(want), seed
+                assert all(np.array_equal(a, b) for a, b in zip(row, want)), seed
         assert all(flags[:3]) and list(flags[8:]) == [True, True, False] * 3
         flags_seen.update((d, bool(f)) for f in flags)
     assert flags_seen == {(d, f) for d in range(1, 5) for f in (True, False)}

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -8,12 +9,14 @@ import pytest
 
 from geowl import oracle, reconstruct
 from geowl.errors import ReconstructionError
-from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, mirror_pair,
-                            reflect, sq_dist, squared_distance_matrix)
-from geowl.recon_nd import (EnhancedProfile, ForbiddenRegion, _embed_anchors,
-                            barycenter_dists_from_wl1, enhanced_profiles_from_wl3,
-                            profiles_from_wl2, reconstruct_fulldim, reconstruct_lowdim,
-                            reconstruct_nd, select_cone_tuple)
+from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
+                            mirror_pair, mirror_pairs, reflect, solid_angle_mc, sq_dist,
+                            squared_distance_matrix)
+from geowl.recon_nd import (EnhancedProfile, ForbiddenRegion, _anchor_frame, _embed_anchors,
+                            barycenter_dists_from_wl1, depth_bound,
+                            enhanced_profiles_from_wl3, profiles_from_wl2,
+                            reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
+                            select_cone_tuple)
 from geowl.wl import run_wl
 
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -143,9 +146,11 @@ def test_select_cone_tuple_planar_goes_lowdim():
 
 
 def test_select_cone_tuple_minimal_angle_cone_is_empty():
-    # brute-force check of the cone condition for the first-ranked profile
+    # brute-force check of the cone condition for the minimal-angle profile
     eps = enhanced_profiles_from_wl3(run_wl(TET, 2, 3))
-    chosen = select_cone_tuple(eps.keys(), samples=200_000, seed=5)
+    chosen = sorted(select_cone_tuple(eps.keys()), key=lambda ep: (solid_angle_mc(
+        ConeSpec(generators=tuple(map(tuple, _embed_anchors(ep, 1e-9)))), 200_000, 5),
+        ep.sort_key()))
     from geowl.geometry import anchor_embed
     zs = anchor_embed(chosen[0].a, 3)[1:]
     b = barycenter(TET)
@@ -159,10 +164,38 @@ def test_select_cone_tuple_minimal_angle_cone_is_empty():
 
 
 def test_select_deterministic_for_fixed_seed():
-    eps = enhanced_profiles_from_wl3(run_wl(TET, 2, 3))
-    a = select_cone_tuple(eps.keys(), samples=4096, seed=3)
-    b = select_cone_tuple(eps.keys(), samples=4096, seed=3)
+    eps = list(enhanced_profiles_from_wl3(run_wl(TET, 2, 3)))
+    a = select_cone_tuple(eps, samples=4096, seed=3)
+    b = select_cone_tuple(eps, samples=4096, seed=3)
     assert a == b
+    for seed in range(3):
+        shuffled = eps[:]
+        random.Random(seed).shuffle(shuffled)
+        assert select_cone_tuple(shuffled) == a
+
+
+def test_select_order_is_nondecreasing_in_the_depth_bound():
+    for n, d, seed in [(6, 3, 5), (8, 3, 3), (5, 4, 4000)]:
+        eps = enhanced_profiles_from_wl3(run_wl(oracle.random_cloud(n, d, seed), d - 1, 3))
+        bounds = []
+        for ep in select_cone_tuple(eps.keys()):
+            zs, _, anchor_sets, hyperplanes, plane_tol = _anchor_frame(ep, 1e-9)
+            pairs = mirror_pairs(anchor_sets[0], ep.profiles[0])
+            cands = np.array([c for pair in pairs for c in pair])
+            bounds.append(depth_bound(zs, hyperplanes, cands, plane_tol)[1])
+        assert bounds == sorted(bounds), (n, d, seed)
+        assert bounds[0] < bounds[-1]
+
+
+def test_repeated_point_filter_agrees_with_the_exact_rank():
+    for n, d, seed in [(4, 3, 1), (6, 3, 2), (5, 3, 3000), (4, 4, 4), (5, 4, 5), (6, 4, 6)]:
+        eps = enhanced_profiles_from_wl3(run_wl(oracle.random_cloud(n, d, seed), d - 1, 3))
+        repeats = 0
+        for ep in eps:
+            full = gram_affine_dim(ep.a) == d
+            assert not (ep.repeats_a_point() and full), (n, d, seed)
+            repeats += ep.repeats_a_point()
+        assert 0 < repeats < len(eps)
 
 
 def test_reconstruct_lowdim_paths():
@@ -273,7 +306,7 @@ def test_greedy_reflection_path_reaches_base_region():
 
 def test_epsilon_clears_all_recovered_points():
     eps = enhanced_profiles_from_wl3(run_wl(TET, 2, 3))
-    chosen = select_cone_tuple(eps.keys(), samples=100_000, seed=1)[0]
+    chosen = select_cone_tuple(eps.keys())[0]
     res = reconstruct_fulldim(chosen)
     assert res.epsilon is not None
     planes = []
@@ -338,8 +371,8 @@ def test_select_skips_cones_the_float_rank_check_rejects():
 
 
 @pytest.mark.parametrize("n, d, seed, permutation", [
-    (6, 3, 5, [0, 4, 2, 3, 1, 5]),      # `geowl gen --n 6 --d 3 --seed 5`
-    (5, 4, 4000, [4, 0, 3, 2, 1]),
+    (6, 3, 5, [5, 0, 1, 4, 3, 2]),      # `geowl gen --n 6 --d 3 --seed 5`
+    (5, 4, 4000, [2, 0, 3, 4, 1]),
 ])
 def test_placement_order_is_pinned(n, d, seed, permutation):
     rep = reconstruct(oracle.random_cloud(n, d, seed), "wlnd")
@@ -347,12 +380,12 @@ def test_placement_order_is_pinned(n, d, seed, permutation):
 
 
 def test_fulldim_depth_cap_is_enforced():
-    # the golden CLI cloud needs depth 5 on its first candidate
+    # on the golden CLI cloud, the anchors (b, x2, x4, x0) need depth 5
     cloud = oracle.random_cloud(6, 3, 5)
-    first = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(cloud, 2, 3)).keys())[0]
-    assert reconstruct_fulldim(first, max_depth=5).depth == 5
+    deep = _direct_ep(cloud, barycenter(cloud), tuple(cloud.points[i] for i in (2, 4, 0)))
+    assert reconstruct_fulldim(deep, max_depth=5).depth == 5
     with pytest.raises(ReconstructionError, match=r"depth bound \(cap 4\)"):
-        reconstruct_fulldim(first, max_depth=4)
+        reconstruct_fulldim(deep, max_depth=4)
 
 
 def test_profile0_mirror_candidates_never_both_inside_the_cone():
