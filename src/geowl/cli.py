@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "and verify against the original")
     p.add_argument("cloud")
     p.add_argument("--algorithm", choices=("wl2d", "wlnd", "oneshot"), required=True)
-    _add_run_options(p, "mode", "tol", "seed", "max_tuples", "max_candidates", "max_depth")
+    _add_run_options(p, "mode", "tol", "max_tuples", "max_candidates", "max_depth")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("search", help="search for equal-fingerprint non-isometric pairs")

@@ -3,10 +3,8 @@
 The JSON form is {"dim": d, "points": [[...], ...], "label": optional}.
 Coordinates may be [numerator, denominator] pairs, decimal or fraction
 strings, or integers, all of which parse exactly to rationals; plain JSON
-floats are accepted but force float mode for the whole cloud, which is
-rejected when its squared extent, the sum over axes of (max - min)^2, is not
-a finite float.  Rational coordinates round-trip losslessly as
-[numerator, denominator] pairs.
+floats are accepted but force float mode for the whole cloud.  Rational
+coordinates round-trip losslessly as [numerator, denominator] pairs.
 
 The alternative XYZ form is plain text, one point per line with
 whitespace-separated coordinates; numeric tokens parse exactly when they are
@@ -63,9 +61,6 @@ def parse_cloud_text(text: str, label: str | None = None) -> PointCloud:
         dim = len(points[0])
     if any(not is_exact(c) for p in points for c in p):
         points = [tuple(float(c) for c in p) for p in points]
-        spans = [max(axis) - min(axis) for axis in zip(*points)]
-        if not math.isfinite(sum(s * s for s in spans)):
-            raise ValueError("float coordinates too large: squared distances overflow")
     return PointCloud(dim=int(dim), points=tuple(points), label=label)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -119,20 +118,27 @@ class EnhancedProfile:
 
     a: SquaredDistanceMatrix
     profiles: tuple[tuple, ...]
-    # hash((a, *map(hash, profiles))), taken once: hashing rationals is slow, so
-    # extraction passes it in, built from one hash per distinct profile
-    part_hash: int | None = field(default=None, repr=False, compare=False)
+    # cached by __hash__ (or set by _prehashed): hashing rationals is slow
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.a.order - 1
         if len(self.profiles) != d:
             raise ValueError("need one substituted profile per anchor slot")
-        if self.part_hash is None:
-            object.__setattr__(self, "part_hash",
-                               hash((self.a, *map(hash, self.profiles))))
 
     def __hash__(self) -> int:
-        return self.part_hash
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.a, *map(hash, self.profiles))))
+        return self._hash
+
+    @classmethod
+    def _prehashed(cls, a: SquaredDistanceMatrix, profiles: tuple,
+                   profile_hashes: tuple[int, ...]) -> EnhancedProfile:
+        """Extraction's constructor: profile_hashes[i] == hash(profiles[i]),
+        computed once per distinct profile rather than once per tuple."""
+        ep = cls(a, profiles)
+        object.__setattr__(ep, "_hash", hash((a, *profile_hashes)))
+        return ep
 
     def repeats_a_point(self) -> bool:
         """Whether two of (b, x_1, ..., x_d) coincide, which caps the dimension below d."""
@@ -198,8 +204,8 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
                 A[1 + j][m + 1] = A[m + 1][1 + j] = d_y_x[j]
             profiles, hashes = zip(*(substituted(rec[i], i) for i in range(m)))
             a = SquaredDistanceMatrix(order=size, entries=tuple(map(tuple, A)))
-            ep = EnhancedProfile(a=a, profiles=(*profiles, last_profile),
-                                 part_hash=hash((a, *hashes, last_hash)))
+            ep = EnhancedProfile._prehashed(a, (*profiles, last_profile),
+                                            (*hashes, last_hash))
             result[ep] += count
     return dict(result)
 
@@ -266,8 +272,7 @@ def _stacked(pairs) -> np.ndarray:
     return np.array([c for pair in pairs for c in pair])
 
 
-def select_cone_tuple(eps, tol: float = DEFAULT_TOL, samples: int = DEFAULT_SELECT_SAMPLES,
-                      seed: int = 0) -> list[EnhancedProfile]:
+def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     """Order enhanced profiles for reconstruction attempts.
 
     Degenerate clouds: any profile of maximal dimension works, so one is
@@ -280,8 +285,6 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL, samples: int = DEFAULT_SELE
     full-dimensional and skips the exact rank test.  Profiles whose bound
     cannot be computed rank last; cones whose generators fail the float
     rank check are skipped, and if none remain, ReconstructionError.
-    `samples` and `seed` are not read: they sized and seeded the Monte Carlo
-    cone-angle order, and stay while the benchmark passes them on.
     """
     eps = list(eps)
     if not eps:
@@ -304,14 +307,11 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL, samples: int = DEFAULT_SELE
             bound = depth_bound(zs, hyperplanes, _stacked(pairs), plane_tol)[1]
         except (ReconstructionError, InconsistentDataError):
             bound = math.inf
-        ranked.append((bound, _float_rows(ep.a.entries), ep))
+        ranked.append((bound, ep.sort_key(), ep))
     if not ranked:
         raise ReconstructionError("every full-dimensional anchor cone is numerically singular")
-    # sort_key starts with the float anchor matrix; its profile part, costly to
-    # build, settles only the rare ties left after the bound and that matrix
     ranked.sort(key=lambda r: r[:2])
-    return [ep for _, run in groupby(ranked, key=lambda r: r[:2])
-            for ep in sorted((r[2] for r in run), key=EnhancedProfile.sort_key)]
+    return [ep for _, _, ep in ranked]
 
 
 def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -89,7 +89,14 @@ class Interner:
         if self.mode == "exact":
             key = value if isinstance(value, Fraction) else Fraction(value)
         else:
-            key = int((float(value) / self.snap) + 0.5)  # round half up; values >= 0
+            try:
+                scaled = float(value) / self.snap
+            except OverflowError:
+                scaled = math.inf
+            if not math.isfinite(scaled):
+                raise ValueError(f"a squared distance overflows the float grid of "
+                                 f"step {self.snap!r}")
+            key = int(scaled + 0.5)  # round half up; values >= 0
         return self._intern_key(key)
 
     def _intern_key(self, key) -> int:
@@ -281,9 +288,12 @@ def _float_sq_matrix(cloud: PointCloud):
     """All squared distances in floating point, summed in coordinate order.
 
     The order is that of `geometry.sq_dist`, so every value is bit-identical
-    to the pairwise computation.
+    to the pairwise computation.  An overflow gives inf, which
+    `Interner.intern_distance` rejects.
     """
-    return sum(np.square(col[:, None] - col[None, :]) for col in cloud.as_array().T).tolist()
+    with np.errstate(over="ignore"):
+        return sum(np.square(col[:, None] - col[None, :])
+                   for col in cloud.as_array().T).tolist()
 
 
 def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,

@@ -293,9 +293,9 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
         ["gen", "--n", "6", "--d", "3", "--seed", "5"],
         ["color", str(sq), "--ell", "2", "--iters", "3"],
         ["compare", str(sq), str(sq), "--ell", "1", "--iters", "2"],
-        ["roundtrip", str(sq), "--algorithm", "wl2d", "--seed", "3"],
-        ["roundtrip", str(tet), "--algorithm", "wlnd", "--seed", "3"],
-        ["roundtrip", str(tet), "--algorithm", "oneshot", "--seed", "3"],
+        ["roundtrip", str(sq), "--algorithm", "wl2d"],
+        ["roundtrip", str(tet), "--algorithm", "wlnd"],
+        ["roundtrip", str(tet), "--algorithm", "oneshot"],
         ["search", "--d", "1", "--n", "3", "--ell", "1", "--iters", "1",
          "--budget", "8", "--seed", "2"],
     ]

@@ -111,8 +111,7 @@ def test_cli_outputs_byte_identical(tmp_path, capsys):
     sq = _write(tmp_path, "sq.json", SQUARE_DOC)
     outputs = []
     for out in ("r1.json", "r2.json"):
-        main(["roundtrip", sq, "--algorithm", "wl2d", "--seed", "7",
-              "-o", str(tmp_path / out)])
+        main(["roundtrip", sq, "--algorithm", "wl2d", "-o", str(tmp_path / out)])
         outputs.append((tmp_path / out).read_bytes())
         capsys.readouterr()
     assert outputs[0] == outputs[1]
@@ -256,12 +255,17 @@ def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
     '[["1/0", 0], [0, 1]]',
     '[[NaN, 0.5], [0, 1]]',
     '[[Infinity, 0.5], [0, 1]]',
-    '[[1e308, 0.0], [-1e308, 0.5], [0.0, 1.0]]',  # finite, but squared distances overflow
+    # finite coordinates whose squared distances leave the float snapping grid
+    '[[1e308, 0.0], [-1e308, 0.5], [0.0, 1.0]]',
+    '[[1e150, 0.0], [-1e150, 0.5], [0.0, 1.0]]',
+    '[["1e200", 0], ["-1e200", "1/2"], [0, 1]] --mode float',
+    '[[1e140, 0.0], [-1e140, 0.5], [0.0, 1.0]] --tol 1e-30',
 ])
 def test_bad_coordinates_are_parse_errors(tmp_path, capsys, points):
+    points, *options = points.split(" --")
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 2, "points": ' + points + '}', encoding="utf-8")
-    assert main(["color", str(path)]) == 2
+    assert main(["color", str(path), *(w for o in options for w in ("--" + o).split())]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
