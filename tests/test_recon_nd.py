@@ -7,7 +7,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from geowl import oracle, reconstruct
+from geowl import RunConfig, oracle, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             mirror_pair, mirror_pairs, reflect, solid_angle_mc, sq_dist,
@@ -413,3 +413,17 @@ def test_profile0_mirror_candidates_never_both_inside_the_cone():
                 assert lam[0][0] * lam[1][0] <= 1e-12, (seed, idx)
                 pairs += 1
     assert pairs > 400
+
+
+@pytest.mark.parametrize("n, d, seed", [(6, 3, 5), (10, 3, 3), (5, 4, 4000), (6, 4, 7105)])
+def test_float_store_roundtrips(n, d, seed):
+    # float copies of exact clouds color in float mode and run the float elimination
+    cloud = PointCloud.from_array(oracle.random_cloud(n, d, seed).as_array())
+    rep = reconstruct(cloud, "wlnd")
+    assert rep.verified, (n, d, seed)
+    assert all(isinstance(c, float) for p in rep.cloud.points for c in p)
+
+
+def test_exact_cloud_roundtrips_in_float_mode():
+    rep = reconstruct(oracle.random_cloud(6, 3, 5), "wlnd", RunConfig(mode="float"))
+    assert rep.verified
