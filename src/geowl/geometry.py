@@ -151,8 +151,14 @@ def barycenter_sq_norms(f_values: Sequence[Scalar], total: Scalar, n: int,
 def remove_nearest(entries: list, target: Sequence[float], limit: float) -> None:
     """Remove the entry closest to target in the max norm.
 
-    Raises InconsistentDataError when no entry lies within limit.
+    Raises InconsistentDataError when no entry lies within limit; limit 0
+    asks for an exactly equal entry.
     """
+    if limit == 0:
+        if tuple(target) in entries:
+            entries.remove(tuple(target))
+            return
+        raise InconsistentDataError(f"no multiset entry equals {target}")
     best_i, best_err = -1, float("inf")
     for i, e in enumerate(entries):
         err = max(abs(a - b) for a, b in zip(e, target))

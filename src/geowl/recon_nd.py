@@ -23,15 +23,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from .geometry import (ConeSpec, Hyperplane, PointCloud, SquaredDistanceMatrix,
-                       _float_rank, anchor_embed, barycenter_sq_norms, gram_affine_dim,
-                       mirror_pairs, remove_nearest, sq_dist, sweep, trilaterate)
+from .geometry import (PointCloud, SquaredDistanceMatrix, _float_rank, anchor_embed,
+                       barycenter_sq_norms, gram_affine_dim, is_exact, remove_nearest,
+                       sweep, trilaterate)
 # Not called here: perfbench/tracer.py binds both names on this module, and
 # its per-layer metrics read them (solid_angle_mc.calls stays 0).
 from .geometry import mirror_pair, solid_angle_mc  # noqa: F401
@@ -209,82 +210,115 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
             result[ep] += count
     return dict(result)
 
-
 def _embed_anchors(ep: EnhancedProfile, tol: float) -> np.ndarray:
     d = ep.a.order - 1
     pts = anchor_embed(ep.a, d, tol)
     return pts[1:]  # barycenter row sits at the origin
 
 
-def _anchor_frame(ep: EnhancedProfile, tol: float):
-    """The embedded anchors of a full-dimensional profile and what elimination needs.
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Gram matrices <z_j, z_k> of the anchors z_j = x_j - b from (stacked)
+    squared-distance matrices of (b, x_1, ..., x_d); exact for object arrays."""
+    half = Fraction(1, 2) if a.dtype == object else 0.5
+    return (a[..., :1, 1:] + a[..., 1:, :1] - a[..., 1:, 1:]) * half
 
-    Returns the anchors z_1..z_d, their cone, the d anchor sets (anchor set i
-    has the barycenter in slot i), the hyperplane of each set with its normal
-    oriented toward z_i, and the tolerance for lying on a hyperplane.  Raises
-    ReconstructionError when the anchors are not full-dimensional, and
-    ValueError when they are but fail the float rank check of the cone or a
-    hyperplane.
+
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """G^-1 by Gauss-Jordan elimination over Fractions, or by LAPACK for floats."""
+    if G.dtype != object:
+        return np.linalg.inv(G)
+    d = len(G)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(G)]
+    for c in range(d):
+        p = next((r for r in range(c, d) if M[r][c]), None)
+        if p is None:
+            raise ReconstructionError("anchors are not full-dimensional")
+        M[c], M[p] = [v / M[p][c] for v in M[p]], M[c]
+        for r in range(d):
+            if r != c:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    return np.array([row[d:] for row in M], dtype=object)
+
+
+def _rational_sqrt(q) -> Fraction:
+    q = Fraction(q)
+    root = Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
+    if root * root != q:
+        raise InconsistentDataError("a profile entry has no rational realization")
+    return root
+
+
+def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
+                   tol: float = 0.0):
+    """Gram coordinates (plus, minus, resident) of the points realizing profile-i entries.
+
+    Row r of E gives |x|^2 = E[r, i] and <x, z_k> = (|x|^2 + G_kk - E[r, k]) / 2
+    for k != i, which fix lambda = G^-1 <x, z> = u + lambda_i * v up to
+    lambda_i = +-sqrt(disc): x and its mirror image across face i.  Resident
+    rows lie on face i (disc within tol of 0) and have plus == minus.
+    Leading axes stack frames.  Object arrays of Fractions stay exact and
+    raise InconsistentDataError on a negative or non-square disc; in float
+    an unrealizable row comes out NaN.
     """
-    d = ep.a.order - 1
-    zs = _embed_anchors(ep, tol)
-    if _float_rank(zs, tol) != d:
-        raise ReconstructionError("anchors are not full-dimensional")
-    cone = ConeSpec(generators=tuple(map(tuple, zs)))
-    anchor_sets, hyperplanes = [], []
-    for i in range(d):
-        anchors = zs.copy()
-        anchors[i] = 0.0
-        anchor_sets.append(anchors)
-        hyperplanes.append(Hyperplane.from_points(anchors, tol=tol, toward=zs[i]))
-    plane_tol = tol * max(1.0, float(np.max(np.abs(zs)))) * 1000
-    return zs, cone, anchor_sets, hyperplanes, plane_tol
+    exact = E.dtype == object
+    gd = np.diagonal(G, axis1=-2, axis2=-1)
+    g = (E[..., i:i + 1] + gd[..., None, :] - E) * (Fraction(1, 2) if exact else 0.5)
+    g[..., i] = 0
+    Hg = g @ np.swapaxes(H, -1, -2)
+    hii = H[..., i, i][..., None]
+    disc = Hg[..., i] ** 2 - hii * ((g * Hg).sum(-1) - E[..., i])
+    v = H[..., :, i] / hii
+    u = Hg - Hg[..., i:i + 1] * v[..., None, :]
+    if exact:
+        resident = disc == 0
+        root = np.array([_rational_sqrt(q) for q in disc.flat], dtype=object)
+    else:
+        scale = np.maximum(E.max(-1), np.sqrt(np.maximum(gd.max(-1), 1.0))[..., None])
+        resident = np.abs(disc) <= hii * tol * scale * 100
+        with np.errstate(invalid="ignore"):
+            root = np.sqrt(np.where(resident, 0.0, disc))
+    lift = root.reshape(disc.shape)[..., None] * v[..., None, :]
+    return u + lift, u - lift, resident
 
 
-def depth_bound(zs: np.ndarray, hyperplanes, cands: np.ndarray,
-                plane_tol: float) -> tuple[float, int]:
-    """Slab width epsilon and the potential bound gamma_bound on the elimination depth.
+def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0):
+    """Squared slab width epsilon^2 and the potential bound gamma_bound on the depth.
 
-    epsilon is half the smallest clearance rho(c) = min_i |<n_i, c>| above
-    plane_tol over the mirror candidates cands (one per row).  Each useful
-    reflection raises sum_i <x, z_i> by at least c*epsilon, with c twice the
-    smallest anchor-to-hyperplane distance, so the depth stays under
-    ceil(max |cand| * sum |z_i| / (c*epsilon)) + 1.
+    A candidate lambda (a row of lams) lies at squared distance
+    rho^2 = min_j lambda_j^2 / (G^-1)_jj from the nearest face; epsilon^2 is
+    a quarter of the smallest rho^2 above the face tolerance, tol times 1000
+    times the longest anchor (exact arrays with tol 0 keep epsilon^2 exact).
+    Each useful reflection raises sum_j <x, z_j> by at least c*epsilon, with
+    c = 2 min_j (G^-1)_jj^(-1/2) twice the smallest anchor-to-face distance,
+    so the depth stays under ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1.
+    Leading axes stack frames; gamma_bound is inf where every candidate sits
+    on a face, and NaN where a candidate is NaN.
     """
-    # per-row matmuls over contiguous rows round like one matvec per candidate
-    cands = np.ascontiguousarray(cands, dtype=float)
-    normals = np.array([h.normal for h in hyperplanes])
-    rho = np.min(np.abs((normals[None] @ cands[:, :, None])[:, :, 0]), axis=1)
-    clearances = rho[rho > plane_tol]
-    if clearances.size == 0:
-        raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
-    epsilon = float(np.min(clearances)) / 2.0
-    cand_norm = float(np.max(np.sqrt((cands[:, None, :] @ cands[:, :, None])[:, 0, 0])))
-    sum_z = float(sum(np.linalg.norm(z) for z in zs))
-    c_const = 2.0 * min(abs(float(np.dot(z, h.normal))) for z, h in zip(zs, hyperplanes))
-    if c_const == 0.0:
-        raise ReconstructionError("an anchor lies on its opposite hyperplane")
-    gamma_bound = math.ceil(cand_norm * sum_z / (c_const * epsilon)) + 1
-    return epsilon, gamma_bound
-
-
-def _stacked(pairs) -> np.ndarray:
-    return np.array([c for pair in pairs for c in pair])
+    hd = np.diagonal(H, axis1=-2, axis2=-1)
+    gd = np.asarray(np.diagonal(G, axis1=-2, axis2=-1), dtype=float)
+    face2 = np.asarray((tol * 1000) ** 2 * np.maximum(1.0, gd.max(-1)))
+    rho2 = (lams * lams / hd[..., None, :]).min(-1)
+    eps2 = np.where(rho2 > face2[..., None], rho2, np.inf).min(-1) / 4
+    norm = np.sqrt(np.asarray(((lams @ G) * lams).sum(-1).max(-1), dtype=float))
+    c_const = 2 / np.sqrt(np.asarray(hd, dtype=float).max(-1))
+    eps = np.sqrt(np.asarray(eps2, dtype=float))
+    gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
+    return eps2, np.where(eps < np.inf, gamma, np.inf)
 
 
 def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     """Order enhanced profiles for reconstruction attempts.
 
     Degenerate clouds: any profile of maximal dimension works, so one is
-    returned.  Full-dimensional clouds: all d-dimensional profiles, in
-    increasing order of the `depth_bound` that `reconstruct_fulldim` would
-    derive, here from profile 0's mirror candidates before any elimination,
-    with ties broken by `sort_key`.  A wide cone with clear slabs has a
-    small bound and few rounds; a thin cone has a large bound and tends to
-    run to the depth cap.  A profile with a repeated point is never
-    full-dimensional and skips the exact rank test.  Profiles whose bound
-    cannot be computed rank last; cones whose generators fail the float
-    rank check are skipped, and if none remain, ReconstructionError.
+    returned.  Full-dimensional clouds (rank decided exactly for exact
+    profiles): all d-dimensional profiles, in increasing order of the
+    `depth_bound` that `reconstruct_fulldim` would derive, here from profile
+    0's mirror candidates before any elimination, with ties broken by
+    `sort_key`.  A wide cone with clear slabs has a small bound and few
+    rounds; a thin cone has a large bound and tends to run to the depth cap.
+    All bounds come from one float pass over the stacked Gram matrices and
+    their batched inverses; a cone whose bound cannot be computed ranks
+    last.  A profile with a repeated point skips the exact rank test.
     """
     eps = list(eps)
     if not eps:
@@ -296,22 +330,16 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
         maxdim = max(dims)
         return [min((ep for ep, k in zip(eps, dims) if k == maxdim),
                     key=EnhancedProfile.sort_key)]
-    ranked = []
-    for ep in cands:
-        try:
-            zs, _, anchor_sets, hyperplanes, plane_tol = _anchor_frame(ep, tol)
-        except (ReconstructionError, ValueError):
-            continue  # exactly full-dimensional, but too thin for the float rank check
-        try:
-            pairs = mirror_pairs(anchor_sets[0], ep.profiles[0], tol)
-            bound = depth_bound(zs, hyperplanes, _stacked(pairs), plane_tol)[1]
-        except (ReconstructionError, InconsistentDataError):
-            bound = math.inf
-        ranked.append((bound, ep.sort_key(), ep))
-    if not ranked:
-        raise ReconstructionError("every full-dimensional anchor cone is numerically singular")
-    ranked.sort(key=lambda r: r[:2])
-    return [ep for _, _, ep in ranked]
+    G = _gram(np.array([ep.a.as_array() for ep in cands]))
+    H = np.full_like(G, np.nan)
+    invertible = np.linalg.det(G) != 0
+    H[invertible] = np.linalg.inv(G[invertible])
+    E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
+    plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
+    bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
+    ranked = zip(np.nan_to_num(bounds, nan=np.inf).tolist(), map(EnhancedProfile.sort_key,
+                                                                  cands), cands)
+    return [ep for *_, ep in sorted(ranked, key=lambda r: r[:2])]
 
 
 def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -339,77 +367,85 @@ def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> np.ndar
 
 
 class ForbiddenRegion:
-    """The growing region certified free of unplaced points.
+    """The growing region certified free of unplaced points, in Gram coordinates.
 
-    Depth 0 is the anchor cone united with an epsilon-slab around the anchor
-    hyperplanes; depth k+1 adds every single reflection of the depth-k region
-    through the anchor hyperplanes.  Membership is evaluated recursively with
-    memoization on (quantized point, depth): explicit geometry for the
-    exponentially many reflected cones is not tractable.  The inner math is
-    plain tuple arithmetic; the recursion visits millions of tiny vectors.
+    Depth 0 is the cone lambda >= 0 united with the epsilon-slabs
+    lambda_j^2 < eps2 * (G^-1)_jj about the faces; depth k+1 adds every
+    reflection lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j of the
+    depth-k region through face j.  So a point is in the depth-k region when
+    at most k reflections take it into depth 0: `membership` grows each
+    queried point's reflection frontier one level at a time and keeps it for
+    the next, deeper query, never reflecting a point back through the face
+    it came from.  Frontier points are numerators over a common denominator
+    per level, integers for an exact G (with eps2 a Fraction), floats over 1
+    otherwise; tol is the float cone tolerance, 0 for exact frames.
     """
 
-    def __init__(self, cone: ConeSpec, epsilon: float,
-                 hyperplanes: tuple[Hyperplane, ...], tol: float = DEFAULT_TOL):
-        self.cone = cone
-        self.epsilon = float(epsilon)
-        self.hyperplanes = hyperplanes
+    def __init__(self, G: np.ndarray, eps2, tol: float = 0.0):
+        H = _inverse(G)
+        d = len(H)
+        w = [[2 * H[k][j] / H[j][j] for k in range(d)] for j in range(d)]
+        self._exact = G.dtype == object
+        if self._exact:
+            self._step = math.lcm(*(x.denominator for row in w for x in row))
+            self._w = [[(x * self._step).numerator for x in row] for row in w]
+        else:
+            self._step, self._w = 1.0, [[float(x) for x in row] for row in w]
+        self._slabs = [(eps2 * H[j][j]).as_integer_ratio() if self._exact
+                       else (float(eps2 * H[j][j]), 1.0) for j in range(d)]
         self.tol = tol
-        self._zinv = tuple(tuple(float(v) for v in row)
-                           for row in np.linalg.inv(cone.matrix()))
-        self._planes = tuple((tuple(float(c) for c in h.normal), float(h.offset))
-                             for h in hyperplanes)
-        self._quant = 1.0 / max(tol, 1e-12)
-        self._memo: dict = {}
+        self._orbits: dict = {}  # lambda -> [level, hit level or None, denominator, frontier]
 
-    def rho(self, x) -> float:
-        x = tuple(float(c) for c in x)
-        return min(abs(sum(n[i] * x[i] for i in range(len(x))) - off)
-                   for n, off in self._planes)
-
-    def base_contains(self, x) -> bool:
-        x = tuple(float(c) for c in x)
-        lam = [sum(row[i] * x[i] for i in range(len(x))) for row in self._zinv]
-        cut = -self.tol * max(1.0, max(abs(v) for v in lam))
-        if min(lam) >= cut:
+    def _in_base(self, p: tuple, den) -> bool:
+        if min(p) >= (-self.tol * max(den, max(map(abs, p))) if self.tol else 0):
             return True
-        return self.rho(x) < self.epsilon
+        return any(c * c * sd < sn * den * den for c, (sn, sd) in zip(p, self._slabs))
 
-    def membership(self, x, depth: int) -> bool:
-        return self._member(tuple(float(c) for c in x), depth)
-
-    def _member(self, x: tuple, depth: int) -> bool:
-        q = self._quant
-        key = (tuple(round(c * q) for c in x), depth)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if self.base_contains(x):
-            self._memo[key] = True
-            return True
-        if depth == 0:
-            self._memo[key] = False
-            return False
-        rng = range(len(x))
-        result = False
-        for n, off in self._planes:
-            shift = 2.0 * (sum(n[i] * x[i] for i in rng) - off)
-            if self._member(tuple(x[i] - shift * n[i] for i in rng), depth - 1):
-                result = True
-                break
-        self._memo[key] = result
-        return result
+    def membership(self, lam: tuple, depth: int) -> bool:
+        orbit = self._orbits.get(lam)
+        if orbit is None:
+            den = math.lcm(*(c.denominator for c in lam)) if self._exact else 1.0
+            p = tuple(c.numerator * (den // c.denominator) for c in lam) if self._exact \
+                else tuple(lam)
+            orbit = self._orbits[lam] = [0, 0 if self._in_base(p, den) else None, den,
+                                         [(p, -1)]]
+        while orbit[1] is None and orbit[0] < depth and orbit[3]:
+            level, _, den, frontier = orbit
+            orbit[:] = level + 1, None, den * self._step, {}
+            for p, last in frontier:
+                for j, w in enumerate(self._w):
+                    if j != last and p[j]:
+                        r = tuple(self._step * a - p[j] * b for a, b in zip(p, w))
+                        if r not in orbit[3]:
+                            orbit[3][r] = j
+                            if self._in_base(r, orbit[2]):
+                                orbit[1], orbit[3] = level + 1, {}
+                                break
+                if orbit[1] is not None:
+                    break
+            orbit[3] = list(orbit[3].items())
+        return orbit[1] is not None and orbit[1] <= depth
 
 
 @dataclass
 class FulldimResult:
-    points: np.ndarray
+    """Gram coordinates of the points, one row of `lambdas` each in the
+    profile's scalar type, and the elimination's depth, bound and slab width."""
+
+    ep: EnhancedProfile
+    lambdas: list[tuple]
     depth: int
     gamma_bound: int
     epsilon: float | None
 
+    @property
+    def points(self) -> np.ndarray:
+        """Float coordinates Lambda @ Z over the anchors Z of `anchor_embed`."""
+        return np.array(self.lambdas, dtype=float) @ _embed_anchors(self.ep, DEFAULT_TOL)
 
-FAILURE_REASONS = ("depth_cap", "both_in_region", "fingerprint_mismatch", "other")
+
+FAILURE_REASONS = ("depth_cap", "both_in_region", "unmatched", "fingerprint_mismatch",
+                   "other")
 
 
 class CandidateRejected(ReconstructionError):
@@ -424,32 +460,52 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> FulldimResult:
     """Forbidden-region elimination for full-dimensional anchor tuples.
 
-    Phase 1 places every point lying on an anchor hyperplane (single mirror
-    candidate).  Phase 2 takes the slab width and the depth bound from the
-    remaining candidates of profile 0 (`depth_bound`); each round then
-    places the entries with exactly one mirror candidate in the current
-    region and deepens the region.  Both phases are `geometry.sweep` calls
-    over each profile, and each profile's mirror candidates come from one
-    batched solve.
+    Runs in the anchors' Gram coordinates and the profile's own scalar type:
+    Fractions with zero tolerance for an exact profile, floats with tol
+    scaled by the longest anchor otherwise.  Phase 1 places every point on
+    a face (a single mirror candidate).  Phase 2 takes the slab width and
+    the depth bound from the remaining candidates of profile 0
+    (`depth_bound`); each round then places the entries with exactly one
+    mirror candidate in the current region and deepens the region.  Both
+    phases are `geometry.sweep` calls over each profile.  A placed point
+    removes its entry (an exactly equal one, for exact profiles) from every
+    profile; a point that matches no entry rejects the tuple as "unmatched".
     """
     d = ep.a.order - 1
-    zs, cone, anchor_sets, hyperplanes, plane_tol = _anchor_frame(ep, tol)
-    profiles = [[tuple(float(v) for v in e) for e in p] for p in ep.profiles]
-    cands_of = []
-    for i in range(d):
-        distinct = list(dict.fromkeys(profiles[i]))
-        cands_of.append(dict(zip(distinct, mirror_pairs(anchor_sets[i], distinct, tol))))
-    placed: list[np.ndarray] = []
+    G = ep.gram()
+    tol = 0 if G.dtype == object else tol
+    H = _inverse(G)
+    limit = tol * max(1.0, math.sqrt(float(max(np.diagonal(G))))) * 1e5
+    profiles = [list(p) for p in ep.profiles]
+    cands_of: list = [None] * d
+    placed: list[tuple] = []
 
-    def place(p: np.ndarray) -> None:
+    def candidates(i: int, entry) -> list[tuple]:
+        if cands_of[i] is None:  # the mirror pairs of profile i, solved on first use
+            distinct = list(dict.fromkeys(profiles[i]))
+            plus, minus, resident = mirror_lambdas(
+                G, H, np.array(distinct, dtype=G.dtype), i, tol)
+            if G.dtype != object and np.isnan(minus).any():
+                raise InconsistentDataError("a profile entry is unrealizable")
+            cands_of[i] = {e: [tuple(p)] if r else [tuple(p), tuple(m)] for e, p, m, r
+                           in zip(distinct, plus.tolist(), minus.tolist(), resident)}
+        return cands_of[i][entry]
+
+    def place(lam: tuple) -> None:
+        dots = (G @ np.array(lam, dtype=G.dtype)).tolist()  # <x, z_k>
+        norm2 = sum(a * b for a, b in zip(lam, dots))
         for j in range(d):
-            target = tuple(float(sq_dist(p, a)) for a in anchor_sets[j])
-            remove_nearest(profiles[j], target, plane_tol * 100)
-        placed.append(p)
+            target = tuple(norm2 if k == j else norm2 - 2 * dots[k] + G[k][k]
+                           for k in range(d))
+            try:
+                remove_nearest(profiles[j], target, limit)
+            except InconsistentDataError as exc:
+                raise CandidateRejected("unmatched", str(exc)) from None
+        placed.append(lam)
 
     def chooser(i: int, member):
         def choose(entry):
-            cands = cands_of[i][entry]
+            cands = candidates(i, entry)
             if len(cands) == 1:
                 return cands[0]
             m_plus, m_minus = member(cands[0]), member(cands[1])
@@ -463,19 +519,20 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
             return None
         return choose
 
-    # phase 1: hyperplane residents have a unique candidate
+    # phase 1: points on a face have a unique candidate
     for i in range(d):
         sweep(profiles[i], chooser(i, lambda c: False), place)
 
     if not any(profiles):
-        return FulldimResult(points=np.array(placed), depth=0, gamma_bound=0,
-                             epsilon=None)
+        return FulldimResult(ep, placed, depth=0, gamma_bound=0, epsilon=None)
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
-    epsilon, gamma_bound = depth_bound(
-        zs, hyperplanes, _stacked(cands_of[0][e] for e in profiles[0]), plane_tol)
-    region = ForbiddenRegion(cone, epsilon, tuple(hyperplanes), tol=tol)
-    depth_cap = min(max_depth, gamma_bound)
+    rest = np.array([c for e in profiles[0] for c in candidates(0, e)], dtype=G.dtype)
+    eps2, gamma = depth_bound(rest, G, H, tol)
+    if not math.isfinite(gamma):
+        raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
+    region = ForbiddenRegion(G, eps2, tol)
+    depth_cap = min(max_depth, int(gamma))
 
     depth = 0
     while any(profiles):
@@ -487,8 +544,8 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         if depth > depth_cap:
             raise CandidateRejected(
                 "depth_cap", f"unresolved points at the depth bound (cap {depth_cap})")
-    return FulldimResult(points=np.array(placed), depth=depth,
-                         gamma_bound=gamma_bound, epsilon=epsilon)
+    return FulldimResult(ep, placed, depth=depth, gamma_bound=int(gamma),
+                         epsilon=math.sqrt(float(eps2)))
 
 
 def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
@@ -498,14 +555,18 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
     """Full pipeline: extract enhanced profiles, try candidates, verify by fingerprint.
 
     Candidates are attempted in `select_cone_tuple`'s order, smallest depth
-    bound first; a candidate is accepted when rerunning the coloring on the
-    reconstruction (in snapped float mode, against the input distances
-    snapped the same way) reproduces the input fingerprint, which certifies
-    isometry.  Only a cloud that passes this certificate is returned; when
-    none does, ReconstructionError.  counters["failures"] counts the
-    candidates rejected before the accepted one by FAILURE_REASONS ("other"
-    is mostly a placed point that matches no profile entry).  `samples` and
-    `seed` are not read; they stay while perfbench/workloads.py passes them.
+    bound first.  A candidate is accepted when recoloring it reproduces the
+    input fingerprint, which certifies isometry.  For an exact store that
+    recoloring is exact: the squared distances (l_x - l_y)^T G (l_x - l_y)
+    of the Gram coordinates are colored and compared with
+    `fingerprint(store)`.  Float stores, and the trilaterated clouds of the
+    low-dimensional path, are recolored in snapped float mode against the
+    input distances snapped the same way; verify_snap is read only there.
+    Float coordinates are made once, for the accepted cloud; when no
+    candidate passes, ReconstructionError.  counters["failures"] counts the
+    candidates rejected before the accepted one by FAILURE_REASONS.
+    `samples` and `seed` are not read; they stay while
+    perfbench/workloads.py passes them.
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
@@ -518,12 +579,25 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
 
     eps = enhanced_profiles_from_wl3(store)
     candidates = select_cone_tuple(eps.keys(), tol=tol)
-
+    exact = store.interner.mode == "exact"
     verify_interner = Interner("float", verify_snap)
-    in_values = [[float(v) for v in row] for row in store.sq_matrix_values()]
-    fin = fingerprint(run_wl_from_sq_values(
-        in_values, store.ell, 3, d, mode="float", snap=verify_snap,
-        interner=verify_interner))
+    float_fin = []
+
+    def certified(res: FulldimResult | None, pts: np.ndarray | None) -> bool:
+        if pts is None:
+            L = np.array(res.lambdas, dtype=object)
+            diff = L[:, None, :] - L[None, :, :]
+            sq = ((diff @ res.ep.gram()) * diff).sum(-1).tolist()
+            return compare(fingerprint(store, 3), fingerprint(
+                run_wl_from_sq_values(sq, store.ell, 3, d, mode="exact"))) == "equal"
+        if not float_fin:
+            in_values = [[float(v) for v in row] for row in store.sq_matrix_values()]
+            float_fin.append(fingerprint(run_wl_from_sq_values(
+                in_values, store.ell, 3, d, mode="float", snap=verify_snap,
+                interner=verify_interner)))
+        return compare(float_fin[0], fingerprint(run_wl(
+            PointCloud.from_array(pts), store.ell, 3, mode="float", snap=verify_snap,
+            interner=verify_interner))) == "equal"
 
     failures: list[str] = []
     reasons = dict.fromkeys(FAILURE_REASONS, 0)
@@ -532,27 +606,26 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                     "failures": dict(reasons)}
         try:
             if ep.dimension(tol) < d:
-                pts = reconstruct_lowdim(ep, tol)
+                res, pts = None, reconstruct_lowdim(ep, tol)
                 method = "nd-lowdim"
             else:
                 res = reconstruct_fulldim(ep, tol, max_depth=max_depth)
-                pts = res.points
+                pts = None if exact else res.points
                 method = "nd-fulldim"
                 counters.update(depth=res.depth, gamma_bound=res.gamma_bound,
                                 epsilon=res.epsilon)
-            drift = float(np.linalg.norm(pts.mean(axis=0)))
-            if drift > 1e-6 * max(1.0, float(np.max(np.abs(pts)))):
-                raise ReconstructionError(f"barycenter drift {drift:.3e}")
-            cloud = PointCloud.from_array(pts)
+            if pts is not None:
+                drift = float(np.linalg.norm(pts.mean(axis=0)))
+                if drift > 1e-6 * max(1.0, float(np.max(np.abs(pts)))):
+                    raise ReconstructionError(f"barycenter drift {drift:.3e}")
+            if certified(res, pts):
+                cloud = PointCloud.from_array(res.points if pts is None else pts)
+                return ReconstructionReport(cloud=cloud, method=method, counters=counters)
         except (ReconstructionError, InconsistentDataError, NotRealizableError,
                 ValueError) as exc:
             reasons[getattr(exc, "reason", "other")] += 1
             failures.append(f"candidate {tried}: {exc}")
             continue
-        fr = fingerprint(run_wl(cloud, store.ell, 3, mode="float",
-                                snap=verify_snap, interner=verify_interner))
-        if compare(fin, fr) == "equal":
-            return ReconstructionReport(cloud=cloud, method=method, counters=counters)
         reasons["fingerprint_mismatch"] += 1
         failures.append(f"candidate {tried}: fingerprint mismatch")
     raise ReconstructionError(

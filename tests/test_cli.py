@@ -293,6 +293,6 @@ def test_roundtrip_counts_wlnd_failure_reasons(tmp_path, capsys):
     assert [line for line in stdout.splitlines() if not line.startswith("residual:")] == [
         "method: nd-fulldim", "depth: 3", "candidates_tried: 3", "verified: yes"]
     counters = json.loads(out.read_text())["counters"]
-    assert counters["failures"] == {"depth_cap": 0, "both_in_region": 0,
-                                    "fingerprint_mismatch": 0, "other": 2}
+    assert counters["failures"] == {"depth_cap": 0, "both_in_region": 0, "unmatched": 2,
+                                    "fingerprint_mismatch": 0, "other": 0}
     assert sum(counters["failures"].values()) == counters["candidates_tried"] - 1

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -10,11 +11,11 @@ import pytest
 from geowl import RunConfig, oracle, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
-                            mirror_pair, mirror_pairs, reflect, solid_angle_mc, sq_dist,
-                            squared_distance_matrix)
-from geowl.recon_nd import (EnhancedProfile, ForbiddenRegion, _anchor_frame, _embed_anchors,
+                            reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
+from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion,
+                            _embed_anchors, _inverse, anchor_gram,
                             barycenter_dists_from_wl1, depth_bound,
-                            enhanced_profiles_from_wl3, profiles_from_wl2,
+                            enhanced_profiles_from_wl3, mirror_lambdas, profiles_from_wl2,
                             reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
                             select_cone_tuple)
 from geowl.wl import run_wl
@@ -173,15 +174,19 @@ def test_select_deterministic_for_fixed_seed():
         assert select_cone_tuple(shuffled) == a
 
 
+def _ranking_bound(ep):
+    """The depth bound `select_cone_tuple` ranks by, for one profile."""
+    G = np.asarray(anchor_gram(ep), dtype=float)
+    H = np.linalg.inv(G)
+    E = np.array([[float(v) for v in e] for e in ep.profiles[0]])
+    plus, minus, _ = mirror_lambdas(G, H, E, 0, 1e-9)
+    return float(depth_bound(np.concatenate([plus, minus]), G, H, 1e-9)[1])
+
+
 def test_select_order_is_nondecreasing_in_the_depth_bound():
     for n, d, seed in [(6, 3, 5), (8, 3, 3), (5, 4, 4000)]:
         eps = enhanced_profiles_from_wl3(run_wl(oracle.random_cloud(n, d, seed), d - 1, 3))
-        bounds = []
-        for ep in select_cone_tuple(eps.keys()):
-            zs, _, anchor_sets, hyperplanes, plane_tol = _anchor_frame(ep, 1e-9)
-            pairs = mirror_pairs(anchor_sets[0], ep.profiles[0])
-            cands = np.array([c for pair in pairs for c in pair])
-            bounds.append(depth_bound(zs, hyperplanes, cands, plane_tol)[1])
+        bounds = [_ranking_bound(ep) for ep in select_cone_tuple(eps.keys())]
         assert bounds == sorted(bounds), (n, d, seed)
         assert bounds[0] < bounds[-1]
 
@@ -223,20 +228,30 @@ def test_reconstruct_lowdim_anchors_only():
 
 
 def test_forbidden_membership_examples():
-    cone = ConeSpec(generators=((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0)))
+    _check_orthant_region(exact=False)
+
+
+def test_forbidden_membership_examples_exact():
+    _check_orthant_region(exact=True)
+
+
+def _check_orthant_region(exact):
+    # the orthant cone: G = I, so Gram coordinates are the coordinates
     planes = tuple(
         Hyperplane.from_points([(0, 0, 0), [1.0 if k == i else 0.0 for k in range(3)],
                                 [1.0 if k == j else 0.0 for k in range(3)]],
                                toward=[1.0 if k == m else 0.0 for k in range(3)])
         for m, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))))
-    region = ForbiddenRegion(cone, epsilon=0.1, hyperplanes=planes)
-    inside = (1.0, 2.0, 3.0)
+    num = F if exact else float
+    region = ForbiddenRegion(np.eye(3, dtype=object if exact else float) * num(1),
+                             eps2=num(1, 100) if exact else 0.1 ** 2, tol=0 if exact else 1e-9)
+    inside = tuple(map(num, (1, 2, 3)))
     for depth in range(4):
         assert region.membership(inside, depth)
-    mirrored = reflect((1.0, 2.0, 3.0), planes[0])
+    mirrored = tuple(num(round(c)) for c in reflect((1.0, 2.0, 3.0), planes[0]))
     assert not region.membership(mirrored, 0)
     assert region.membership(mirrored, 1)
-    far = (-10.0, -10.0, -10.0)
+    far = tuple(map(num, (-10, -10, -10)))
     # brute-force word oracle: all sign flips needed, so depth 3 is the first hit
     assert not region.membership(far, 2)
     assert region.membership(far, 3)
@@ -250,15 +265,9 @@ def test_forbidden_membership_monotone():
             if abs(np.linalg.det(gens)) > 0.3:
                 break
         zs = gens
-        planes = []
-        for i in range(3):
-            anchors = zs.copy()
-            anchors[i] = 0.0
-            planes.append(Hyperplane.from_points(anchors, toward=zs[i]))
-        region = ForbiddenRegion(ConeSpec(generators=tuple(map(tuple, zs))),
-                                 epsilon=0.05, hyperplanes=tuple(planes))
+        region = ForbiddenRegion(zs @ zs.T, eps2=0.05 ** 2, tol=1e-9)
         for _ in range(10):
-            x = tuple(rng.uniform(-3, 3, size=3))
+            x = tuple(np.linalg.solve(zs.T, rng.uniform(-3, 3, size=3)).tolist())
             for k in range(4):
                 if region.membership(x, k):
                     assert region.membership(x, k + 1)
@@ -280,8 +289,7 @@ def test_greedy_reflection_path_reaches_base_region():
             anchors[i] = 0.0
             planes.append(Hyperplane.from_points(anchors, toward=zs[i]))
         epsilon = 0.05
-        region = ForbiddenRegion(ConeSpec(generators=tuple(map(tuple, zs))),
-                                 epsilon=epsilon, hyperplanes=tuple(planes))
+        region = ForbiddenRegion(zs @ zs.T, eps2=epsilon ** 2, tol=1e-9)
         zinv = np.linalg.inv(np.array(zs).T)
         c_const = 2.0 * min(abs(float(np.dot(zs[i], planes[i].normal)))
                             for i in range(d))
@@ -291,7 +299,7 @@ def test_greedy_reflection_path_reaches_base_region():
                           / (c_const * epsilon)) + 1
         steps = 0
         gamma = float(sum(np.dot(x, z) for z in zs))
-        while not region.base_contains(tuple(x)):
+        while not region.membership(tuple((zinv @ x).tolist()), 0):
             lam = zinv @ x
             i = int(np.argmin(lam))
             assert lam[i] < 0
@@ -356,17 +364,22 @@ def test_reconstruct_nd_d4_smoke():
         assert align is not None and align.residual < 1e-6, seed
 
 
-def test_select_skips_cones_the_float_rank_check_rejects():
+def test_thin_cone_ranks_last_and_fails_at_the_depth_cap():
     # `geowl gen --n 20 --d 3 --seed 1`: the anchors (b, x12, x15, x19) are exactly
-    # affinely independent, yet their float cone generators fail ConeSpec's rank check
+    # affinely independent, yet too thin for a float frame of embedded generators
     cloud = oracle.random_cloud(20, 3, 1)
     b = barycenter(cloud)
     thin = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (12, 15, 19)))
     wide = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (0, 1, 2)))
     assert thin.dimension() == wide.dimension() == 3
-    with pytest.raises(ReconstructionError):
-        select_cone_tuple([thin])
-    assert select_cone_tuple([thin, wide]) == [wide]
+    assert select_cone_tuple([thin]) == [thin]
+    assert select_cone_tuple([thin, wide]) == [wide, thin]
+    assert _ranking_bound(wide) < _ranking_bound(thin)
+    start = time.perf_counter()
+    with pytest.raises(CandidateRejected, match=r"depth bound \(cap 10\)") as info:
+        reconstruct_fulldim(thin)
+    assert info.value.reason == "depth_cap"
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("n, d, seed, permutation", [
@@ -400,17 +413,15 @@ def test_profile0_mirror_candidates_never_both_inside_the_cone():
             ep = _direct_ep(cloud, b, tuple(cloud.points[i] for i in idx))
             if ep.dimension() < d:
                 continue
-            zs = _embed_anchors(ep, 1e-9)
-            anchors = zs.copy()
-            anchors[0] = 0.0
-            for entry in ep.profiles[0]:
-                cands = mirror_pair(anchors, [float(v) for v in entry])
-                if len(cands) < 2:
+            G = anchor_gram(ep)
+            plus, minus, resident = mirror_lambdas(
+                G, _inverse(G), np.array(ep.profiles[0], dtype=object), 0)
+            for lam in zip(plus.tolist(), minus.tolist(), resident):
+                if lam[2]:
                     continue
-                lam = [np.linalg.solve(zs.T, c) for c in cands]
-                inside = [min(v) > 1e-9 * max(1.0, max(abs(v))) for v in lam]
+                inside = [min(v) > 0 for v in lam[:2]]
                 assert not all(inside), (seed, idx)
-                assert lam[0][0] * lam[1][0] <= 1e-12, (seed, idx)
+                assert lam[0][0] * lam[1][0] < 0, (seed, idx)
                 pairs += 1
     assert pairs > 400
 
