@@ -366,7 +366,7 @@ def _unit_normal(B: np.ndarray) -> np.ndarray:
 
 def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
                  sq_tuples: Sequence[Sequence[Scalar]], tol: float):
-    """Shared solve of `mirror_pairs` and `mirror_residents`.
+    """Shared solve of `mirror_pair` and `mirror_residents`.
 
     Returns, per distance tuple, the foot point on the anchors' span, the
     points lifted off the span by the out-of-plane height along the normal
@@ -402,25 +402,17 @@ def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
     return feet, up, down, resident
 
 
-def mirror_pairs(anchors: Sequence[Sequence[Scalar]],
-                 sq_tuples: Sequence[Sequence[Scalar]],
-                 tol: float = DEFAULT_TOL) -> list[list[np.ndarray]]:
-    """The at-most-two points realizing each tuple of squared distances to a
-    (d-1)-dimensional anchor set.
+def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
+                tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """The at-most-two points realizing squared distances to a (d-1)-dimensional
+    anchor set.
 
     A tuple whose solution lies on the anchors' span (the out-of-plane
     component is below tolerance, and is snapped to zero) gets one point,
-    any other tuple the two mirror images across the span.  One solve serves
-    every tuple; row i equals the one-row call on tuple i bit for bit.
+    any other tuple the two mirror images across the span.
     """
-    feet, up, down, resident = _mirror_rows(anchors, sq_tuples, tol)
-    return [[p] if r else [u, w] for p, u, w, r in zip(feet, up, down, resident)]
-
-
-def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
-                tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """`mirror_pairs` for a single tuple of squared distances."""
-    return mirror_pairs(anchors, [sq_dists], tol)[0]
+    feet, up, down, resident = _mirror_rows(anchors, [sq_dists], tol)
+    return [feet[0]] if resident[0] else [up[0], down[0]]
 
 
 def mirror_residents(anchors: Sequence[Sequence[Scalar]],

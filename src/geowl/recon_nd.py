@@ -8,14 +8,16 @@ for every tuple and every cloud point, an enhanced profile: the full squared
 distance matrix of (barycenter, x_1, ..., x_d) together with the d profiles
 obtained by substituting the barycenter into each slot.
 
-Reconstruction embeds the selected enhanced profile's anchors with the
-barycenter at the origin and either trilaterates everything inside a proper
-affine subspace (degenerate clouds) or runs forbidden-region elimination:
-points on the anchor hyperplanes are placed first, a slab width epsilon is
-derived from the doubled candidate set, and rounds resolve any entry whose
-mirror candidate falls in the region grown by reflecting through the anchor
-hyperplanes, with a potential-function bound on the depth.  Candidate anchor
-tuples are tried in increasing order of that bound.
+Reconstruction runs in the anchors' Gram coordinates: with the barycenter
+at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
+matrix G comes straight from the enhanced profile (rational for exact
+stores, which run everything in Fractions; float stores use tolerances).
+The cone is lambda >= 0, the slab about face j is lambda_j^2 <
+epsilon^2 (G^-1)_jj, and reflecting through face j is the rational map
+lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  Degenerate clouds are
+placed inside the anchors' span; full-dimensional ones by forbidden-region
+elimination under a potential bound on the depth, the anchor tuples tried
+in increasing order of that bound.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ import numpy as np
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from .geometry import (PointCloud, SquaredDistanceMatrix, _float_rank, anchor_embed,
-                       barycenter_sq_norms, gram_affine_dim, is_exact, remove_nearest,
-                       sweep, trilaterate)
-# Not called here: perfbench/tracer.py binds both names on this module, and
-# its per-layer metrics read them (solid_angle_mc.calls stays 0).
-from .geometry import mirror_pair, solid_angle_mc  # noqa: F401
+from .geometry import (PointCloud, SquaredDistanceMatrix, _exact_rank, _float_rank,
+                       anchor_embed, barycenter_sq_norms, gram_affine_dim, is_exact,
+                       remove_nearest, sweep)
+# Not called here: perfbench/tracer.py binds these names on this module, and
+# its per-layer metrics read them (their call counts stay 0).
+from .geometry import mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
 from .report import ReconstructionReport
 from .wl import (KIND_MAT, KIND_NODE, ColorStore, Interner, compare, fingerprint,
                  run_wl, run_wl_from_sq_values)
@@ -59,12 +61,9 @@ def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
     slot_dists: dict[int, list[tuple]] = {}
     for c1 in counts:
         _, recs = payload(c1, KIND_NODE)
-        per_slot = []
         # slot 0 distances live in the (1,0) entry of the slot-1 substitution
-        per_slot.append(tuple(sorted(val(payload(r[1], KIND_MAT)[1][m]) for r in recs)))
-        for j in range(1, m):
-            per_slot.append(tuple(sorted(val(payload(r[0], KIND_MAT)[1][j]) for r in recs)))
-        slot_dists[c1] = per_slot
+        slot_dists[c1] = [tuple(sorted(val(payload(r[1], KIND_MAT)[1][m]) for r in recs))] + [
+            tuple(sorted(val(payload(r[0], KIND_MAT)[1][j]) for r in recs)) for j in range(1, m)]
     multiplier = n ** (m - 1)
     global_counts: Counter = Counter()
     for c1, cnt in counts.items():
@@ -75,11 +74,8 @@ def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
             raise InconsistentDataError(
                 f"distance-multiset count {cnt} is not divisible by n^(d-2)={multiplier}")
         total = total + (cnt // multiplier) * sum(dist_multiset)
-    out = {}
-    for c1 in counts:
-        f_values = [sum(ds) for ds in slot_dists[c1]]
-        out[c1] = tuple(barycenter_sq_norms(f_values, total, n))
-    return out
+    return {c1: tuple(barycenter_sq_norms([sum(ds) for ds in slot_dists[c1]], total, n))
+            for c1 in counts}
 
 
 def profiles_from_wl2(store: ColorStore) -> dict[int, tuple]:
@@ -149,6 +145,11 @@ class EnhancedProfile:
     def dimension(self, tol: float = DEFAULT_TOL) -> int:
         return gram_affine_dim(self.a, tol)
 
+    def gram(self) -> np.ndarray:
+        """The anchors' Gram matrix: Fractions (object array) if exact, else floats."""
+        exact = all(is_exact(v) for row in self.a.entries for v in row)
+        return _gram(np.array(self.a.entries, dtype=object if exact else float))
+
     def sort_key(self):
         return (_float_rows(self.a.entries), tuple(map(_float_rows, self.profiles)))
 
@@ -192,28 +193,15 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
             mat1 = payload(payload(c1_1, KIND_NODE)[0], KIND_MAT)[1]
             d_y_x = [val(mat1[m])] + [val(mat0[j]) for j in range(1, m)]
             d_y_b = bary[c1_0][0]
-            size = m + 2
-            A = [[0] * size for _ in range(size)]
-            for j in range(m):
-                A[0][1 + j] = A[1 + j][0] = bary_x[j]
-            A[0][m + 1] = A[m + 1][0] = d_y_b
-            for i in range(m):
-                for j in range(m):
-                    if i != j:
-                        A[1 + i][1 + j] = val(matx[i * m + j])
-            for j in range(m):
-                A[1 + j][m + 1] = A[m + 1][1 + j] = d_y_x[j]
+            A = [(0, *bary_x, d_y_b), *((bary_x[i], *(val(matx[i * m + j]) if i != j else 0
+                                                      for j in range(m)), d_y_x[i])
+                                        for i in range(m)), (d_y_b, *d_y_x, 0)]
             profiles, hashes = zip(*(substituted(rec[i], i) for i in range(m)))
-            a = SquaredDistanceMatrix(order=size, entries=tuple(map(tuple, A)))
+            a = SquaredDistanceMatrix(order=m + 2, entries=tuple(A))
             ep = EnhancedProfile._prehashed(a, (*profiles, last_profile),
                                             (*hashes, last_hash))
             result[ep] += count
     return dict(result)
-
-def _embed_anchors(ep: EnhancedProfile, tol: float) -> np.ndarray:
-    d = ep.a.order - 1
-    pts = anchor_embed(ep.a, d, tol)
-    return pts[1:]  # barycenter row sits at the origin
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -221,6 +209,15 @@ def _gram(a: np.ndarray) -> np.ndarray:
     squared-distance matrices of (b, x_1, ..., x_d); exact for object arrays."""
     half = Fraction(1, 2) if a.dtype == object else 0.5
     return (a[..., :1, 1:] + a[..., 1:, :1] - a[..., 1:, 1:]) * half
+
+
+def _dots(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
+    """<x, z_k> = (|x|^2 + G_kk - E[r, k]) / 2 for k != i (0 at k = i), where
+    row r of E holds x's squared distances to the anchors with b in slot i."""
+    half = Fraction(1, 2) if E.dtype == object else 0.5
+    g = (E[..., i:i + 1] + np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] - E) * half
+    g[..., i] = 0
+    return g
 
 
 def _inverse(G: np.ndarray) -> np.ndarray:
@@ -233,66 +230,51 @@ def _inverse(G: np.ndarray) -> np.ndarray:
         p = next((r for r in range(c, d) if M[r][c]), None)
         if p is None:
             raise ReconstructionError("anchors are not full-dimensional")
-        M[c], M[p] = [v / M[p][c] for v in M[p]], M[c]
-        for r in range(d):
-            if r != c:
-                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+        M[p], M[c] = M[c], [v / M[p][c] for v in M[p]]
+        M = [row if r == c else [a - row[c] * b for a, b in zip(row, M[c])]
+             for r, row in enumerate(M)]
     return np.array([row[d:] for row in M], dtype=object)
-
-
-def _rational_sqrt(q) -> Fraction:
-    q = Fraction(q)
-    root = Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
-    if root * root != q:
-        raise InconsistentDataError("a profile entry has no rational realization")
-    return root
 
 
 def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
                    tol: float = 0.0):
     """Gram coordinates (plus, minus, resident) of the points realizing profile-i entries.
 
-    Row r of E gives |x|^2 = E[r, i] and <x, z_k> = (|x|^2 + G_kk - E[r, k]) / 2
-    for k != i, which fix lambda = G^-1 <x, z> = u + lambda_i * v up to
-    lambda_i = +-sqrt(disc): x and its mirror image across face i.  Resident
-    rows lie on face i (disc within tol of 0) and have plus == minus.
-    Leading axes stack frames.  Object arrays of Fractions stay exact and
-    raise InconsistentDataError on a negative or non-square disc; in float
-    an unrealizable row comes out NaN.
+    `_dots` and |x|^2 = E[r, i] fix lambda = G^-1 <x, z> but for lambda_i =
+    +-sqrt(disc): x and its mirror image across face i, equal for resident
+    rows (disc within tol of 0).  Leading axes stack frames.  Object arrays
+    stay exact and raise InconsistentDataError unless disc is a rational
+    square; float rows that no point realizes come out NaN.
     """
-    exact = E.dtype == object
-    gd = np.diagonal(G, axis1=-2, axis2=-1)
-    g = (E[..., i:i + 1] + gd[..., None, :] - E) * (Fraction(1, 2) if exact else 0.5)
-    g[..., i] = 0
+    g = _dots(G, E, i)
     Hg = g @ np.swapaxes(H, -1, -2)
     hii = H[..., i, i][..., None]
     disc = Hg[..., i] ** 2 - hii * ((g * Hg).sum(-1) - E[..., i])
     v = H[..., :, i] / hii
     u = Hg - Hg[..., i:i + 1] * v[..., None, :]
-    if exact:
+    if E.dtype == object:
         resident = disc == 0
-        root = np.array([_rational_sqrt(q) for q in disc.flat], dtype=object)
+        root = np.array([Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
+                         for q in disc.flat], dtype=object).reshape(disc.shape)
+        if (root * root != disc).any():
+            raise InconsistentDataError("a profile entry has no rational realization")
     else:
-        scale = np.maximum(E.max(-1), np.sqrt(np.maximum(gd.max(-1), 1.0))[..., None])
-        resident = np.abs(disc) <= hii * tol * scale * 100
+        resident = np.abs(disc) <= hii * tol * np.maximum(E.max(-1), 1.0) * 100
         with np.errstate(invalid="ignore"):
             root = np.sqrt(np.where(resident, 0.0, disc))
-    lift = root.reshape(disc.shape)[..., None] * v[..., None, :]
+    lift = root[..., None] * v[..., None, :]
     return u + lift, u - lift, resident
 
 
 def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0):
     """Squared slab width epsilon^2 and the potential bound gamma_bound on the depth.
 
-    A candidate lambda (a row of lams) lies at squared distance
-    rho^2 = min_j lambda_j^2 / (G^-1)_jj from the nearest face; epsilon^2 is
-    a quarter of the smallest rho^2 above the face tolerance, tol times 1000
-    times the longest anchor (exact arrays with tol 0 keep epsilon^2 exact).
-    Each useful reflection raises sum_j <x, z_j> by at least c*epsilon, with
-    c = 2 min_j (G^-1)_jj^(-1/2) twice the smallest anchor-to-face distance,
-    so the depth stays under ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1.
-    Leading axes stack frames; gamma_bound is inf where every candidate sits
-    on a face, and NaN where a candidate is NaN.
+    epsilon^2 is a quarter of the least squared face distance min_j
+    lambda_j^2 / (G^-1)_jj of a candidate (row of lams) above tol * 1000 times
+    the longest anchor; exact arrays keep it exact.  A useful reflection
+    raises sum_j <x, z_j> by c*epsilon, c = 2 min_j (G^-1)_jj^(-1/2), so the
+    depth is below ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1, or inf if
+    every candidate sits on a face.  Leading axes stack frames.
     """
     hd = np.diagonal(H, axis1=-2, axis2=-1)
     gd = np.asarray(np.diagonal(G, axis1=-2, axis2=-1), dtype=float)
@@ -300,8 +282,8 @@ def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0
     rho2 = (lams * lams / hd[..., None, :]).min(-1)
     eps2 = np.where(rho2 > face2[..., None], rho2, np.inf).min(-1) / 4
     norm = np.sqrt(np.asarray(((lams @ G) * lams).sum(-1).max(-1), dtype=float))
-    c_const = 2 / np.sqrt(np.asarray(hd, dtype=float).max(-1))
     eps = np.sqrt(np.asarray(eps2, dtype=float))
+    c_const = 2 / np.sqrt(np.asarray(hd, dtype=float).max(-1))  # twice the least z_j to face j
     gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
     return eps2, np.where(eps < np.inf, gamma, np.inf)
 
@@ -309,16 +291,11 @@ def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0
 def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     """Order enhanced profiles for reconstruction attempts.
 
-    Degenerate clouds: any profile of maximal dimension works, so one is
-    returned.  Full-dimensional clouds (rank decided exactly for exact
-    profiles): all d-dimensional profiles, in increasing order of the
-    `depth_bound` that `reconstruct_fulldim` would derive, here from profile
-    0's mirror candidates before any elimination, with ties broken by
-    `sort_key`.  A wide cone with clear slabs has a small bound and few
-    rounds; a thin cone has a large bound and tends to run to the depth cap.
-    All bounds come from one float pass over the stacked Gram matrices and
-    their batched inverses; a cone whose bound cannot be computed ranks
-    last.  A profile with a repeated point skips the exact rank test.
+    Degenerate clouds: one profile of maximal dimension.  Otherwise every
+    d-dimensional profile (rank exact for exact profiles; a repeated point
+    skips the test) by increasing `depth_bound` from profile 0's mirror
+    candidates, then `sort_key`, from one float pass over the stacked Gram
+    matrices.  A thin cone gets a large bound; an unbounded one ranks last.
     """
     eps = list(eps)
     if not eps:
@@ -326,10 +303,7 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     d = eps[0].a.order - 1
     cands = [ep for ep in eps if not ep.repeats_a_point() and ep.dimension(tol) == d]
     if not cands:
-        dims = [ep.dimension(tol) for ep in eps]
-        maxdim = max(dims)
-        return [min((ep for ep, k in zip(eps, dims) if k == maxdim),
-                    key=EnhancedProfile.sort_key)]
+        return [min(eps, key=lambda ep: (-ep.dimension(tol), ep.sort_key()))]
     G = _gram(np.array([ep.a.as_array() for ep in cands]))
     H = np.full_like(G, np.nan)
     invertible = np.linalg.det(G) != 0
@@ -337,64 +311,71 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
     plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
     bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
-    ranked = zip(np.nan_to_num(bounds, nan=np.inf).tolist(), map(EnhancedProfile.sort_key,
-                                                                  cands), cands)
+    ranked = zip(np.nan_to_num(bounds, nan=np.inf).tolist(),
+                 map(EnhancedProfile.sort_key, cands), cands)
     return [ep for *_, ep in sorted(ranked, key=lambda r: r[:2])]
 
 
-def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Trilaterate every cloud point inside a proper affine subspace.
+@dataclass
+class GramCloud:
+    """Point p is sum_j lambdas[p][j] z_j over the anchors of ep, in ep's scalar type."""
 
-    Applies when the anchors span less than the ambient dimension: some slot
-    can be dropped without losing span, and the profile with the barycenter
-    in that slot determines every point uniquely.
+    ep: EnhancedProfile
+    lambdas: list[tuple]
+    depth: int = 0
+    gamma_bound: int = 0
+    epsilon: float | None = None
+
+    @property
+    def points(self) -> np.ndarray:  # the barycenter row of anchor_embed is the origin
+        Z = anchor_embed(self.ep.a, len(self.ep.profiles), DEFAULT_TOL)[1:]
+        return np.array(self.lambdas, dtype=float) @ Z
+
+
+def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramCloud:
+    """Place every cloud point inside the proper subspace that the anchors span.
+
+    A greedy basis B of the anchors (exact rank for exact profiles) spans
+    it, so a slot outside B can be dropped: the profile with the barycenter
+    in that slot gives <x, z_j> for j in B, and so x = sum_{j in B} lambda_j z_j.
     """
-    d = ep.a.order - 1
-    zs = _embed_anchors(ep, tol)
-    k = _float_rank(zs, tol)
-    drop = None
-    for i in range(d):
-        others = np.delete(zs, i, axis=0)
-        if _float_rank(others, tol) == k:
-            drop = i
-            break
+    G = ep.gram()
+    basis: list[int] = []
+    for j in range(len(G)):
+        sub = G[np.ix_(basis + [j], basis + [j])]
+        rank = _exact_rank(sub.tolist()) if G.dtype == object else _float_rank(sub, tol)
+        basis += [j] if rank > len(basis) else []
+    drop = next((j for j in range(len(G)) if j not in basis), None)
     if drop is None:
-        raise ReconstructionError("no droppable anchor slot in the degenerate case")
-    anchors = zs.copy()
-    anchors[drop] = 0.0
-    points = [trilaterate(anchors, entry, tol) for entry in ep.profiles[drop]]
-    return np.array(points)
+        raise ReconstructionError("the anchors span the whole space")
+    dots = _dots(G, np.array(ep.profiles[drop], dtype=G.dtype), drop)
+    lams = np.zeros_like(dots)
+    lams[:, basis] = dots[:, basis] @ _inverse(G[np.ix_(basis, basis)])
+    return GramCloud(ep, list(map(tuple, lams.tolist())))
 
 
 class ForbiddenRegion:
     """The growing region certified free of unplaced points, in Gram coordinates.
 
-    Depth 0 is the cone lambda >= 0 united with the epsilon-slabs
-    lambda_j^2 < eps2 * (G^-1)_jj about the faces; depth k+1 adds every
-    reflection lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j of the
-    depth-k region through face j.  So a point is in the depth-k region when
-    at most k reflections take it into depth 0: `membership` grows each
-    queried point's reflection frontier one level at a time and keeps it for
-    the next, deeper query, never reflecting a point back through the face
-    it came from.  Frontier points are numerators over a common denominator
-    per level, integers for an exact G (with eps2 a Fraction), floats over 1
-    otherwise; tol is the float cone tolerance, 0 for exact frames.
+    Depth 0 is the cone lambda >= 0 and the slabs lambda_j^2 < eps2 (G^-1)_jj;
+    depth k+1 adds the images of depth k under each face reflection
+    lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  `membership` grows
+    a point's reflection frontier one level per deeper query, never back
+    through the face a point came from.  Frontier points are numerators over
+    one denominator per level: integers for an exact G and eps2, else floats
+    over 1; tol is the float cone tolerance.
     """
 
     def __init__(self, G: np.ndarray, eps2, tol: float = 0.0):
         H = _inverse(G)
-        d = len(H)
-        w = [[2 * H[k][j] / H[j][j] for k in range(d)] for j in range(d)]
-        self._exact = G.dtype == object
-        if self._exact:
-            self._step = math.lcm(*(x.denominator for row in w for x in row))
-            self._w = [[(x * self._step).numerator for x in row] for row in w]
-        else:
-            self._step, self._w = 1.0, [[float(x) for x in row] for row in w]
+        w = [[2 * H[k][j] / H[j][j] for k in range(len(H))] for j in range(len(H))]
+        self._exact, self.tol, self._orbits = G.dtype == object, tol, {}
+        self._step = math.lcm(*(x.denominator for row in w for x in row)) if self._exact \
+            else 1.0
+        self._num = int if self._exact else float  # exact numerators are integral
+        self._w = [[self._num(x * self._step) for x in row] for row in w]
         self._slabs = [(eps2 * H[j][j]).as_integer_ratio() if self._exact
-                       else (float(eps2 * H[j][j]), 1.0) for j in range(d)]
-        self.tol = tol
-        self._orbits: dict = {}  # lambda -> [level, hit level or None, denominator, frontier]
+                       else (float(eps2 * H[j][j]), 1.0) for j in range(len(H))]
 
     def _in_base(self, p: tuple, den) -> bool:
         if min(p) >= (-self.tol * max(den, max(map(abs, p))) if self.tol else 0):
@@ -402,50 +383,23 @@ class ForbiddenRegion:
         return any(c * c * sd < sn * den * den for c, (sn, sd) in zip(p, self._slabs))
 
     def membership(self, lam: tuple, depth: int) -> bool:
-        orbit = self._orbits.get(lam)
-        if orbit is None:
+        if lam not in self._orbits:  # [level, hit level or None, denominator, frontier]
             den = math.lcm(*(c.denominator for c in lam)) if self._exact else 1.0
-            p = tuple(c.numerator * (den // c.denominator) for c in lam) if self._exact \
-                else tuple(lam)
-            orbit = self._orbits[lam] = [0, 0 if self._in_base(p, den) else None, den,
-                                         [(p, -1)]]
+            p = tuple(self._num(c * den) for c in lam)
+            self._orbits[lam] = [0, 0 if self._in_base(p, den) else None, den, {p: -1}]
+        orbit = self._orbits[lam]
         while orbit[1] is None and orbit[0] < depth and orbit[3]:
             level, _, den, frontier = orbit
-            orbit[:] = level + 1, None, den * self._step, {}
-            for p, last in frontier:
-                for j, w in enumerate(self._w):
-                    if j != last and p[j]:
-                        r = tuple(self._step * a - p[j] * b for a, b in zip(p, w))
-                        if r not in orbit[3]:
-                            orbit[3][r] = j
-                            if self._in_base(r, orbit[2]):
-                                orbit[1], orbit[3] = level + 1, {}
-                                break
-                if orbit[1] is not None:
-                    break
-            orbit[3] = list(orbit[3].items())
+            step, den = self._step, den * self._step
+            nxt = {tuple(step * a - p[j] * b for a, b in zip(p, w)): j
+                   for p, last in frontier.items() for j, w in enumerate(self._w)
+                   if j != last and p[j]}
+            hit = any(self._in_base(r, den) for r in nxt)
+            orbit[:] = level + 1, level + 1 if hit else None, den, {} if hit else nxt
         return orbit[1] is not None and orbit[1] <= depth
 
 
-@dataclass
-class FulldimResult:
-    """Gram coordinates of the points, one row of `lambdas` each in the
-    profile's scalar type, and the elimination's depth, bound and slab width."""
-
-    ep: EnhancedProfile
-    lambdas: list[tuple]
-    depth: int
-    gamma_bound: int
-    epsilon: float | None
-
-    @property
-    def points(self) -> np.ndarray:
-        """Float coordinates Lambda @ Z over the anchors Z of `anchor_embed`."""
-        return np.array(self.lambdas, dtype=float) @ _embed_anchors(self.ep, DEFAULT_TOL)
-
-
-FAILURE_REASONS = ("depth_cap", "both_in_region", "unmatched", "fingerprint_mismatch",
-                   "other")
+FAILURE_REASONS = ("depth_cap", "both_in_region", "unmatched", "fingerprint_mismatch", "other")
 
 
 class CandidateRejected(ReconstructionError):
@@ -457,19 +411,16 @@ class CandidateRejected(ReconstructionError):
 
 
 def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
-                        max_depth: int = DEFAULT_MAX_DEPTH) -> FulldimResult:
+                        max_depth: int = DEFAULT_MAX_DEPTH) -> GramCloud:
     """Forbidden-region elimination for full-dimensional anchor tuples.
 
-    Runs in the anchors' Gram coordinates and the profile's own scalar type:
-    Fractions with zero tolerance for an exact profile, floats with tol
-    scaled by the longest anchor otherwise.  Phase 1 places every point on
-    a face (a single mirror candidate).  Phase 2 takes the slab width and
-    the depth bound from the remaining candidates of profile 0
-    (`depth_bound`); each round then places the entries with exactly one
-    mirror candidate in the current region and deepens the region.  Both
-    phases are `geometry.sweep` calls over each profile.  A placed point
-    removes its entry (an exactly equal one, for exact profiles) from every
-    profile; a point that matches no entry rejects the tuple as "unmatched".
+    Runs in Gram coordinates and ep's scalar type: Fractions with zero
+    tolerance, or floats with tol scaled by the longest anchor.  Phase 1
+    places the points on a face; phase 2 takes the slab and depth bound from
+    profile 0's other candidates (`depth_bound`), and each round places the
+    entries with one mirror candidate in the region, then deepens it; both
+    are `geometry.sweep` calls.  A placed point removes its entry (an equal
+    one, if exact) from every profile, or rejects ep as "unmatched".
     """
     d = ep.a.order - 1
     G = ep.gram()
@@ -481,10 +432,9 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     placed: list[tuple] = []
 
     def candidates(i: int, entry) -> list[tuple]:
-        if cands_of[i] is None:  # the mirror pairs of profile i, solved on first use
+        if cands_of[i] is None:  # profile i's mirror pairs, solved on first use
             distinct = list(dict.fromkeys(profiles[i]))
-            plus, minus, resident = mirror_lambdas(
-                G, H, np.array(distinct, dtype=G.dtype), i, tol)
+            plus, minus, resident = mirror_lambdas(G, H, np.array(distinct, G.dtype), i, tol)
             if G.dtype != object and np.isnan(minus).any():
                 raise InconsistentDataError("a profile entry is unrealizable")
             cands_of[i] = {e: [tuple(p)] if r else [tuple(p), tuple(m)] for e, p, m, r
@@ -495,8 +445,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         dots = (G @ np.array(lam, dtype=G.dtype)).tolist()  # <x, z_k>
         norm2 = sum(a * b for a, b in zip(lam, dots))
         for j in range(d):
-            target = tuple(norm2 if k == j else norm2 - 2 * dots[k] + G[k][k]
-                           for k in range(d))
+            target = tuple(norm2 - (k != j) * (2 * dots[k] - G[k][k]) for k in range(d))
             try:
                 remove_nearest(profiles[j], target, limit)
             except InconsistentDataError as exc:
@@ -508,23 +457,18 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
             cands = candidates(i, entry)
             if len(cands) == 1:
                 return cands[0]
-            m_plus, m_minus = member(cands[0]), member(cands[1])
-            if m_plus and m_minus:
+            inside = [member(c) for c in cands]
+            if all(inside):
                 raise CandidateRejected(
                     "both_in_region", "both mirror candidates fall in the forbidden region")
-            if m_plus:
-                return cands[1]
-            if m_minus:
-                return cands[0]
-            return None
+            return cands[inside.index(False)] if any(inside) else None
         return choose
 
     # phase 1: points on a face have a unique candidate
     for i in range(d):
         sweep(profiles[i], chooser(i, lambda c: False), place)
-
     if not any(profiles):
-        return FulldimResult(ep, placed, depth=0, gamma_bound=0, epsilon=None)
+        return GramCloud(ep, placed)
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
     rest = np.array([c for e in profiles[0] for c in candidates(0, e)], dtype=G.dtype)
@@ -535,17 +479,15 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     depth_cap = min(max_depth, int(gamma))
 
     depth = 0
-    while any(profiles):
+    while True:
         for i in range(d):
             sweep(profiles[i], chooser(i, lambda c: region.membership(c, depth)), place)
         if not any(profiles):
-            break
+            return GramCloud(ep, placed, depth, int(gamma), math.sqrt(float(eps2)))
         depth += 1
         if depth > depth_cap:
             raise CandidateRejected(
                 "depth_cap", f"unresolved points at the depth bound (cap {depth_cap})")
-    return FulldimResult(ep, placed, depth=depth, gamma_bound=int(gamma),
-                         epsilon=math.sqrt(float(eps2)))
 
 
 def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
@@ -554,50 +496,41 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                    verify_snap: float = DEFAULT_VERIFY_SNAP) -> ReconstructionReport:
     """Full pipeline: extract enhanced profiles, try candidates, verify by fingerprint.
 
-    Candidates are attempted in `select_cone_tuple`'s order, smallest depth
-    bound first.  A candidate is accepted when recoloring it reproduces the
-    input fingerprint, which certifies isometry.  For an exact store that
-    recoloring is exact: the squared distances (l_x - l_y)^T G (l_x - l_y)
-    of the Gram coordinates are colored and compared with
-    `fingerprint(store)`.  Float stores, and the trilaterated clouds of the
-    low-dimensional path, are recolored in snapped float mode against the
-    input distances snapped the same way; verify_snap is read only there.
-    Float coordinates are made once, for the accepted cloud; when no
-    candidate passes, ReconstructionError.  counters["failures"] counts the
-    candidates rejected before the accepted one by FAILURE_REASONS.
-    `samples` and `seed` are not read; they stay while
-    perfbench/workloads.py passes them.
+    Candidates go in `select_cone_tuple`'s order; one is accepted when its
+    recoloring reproduces the input fingerprint, which certifies isometry.
+    Exact stores color the Gram coordinates' squared distances
+    (l_x - l_y)^T G (l_x - l_y) exactly against `fingerprint(store)`; float
+    stores recolor float coordinates at verify_snap, as the input, and only
+    they read verify_snap.  counters["failures"] counts the earlier rejects
+    by FAILURE_REASONS.  `samples` and `seed` are unread (perfbench passes them).
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
     d = store.ell + 1
-    n = store.n
-    if n == 1:
-        cloud = PointCloud(dim=d, points=(tuple([0.0] * d),))
-        return ReconstructionReport(cloud=cloud, method="nd-trivial",
+    if store.n == 1:
+        return ReconstructionReport(cloud=PointCloud(d, ((0.0,) * d,)), method="nd-trivial",
                                     counters={"candidates_tried": 0})
 
     eps = enhanced_profiles_from_wl3(store)
     candidates = select_cone_tuple(eps.keys(), tol=tol)
     exact = store.interner.mode == "exact"
     verify_interner = Interner("float", verify_snap)
-    float_fin = []
+    fin = fingerprint(store, 3) if exact else fingerprint(run_wl_from_sq_values(
+        [[float(v) for v in row] for row in store.sq_matrix_values()], store.ell, 3, d,
+        mode="float", snap=verify_snap, interner=verify_interner))
 
-    def certified(res: FulldimResult | None, pts: np.ndarray | None) -> bool:
-        if pts is None:
+    def recolored(res: GramCloud):
+        if exact:
             L = np.array(res.lambdas, dtype=object)
             diff = L[:, None, :] - L[None, :, :]
             sq = ((diff @ res.ep.gram()) * diff).sum(-1).tolist()
-            return compare(fingerprint(store, 3), fingerprint(
-                run_wl_from_sq_values(sq, store.ell, 3, d, mode="exact"))) == "equal"
-        if not float_fin:
-            in_values = [[float(v) for v in row] for row in store.sq_matrix_values()]
-            float_fin.append(fingerprint(run_wl_from_sq_values(
-                in_values, store.ell, 3, d, mode="float", snap=verify_snap,
-                interner=verify_interner)))
-        return compare(float_fin[0], fingerprint(run_wl(
-            PointCloud.from_array(pts), store.ell, 3, mode="float", snap=verify_snap,
-            interner=verify_interner))) == "equal"
+            return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode="exact"))
+        pts = res.points
+        drift = float(np.linalg.norm(pts.mean(axis=0)))
+        if drift > 1e-6 * max(1.0, float(np.max(np.abs(pts)))):
+            raise ReconstructionError(f"barycenter drift {drift:.3e}")
+        return fingerprint(run_wl(PointCloud.from_array(pts), store.ell, 3, mode="float",
+                                  snap=verify_snap, interner=verify_interner))
 
     failures: list[str] = []
     reasons = dict.fromkeys(FAILURE_REASONS, 0)
@@ -606,21 +539,14 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                     "failures": dict(reasons)}
         try:
             if ep.dimension(tol) < d:
-                res, pts = None, reconstruct_lowdim(ep, tol)
-                method = "nd-lowdim"
+                res, method = reconstruct_lowdim(ep, tol), "nd-lowdim"
             else:
-                res = reconstruct_fulldim(ep, tol, max_depth=max_depth)
-                pts = None if exact else res.points
-                method = "nd-fulldim"
+                res, method = reconstruct_fulldim(ep, tol, max_depth), "nd-fulldim"
                 counters.update(depth=res.depth, gamma_bound=res.gamma_bound,
                                 epsilon=res.epsilon)
-            if pts is not None:
-                drift = float(np.linalg.norm(pts.mean(axis=0)))
-                if drift > 1e-6 * max(1.0, float(np.max(np.abs(pts)))):
-                    raise ReconstructionError(f"barycenter drift {drift:.3e}")
-            if certified(res, pts):
-                cloud = PointCloud.from_array(res.points if pts is None else pts)
-                return ReconstructionReport(cloud=cloud, method=method, counters=counters)
+            if compare(fin, recolored(res)) == "equal":
+                return ReconstructionReport(cloud=PointCloud.from_array(res.points),
+                                            method=method, counters=counters)
         except (ReconstructionError, InconsistentDataError, NotRealizableError,
                 ValueError) as exc:
             reasons[getattr(exc, "reason", "other")] += 1

@@ -296,3 +296,14 @@ def test_roundtrip_counts_wlnd_failure_reasons(tmp_path, capsys):
     assert counters["failures"] == {"depth_cap": 0, "both_in_region": 0, "unmatched": 2,
                                     "fingerprint_mismatch": 0, "other": 0}
     assert sum(counters["failures"].values()) == counters["candidates_tried"] - 1
+
+
+def test_roundtrip_verifies_the_nearly_planar_wlnd_cloud(tmp_path, capsys):
+    # `gen --n 4 --d 3 --seed 3000` is nearly planar (its centred smallest singular
+    # value is 4.0e-4); the float elimination returned a cloud the oracle rejects
+    cloud = tmp_path / "cloud.json"
+    _cli_bytes(["gen", "--n", "4", "--d", "3", "--seed", "3000"], cloud, capsys)
+    stdout = _cli_bytes(["roundtrip", str(cloud), "--algorithm", "wlnd"],
+                        tmp_path / "rep.json", capsys).decode().split("\0")[0]
+    assert [line for line in stdout.splitlines() if not line.startswith("residual:")] == [
+        "method: nd-fulldim", "depth: 3", "candidates_tried: 3", "verified: yes"]

@@ -8,8 +8,8 @@ import pytest
 from geowl import oracle
 from geowl.errors import InconsistentDataError, NotRealizableError, ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _hyperplane_basis, _in_plane,
-                            _unit_normal, affine_dim, anchor_embed, barycenter,
-                            barycenter_sq_norms, cone_coefficients, mirror_pair, mirror_pairs,
+                            _mirror_rows, _unit_normal, affine_dim, anchor_embed, barycenter,
+                            barycenter_sq_norms, cone_coefficients, mirror_pair,
                             mirror_residents, reflect, solid_angle_mc, sq_dist,
                             squared_distance_matrix, sweep, trilaterate)
 
@@ -185,7 +185,7 @@ def test_mirror_pair_symmetry_random():
 
 
 def _mirror_pair_reference(anchors, sq_dists, tol=1e-9):
-    """One tuple solved on its own: mirror_pairs must reproduce it bit for bit."""
+    """One tuple solved on its own: the batched rows must reproduce it bit for bit."""
     P = np.array([[float(c) for c in a] for a in anchors])
     r2 = np.array([float(v) for v in sq_dists])
     base, B = _hyperplane_basis(P, tol)
@@ -223,7 +223,9 @@ def test_mirror_residents_match_mirror_pair():
             tuples += [[v + F(k, 2) * 1e-7 * scale for v in t] for k in (-1, 1, 4)]
         flags = mirror_residents(anchors, tuples)
         assert list(flags) == [len(mirror_pair(anchors, t)) == 1 for t in tuples], seed
-        for t, got in zip(tuples, mirror_pairs(anchors, tuples)):
+        feet, up, down, resident = _mirror_rows(anchors, tuples, 1e-9)
+        batched = [[p] if r else [u, w] for p, u, w, r in zip(feet, up, down, resident)]
+        for t, got in zip(tuples, batched):
             for row in (got, mirror_pair(anchors, t)):
                 want = _mirror_pair_reference(anchors, t)
                 assert len(row) == len(want), seed

@@ -13,7 +13,7 @@ from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
 from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion,
-                            _embed_anchors, _inverse, anchor_gram,
+                            _inverse,
                             barycenter_dists_from_wl1, depth_bound,
                             enhanced_profiles_from_wl3, mirror_lambdas, profiles_from_wl2,
                             reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
@@ -149,10 +149,10 @@ def test_select_cone_tuple_planar_goes_lowdim():
 def test_select_cone_tuple_minimal_angle_cone_is_empty():
     # brute-force check of the cone condition for the minimal-angle profile
     eps = enhanced_profiles_from_wl3(run_wl(TET, 2, 3))
-    chosen = sorted(select_cone_tuple(eps.keys()), key=lambda ep: (solid_angle_mc(
-        ConeSpec(generators=tuple(map(tuple, _embed_anchors(ep, 1e-9)))), 200_000, 5),
-        ep.sort_key()))
     from geowl.geometry import anchor_embed
+    chosen = sorted(select_cone_tuple(eps.keys()), key=lambda ep: (solid_angle_mc(
+        ConeSpec(generators=tuple(map(tuple, anchor_embed(ep.a, 3, 1e-9)[1:]))), 200_000, 5),
+        ep.sort_key()))
     zs = anchor_embed(chosen[0].a, 3)[1:]
     b = barycenter(TET)
     Z = np.array(zs).T
@@ -176,7 +176,7 @@ def test_select_deterministic_for_fixed_seed():
 
 def _ranking_bound(ep):
     """The depth bound `select_cone_tuple` ranks by, for one profile."""
-    G = np.asarray(anchor_gram(ep), dtype=float)
+    G = np.asarray(ep.gram(), dtype=float)
     H = np.linalg.inv(G)
     E = np.array([[float(v) for v in e] for e in ep.profiles[0]])
     plus, minus, _ = mirror_lambdas(G, H, E, 0, 1e-9)
@@ -223,7 +223,7 @@ def test_reconstruct_lowdim_paths():
 def test_reconstruct_lowdim_anchors_only():
     eps = enhanced_profiles_from_wl3(run_wl(PLANAR3, 2, 3))
     chosen = select_cone_tuple(eps.keys())[0]
-    pts = reconstruct_lowdim(chosen)
+    pts = reconstruct_lowdim(chosen).points
     assert pts.shape == (PLANAR3.n, 3)
 
 
@@ -413,7 +413,7 @@ def test_profile0_mirror_candidates_never_both_inside_the_cone():
             ep = _direct_ep(cloud, b, tuple(cloud.points[i] for i in idx))
             if ep.dimension() < d:
                 continue
-            G = anchor_gram(ep)
+            G = ep.gram()
             plus, minus, resident = mirror_lambdas(
                 G, _inverse(G), np.array(ep.profiles[0], dtype=object), 0)
             for lam in zip(plus.tolist(), minus.tolist(), resident):
