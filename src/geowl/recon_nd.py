@@ -193,9 +193,10 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
             mat1 = payload(payload(c1_1, KIND_NODE)[0], KIND_MAT)[1]
             d_y_x = [val(mat1[m])] + [val(mat0[j]) for j in range(1, m)]
             d_y_b = bary[c1_0][0]
-            A = [(0, *bary_x, d_y_b), *((bary_x[i], *(val(matx[i * m + j]) if i != j else 0
-                                                      for j in range(m)), d_y_x[i])
-                                        for i in range(m)), (d_y_b, *d_y_x, 0)]
+            # squared distances among (b, x_1, ..., x_m, y), row by row
+            inner = [[val(matx[i * m + j]) if i != j else 0 for j in range(m)] for i in range(m)]
+            A = [(0, *bary_x, d_y_b), *((bary_x[i], *inner[i], d_y_x[i]) for i in range(m)),
+                 (d_y_b, *d_y_x, 0)]
             profiles, hashes = zip(*(substituted(rec[i], i) for i in range(m)))
             a = SquaredDistanceMatrix(order=m + 2, entries=tuple(A))
             ep = EnhancedProfile._prehashed(a, (*profiles, last_profile),
@@ -305,9 +306,7 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     if not cands:
         return [min(eps, key=lambda ep: (-ep.dimension(tol), ep.sort_key()))]
     G = _gram(np.array([ep.a.as_array() for ep in cands]))
-    H = np.full_like(G, np.nan)
-    invertible = np.linalg.det(G) != 0
-    H[invertible] = np.linalg.inv(G[invertible])
+    H = np.linalg.inv(G)
     E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
     plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
     bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
@@ -428,18 +427,15 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     H = _inverse(G)
     limit = tol * max(1.0, math.sqrt(float(max(np.diagonal(G))))) * 1e5
     profiles = [list(p) for p in ep.profiles]
-    cands_of: list = [None] * d
     placed: list[tuple] = []
-
-    def candidates(i: int, entry) -> list[tuple]:
-        if cands_of[i] is None:  # profile i's mirror pairs, solved on first use
-            distinct = list(dict.fromkeys(profiles[i]))
-            plus, minus, resident = mirror_lambdas(G, H, np.array(distinct, G.dtype), i, tol)
-            if G.dtype != object and np.isnan(minus).any():
-                raise InconsistentDataError("a profile entry is unrealizable")
-            cands_of[i] = {e: [tuple(p)] if r else [tuple(p), tuple(m)] for e, p, m, r
-                           in zip(distinct, plus.tolist(), minus.tolist(), resident)}
-        return cands_of[i][entry]
+    cands_of = []  # per profile, each distinct entry's one or two mirror candidates
+    for i, entries in enumerate(profiles):
+        distinct = list(dict.fromkeys(entries))
+        plus, minus, resident = mirror_lambdas(G, H, np.array(distinct, G.dtype), i, tol)
+        if G.dtype != object and np.isnan(minus).any():
+            raise InconsistentDataError("a profile entry is unrealizable")
+        cands_of.append({e: [tuple(p)] if r else [tuple(p), tuple(m)] for e, p, m, r
+                         in zip(distinct, plus.tolist(), minus.tolist(), resident)})
 
     def place(lam: tuple) -> None:
         dots = (G @ np.array(lam, dtype=G.dtype)).tolist()  # <x, z_k>
@@ -454,7 +450,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
 
     def chooser(i: int, member):
         def choose(entry):
-            cands = candidates(i, entry)
+            cands = cands_of[i][entry]
             if len(cands) == 1:
                 return cands[0]
             inside = [member(c) for c in cands]
@@ -471,7 +467,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         return GramCloud(ep, placed)
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
-    rest = np.array([c for e in profiles[0] for c in candidates(0, e)], dtype=G.dtype)
+    rest = np.array([c for e in profiles[0] for c in cands_of[0][e]], dtype=G.dtype)
     eps2, gamma = depth_bound(rest, G, H, tol)
     if not math.isfinite(gamma):
         raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
