@@ -358,11 +358,12 @@ class ForbiddenRegion:
 
     Depth 0 is the cone lambda >= 0 and the slabs lambda_j^2 < eps2 (G^-1)_jj;
     depth k+1 adds the images of depth k under each face reflection
-    lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  `membership` grows
-    a point's reflection frontier one level per deeper query, never back
-    through the face a point came from.  Frontier points are numerators over
-    one denominator per level: integers for an exact G and eps2, else floats
-    over 1; tol is the float cone tolerance.
+    lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  `membership` walks
+    the reflection words depth-first, never back through the face a point
+    came from, and tests only the levels below the depth at which that point
+    last missed; it keeps no frontier, so memory stays flat at any depth.
+    Points are numerators over one denominator per level: integers for an
+    exact G and eps2, floats over 1 otherwise; tol is the float cone tolerance.
     """
 
     def __init__(self, G: np.ndarray, eps2, tol: float = 0.0):
@@ -376,26 +377,28 @@ class ForbiddenRegion:
         self._slabs = [(eps2 * H[j][j]).as_integer_ratio() if self._exact
                        else (float(eps2 * H[j][j]), 1.0) for j in range(len(H))]
 
-    def _in_base(self, p: tuple, den) -> bool:
-        if min(p) >= (-self.tol * max(den, max(map(abs, p))) if self.tol else 0):
+    def _in_base(self, p: tuple, cuts: list) -> bool:
+        if min(p) >= (-self.tol * max(1.0, max(map(abs, p))) if self.tol else 0):
             return True
-        return any(c * c * sd < sn * den * den for c, (sn, sd) in zip(p, self._slabs))
+        return any(c * c * sd < cut for c, (_, sd), cut in zip(p, self._slabs, cuts))
 
     def membership(self, lam: tuple, depth: int) -> bool:
-        if lam not in self._orbits:  # [level, hit level or None, denominator, frontier]
-            den = math.lcm(*(c.denominator for c in lam)) if self._exact else 1.0
-            p = tuple(self._num(c * den) for c in lam)
-            self._orbits[lam] = [0, 0 if self._in_base(p, den) else None, den, {p: -1}]
-        orbit = self._orbits[lam]
-        while orbit[1] is None and orbit[0] < depth and orbit[3]:
-            level, _, den, frontier = orbit
-            step, den = self._step, den * self._step
-            nxt = {tuple(step * a - p[j] * b for a, b in zip(p, w)): j
-                   for p, last in frontier.items() for j, w in enumerate(self._w)
-                   if j != last and p[j]}
-            hit = any(self._in_base(r, den) for r in nxt)
-            orbit[:] = level + 1, level + 1 if hit else None, den, {} if hit else nxt
-        return orbit[1] is not None and orbit[1] <= depth
+        hit, miss = self._orbits.get(lam, (None, -1))  # depths known to hit and to miss
+        if hit is not None and hit <= depth or depth <= miss:
+            return depth > miss
+        den = math.lcm(*(c.denominator for c in lam)) if self._exact else 1.0
+        cuts = [[sn * (den * self._step ** k) ** 2 for sn, _ in self._slabs]
+                for k in range(depth + 1)]
+        stack = [(tuple(self._num(c * den) for c in lam), -1, 0)]
+        found = False
+        while stack and not found:
+            p, last, k = stack.pop()
+            found = k > miss and self._in_base(p, cuts[k])
+            if k < depth:
+                stack += [(tuple(self._step * a - p[j] * b for a, b in zip(p, w)), j, k + 1)
+                          for j, w in enumerate(self._w) if j != last and p[j]]
+        self._orbits[lam] = (depth, miss) if found else (hit, depth)
+        return found
 
 
 FAILURE_REASONS = ("depth_cap", "both_in_region", "unmatched", "fingerprint_mismatch", "other")
