@@ -369,7 +369,7 @@ class ForbiddenRegion:
     def __init__(self, G: np.ndarray, eps2, tol: float = 0.0):
         H = _inverse(G)
         w = [[2 * H[k][j] / H[j][j] for k in range(len(H))] for j in range(len(H))]
-        self._exact, self.tol, self._orbits = G.dtype == object, tol, {}
+        self._exact, self.tol, self._known = G.dtype == object, tol, {}
         self._step = math.lcm(*(x.denominator for row in w for x in row)) if self._exact \
             else 1.0
         self._num = int if self._exact else float  # exact numerators are integral
@@ -383,9 +383,9 @@ class ForbiddenRegion:
         return any(c * c * sd < cut for c, (_, sd), cut in zip(p, self._slabs, cuts))
 
     def membership(self, lam: tuple, depth: int) -> bool:
-        hit, miss = self._orbits.get(lam, (None, -1))  # depths known to hit and to miss
-        if hit is not None and hit <= depth or depth <= miss:
-            return depth > miss
+        hit, miss = self._known.get(lam, (math.inf, -1))  # depths known to hit and to miss
+        if hit <= depth or depth <= miss:
+            return hit <= depth
         den = math.lcm(*(c.denominator for c in lam)) if self._exact else 1.0
         cuts = [[sn * (den * self._step ** k) ** 2 for sn, _ in self._slabs]
                 for k in range(depth + 1)]
@@ -397,7 +397,7 @@ class ForbiddenRegion:
             if k < depth:
                 stack += [(tuple(self._step * a - p[j] * b for a, b in zip(p, w)), j, k + 1)
                           for j, w in enumerate(self._w) if j != last and p[j]]
-        self._orbits[lam] = (depth, miss) if found else (hit, depth)
+        self._known[lam] = (depth, miss) if found else (hit, depth)
         return found
 
 

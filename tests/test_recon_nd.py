@@ -12,8 +12,7 @@ from geowl import RunConfig, oracle, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
-from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion,
-                            _inverse,
+from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, _inverse,
                             barycenter_dists_from_wl1, depth_bound,
                             enhanced_profiles_from_wl3, mirror_lambdas, profiles_from_wl2,
                             reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
