@@ -26,6 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -305,14 +306,21 @@ def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
     cands = [ep for ep in eps if not ep.repeats_a_point() and ep.dimension(tol) == d]
     if not cands:
         return [min(eps, key=lambda ep: (-ep.dimension(tol), ep.sort_key()))]
-    G = _gram(np.array([ep.a.as_array() for ep in cands]))
+    A = np.array([ep.a.as_array() for ep in cands])
+    G = _gram(A)
     H = np.linalg.inv(G)
     E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
     plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
     bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
-    ranked = zip(np.nan_to_num(bounds, nan=np.inf).tolist(),
-                 map(EnhancedProfile.sort_key, cands), cands)
-    return [ep for *_, ep in sorted(ranked, key=lambda r: r[:2])]
+    # sort_key starts with the float anchor matrix, which A holds; the rest of
+    # it floats every profile entry, so only a tie on (bound, A) computes it
+    ranked = sorted(zip(np.nan_to_num(bounds, nan=np.inf).tolist(), A.tolist(), cands),
+                    key=lambda r: r[:2])
+    order: list[EnhancedProfile] = []
+    for _, group in groupby(ranked, key=lambda r: r[:2]):
+        tied = [ep for *_, ep in group]
+        order += sorted(tied, key=EnhancedProfile.sort_key) if len(tied) > 1 else tied
+    return order
 
 
 @dataclass

@@ -23,6 +23,13 @@ coordinate order as `geometry.sq_dist`, so every value keeps all its bits.
 Each record list is put in canonical order by sorting the records' digest
 ranks (and the distance's value rank at ell = 1); the canonical bytes of
 each distance are framed once, when it is interned.
+
+For ell >= 2 a refinement is array work.  The colors present in the previous
+table are ranked by digest, the (n^ell, n, ell) array of record ranks is
+built by broadcasting that rank table once per position, and every tuple's
+records are put in order by one lexicographic array sort.  A tuple is
+interned under the bytes of its records' color ids, so only a new class
+computes a digest, from one gather over the ranked colors' digests.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +68,26 @@ def _ranking(keys: list) -> tuple[list[int], list[int]]:
     return ranks, order
 
 
+def _as_float(key) -> float:
+    """The correctly rounded float of a distance key; inf past the float range."""
+    try:
+        return float(key)
+    except OverflowError:
+        return math.inf
+
+
+class _PackedNode(NamedTuple):
+    """A KIND_NODE payload whose records are still the bytes of its int64 color ids."""
+
+    prev: int
+    ell: int
+    rows: bytes
+
+    def unpack(self) -> tuple:
+        ids = memoryview(self.rows).cast("q").tolist()
+        return self.prev, tuple(zip(*[iter(ids)] * self.ell))
+
+
 class Interner:
     """Bijection between canonical color structures and dense integer ids.
 
@@ -75,12 +103,12 @@ class Interner:
         self.snap = float(snap)
         self._index: dict = {}
         self.kinds: list[int] = []
-        self.payloads: list[tuple] = []
+        self._payloads: list = []      # cid -> payload tuple, or a _PackedNode until read
         self.digests: list[bytes] = []
         self._dist_index: dict = {}
         self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
         self._dist_frames: list[bytes] = []  # did -> framed canonical bytes of its key
-        self._rank_cache: tuple[int, tuple] = (0, ([], []))
+        self._dist_floats: list[float] = []  # did -> float of its key, filled when ranked
         self._dist_rank_cache: tuple[int, tuple] = (0, ([], []))
 
     # -- distances ---------------------------------------------------------
@@ -116,10 +144,17 @@ class Interner:
         return key * self.snap
 
     def distance_ranking(self) -> tuple[list[int], list[int]]:
-        """Distance ids ranked by value: (rank of each id, id at each rank)."""
+        """Distance ids ranked by value: (rank of each id, id at each rank).
+
+        Keys are sorted as (float, key) pairs.  The float of a key is
+        correctly rounded, so it never reverses two keys, and only keys whose
+        floats tie are compared exactly.
+        """
         count = len(self.dist_keys)
         if self._dist_rank_cache[0] != count:
-            self._dist_rank_cache = (count, _ranking(self.dist_keys))
+            floats = self._dist_floats
+            floats.extend(map(_as_float, self.dist_keys[len(floats):]))
+            self._dist_rank_cache = (count, _ranking(list(zip(floats, self.dist_keys))))
         return self._dist_rank_cache[1]
 
     # -- colors ------------------------------------------------------------
@@ -128,7 +163,7 @@ class Interner:
         cid = len(self.kinds)
         self._index[key] = cid
         self.kinds.append(kind)
-        self.payloads.append(payload)
+        self._payloads.append(payload)
         self.digests.append(hashlib.blake2b(enc, digest_size=16).digest())
         return cid
 
@@ -159,28 +194,39 @@ class Interner:
             cid = self._add(key, KIND_NODE1, (prev, records), enc)
         return cid
 
-    def intern_node(self, ell: int, prev: int,
-                    records: tuple[tuple[int, ...], ...]) -> int:
-        key = (KIND_NODE, prev, records)
-        cid = self._index.get(key)
-        if cid is None:
-            enc = b"N" + ell.to_bytes(2, "big") + self.digests[prev] + b"".join(
-                map(self.digests.__getitem__, chain.from_iterable(records)))
-            cid = self._add(key, KIND_NODE, (prev, records), enc)
-        return cid
+    def intern_nodes(self, ell: int, prev: list[int], records: np.ndarray,
+                     colors: list[int]) -> list[int]:
+        """Intern (prev[t], records[t]) for every tuple t; return the new table.
 
-    def color_ranking(self) -> tuple[list[int], list[int]]:
-        """Color ids ranked by digest: (rank of each id, id at each rank)."""
-        count = len(self.kinds)
-        if self._rank_cache[0] != count:
-            self._rank_cache = (count, _ranking(self.digests))
-        return self._rank_cache[1]
+        `records` is an (n^ell, n, ell) array of ranks into `colors`, each
+        tuple's records already in canonical order.  A tuple is looked up by
+        the bytes of its records' color ids; a new class gets its digest over
+        b"N", ell, the digest of prev[t] and its records' digests in order.
+        """
+        width = records.shape[1] * ell * 8
+        rows = np.array(colors, dtype=np.int64)[records].tobytes()
+        digests = self.digests
+        rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, colors)), dtype="V16")
+        head = b"N" + ell.to_bytes(2, "big")
+        index = self._index
+        table = []
+        for t, p in enumerate(prev):
+            key = (KIND_NODE, p, rows[t * width:(t + 1) * width])
+            cid = index.get(key)
+            if cid is None:
+                cid = self._add(key, KIND_NODE, _PackedNode(p, ell, key[2]),
+                                head + digests[p] + rank_digests[records[t]].tobytes())
+            table.append(cid)
+        return table
 
     def payload(self, cid: int, kind: int) -> tuple:
         """The payload of a color that must be of the given KIND_*."""
         if self.kinds[cid] != kind:
             raise ValueError(f"color {cid} has kind {self.kinds[cid]}, expected {kind}")
-        return self.payloads[cid]
+        payload = self._payloads[cid]
+        if isinstance(payload, _PackedNode):
+            payload = self._payloads[cid] = payload.unpack()
+        return payload
 
 
 class ColorStore:
@@ -312,20 +358,31 @@ def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
     return _store(interner, ell, cloud.dim, dist_ids, cloud.label)
 
 
+def _present_ranking(prev: list[int], digests: list[bytes]) -> tuple[list[int], list[int]]:
+    """(rank of each entry of prev, color at each rank) over the colors in prev, by digest."""
+    order = sorted(set(prev), key=digests.__getitem__)
+    rank = dict(zip(order, range(len(order))))
+    return list(map(rank.__getitem__, prev)), order
+
+
 def refine(store: ColorStore) -> ColorStore:
     """Append one refinement step to the store's color history.
 
-    Records are ordered by the digest ranks of their colors (at ell=1, by
-    the value rank of the distance first).  Ranks are a bijection of ids, so
-    each record list is sorted as plain rank tuples and mapped back to ids.
+    Records are ordered by the digest ranks of their colors among the colors
+    present in the previous table (at ell=1, by the value rank of the
+    distance first).  Ranks are a bijection of those colors, so sorting
+    rank tuples sorts the records.  At ell=1 each tuple's n pairs are sorted
+    with builtin `sorted`.  At ell >= 2 the record ranks of all tuples form
+    one (n^ell, n, ell) array, sorted lexicographically along each tuple's
+    records by one `np.lexsort`; ranks are never packed into one integer, so
+    no rank count overflows.
     """
     inter = store.interner
     n, ell = store.n, store.ell
     prev = store.tables[-1]
-    ranks, order = inter.color_ranking()
-    rprev = list(map(ranks.__getitem__, prev))
-    color_of = order.__getitem__
+    rprev, order = _present_ranking(prev, inter.digests)
     if ell == 1:
+        color_of = order.__getitem__
         dranks, dorder = inter.distance_ranking()
         drank_of, dist_of = dranks.__getitem__, dorder.__getitem__
         table = []
@@ -334,14 +391,16 @@ def refine(store: ColorStore) -> ColorStore:
             table.append(inter.intern_node1(
                 prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
     else:
-        strides = [n ** (ell - 1 - i) for i in range(ell)]
-        table = []
-        for t, digs in enumerate(product(range(n), repeat=ell)):
-            # the records' rank columns: position i of tuple t swept over all points
-            rcols = [rprev[t - dig * s:t + (n - dig) * s:s] for dig, s in zip(digs, strides)]
-            cols = zip(*sorted(zip(*rcols)))
-            table.append(inter.intern_node(
-                ell, prev[t], tuple(zip(*[map(color_of, col) for col in cols]))))
+        ranks = np.array(rprev, dtype=np.int64).reshape((n,) * ell)
+        records = np.empty((n,) * ell + (n, ell), dtype=np.int64)
+        for i in range(ell):
+            # records[t, y, i] is the rank of t with position i set to y
+            records[..., i] = np.expand_dims(np.moveaxis(ranks, i, -1), i)
+        records = records.reshape(n ** ell, n, ell)
+        perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
+        perm += n * np.arange(n ** ell)[:, None]  # each tuple's order, as flat record rows
+        records = records.reshape(-1, ell)[perm]
+        table = inter.intern_nodes(ell, prev, records, order)
     store.tables.append(table)
     return store
 

@@ -12,8 +12,8 @@ from geowl import RunConfig, oracle, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
-from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, _inverse,
-                            barycenter_dists_from_wl1, depth_bound,
+from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, _gram,
+                            _inverse, barycenter_dists_from_wl1, depth_bound,
                             enhanced_profiles_from_wl3, mirror_lambdas, profiles_from_wl2,
                             reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
                             select_cone_tuple)
@@ -188,6 +188,36 @@ def test_select_order_is_nondecreasing_in_the_depth_bound():
         bounds = [_ranking_bound(ep) for ep in select_cone_tuple(eps.keys())]
         assert bounds == sorted(bounds), (n, d, seed)
         assert bounds[0] < bounds[-1]
+
+
+def _select_by_one_sort(eps, tol=1e-9):
+    """Selection as one sort on (bound, `sort_key`), with `sort_key` for every candidate."""
+    cands = [ep for ep in eps
+             if not ep.repeats_a_point() and ep.dimension(tol) == ep.a.order - 1]
+    G = _gram(np.array([ep.a.as_array() for ep in cands]))
+    H = np.linalg.inv(G)
+    E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
+    plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
+    bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
+    ranked = zip(np.nan_to_num(bounds, nan=np.inf).tolist(),
+                 map(EnhancedProfile.sort_key, cands), cands)
+    return [ep for *_, ep in sorted(ranked, key=lambda r: r[:2])]
+
+
+def test_select_order_equals_one_sort_on_bound_and_sort_key(monkeypatch):
+    coarse = oracle.random_cloud(6, 3, 1, grid=1, span=1)
+    clouds = [coarse, oracle.random_cloud(8, 3, 3), oracle.random_cloud(5, 4, 4000)]
+    sort_key = EnhancedProfile.sort_key
+    for cloud in clouds:
+        eps = list(enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3)))
+        want = _select_by_one_sort(eps)
+        keyed = []
+        monkeypatch.setattr(EnhancedProfile, "sort_key",
+                            lambda ep: keyed.append(ep) or sort_key(ep))
+        assert select_cone_tuple(eps) == want
+        monkeypatch.undo()
+        # on the integer grid, congruent anchor sets tie on (bound, anchor matrix)
+        assert bool(keyed) == (cloud is coarse)
 
 
 def test_repeated_point_filter_agrees_with_the_exact_rank():

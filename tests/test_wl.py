@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction as F
+from itertools import chain, product
 
 import pytest
 
 from geowl import oracle
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
-from geowl.wl import (KIND_NODE1, Interner, compare, fingerprint,
+from geowl.wl import (KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
                       first_distinguishing_iteration, initial_coloring, refine, run_wl)
 
 
@@ -243,3 +244,113 @@ def test_rejected_run_leaves_interner_empty():
         with pytest.raises(err):
             initial_coloring(cloud, 2, interner=inter, **kwargs)
         assert inter.dist_keys == [] and inter.kinds == []
+
+
+def test_distance_ranking_orders_keys_that_round_to_one_float():
+    third, tiny = F(1, 3), F(1, 10 ** 30)
+    huge = F(10 ** 400)  # past the float range
+    inter = Interner("exact")
+    for key in (F(2), third + tiny, huge + 1, third, F(0), huge, third - tiny):
+        inter.intern_distance(key)
+    assert float(third + tiny) == float(third) == float(third - tiny)
+    for more in ((), (third + tiny / 2, huge - F(1, 2))):
+        for key in more:
+            inter.intern_distance(key)
+        ranks, order = inter.distance_ranking()
+        want = sorted(inter.dist_keys)
+        assert [inter.dist_keys[i] for i in order] == want
+        assert ranks == [want.index(key) for key in inter.dist_keys]
+
+
+# The per-tuple refinement that the array code in `wl.refine` replaced, kept
+# as the reference: colors ranked by digest over the whole interner, one
+# `sorted` call per tuple, record lists interned as tuples of tuples.
+
+def _reference_ranking(keys):
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = [0] * len(keys)
+    for r, i in enumerate(order):
+        ranks[i] = r
+    return ranks, order
+
+
+def _reference_intern_node(inter, ell, prev, records):
+    key = (KIND_NODE, prev, records)
+    cid = inter._index.get(key)
+    if cid is None:
+        enc = b"N" + ell.to_bytes(2, "big") + inter.digests[prev] + b"".join(
+            map(inter.digests.__getitem__, chain.from_iterable(records)))
+        cid = inter._add(key, KIND_NODE, (prev, records), enc)
+    return cid
+
+
+def _reference_refine(store):
+    inter = store.interner
+    n, ell = store.n, store.ell
+    prev = store.tables[-1]
+    ranks, order = _reference_ranking(inter.digests)
+    rprev = list(map(ranks.__getitem__, prev))
+    color_of = order.__getitem__
+    if ell == 1:
+        dranks, dorder = _reference_ranking(inter.dist_keys)
+        drank_of, dist_of = dranks.__getitem__, dorder.__getitem__
+        table = []
+        for x, row in enumerate(store.dist_ids):
+            dcol, ccol = zip(*sorted(zip(map(drank_of, row), rprev)))
+            table.append(inter.intern_node1(
+                prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
+    else:
+        strides = [n ** (ell - 1 - i) for i in range(ell)]
+        table = []
+        for t, digs in enumerate(product(range(n), repeat=ell)):
+            rcols = [rprev[t - dig * s:t + (n - dig) * s:s] for dig, s in zip(digs, strides)]
+            cols = zip(*sorted(zip(*rcols)))
+            table.append(_reference_intern_node(
+                inter, ell, prev[t], tuple(zip(*[map(color_of, col) for col in cols]))))
+    store.tables.append(table)
+    return store
+
+
+def _equivalence_cases():
+    exact = [(ell, n, d, 500 + 10 * ell + n + d) for ell, n, d in (
+        (1, 7, 2), (1, 9, 1), (2, 2, 1), (2, 5, 1), (2, 6, 2), (2, 8, 3), (2, 7, 4),
+        (3, 3, 1), (3, 4, 2), (3, 5, 3), (3, 6, 2), (4, 3, 2), (4, 4, 1), (4, 4, 3))]
+    cases = [(ell, [_posed(n, d, seed)], None) for ell, n, d, seed in exact]
+    cases += [(ell, [_floats(_posed(n, d, seed))], None) for ell, n, d, seed in exact[::2]]
+    cases += [(ell, [_posed(n, d, seed)], "float") for ell, n, d, seed in exact[1::3]]
+    line = PointCloud(1, tuple((F(x),) for x in (0, 1, 2, 3, 5, 6)))
+    cases += [(ell, [cloud], None) for ell in (1, 2, 3, 4)
+              for cloud in (_GRID, _HALF_GRID, line)][:10]
+    cases += [(ell, [c, oracle.apply_random_isometry(c, seed=7), _posed(c.n, c.dim, 8)], mode)
+              for ell, c, mode in ((2, _posed(6, 2, 61), None), (3, _posed(5, 3, 62), None),
+                                   (2, _floats(_posed(6, 3, 63)), None),
+                                   (3, _HALF_GRID, None), (4, line, None))]
+    return cases
+
+
+def test_refine_matches_the_per_tuple_reference():
+    """Array `refine` gives the reference's tables, ids, kinds, digests and payloads.
+
+    Cases: exact and float clouds (native and forced float mode), symmetric
+    grids and a line with repeated gaps, d = 1-4, ell = 1-4, and clouds that
+    share one interner.  The array sort compares rank tuples column by
+    column and never packs ranks into one integer, so no class count can
+    overflow it.
+    """
+    cases = _equivalence_cases()
+    assert len(cases) >= 40
+    for ell, clouds, mode in cases:
+        mode = mode or ("exact" if clouds[0].exact else "float")
+        runs = []
+        for step in (refine, _reference_refine):
+            inter = Interner(mode)
+            stores = [initial_coloring(c, ell, mode=mode, interner=inter) for c in clouds]
+            for store in stores:
+                for _ in range(3):
+                    step(store)
+            runs.append((inter, [s.tables for s in stores]))
+        (new, new_tables), (ref, ref_tables) = runs
+        assert new_tables == ref_tables
+        assert new.kinds == ref.kinds and new.digests == ref.digests
+        assert [new.payload(c, k) for c, k in enumerate(new.kinds)] == \
+            [ref.payload(c, k) for c, k in enumerate(ref.kinds)]
