@@ -1,14 +1,17 @@
 """Command-line surface: gen, color, compare, roundtrip, search.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or validation error,
-3 resource cap exceeded.  All output is deterministic for a fixed input and
-seed; the GEOWL_SEED environment variable supplies the default seed.
+3 resource cap exceeded, 141 (128 + SIGPIPE, as a shell reports a writer
+killed by a closed pipe) when the reader of stdout goes away early.  All
+output is deterministic for a fixed input and seed; the GEOWL_SEED
+environment variable supplies the default seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -227,7 +231,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # `geowl ... | head`: send what is left to devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CapExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP_EXCEEDED

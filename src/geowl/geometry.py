@@ -175,7 +175,11 @@ def sweep(entries: list, choose: Callable, place: Callable) -> None:
 
     choose(entry) returns a position, or None while the entry is unresolved;
     the first position found goes to place, which removes entries from the
-    list, so the scan then restarts from the front.
+    list, so the scan then restarts from the front.  choose must be a pure
+    function of the entry for the whole call (the caller's forbidden region
+    is fixed meanwhile): an entry unresolved once stays unresolved, so a
+    caller that finds no entry resolving may skip the call, which would
+    place nothing.
     """
     while True:
         for entry in entries:

@@ -153,9 +153,19 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
 
 
 def random_cloud(n: int, d: int, seed: int, grid: int = 8, span: int = 4) -> PointCloud:
-    """n distinct points with rational coordinates k/grid, deterministic per seed."""
+    """n distinct points with rational coordinates k/grid, deterministic per seed.
+
+    Raises ValueError, before drawing anything, when the (2*span*grid + 1)^d
+    grid positions are fewer than n.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if d < 1 or grid < 1 or span < 0:
+        raise ValueError(f"need d >= 1, grid >= 1 and span >= 0 (got d={d}, grid={grid}, "
+                         f"span={span})")
+    side = 2 * span * grid + 1
+    if side ** d < n:
+        raise ValueError(f"{n} distinct points do not fit on the {side}^{d} grid positions")
     rng = random.Random(seed)
     lo, hi = -span * grid, span * grid
     seen: set = set()

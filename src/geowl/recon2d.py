@@ -7,7 +7,9 @@ positive angle at the barycenter, whose cone is then guaranteed free of cloud
 points.  Reconstruction places u on a fixed ray, v by circle intersection,
 resolves points on the two pivot lines, and then eliminates mirror candidates
 round by round while the known-empty angular region grows by the pivot angle
-on each side.
+on each side.  Most rounds place nothing; they cost one array test of the
+cached candidate angles against the region, and only a round in which some
+entry resolves runs the sweeps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
@@ -24,6 +28,8 @@ from .report import ReconstructionReport
 from .wl import KIND_NODE1, ColorStore
 
 TWO_PI = 2.0 * math.pi
+_SHIFTS = np.array([-TWO_PI, 0.0, TWO_PI])
+KINDS = ("out", "boundary", "in")
 
 
 def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
@@ -42,17 +48,18 @@ def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
     return dict(zip(colors, sq))
 
 
+def _profile(store: ColorStore, norms: dict[int, Scalar], c2: int) -> tuple:
+    """The sorted multiset {(d(x,y)^2, |y|^2) : y in S} of iteration-2 color c2."""
+    _, recs = store.interner.payload(c2, KIND_NODE1)
+    return tuple(sorted((store.value_of(did), norms[c1]) for did, c1 in recs))
+
+
 def profiles_from_chi2(store: ColorStore) -> dict[int, tuple]:
     """Map each iteration-2 point color to {(d(x,y)^2, |y|^2) : y in S}."""
     if store.ell != 1 or store.iterations < 2:
         raise ValueError("need a single-point history with at least two iterations")
     norms = norms_from_chi1(store)
-    out = {}
-    for cid in set(store.tables[2]):
-        _, recs = store.interner.payload(cid, KIND_NODE1)
-        entries = sorted((store.value_of(did), norms[c1]) for did, c1 in recs)
-        out[cid] = tuple(entries)
-    return out
+    return {c2: _profile(store, norms, c2) for c2 in set(store.tables[2])}
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,6 @@ def init2d(store: ColorStore) -> InitData2D:
     if store.n < 2:
         raise ValueError("initialization needs at least two points")
     norms = norms_from_chi1(store)
-    profiles = profiles_from_chi2(store)
     digests = store.interner.digests
 
     def chi1_of_chi2(c2: int) -> int:
@@ -117,7 +123,7 @@ def init2d(store: ColorStore) -> InitData2D:
     if u_color is None:
         raise InconsistentDataError("no point with positive barycenter distance")
     nu2 = norms[chi1_of_chi2(chi2_of_chi3(u_color))]
-    m_u = profiles[chi2_of_chi3(u_color)]
+    m_u = _profile(store, norms, chi2_of_chi3(u_color))
 
     _, recs = store.interner.payload(u_color, KIND_NODE1)
     best = None  # (q, N, tiebreak, d2, c2_y)
@@ -136,7 +142,7 @@ def init2d(store: ColorStore) -> InitData2D:
             best = (q, N, tiebreak, d2, c2_y)
     if best is None:
         return InitData2D(d0_sq=0 if is_exact(nu2) else 0.0, m_u=m_u, m_v=m_u)
-    return InitData2D(d0_sq=best[3], m_u=m_u, m_v=profiles[best[4]])
+    return InitData2D(d0_sq=best[3], m_u=m_u, m_v=_profile(store, norms, best[4]))
 
 
 class AngularIntervals:
@@ -179,23 +185,25 @@ class AngularIntervals:
     def covers_circle(self, tol: float = 1e-12) -> bool:
         return self.measure() >= TWO_PI - tol
 
-    def depth(self, theta: float) -> float:
-        """Signed containment depth: positive inside, negative is distance to the set."""
-        theta %= TWO_PI
-        best = -float("inf")
-        for lo, hi in self._spans:
-            for shift in (-TWO_PI, 0.0, TWO_PI):
-                t = theta + shift
-                best = max(best, min(t - lo, hi - t))
-        return best
+    def depth(self, theta):
+        """Signed containment depth: positive inside, negative is distance to the set.
+
+        theta is an angle or an array of angles; the result has its shape.
+        """
+        if not self._spans:
+            return np.full(np.shape(theta), -np.inf)
+        t = np.mod(theta, TWO_PI)[..., None, None] + _SHIFTS  # (..., 1, 3)
+        spans = np.array(self._spans)
+        lo, hi = spans[:, :1], spans[:, 1:]  # (k, 1), against (..., k, 3)
+        return np.minimum(t - lo, hi - t).max(axis=(-2, -1))
+
+    def kinds(self, theta, tol: float):
+        """Index into KINDS of each angle's kind: its depth against tol."""
+        d = self.depth(theta)
+        return np.where(d > tol, 2, np.where(d >= -tol, 1, 0))
 
     def classify(self, theta: float, tol: float) -> str:
-        d = self.depth(theta)
-        if d > tol:
-            return "in"
-        if d >= -tol:
-            return "boundary"
-        return "out"
+        return KINDS[self.kinds(theta, tol)]
 
     def reflected(self, axis_angle: float) -> "AngularIntervals":
         """Image under the reflection theta -> 2*axis_angle - theta."""
@@ -220,6 +228,13 @@ class PlanarReconstruction:
     alpha: float | None
 
 
+# which mirror candidate to take, by the KINDS indices of (first, second):
+# the one opposite a forbidden one; -1 while unresolved, -2 if both are forbidden
+_PICK = np.array([[-1, 0, 0],
+                  [1, -1, 0],
+                  [1, 1, -2]])
+
+
 def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstruction:
     """Rebuild a planar cloud, barycenter at the origin, from pivot data.
 
@@ -229,6 +244,14 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     with the current region and reflects it through both pivot lines,
     widening it by the pivot angle per side.  Terminates within
     ceil(1 + pi/alpha) rounds.
+
+    Each entry's mirror candidates and their angles are computed once.  The
+    choose() of a sweep is a pure function of the entry while the region is
+    fixed, so a round first classifies every remaining entry of a multiset
+    in one array pass and skips that multiset's sweep when no entry
+    resolves: the sweep would place nothing.  The skipped rounds still count
+    and still grow the region, so points, placement order, `rounds` and
+    `round_bound` are those of sweeping every round.
     """
     m_u = [(float(a), float(b)) for a, b in init.m_u]
     m_v = [(float(a), float(b)) for a, b in init.m_v]
@@ -302,34 +325,57 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
 
     ang_tol = max(tol, 1e-12) * 10
 
-    def chooser(cands_of, forbidden: AngularIntervals):
-        def choose(entry):
-            cands = cands_of(*entry)
-            if len(cands) == 1:
-                return cands[0]
-            c1, c2 = cands
-            k1 = forbidden.classify(math.atan2(c1[1], c1[0]), ang_tol)
-            k2 = forbidden.classify(math.atan2(c2[1], c2[0]), ang_tol)
-            if k1 == "in" and k2 == "in":
-                raise ReconstructionError("both mirror candidates are forbidden")
-            if k1 == "in" or (k1 == "boundary" and k2 == "out"):
-                return c2
-            if k2 == "in" or (k2 == "boundary" and k1 == "out"):
-                return c1
-            return None
-        return choose
+    def resolver(entries: list, cands_of):
+        """for_round(region): choose() for a sweep of entries over region, or
+        None when no entry resolves there."""
+        cands = {e: cands_of(*e) for e in entries}
+        angles = {e: (math.atan2(c[0][1], c[0][0]), math.atan2(c[-1][1], c[-1][0]))
+                  for e, c in cands.items()}
+        count, theta, single = -1, None, None  # arrays over the remaining entries
+
+        def for_round(forbidden: AngularIntervals):
+            nonlocal count, theta, single
+            if not entries:
+                return None
+            if count != len(entries):  # entries are only ever removed
+                count = len(entries)
+                theta = np.array([angles[e] for e in entries])
+                single = np.array([len(cands[e]) == 1 for e in entries])
+            kinds = forbidden.kinds(theta, ang_tol)
+            pick = np.where(single, 0, _PICK[kinds[:, 0], kinds[:, 1]])
+            if not (pick != -1).any():
+                return None
+            verdict = dict(zip(entries, pick.tolist()))
+
+            def choose(entry):
+                i = verdict[entry]
+                if i == -2:
+                    raise ReconstructionError("both mirror candidates are forbidden")
+                return cands[entry][i] if i >= 0 else None
+            return choose
+
+        return for_round
+
+    u_round = resolver(m_u, u_candidates)
+    v_round = resolver(m_v, v_candidates)
+
+    def sweep_both(forbidden: AngularIntervals) -> None:
+        # choose is pure while the region is fixed: a multiset none of whose
+        # entries resolves at the start of the round places nothing in it
+        for entries, for_round in ((m_u, u_round), (m_v, v_round)):
+            choose = for_round(forbidden)
+            if choose is not None:
+                sweep(entries, choose, place)
 
     # points on the pivot lines have a unique candidate; nothing is forbidden yet
-    sweep(m_u, chooser(u_candidates, AngularIntervals()), place)
-    sweep(m_v, chooser(v_candidates, AngularIntervals()), place)
+    sweep_both(AngularIntervals())
 
     forbidden = AngularIntervals([(0.0, alpha)])
     round_bound = math.ceil(1.0 + math.pi / alpha)
     rounds = 0
 
     while m_u or m_v:
-        sweep(m_u, chooser(u_candidates, forbidden), place)
-        sweep(m_v, chooser(v_candidates, forbidden), place)
+        sweep_both(forbidden)
         if not m_u and not m_v:
             break
         grown = AngularIntervals(forbidden.spans())

@@ -151,6 +151,33 @@ def test_console_entry_point(tmp_path):
     assert doc["dim"] == 2
 
 
+@pytest.mark.parametrize("options", [
+    "--n 10 --d 1 --grid 1 --span 1",   # more points than grid positions: used to hang
+    "--n 2 --d 0",
+    "--n 4 --d 2 --grid 0",             # used to end in a ZeroDivisionError traceback
+])
+def test_gen_rejects_impossible_grids_at_once(options):
+    proc = subprocess.run([sys.executable, "-m", "geowl.cli", "gen", *options.split()],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_is_not_a_parse_error():
+    # `geowl ... | head`: the reader is gone before anything is written
+    proc = subprocess.Popen([sys.executable, "-m", "geowl.cli", "gen", "--n", "40",
+                             "--d", "2", "--seed", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""
+
+
 # sha256 of stdout, a NUL byte and the -o file; exact-mode outputs are portable
 GOLDEN_SHA256 = {
     "gen": "8cb5e81b8d089e31d5ccdf9f5a758d0d9ee38cf3089f7979a20749b348493563",

@@ -1,7 +1,10 @@
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from geowl import oracle
 from geowl.geometry import PointCloud, sq_dist
@@ -69,6 +72,39 @@ def test_random_cloud_distinctness_heavy():
     # coarse grid forces collisions; distinctness must still hold
     cloud = oracle.random_cloud(25, 2, seed=5, grid=2, span=2)
     assert len(set(cloud.points)) == 25
+
+
+@contextmanager
+def _time_limit(seconds: float):
+    """Fail with TimeoutError instead of hanging past seconds."""
+    def expire(*_):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n, d, grid, span", [
+    (10, 1, 1, 1),         # 3 grid positions: the draw loop never ended
+    (2, 0, 8, 4),          # d = 0 has one position, the empty point
+    (4, 2, 0, 4),          # ZeroDivisionError in Fraction(k, 0)
+    (4, 2, -8, 4),
+    (4, 2, 8, -1),
+    (2, 40, 8, 0),         # span 0: one position in any dimension
+])
+def test_random_cloud_rejects_impossible_grids(n, d, grid, span):
+    with _time_limit(5), pytest.raises(ValueError):
+        oracle.random_cloud(n, d, seed=1, grid=grid, span=span)
+
+
+def test_random_cloud_fills_a_grid_exactly():
+    with _time_limit(5):
+        cloud = oracle.random_cloud(3, 1, seed=1, grid=1, span=1)
+    assert sorted(cloud.points) == [(-1,), (0,), (1,)]
 
 
 def test_apply_random_isometry_is_exact():

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from geowl import oracle, reconstruct
-from geowl.errors import InconsistentDataError
-from geowl.geometry import PointCloud, barycenter, sq_dist
-from geowl.recon2d import (AngularIntervals, InitData2D, init2d, norms_from_chi1,
-                           profiles_from_chi2, reconstruct2d, reconstruct_planar)
+from geowl.errors import InconsistentDataError, ReconstructionError
+from geowl.geometry import PointCloud, barycenter, remove_nearest, sq_dist, sweep
+from geowl.recon2d import (AngularIntervals, InitData2D, PlanarReconstruction, init2d,
+                           norms_from_chi1, profiles_from_chi2, reconstruct2d,
+                           reconstruct_planar)
 from geowl.wl import run_wl
 
 
@@ -184,12 +185,174 @@ def test_point_at_barycenter_is_recovered():
     assert align is not None and align.residual < 1e-6
 
 
+# `geowl gen --n 80 --d 2 --seed 905`: 1 183 elimination rounds
+PERMUTATION_80_905 = [
+    35, 49, 36, 16, 52, 29, 15, 5, 1, 62, 24, 60, 9, 68, 50, 22, 64, 32, 33, 75, 40, 3, 63, 7,
+    8, 77, 12, 79, 59, 13, 20, 41, 17, 69, 56, 47, 78, 4, 26, 70, 19, 14, 27, 53, 0, 72, 31, 67,
+    43, 37, 65, 30, 61, 58, 21, 44, 55, 74, 57, 73, 48, 66, 10, 71, 11, 23, 34, 39, 76, 51, 25,
+    38, 46, 28, 42, 2, 18, 45, 54, 6]
+
+
 @pytest.mark.parametrize("n, seed, permutation", [
     (6, 5, [5, 0, 4, 1, 2, 3]),         # `geowl gen --n 6 --d 2 --seed 5`
     (60, 900, [33, 58, 37, 31, 11, 38, 46, 22, 24, 32, 10, 9, 7, 3, 36, 51, 48, 13, 57, 0,
                2, 26, 1, 42, 20, 12, 17, 56, 35, 8, 50, 14, 30, 55, 41, 49, 53, 45, 5, 25,
                19, 6, 59, 40, 54, 47, 34, 4, 21, 43, 15, 18, 23, 52, 28, 27, 39, 29, 16, 44]),
+    (80, 905, PERMUTATION_80_905),
 ])
 def test_placement_order_is_pinned(n, seed, permutation):
     rep = reconstruct(oracle.random_cloud(n, 2, seed), "wl2d")
     assert list(rep.alignment.permutation) == permutation
+    if n == 80:
+        assert rep.counters["rounds"] == 1183
+
+
+# -- reference equivalence ----------------------------------------------------
+
+def _reference_depth(spans, theta):
+    """The scalar angular depth over spans, one span and shift at a time."""
+    theta %= 2 * math.pi
+    best = -float("inf")
+    for lo, hi in spans:
+        for shift in (-2 * math.pi, 0.0, 2 * math.pi):
+            t = theta + shift
+            best = max(best, min(t - lo, hi - t))
+    return best
+
+
+def _reference_reconstruct2d(init, tol=1e-9):
+    """Sweep both multisets in every round, recomputing every entry's candidates."""
+    m_u = [(float(a), float(b)) for a, b in init.m_u]
+    m_v = [(float(a), float(b)) for a, b in init.m_v]
+    n = len(m_u)
+    d0sq = float(init.d0_sq)
+    zero_u = [e for e in m_u if abs(e[0]) <= tol]
+    if len(zero_u) != 1:
+        raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
+    ru2 = zero_u[0][1]
+    if ru2 <= tol:
+        raise InconsistentDataError("pivot u must not sit at the barycenter")
+    ru = math.sqrt(ru2)
+    assert d0sq > tol, "the reference covers the non-collinear path only"
+    zero_v = [e for e in m_v if abs(e[0]) <= tol]
+    if len(zero_v) != 1:
+        raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
+    rv2 = zero_v[0][1]
+    if rv2 <= tol:
+        raise InconsistentDataError("pivot v must not sit at the barycenter")
+    rv = math.sqrt(rv2)
+    u = (ru, 0.0)
+    xv = (ru2 + rv2 - d0sq) / (2 * ru)
+    yv2 = rv2 - xv * xv
+    if yv2 <= tol * max(1.0, rv2):
+        raise InconsistentDataError("pivots are collinear with the barycenter but d0 > 0")
+    v = (xv, math.sqrt(yv2))
+    alpha = math.atan2(v[1], v[0])
+    placed = []
+
+    def place(p):
+        n2 = p[0] * p[0] + p[1] * p[1]
+        du2 = (p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2
+        dv2 = (p[0] - v[0]) ** 2 + (p[1] - v[1]) ** 2
+        remove_nearest(m_u, (du2, n2), tol * max(1.0, du2, n2) * 1000)
+        remove_nearest(m_v, (dv2, n2), tol * max(1.0, dv2, n2) * 1000)
+        placed.append(p)
+
+    place(u)
+    place(v)
+
+    def u_candidates(d2, n2):
+        x = (ru2 + n2 - d2) / (2 * ru)
+        h2 = n2 - x * x
+        if h2 <= tol * max(1.0, n2):
+            return [(x, 0.0)]
+        h = math.sqrt(h2)
+        return [(x, h), (x, -h)]
+
+    vx, vy = v[0] / rv, v[1] / rv
+
+    def v_candidates(d2, n2):
+        x = (rv2 + n2 - d2) / (2 * rv)
+        h2 = n2 - x * x
+        if h2 <= tol * max(1.0, n2):
+            return [(x * vx, x * vy)]
+        h = math.sqrt(h2)
+        return [(x * vx - h * vy, x * vy + h * vx), (x * vx + h * vy, x * vy - h * vx)]
+
+    ang_tol = max(tol, 1e-12) * 10
+
+    def kind(spans, c):
+        d = _reference_depth(spans, math.atan2(c[1], c[0]))
+        return "in" if d > ang_tol else "boundary" if d >= -ang_tol else "out"
+
+    def chooser(cands_of, forbidden):
+        spans = forbidden.spans()
+
+        def choose(entry):
+            cands = cands_of(*entry)
+            if len(cands) == 1:
+                return cands[0]
+            c1, c2 = cands
+            k1, k2 = kind(spans, c1), kind(spans, c2)
+            if k1 == "in" and k2 == "in":
+                raise ReconstructionError("both mirror candidates are forbidden")
+            if k1 == "in" or (k1 == "boundary" and k2 == "out"):
+                return c2
+            if k2 == "in" or (k2 == "boundary" and k1 == "out"):
+                return c1
+            return None
+        return choose
+
+    sweep(m_u, chooser(u_candidates, AngularIntervals()), place)
+    sweep(m_v, chooser(v_candidates, AngularIntervals()), place)
+    forbidden = AngularIntervals([(0.0, alpha)])
+    round_bound = math.ceil(1.0 + math.pi / alpha)
+    rounds = 0
+    while m_u or m_v:
+        sweep(m_u, chooser(u_candidates, forbidden), place)
+        sweep(m_v, chooser(v_candidates, forbidden), place)
+        if not m_u and not m_v:
+            break
+        grown = AngularIntervals(forbidden.spans())
+        grown.union(forbidden.reflected(0.0))
+        grown.union(forbidden.reflected(alpha))
+        forbidden = grown
+        rounds += 1
+        if rounds > round_bound:
+            raise ReconstructionError(f"unresolved points after the round bound {round_bound}")
+    if len(placed) != n:
+        raise InconsistentDataError("placement count does not match multiset size")
+    return PlanarReconstruction(cloud=PointCloud(2, tuple(placed)), rounds=rounds,
+                                round_bound=round_bound, alpha=alpha)
+
+
+def _assert_same_reconstruction(init):
+    got, want = reconstruct2d(init), _reference_reconstruct2d(init)
+    assert got.cloud.points == want.cloud.points  # same points in the same order
+    assert (got.rounds, got.round_bound, got.alpha) == (want.rounds, want.round_bound,
+                                                       want.alpha)
+    return got
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_reconstruct2d_matches_the_reference_on_the_benchmark_shapes(k):
+    shape = oracle.random_cloud(60 + 4 * k, 2, 900 + k)
+    floats = PointCloud(2, tuple((float(x), float(y)) for x, y in shape.points))
+    for cloud in (shape, floats):
+        got = _assert_same_reconstruction(init2d(run_wl(cloud, 1, 3)))
+        assert got.rounds > 0
+
+
+def test_reconstruct2d_matches_the_reference_on_a_corrupted_entry():
+    # the bad entry's point is placed in round 104, after many rounds place nothing
+    init = init2d(run_wl(oracle.random_cloud(12, 2, 7), 1, 3))
+    m_u = list(init.m_u)
+    m_u[6] = (m_u[6][0] + F(1, 3), m_u[6][1])
+    bad = InitData2D(d0_sq=init.d0_sq, m_u=tuple(m_u), m_v=init.m_v)
+    errors = []
+    for fn in (reconstruct2d, _reference_reconstruct2d):
+        with pytest.raises(Exception) as exc:
+            fn(bad)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is InconsistentDataError
