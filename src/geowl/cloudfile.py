@@ -54,6 +54,10 @@ def parse_cloud_text(text: str, label: str | None = None) -> PointCloud:
     else:
         raw_points = [line.split() for line in stripped.splitlines() if line.strip()]
         dim = None
+    if not isinstance(raw_points, list) or not all(isinstance(r, list) for r in raw_points):
+        raise ValueError("cloud 'points' must be a list of coordinate lists")
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int)):
+        raise ValueError(f"cloud 'dim' must be an integer, not {dim!r}")
     if not raw_points:
         raise ValueError("cloud file contains no points")
     points = [tuple(_parse_coord(c) for c in row) for row in raw_points]
@@ -61,7 +65,7 @@ def parse_cloud_text(text: str, label: str | None = None) -> PointCloud:
         dim = len(points[0])
     if any(not is_exact(c) for p in points for c in p):
         points = [tuple(float(c) for c in p) for p in points]
-    return PointCloud(dim=int(dim), points=tuple(points), label=label)
+    return PointCloud(dim=dim, points=tuple(points), label=label)
 
 
 def load_cloud(path: str | Path) -> PointCloud:

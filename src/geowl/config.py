@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -47,8 +48,8 @@ class RunConfig:
             raise ValueError("iters must be non-negative")
         if self.mode not in (None, "exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # also rejects NaN
+            raise ValueError("tol must be positive and finite")
         for cap in (self.max_tuples, self.max_candidates, self.max_depth,
                     self.select_samples, self.jobs):
             if cap < 1:

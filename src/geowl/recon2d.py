@@ -7,9 +7,10 @@ positive angle at the barycenter, whose cone is then guaranteed free of cloud
 points.  Reconstruction places u on a fixed ray, v by circle intersection,
 resolves points on the two pivot lines, and then eliminates mirror candidates
 round by round while the known-empty angular region grows by the pivot angle
-on each side.  Most rounds place nothing; they cost one array test of the
-cached candidate angles against the region, and only a round in which some
-entry resolves runs the sweeps.
+on each side.  That region is the arc [-k*alpha, (k+1)*alpha] after k rounds,
+so a candidate's depth in it is a closed form in its cached angle.  Most
+rounds place nothing; they cost one array test of those depths, and only a
+round in which some entry resolves runs the sweeps.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ from .geometry import (PointCloud, Scalar, barycenter_sq_norms, is_exact, remove
                        sweep)
 from .report import ReconstructionReport
 from .wl import KIND_NODE1, ColorStore
-
-TWO_PI = 2.0 * math.pi
-_SHIFTS = np.array([-TWO_PI, 0.0, TWO_PI])
-KINDS = ("out", "boundary", "in")
 
 
 def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
@@ -91,14 +88,15 @@ def _cos_greater(qa, na, qb, nb) -> bool:
     return lhs > rhs if qa >= 0 else lhs < rhs
 
 
-def init2d(store: ColorStore) -> InitData2D:
+def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
     """Extract pivot data from a 3-iteration single-point history.
 
     The pivot u is any point with positive norm; v minimizes the angle at
     the barycenter over 0 < angle < pi (compared on cosines, exactly in
-    rational mode), with ties broken by color digest.  When no such v exists
-    the cloud is collinear with the barycenter and the fallback (0, M_u, M_u)
-    applies.
+    rational mode), with ties broken by color digest.  A partner within tol
+    of the u-line, by the test that makes it a u-line resident in
+    `reconstruct2d`, is no candidate for v.  When no v exists the cloud is
+    collinear with the barycenter and the fallback (0, M_u, M_u) applies.
     """
     if store.ell != 1 or store.iterations < 3:
         raise ValueError("need a single-point history with at least three iterations")
@@ -134,8 +132,9 @@ def init2d(store: ColorStore) -> InitData2D:
             continue  # angle defined as 0
         q = nu2 + ny2 - d2
         N = nu2 * ny2
-        if not q * q < 4 * N:
-            continue  # angle is 0 or pi
+        # the partner's squared height over the u-line is (4N - q^2) / (4|u|^2)
+        if 4 * N - q * q <= 4 * nu2 * tol * max(1, ny2):
+            continue  # angle is 0 or pi, up to tol
         tiebreak = (digests[c2_y], did)
         if (best is None or _cos_greater(q, N, best[0], best[1])
                 or (not _cos_greater(best[0], best[1], q, N) and tiebreak < best[2])):
@@ -143,81 +142,6 @@ def init2d(store: ColorStore) -> InitData2D:
     if best is None:
         return InitData2D(d0_sq=0 if is_exact(nu2) else 0.0, m_u=m_u, m_v=m_u)
     return InitData2D(d0_sq=best[3], m_u=m_u, m_v=_profile(store, norms, best[4]))
-
-
-class AngularIntervals:
-    """Union of closed angular intervals on [0, 2*pi), merged and normalized."""
-
-    def __init__(self, intervals=()):
-        self._spans: list[tuple[float, float]] = []
-        for lo, hi in intervals:
-            self.add(lo, hi)
-
-    def add(self, lo: float, hi: float) -> None:
-        width = hi - lo
-        if width < 0:
-            raise ValueError("interval width must be non-negative")
-        if width >= TWO_PI:
-            self._spans = [(0.0, TWO_PI)]
-            return
-        lo %= TWO_PI
-        hi = lo + width
-        pieces = [(lo, min(hi, TWO_PI))]
-        if hi > TWO_PI:
-            pieces.append((0.0, hi - TWO_PI))
-        spans = self._spans + pieces
-        spans.sort()
-        merged = [spans[0]]
-        for s in spans[1:]:
-            if s[0] <= merged[-1][1] + 1e-15:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], s[1]))
-            else:
-                merged.append(s)
-        # wraparound join
-        if len(merged) > 1 and merged[0][0] <= 0.0 + 1e-15 and merged[-1][1] >= TWO_PI - 1e-15:
-            merged[0] = (0.0, merged[0][1])
-            merged[-1] = (merged[-1][0], TWO_PI)
-        self._spans = merged
-
-    def measure(self) -> float:
-        return sum(hi - lo for lo, hi in self._spans)
-
-    def covers_circle(self, tol: float = 1e-12) -> bool:
-        return self.measure() >= TWO_PI - tol
-
-    def depth(self, theta):
-        """Signed containment depth: positive inside, negative is distance to the set.
-
-        theta is an angle or an array of angles; the result has its shape.
-        """
-        if not self._spans:
-            return np.full(np.shape(theta), -np.inf)
-        t = np.mod(theta, TWO_PI)[..., None, None] + _SHIFTS  # (..., 1, 3)
-        spans = np.array(self._spans)
-        lo, hi = spans[:, :1], spans[:, 1:]  # (k, 1), against (..., k, 3)
-        return np.minimum(t - lo, hi - t).max(axis=(-2, -1))
-
-    def kinds(self, theta, tol: float):
-        """Index into KINDS of each angle's kind: its depth against tol."""
-        d = self.depth(theta)
-        return np.where(d > tol, 2, np.where(d >= -tol, 1, 0))
-
-    def classify(self, theta: float, tol: float) -> str:
-        return KINDS[self.kinds(theta, tol)]
-
-    def reflected(self, axis_angle: float) -> "AngularIntervals":
-        """Image under the reflection theta -> 2*axis_angle - theta."""
-        out = AngularIntervals()
-        for lo, hi in self._spans:
-            out.add((2 * axis_angle - hi) % TWO_PI, (2 * axis_angle - hi) % TWO_PI + (hi - lo))
-        return out
-
-    def union(self, other: "AngularIntervals") -> None:
-        for lo, hi in other._spans:
-            self.add(lo, hi)
-
-    def spans(self) -> tuple[tuple[float, float], ...]:
-        return tuple(self._spans)
 
 
 @dataclass
@@ -228,8 +152,8 @@ class PlanarReconstruction:
     alpha: float | None
 
 
-# which mirror candidate to take, by the KINDS indices of (first, second):
-# the one opposite a forbidden one; -1 while unresolved, -2 if both are forbidden
+# which mirror candidate to take, by the kinds (0 out, 1 boundary, 2 in) of the
+# two: the one opposite a forbidden one; -1 while unresolved, -2 if both are in
 _PICK = np.array([[-1, 0, 0],
                   [1, -1, 0],
                   [1, 1, -2]])
@@ -239,18 +163,18 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     """Rebuild a planar cloud, barycenter at the origin, from pivot data.
 
     Follows the candidate-elimination schedule.  After the pivots, one
-    `geometry.sweep` per pivot multiset over an empty forbidden region places
-    the points on the two pivot lines; each round then sweeps both multisets
-    with the current region and reflects it through both pivot lines,
-    widening it by the pivot angle per side.  Terminates within
+    `geometry.sweep` per pivot multiset with nothing forbidden places the
+    points on the two pivot lines; round k then sweeps both multisets with
+    the arc [-k*alpha, (k+1)*alpha] forbidden, the pivot cone [0, alpha]
+    widened by the pivot angle per side and round.  Terminates within
     ceil(1 + pi/alpha) rounds.
 
-    Each entry's mirror candidates and their angles are computed once.  The
-    choose() of a sweep is a pure function of the entry while the region is
-    fixed, so a round first classifies every remaining entry of a multiset
-    in one array pass and skips that multiset's sweep when no entry
-    resolves: the sweep would place nothing.  The skipped rounds still count
-    and still grow the region, so points, placement order, `rounds` and
+    Each entry's mirror candidates and their angular distances from alpha/2
+    are computed once.  The choose() of a sweep is a pure function of the
+    entry while the region is fixed, so a round first classifies every
+    remaining entry of a multiset in one array pass and skips that
+    multiset's sweep when no entry resolves: the sweep would place nothing.
+    The skipped rounds still count, so points, placement order, `rounds` and
     `round_bound` are those of sweeping every round.
     """
     m_u = [(float(a), float(b)) for a, b in init.m_u]
@@ -325,23 +249,34 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
 
     ang_tol = max(tol, 1e-12) * 10
 
-    def resolver(entries: list, cands_of):
-        """for_round(region): choose() for a sweep of entries over region, or
-        None when no entry resolves there."""
-        cands = {e: cands_of(*e) for e in entries}
-        angles = {e: (math.atan2(c[0][1], c[0][0]), math.atan2(c[-1][1], c[-1][0]))
-                  for e, c in cands.items()}
-        count, theta, single = -1, None, None  # arrays over the remaining entries
+    # Reflecting through the pivot lines maps theta to -theta and 2*alpha - theta,
+    # so round k forbids the arc [-k*alpha, (k+1)*alpha]: a candidate at angular
+    # distance delta from alpha/2 lies at depth (2k+1)*alpha/2 - delta in it.  A
+    # union of spans on [0, 2*pi) splits at angle 0 once the arc wraps and reads
+    # depth ~0 there, but no two-sided candidate is left there after round 0: a
+    # point on the u-line is placed with the pivot lines, and a v-candidate at
+    # angle 0 is on the edge of [0, alpha] with its mirror at 2*alpha outside it.
+    def off_axis(c) -> float:
+        return abs(math.remainder(math.atan2(c[1], c[0]) - alpha / 2, math.tau))
 
-        def for_round(forbidden: AngularIntervals):
-            nonlocal count, theta, single
+    def resolver(entries: list, cands_of):
+        """for_round(half_width): choose() for a sweep of entries with the arc
+        of that half-width about alpha/2 forbidden, or None when no entry
+        resolves there."""
+        cands = {e: cands_of(*e) for e in entries}
+        deltas = {e: (off_axis(c[0]), off_axis(c[-1])) for e, c in cands.items()}
+        count, delta, single = -1, None, None  # arrays over the remaining entries
+
+        def for_round(half_width: float):
+            nonlocal count, delta, single
             if not entries:
                 return None
             if count != len(entries):  # entries are only ever removed
                 count = len(entries)
-                theta = np.array([angles[e] for e in entries])
+                delta = np.array([deltas[e] for e in entries])
                 single = np.array([len(cands[e]) == 1 for e in entries])
-            kinds = forbidden.kinds(theta, ang_tol)
+            depth = half_width - delta
+            kinds = np.where(depth > ang_tol, 2, np.where(depth >= -ang_tol, 1, 0))
             pick = np.where(single, 0, _PICK[kinds[:, 0], kinds[:, 1]])
             if not (pick != -1).any():
                 return None
@@ -359,29 +294,24 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     u_round = resolver(m_u, u_candidates)
     v_round = resolver(m_v, v_candidates)
 
-    def sweep_both(forbidden: AngularIntervals) -> None:
+    def sweep_both(half_width: float) -> None:
         # choose is pure while the region is fixed: a multiset none of whose
         # entries resolves at the start of the round places nothing in it
         for entries, for_round in ((m_u, u_round), (m_v, v_round)):
-            choose = for_round(forbidden)
+            choose = for_round(half_width)
             if choose is not None:
                 sweep(entries, choose, place)
 
     # points on the pivot lines have a unique candidate; nothing is forbidden yet
-    sweep_both(AngularIntervals())
+    sweep_both(-math.inf)
 
-    forbidden = AngularIntervals([(0.0, alpha)])
     round_bound = math.ceil(1.0 + math.pi / alpha)
     rounds = 0
 
     while m_u or m_v:
-        sweep_both(forbidden)
+        sweep_both((2 * rounds + 1) * alpha / 2)
         if not m_u and not m_v:
             break
-        grown = AngularIntervals(forbidden.spans())
-        grown.union(forbidden.reflected(0.0))
-        grown.union(forbidden.reflected(alpha))
-        forbidden = grown
         rounds += 1
         if rounds > round_bound:
             raise ReconstructionError(
@@ -408,6 +338,6 @@ def reconstruct_planar(store: ColorStore, tol: float = DEFAULT_TOL) -> Reconstru
         res = PlanarReconstruction(cloud=_cloud2d([(0.0, 0.0)]), rounds=0,
                                    round_bound=0, alpha=None)
     else:
-        res = reconstruct2d(init2d(store), tol=tol)
+        res = reconstruct2d(init2d(store, tol), tol=tol)
     counters = {"rounds": res.rounds, "round_bound": res.round_bound, "alpha": res.alpha}
     return ReconstructionReport(res.cloud, "wl2d", counters)

@@ -287,6 +287,9 @@ def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
     '[[1e150, 0.0], [-1e150, 0.5], [0.0, 1.0]]',
     '[["1e200", 0], ["-1e200", "1/2"], [0, 1]] --mode float',
     '[[1e140, 0.0], [-1e140, 0.5], [0.0, 1.0]] --tol 1e-30',
+    # points that are not a list of coordinate lists
+    '5',
+    '[1, 2]',
 ])
 def test_bad_coordinates_are_parse_errors(tmp_path, capsys, points):
     points, *options = points.split(" --")
@@ -294,6 +297,24 @@ def test_bad_coordinates_are_parse_errors(tmp_path, capsys, points):
     path.write_text('{"dim": 2, "points": ' + points + '}', encoding="utf-8")
     assert main(["color", str(path), *(w for o in options for w in ("--" + o).split())]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("dim", ['[1]', '"1"', 'true', '1.5'])
+def test_non_integer_dim_is_a_parse_error(tmp_path, capsys, dim):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": ' + dim + ', "points": [[1], [2]]}', encoding="utf-8")
+    assert main(["color", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_is_rejected(tmp_path, capsys, tol):
+    cloud = tmp_path / "cloud.json"
+    _cli_bytes(["gen", "--n", "5", "--d", "2", "--seed", "1"], cloud, capsys)
+    for argv in (["color", str(cloud)], ["roundtrip", str(cloud), "--algorithm", "wl2d"]):
+        assert main(argv + ["--tol", tol, "-o", str(tmp_path / "out.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: tol must be positive")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_roundtrip_max_depth_is_honoured(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 from geowl import oracle, reconstruct
 from geowl.errors import InconsistentDataError, ReconstructionError
 from geowl.geometry import PointCloud, barycenter, remove_nearest, sq_dist, sweep
-from geowl.recon2d import (AngularIntervals, InitData2D, PlanarReconstruction, init2d,
-                           norms_from_chi1, profiles_from_chi2, reconstruct2d,
-                           reconstruct_planar)
+from geowl.recon2d import (InitData2D, PlanarReconstruction, init2d, norms_from_chi1,
+                           profiles_from_chi2, reconstruct2d, reconstruct_planar)
 from geowl.wl import run_wl
 
 
@@ -116,19 +115,6 @@ def test_init2d_cone_is_empty_by_brute_force():
                     assert not (a > 1e-9 and c > 1e-9), (seed, u, v, p)
 
 
-def test_angular_intervals():
-    f = AngularIntervals([(0.0, 1.0)])
-    assert f.classify(0.5, 1e-9) == "in"
-    assert f.classify(1.0, 1e-9) == "boundary"
-    assert f.classify(2.0, 1e-9) == "out"
-    f.add(0.5, 1.5)
-    assert f.measure() == pytest.approx(1.5)
-    r = f.reflected(0.0)
-    assert r.classify(-0.5 % (2 * math.pi), 1e-9) == "in"
-    f.add(1.4, 1.4 + 5.0)  # wraps past 2*pi and meets the first span
-    assert f.covers_circle(1e-9)
-
-
 def test_reconstruct2d_collinear():
     cloud = PointCloud(2, ((F(0), F(0)), (F(1), F(0)), (F(2), F(0))))
     res = reconstruct_planar(run_wl(cloud, 1, 3))
@@ -158,23 +144,6 @@ def test_reconstruct2d_rejects_inconsistent_multisets():
                      m_v=((F(1), F(1)), (F(2), F(1))))
     with pytest.raises(InconsistentDataError):
         reconstruct2d(bad)  # no zero-distance entry marks the pivot
-
-
-def test_forbidden_growth_is_monotone():
-    alpha = 0.7
-    f = AngularIntervals([(0.0, alpha)])
-    last = f.measure()
-    for _ in range(8):
-        grown = AngularIntervals(f.spans())
-        grown.union(f.reflected(0.0))
-        grown.union(f.reflected(alpha))
-        f = grown
-        m = f.measure()
-        assert m >= last - 1e-12
-        if not f.covers_circle():
-            assert m > last
-        last = m
-    assert f.covers_circle()
 
 
 def test_point_at_barycenter_is_recovered():
@@ -209,6 +178,54 @@ def test_placement_order_is_pinned(n, seed, permutation):
 
 # -- reference equivalence ----------------------------------------------------
 
+class _Spans:
+    """Union of closed angular intervals on [0, 2*pi), merged and normalized."""
+
+    def __init__(self, intervals=()):
+        self.spans = []
+        for lo, hi in intervals:
+            self.add(lo, hi)
+
+    def add(self, lo, hi):
+        width = hi - lo
+        if width >= 2 * math.pi:
+            self.spans = [(0.0, 2 * math.pi)]
+            return
+        lo %= 2 * math.pi
+        hi = lo + width
+        pieces = [(lo, min(hi, 2 * math.pi))]
+        if hi > 2 * math.pi:
+            pieces.append((0.0, hi - 2 * math.pi))
+        spans = sorted(self.spans + pieces)
+        merged = [spans[0]]
+        for s in spans[1:]:
+            if s[0] <= merged[-1][1] + 1e-15:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], s[1]))
+            else:
+                merged.append(s)
+        # wraparound join
+        if len(merged) > 1 and merged[0][0] <= 1e-15 and merged[-1][1] >= 2 * math.pi - 1e-15:
+            merged[0] = (0.0, merged[0][1])
+            merged[-1] = (merged[-1][0], 2 * math.pi)
+        self.spans = merged
+
+    def reflected(self, axis):
+        """Image under the reflection theta -> 2*axis - theta."""
+        out = _Spans()
+        for lo, hi in self.spans:
+            image = (2 * axis - hi) % (2 * math.pi)
+            out.add(image, image + (hi - lo))
+        return out
+
+    def grown(self, alpha):
+        """The union with its images through both pivot lines."""
+        out = _Spans(self.spans)
+        for image in (self.reflected(0.0), self.reflected(alpha)):
+            for lo, hi in image.spans:
+                out.add(lo, hi)
+        return out
+
+
 def _reference_depth(spans, theta):
     """The scalar angular depth over spans, one span and shift at a time."""
     theta %= 2 * math.pi
@@ -221,7 +238,8 @@ def _reference_depth(spans, theta):
 
 
 def _reference_reconstruct2d(init, tol=1e-9):
-    """Sweep both multisets in every round, recomputing every entry's candidates."""
+    """Sweep both multisets in every round, recomputing every entry's candidates,
+    with the forbidden region grown by reflecting a union of spans."""
     m_u = [(float(a), float(b)) for a, b in init.m_u]
     m_v = [(float(a), float(b)) for a, b in init.m_v]
     n = len(m_u)
@@ -286,7 +304,7 @@ def _reference_reconstruct2d(init, tol=1e-9):
         return "in" if d > ang_tol else "boundary" if d >= -ang_tol else "out"
 
     def chooser(cands_of, forbidden):
-        spans = forbidden.spans()
+        spans = forbidden.spans
 
         def choose(entry):
             cands = cands_of(*entry)
@@ -303,9 +321,9 @@ def _reference_reconstruct2d(init, tol=1e-9):
             return None
         return choose
 
-    sweep(m_u, chooser(u_candidates, AngularIntervals()), place)
-    sweep(m_v, chooser(v_candidates, AngularIntervals()), place)
-    forbidden = AngularIntervals([(0.0, alpha)])
+    sweep(m_u, chooser(u_candidates, _Spans()), place)
+    sweep(m_v, chooser(v_candidates, _Spans()), place)
+    forbidden = _Spans([(0.0, alpha)])
     round_bound = math.ceil(1.0 + math.pi / alpha)
     rounds = 0
     while m_u or m_v:
@@ -313,10 +331,7 @@ def _reference_reconstruct2d(init, tol=1e-9):
         sweep(m_v, chooser(v_candidates, forbidden), place)
         if not m_u and not m_v:
             break
-        grown = AngularIntervals(forbidden.spans())
-        grown.union(forbidden.reflected(0.0))
-        grown.union(forbidden.reflected(alpha))
-        forbidden = grown
+        forbidden = forbidden.grown(alpha)
         rounds += 1
         if rounds > round_bound:
             raise ReconstructionError(f"unresolved points after the round bound {round_bound}")
@@ -324,6 +339,10 @@ def _reference_reconstruct2d(init, tol=1e-9):
         raise InconsistentDataError("placement count does not match multiset size")
     return PlanarReconstruction(cloud=PointCloud(2, tuple(placed)), rounds=rounds,
                                 round_bound=round_bound, alpha=alpha)
+
+
+def _float_copy(cloud):
+    return PointCloud(2, tuple((float(x), float(y)) for x, y in cloud.points))
 
 
 def _assert_same_reconstruction(init):
@@ -337,8 +356,7 @@ def _assert_same_reconstruction(init):
 @pytest.mark.parametrize("k", range(6))
 def test_reconstruct2d_matches_the_reference_on_the_benchmark_shapes(k):
     shape = oracle.random_cloud(60 + 4 * k, 2, 900 + k)
-    floats = PointCloud(2, tuple((float(x), float(y)) for x, y in shape.points))
-    for cloud in (shape, floats):
+    for cloud in (shape, _float_copy(shape)):
         got = _assert_same_reconstruction(init2d(run_wl(cloud, 1, 3)))
         assert got.rounds > 0
 
@@ -356,3 +374,54 @@ def test_reconstruct2d_matches_the_reference_on_a_corrupted_entry():
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
     assert errors[0][0] is InconsistentDataError
+
+
+@pytest.mark.parametrize("alpha", [1e-3, math.pi / 2 - 1e-9, math.pi - 1e-6, 2 * math.pi / 5],
+                         ids=["tiny", "near_half_pi", "near_pi", "closes_at_two_pi"])
+def test_reflection_growth_is_the_closed_form_arc(alpha):
+    # k reflection rounds grow [0, alpha] to the arc [-k*alpha, (k+1)*alpha], split at
+    # angle 0, until it covers the circle; at the arc's edges and its far point
+    # alpha/2 + pi the kinds agree with the closed-form depth (2k+1)*alpha/2 - delta
+    ang_tol = 1e-8
+    two_pi = 2 * math.pi
+
+    def kind(depth):
+        return 2 if depth > ang_tol else 1 if depth >= -ang_tol else 0
+
+    forbidden = _Spans([(0.0, alpha)])
+    k = 0
+    while (2 * k + 1) * alpha < two_pi - 1e-12:
+        want = [0.0, alpha] if k == 0 else [0.0, (k + 1) * alpha, two_pi - k * alpha, two_pi]
+        assert [x for span in forbidden.spans for x in span] == pytest.approx(want, abs=1e-12)
+        for edge in (-k * alpha, (k + 1) * alpha, alpha / 2 + math.pi):
+            for theta in (edge - 2 * ang_tol, edge, edge + 2 * ang_tol):
+                off = abs(math.remainder(theta - alpha / 2, two_pi))
+                closed = kind((2 * k + 1) * alpha / 2 - off)
+                assert kind(_reference_depth(forbidden.spans, theta)) == closed, (k, theta)
+        forbidden = forbidden.grown(alpha)
+        k += 1
+    assert sum(hi - lo for lo, hi in forbidden.spans) >= two_pi - 1e-12
+
+
+def _lattice_disk(k, half):
+    return PointCloud(2, tuple((F(x), F(y)) for x in range(-k, k + 1) for y in range(-k, k + 1)
+                               if x * x + y * y <= k * k and (y >= 0 or not half)))
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["disk", "half_disk"])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_reconstruct2d_matches_the_reference_on_lattice_disks(k, half):
+    # candidates sit exactly on reflected pivot lines: the boundary kind
+    shape = _lattice_disk(k, half)
+    for cloud in (shape, _float_copy(shape)):
+        _assert_same_reconstruction(init2d(run_wl(cloud, 1, 3)))
+
+
+@pytest.mark.parametrize("seed", [114, 181])
+def test_float_partner_within_tol_of_the_u_line_is_no_pivot(seed):
+    # float copies of `geowl gen --n 50 --d 2 --seed <seed> --grid 8 --span 1`: a
+    # partner collinear with u passed q^2 < 4N by rounding, and reconstruct2d then
+    # rejected the pivot pair as collinear with the barycenter
+    shape = oracle.random_cloud(50, 2, seed, grid=8, span=1)
+    rep = reconstruct(_float_copy(shape), "wl2d")
+    assert rep.verified and rep.counters["alpha"] is not None
