@@ -368,19 +368,17 @@ def _unit_normal(B: np.ndarray) -> np.ndarray:
     return np.linalg.svd(B.T, full_matrices=True)[2][-1]
 
 
-def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
-                 sq_tuples: Sequence[Sequence[Scalar]], tol: float):
-    """Shared solve of `mirror_pair` and `mirror_residents`.
+def _plane_heights(P: np.ndarray, R2: np.ndarray, tol: float):
+    """Span coordinates and squared heights over a hyperplane of anchors.
 
-    Returns, per distance tuple, the foot point on the anchors' span, the
-    points lifted off the span by the out-of-plane height along the normal
-    and against it, and whether the tuple is a span resident (height 0).
-    All tuples share one span basis, one normal and one least-squares solve,
-    and each row rounds as a one-row call does.  Raises
-    InconsistentDataError when any tuple is unrealizable.
+    P holds d float anchors spanning a hyperplane, R2 one row of squared
+    distances to them per point.  Returns the span base and basis, each row's
+    span coordinates T and squared out-of-plane height h2, whether the row
+    is a span resident (h2 at most the limit tol * scale * 100), and the
+    per-row scale.  All rows share one span basis and one least-squares
+    solve, and each row rounds as a one-row call does.  Raises
+    InconsistentDataError when some h2 lies below minus the limit.
     """
-    P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
-    R2 = np.array([[float(v) for v in r] for r in sq_tuples], dtype=float)
     base, B = _hyperplane_basis(P, tol)
     scale = R2.max(axis=1, initial=max(1.0, float(np.abs(P).max())))
     limit = tol * scale * 100
@@ -392,7 +390,21 @@ def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
         raise InconsistentDataError(
             f"negative out-of-plane component {float(h2[h2 < -limit][0]):.3e}: "
             "distances are unrealizable")
-    resident = h2 <= limit
+    return base, B, T, h2, h2 <= limit, scale
+
+
+def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
+                 sq_tuples: Sequence[Sequence[Scalar]], tol: float):
+    """Batched `mirror_pair`.
+
+    Returns, per distance tuple, the foot point on the anchors' span, the
+    points lifted off the span by the out-of-plane height along the normal
+    and against it, and whether the tuple is a span resident (height 0).
+    Raises InconsistentDataError when any tuple is unrealizable.
+    """
+    P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
+    R2 = np.array([[float(v) for v in r] for r in sq_tuples], dtype=float)
+    base, B, T, h2, resident, scale = _plane_heights(P, R2, tol)
     feet = base + (B[None] @ T[:, :, None])[:, :, 0]
     if resident.all():
         up = down = feet
@@ -417,17 +429,6 @@ def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
     """
     feet, up, down, resident = _mirror_rows(anchors, [sq_dists], tol)
     return [feet[0]] if resident[0] else [up[0], down[0]]
-
-
-def mirror_residents(anchors: Sequence[Sequence[Scalar]],
-                     sq_tuples: Sequence[Sequence[Scalar]],
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per distance tuple, whether `mirror_pair` would place it on the anchors' span.
-
-    The flags equal `[len(mirror_pair(anchors, r, tol)) == 1 for r in sq_tuples]`,
-    and unrealizable tuples raise InconsistentDataError in the same cases.
-    """
-    return _mirror_rows(anchors, sq_tuples, tol)[3]
 
 
 @dataclass(frozen=True)

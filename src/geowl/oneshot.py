@@ -7,25 +7,27 @@ regimes cover everything:
 * every tuple spans less than d-1 dimensions: the whole cloud lies in the
   top tuple's affine span and trilateration places each point uniquely;
 * some tuple spans exactly d-1 dimensions: each point then has at most two
-  mirror positions, and the total pairwise distance sum (recoverable from
-  the initial coloring) singles out the correct assignment, because mixing
-  mirror images across the anchor hyperplane strictly inflates the sum.
-  The accepted candidate is the one contained in a single closed half-space
-  whose total matches.
+  mirror positions, and the cloud is rebuilt from a tuple whose hyperplane
+  supports it (leaves every point in one closed half-space), by placing
+  every point on the same side.
 
-Hyperplane tuples are tried in order of how many points lie on their span
-("residents"), most first, because residents leave no mirror choice.  The
-ranking needs only those counts, so it takes one batched solve per tuple
-(`geometry.mirror_residents`); mirror pairs are built only for the entries
-of the tuples actually tried.
+Signed heights over a hyperplane average to the barycenter's height, so
+the hyperplane supports the cloud exactly when sum_y |h_y| = n |h_b|.  The
+|h_y| come from the tuple's records, and |h_b| from the barycenter's
+squared distances to the tuple, (f(x_j) - T/(2n))/n, where f(x_j) sums the
+records' j-th entries and T, the ordered-pair sum of squared distances,
+comes from the initial colors.  Tuple colors are scanned lazily in digest
+order, and only a tuple that passes this test has its points built.
 
-This module works with true (unsquared) distances for the total-sum test:
-strict subadditivity under mirror mixing fails for squared distances.
+The built cloud must still match the coloring's total distance sum.  That
+certificate works with true (unsquared) distances: strict subadditivity
+under mirror mixing fails for squared distances.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -33,8 +35,11 @@ import numpy as np
 
 from .config import DEFAULT_MAX_CANDIDATES, DEFAULT_TOL
 from .errors import CapExceededError, ReconstructionError
-from .geometry import (PointCloud, SquaredDistanceMatrix, affine_dim, anchor_embed,
-                       gram_affine_dim, mirror_pair, mirror_residents, trilaterate)
+from .geometry import (PointCloud, SquaredDistanceMatrix, _mirror_rows, _plane_heights,
+                       affine_dim, barycenter_sq_norms, gram_affine_dim)
+# perfbench/tracer.py binds these names on this module, and its per-layer
+# metrics read them.
+from .geometry import anchor_embed, mirror_pair, trilaterate
 from .report import ReconstructionReport
 from .wl import KIND_MAT, KIND_NODE, KIND_NODE1, ColorStore
 
@@ -45,29 +50,36 @@ def _pair_sum(points: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.sum(diff * diff, axis=2))))
 
 
-def total_distance_sum(store: ColorStore) -> float:
-    """The cloud's ordered pairwise distance sum, read off the coloring.
+def _pair_sums(store: ColorStore) -> tuple[float, float]:
+    """The ordered pairwise sums of distances and of squared distances.
 
-    For d >= 2 the initial colors contribute one (1,2)-entry per d-tuple,
-    which overcounts the sum by n^(d-2).  The line case has trivial initial
-    colors, so the per-point distance multisets of the first refinement are
-    summed instead.
+    Both are read off the coloring.  For d >= 2 the initial colors carry one
+    (1,2)-entry per d-tuple, which counts each pair n^(d-2) times.  The line
+    case has trivial initial colors, so the per-point distance multisets of
+    the first refinement are counted instead.
     """
-    n = store.n
-    ell = store.ell
-    if ell == 1:
+    payload = store.interner.payload
+    if store.ell == 1:
         if store.iterations < 1:
             raise ValueError("the line case needs one refinement")
-        total = 0.0
-        for cid in store.tables[1]:
-            _, recs = store.interner.payload(cid, KIND_NODE1)
-            total += sum(math.sqrt(float(store.value_of(did))) for did, _ in recs)
-        return total
-    total = 0.0
-    for cid in store.tables[0]:
-        dids = store.interner.payload(cid, KIND_MAT)[1]
-        total += math.sqrt(float(store.value_of(dids[1])))
-    return total / (n ** (ell - 2))
+        counts = Counter(did for cid in store.tables[1]
+                         for did, _ in payload(cid, KIND_NODE1)[1])
+        repeat = 1
+    else:
+        counts = Counter(payload(cid, KIND_MAT)[1][1] for cid in store.tables[0])
+        repeat = store.n ** (store.ell - 2)
+    dist = sq = 0.0
+    for did, k in counts.items():
+        k //= repeat
+        v = float(store.value_of(did))
+        dist += k * math.sqrt(v)
+        sq += k * v
+    return dist, sq
+
+
+def total_distance_sum(store: ColorStore) -> float:
+    """The cloud's ordered pairwise distance sum, read off the coloring."""
+    return _pair_sums(store)[0]
 
 
 @dataclass(frozen=True)
@@ -146,16 +158,37 @@ def _color_tuple_data(store: ColorStore, cid: int):
     return mat, tuples
 
 
+def _supports(anchors: np.ndarray, tuples, sq_total: float, tol: float) -> bool:
+    """Whether the anchors' hyperplane leaves every point in one closed half-space.
+
+    Tests sum_y |h_y| = n |h_b| in squares, from one solve over the records
+    and the barycenter's squared distances to the anchors.  A record's
+    height is 0 when `mirror_pair` would place it on the span.  h_b^2 is not
+    snapped: the barycenter is no point of the cloud, and the square of a
+    rounding residue is far below the tolerance where its root is not.
+    """
+    n = len(tuples)
+    R2 = np.array([[float(v) for v in t] for t in tuples], dtype=float)
+    bary = barycenter_sq_norms(R2.sum(axis=0), sq_total, n, tol)
+    *_, h2, resident, scale = _plane_heights(anchors, np.vstack([R2, bary]), tol)
+    s = float(np.sqrt(np.where(resident, 0.0, h2)[:n]).sum())
+    return abs(s * s - n * n * h2[n]) <= tol * n * n * float(scale.max())
+
+
 def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
                          cap: int = DEFAULT_MAX_CANDIDATES) -> ReconstructionReport:
     """Rebuild the cloud from one refinement of its d-tuple coloring.
 
-    Tuple colors spanning a hyperplane are ranked by (-residents, digest),
-    with residents counted by one batched solve per tuple; unrealizable
-    distance data raises InconsistentDataError during that pass.  The scan
-    then builds mirror pairs for one tuple at a time and accepts the first
-    whose positive-side cloud has the coloring's total distance sum.  At
-    most `cap` tuples are tried before CapExceededError is raised.
+    Scans the tuple colors in digest order.  Each tuple spanning a
+    hyperplane is tested by the barycenter-height identity, and the first
+    that passes has its points placed on the positive side of its span.
+    The result is accepted when its ordered pair-distance sum matches the
+    coloring's and its points are distinct; otherwise the scan goes on.
+    Unrealizable distance data in a tested tuple raises
+    InconsistentDataError.  At most `cap` hyperplane tuples are tested
+    before CapExceededError is raised.  When no tuple spans a hyperplane,
+    the cloud lies in the span of the first tuple of greatest dimension and
+    is trilaterated from it.
     """
     if store.iterations < 1:
         raise ValueError("need at least one refinement")
@@ -169,46 +202,29 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
         return ReconstructionReport(cloud=cloud, method="oneshot-trivial",
                                     counters={"candidates_tried": 0})
 
-    digests = store.interner.digests
-    colors = sorted(set(store.tables[1]), key=lambda c: digests[c])
-    data = {c: _color_tuple_data(store, c) for c in colors}
-    dims = {c: gram_affine_dim(data[c][0], tol) for c in colors}
-    maxdim = max(dims.values())
-
-    if maxdim < d - 1:
-        # the whole cloud lies in the top tuple's affine span
-        best = next(c for c in colors if dims[c] == maxdim)
-        mat, tuples = data[best]
-        anchors = anchor_embed(mat, d, tol)
-        points = [tuple(trilaterate(anchors, t, tol)) for t in tuples]
-        cloud = PointCloud(dim=d, points=tuple(points))
-        return ReconstructionReport(cloud=cloud, method="oneshot-span",
-                                    counters={"candidates_tried": 1,
-                                              "anchor_dim": maxdim})
-
-    ds_total = total_distance_sum(store)
+    ds_total, sq_total = _pair_sums(store)
     scale = max(1.0, ds_total)
-    # fewer off-plane points means fewer mirror choices: try those tuples first
-    ranked = []
-    for c in colors:
-        if dims[c] != d - 1:
-            continue
-        mat, tuples = data[c]
-        anchors = anchor_embed(mat, d, tol)
-        residents = int(np.count_nonzero(mirror_residents(anchors, tuples, tol)))
-        ranked.append((-residents, digests[c], anchors, tuples))
-    ranked.sort(key=lambda r: (r[0], r[1]))
-
+    digests = store.interner.digests
+    span = None  # (dim, matrix, records) of the first color of greatest dimension
     tried = 0
-    for _, _, anchors, tuples in ranked:
+    for c in sorted(set(store.tables[1]), key=lambda c: digests[c]):
+        mat, tuples = _color_tuple_data(store, c)
+        dim = gram_affine_dim(mat, tol)
+        if dim < d - 1:
+            if span is None or dim > span[0]:
+                span = (dim, mat, tuples)
+            continue
         if tried == cap:
             raise CapExceededError(
                 f"no hyperplane tuple accepted within the cap of {cap} tried tuples")
         tried += 1
-        # positive side for every two-sided entry
-        points = [mirror_pair(anchors, t, tol)[0] for t in tuples]
-        arr = np.array(points)
-        total = _pair_sum(arr)
+        anchors = anchor_embed(mat, d, tol)
+        if not _supports(anchors, tuples, sq_total, tol):
+            continue
+        # every two-sided entry on the positive side
+        feet, up, _, resident = _mirror_rows(anchors, tuples, tol)
+        points = np.where(resident[:, None], feet, up)
+        total = _pair_sum(points)
         if abs(total - ds_total) <= tol * n * n * scale:
             try:
                 cloud = PointCloud(dim=d, points=tuple(map(tuple, points)))
@@ -218,8 +234,16 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
                 cloud=cloud, method="oneshot-halfspace",
                 counters={"candidates_tried": tried, "total_gap": total - ds_total,
                           "pair_sum": total})
-    raise ReconstructionError(
-        f"no hyperplane tuple accepted: {tried} tuples scanned, target sum {ds_total}")
+    if tried:
+        raise ReconstructionError(
+            f"no hyperplane tuple accepted: {tried} tuples scanned, target sum {ds_total}")
+    # the whole cloud lies in the top tuple's affine span
+    maxdim, mat, tuples = span
+    anchors = anchor_embed(mat, d, tol)
+    points = [tuple(trilaterate(anchors, t, tol)) for t in tuples]
+    cloud = PointCloud(dim=d, points=tuple(points))
+    return ReconstructionReport(cloud=cloud, method="oneshot-span",
+                                counters={"candidates_tried": 1, "anchor_dim": maxdim})
 
 
 def supporting_tuple_scan(cloud: PointCloud, tol: float = DEFAULT_TOL) -> tuple:

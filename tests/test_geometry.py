@@ -10,8 +10,8 @@ from geowl.errors import InconsistentDataError, NotRealizableError, Reconstructi
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _hyperplane_basis, _in_plane,
                             _mirror_rows, _unit_normal, affine_dim, anchor_embed, barycenter,
                             barycenter_sq_norms, cone_coefficients, mirror_pair,
-                            mirror_residents, reflect, solid_angle_mc, sq_dist,
-                            squared_distance_matrix, sweep, trilaterate)
+                            reflect, solid_angle_mc, sq_dist, squared_distance_matrix,
+                            sweep, trilaterate)
 
 
 def test_point_cloud_invariants():
@@ -199,7 +199,11 @@ def _mirror_pair_reference(anchors, sq_dists, tol=1e-9):
     return [p + h * _unit_normal(B), p - h * _unit_normal(B)]
 
 
-def test_mirror_residents_match_mirror_pair():
+def _residents(anchors, tuples):
+    return _mirror_rows(anchors, tuples, 1e-9)[3]
+
+
+def test_mirror_rows_residents_match_mirror_pair():
     rng = random.Random(9)
     flags_seen = set()
     for seed in range(80):
@@ -221,7 +225,7 @@ def test_mirror_residents_match_mirror_pair():
         for t in tuples[:3]:
             scale = max(1, max(t), max(abs(c) for a in anchors for c in a))
             tuples += [[v + F(k, 2) * 1e-7 * scale for v in t] for k in (-1, 1, 4)]
-        flags = mirror_residents(anchors, tuples)
+        flags = _residents(anchors, tuples)
         assert list(flags) == [len(mirror_pair(anchors, t)) == 1 for t in tuples], seed
         feet, up, down, resident = _mirror_rows(anchors, tuples, 1e-9)
         batched = [[p] if r else [u, w] for p, u, w, r in zip(feet, up, down, resident)]
@@ -235,13 +239,13 @@ def test_mirror_residents_match_mirror_pair():
     assert flags_seen == {(d, f) for d in range(1, 5) for f in (True, False)}
 
 
-def test_mirror_residents_rejects_unrealizable_tuples():
+def test_mirror_rows_rejects_unrealizable_tuples():
     anchors = [(0, 0), (1, 0)]
-    assert list(mirror_residents(anchors, [[1, 2], [1, 4]])) == [False, True]
+    assert list(_residents(anchors, [[1, 2], [1, 4]])) == [False, True]
     with pytest.raises(InconsistentDataError):
-        mirror_residents(anchors, [[1, 2], [1, 9], [1, 4]])
+        _residents(anchors, [[1, 2], [1, 9], [1, 4]])
     # d = 1: the anchor span is a single point and the basis has no columns
-    assert list(mirror_residents([(2,)], [[0], [4]])) == [True, False]
+    assert list(_residents([(2,)], [[0], [4]])) == [True, False]
 
 
 def test_reflect_examples():

@@ -7,10 +7,12 @@ import pytest
 
 from geowl import oracle
 from geowl.errors import CapExceededError
-from geowl.geometry import PointCloud, affine_dim, anchor_embed, gram_affine_dim, \
-    mirror_pair, sq_dist, squared_distance_matrix
-from geowl.oneshot import (_color_tuple_data, _pair_sum, enumerate_candidates,
-                           reconstruct_one_iter, supporting_tuple_scan, total_distance_sum)
+from geowl.geometry import PointCloud, _mirror_rows, affine_dim, anchor_embed, gram_affine_dim, \
+    mirror_pair, sq_dist, squared_distance_matrix, trilaterate
+from geowl.oneshot import (_color_tuple_data, _pair_sum, _pair_sums, _supports,
+                           enumerate_candidates, reconstruct_one_iter, supporting_tuple_scan,
+                           total_distance_sum)
+from geowl.report import reconstruct
 from geowl.wl import run_wl
 
 SQUARE = PointCloud(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
@@ -158,35 +160,95 @@ def test_reconstruct_round_trip_random():
         assert align is not None and align.residual < 1e-6, (seed, d, n)
 
 
-def _eager_one_iter(store, tol=1e-9):
-    """Reference scan: mirror pairs for every entry, tuples ranked by residents."""
-    d, n = store.dim, store.n
-    digests = store.interner.digests
-    ranked = []
-    for c in set(store.tables[1]):
-        mat, tuples = _color_tuple_data(store, c)
-        if gram_affine_dim(mat, tol) == d - 1:
-            cands = [mirror_pair(anchor_embed(mat, d, tol), t, tol) for t in tuples]
-            ranked.append((-sum(len(cc) == 1 for cc in cands), digests[c], cands))
-    ranked.sort(key=lambda r: r[:2])
-    ds_total = total_distance_sum(store)
-    for tried, (_, _, cands) in enumerate(ranked, 1):
-        points = np.array([cc[0] for cc in cands])
-        if (abs(_pair_sum(points) - ds_total) <= tol * n * n * max(1.0, ds_total)
-                and len(set(map(tuple, points))) == n):
-            return tried, points
-    raise AssertionError("the eager scan accepted no tuple")
-
-
-def test_lazy_scan_matches_eager_ranking():
+def _scan_clouds():
+    """The 30 reference clouds and their float copies, n = 2 clouds in d = 2,
+    a coplanar and a collinear d = 3 cloud, and a nearly collinear d = 2 cloud."""
+    clouds = []
     for seed in range(30):
         d, n = (2, 5 + seed % 8) if seed < 16 else (3, 5 + seed % 5)
-        cloud = oracle.random_cloud(n, d, seed=9100 + seed, grid=4, span=2)
-        store = run_wl(cloud, d, 1)
+        clouds.append(oracle.random_cloud(n, d, seed=9100 + seed, grid=4, span=2))
+    clouds += [PointCloud(c.dim, tuple(tuple(float(x) for x in p) for p in c.points))
+               for c in clouds]
+    clouds += [oracle.random_cloud(2, 2, seed=9200 + k, grid=4, span=2) for k in range(6)]
+    flat = oracle.random_cloud(8, 2, seed=9300, grid=4, span=2)
+    clouds.append(PointCloud(3, tuple((x, y, x - 2 * y + 1) for x, y in flat.points)))
+    clouds.append(PointCloud(3, tuple((F(t), F(2 * t), F(-t, 3)) for t in (0, 1, 3, 4, 7))))
+    # one point just above the resident limit over a line of nine, so the
+    # barycenter's height is below that limit on the lines that support it
+    clouds.append(PointCloud(2, tuple((F(x), F(0)) for x in range(9)) + ((F(4), F(1, 128)),)))
+    return clouds
+
+
+def _hyperplane_colors(store, tol=1e-9):
+    """Anchors and records of each hyperplane tuple color, in digest order."""
+    digests = store.interner.digests
+    for c in sorted(set(store.tables[1]), key=lambda c: digests[c]):
+        mat, tuples = _color_tuple_data(store, c)
+        if gram_affine_dim(mat, tol) == store.dim - 1:
+            yield anchor_embed(mat, store.dim, tol), tuples
+
+
+def _positive_side(anchors, tuples, tol=1e-9):
+    return np.array([mirror_pair(anchors, t, tol)[0] for t in tuples])
+
+
+def _sum_matches(points, ds_total, tol=1e-9):
+    n = len(points)
+    return abs(_pair_sum(points) - ds_total) <= tol * n * n * max(1.0, ds_total)
+
+
+def _reference_one_iter(store, tol=1e-9):
+    """Reference scan: mirror pairs for every entry of every hyperplane color,
+    in digest order; the span branch trilaterates the first color of greatest
+    dimension."""
+    d, n = store.dim, store.n
+    ds_total = total_distance_sum(store)
+    tried = 0
+    for tried, (anchors, tuples) in enumerate(_hyperplane_colors(store, tol), 1):
+        points = _positive_side(anchors, tuples, tol)
+        if _sum_matches(points, ds_total, tol) and len(set(map(tuple, points))) == n:
+            return tried, points
+    assert tried == 0, "the reference scan accepted no tuple"
+    digests = store.interner.digests
+    data = [_color_tuple_data(store, c)
+            for c in sorted(set(store.tables[1]), key=lambda c: digests[c])]
+    dims = [gram_affine_dim(mat, tol) for mat, _ in data]
+    mat, tuples = data[dims.index(max(dims))]
+    anchors = anchor_embed(mat, d, tol)
+    return 1, np.array([trilaterate(anchors, t, tol) for t in tuples])
+
+
+def test_lazy_scan_matches_reference_scan():
+    methods = set()
+    for k, cloud in enumerate(_scan_clouds()):
+        store = run_wl(cloud, cloud.dim, 1)
         rep = reconstruct_one_iter(store)
-        tried, points = _eager_one_iter(store)
-        assert rep.counters["candidates_tried"] == tried, seed
-        assert np.array_equal(rep.cloud.as_array(), points), seed
+        tried, points = _reference_one_iter(store)
+        assert rep.counters["candidates_tried"] == tried, k
+        assert np.array_equal(rep.cloud.as_array(), points), k
+        methods.add(rep.method)
+    assert methods == {"oneshot-halfspace", "oneshot-span"}
+
+
+def test_height_identity_holds_exactly_when_pair_sum_matches():
+    seen = set()
+    for k, cloud in enumerate(_scan_clouds()):
+        store = run_wl(cloud, cloud.dim, 1)
+        ds_total, sq_total = _pair_sums(store)
+        for anchors, tuples in _hyperplane_colors(store):
+            feet, up, _, resident = _mirror_rows(anchors, tuples, 1e-9)
+            matches = _sum_matches(np.where(resident[:, None], feet, up), ds_total)
+            assert _supports(anchors, tuples, sq_total, 1e-9) == matches, k
+            seen.add(matches)
+    assert seen == {True, False}
+
+
+def test_reconstruct_n30_d3():
+    # geowl gen --n 30 --d 3 --seed 2; ranking tuples by resident count tried 419
+    rep = reconstruct(oracle.random_cloud(30, 3, 2), "oneshot")
+    assert rep.method == "oneshot-halfspace"
+    assert rep.counters["candidates_tried"] == 5
+    assert rep.alignment is not None
 
 
 def test_supporting_tuple_scan_examples():
