@@ -8,6 +8,15 @@ for every tuple and every cloud point, an enhanced profile: the full squared
 distance matrix of (barycenter, x_1, ..., x_d) together with the d profiles
 obtained by substituting the barycenter into each slot.
 
+Extraction builds one `ProfileTable` per store instead of one object per
+profile.  Every squared distance of an exact store is worked out as an
+integer over S = 2 n^2 Q, Q the lcm of the distance denominators (2 n^2
+makes the barycenter identity integral too); a float store keeps its floats.
+The table numbers the distinct values in increasing order, holds each
+enhanced profile as arrays of those numbers, and each distinct substituted
+profile once.  Ranking runs on these arrays; the `EnhancedProfile` of a
+candidate, in Fractions or floats, is built only when reconstruction tries it.
+
 Reconstruction runs in the anchors' Gram coordinates: with the barycenter
 at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
 matrix G comes straight from the enhanced profile (rational for exact
@@ -24,9 +33,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +55,112 @@ from .wl import (KIND_MAT, KIND_NODE, ColorStore, Interner, compare, fingerprint
                  run_wl, run_wl_from_sq_values)
 
 
+def _nodes(store: ColorStore, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Previous colors and the (len(colors), n, ell) records of KIND_NODE colors."""
+    prev, recs = zip(*(store.interner.payload(c, KIND_NODE) for c in colors))
+    return np.array(prev), np.array(recs)
+
+
+def _index(colors, wanted: np.ndarray) -> np.ndarray:
+    """Positions in `colors` (distinct ints) of every entry of `wanted`."""
+    pos = {c: i for i, c in enumerate(colors)}
+    return np.array([pos[c] for c in wanted.ravel().tolist()]).reshape(wanted.shape)
+
+
+def _sorted_rows(e: np.ndarray) -> np.ndarray:
+    """(k, n, w) integer array with each of its k blocks' rows sorted lexicographically."""
+    k, n, w = e.shape
+    flat = e.reshape(k * n, w)
+    return flat[np.lexsort((*flat.T[::-1], np.repeat(np.arange(k), n)))].reshape(e.shape)
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """First position of each distinct row of a 2-D array, in order of appearance,
+    and for every row the number of its distinct row in that order."""
+    w = a.shape[1] * a.itemsize
+    b = np.ascontiguousarray(a).tobytes()
+    rows = [b[i:i + w] for i in range(0, len(b), w)]
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    number = dict(zip(first, range(len(first))))
+    return list(first.values()), np.array([number[row] for row in rows])
+
+
+class _History:
+    """Iterations 1 and 2 of a tuple coloring as arrays of value ids.
+
+    distances[v] is the v-th smallest distinct squared distance, worked
+    out as a numerator over S = 2 n^2 Q for an exact store, Q the lcm of its
+    distance denominators, which makes every barycenter norm (f - T/(2n))/n
+    an integer over S too; a float store keeps its floats.  Per iteration-1
+    color c1[k]: mat[k], the ids of its tuple's distance matrix (row-major),
+    and bary[k], each slot's squared barycenter distance.  Per iteration-2
+    color c2[k]: prev2[k], the position of its iteration-1 color, and
+    entries[k], its (n, d) profile, rows sorted.
+    """
+
+    def __init__(self, store: ColorStore, iterations: int):
+        m, n = store.ell, store.n
+        if m < 2 or store.iterations < iterations:
+            raise ValueError("need a tuple history (ell >= 2) with at least " + (
+                "one iteration", "two iterations", "three iterations")[iterations - 1])
+        exact = store.interner.mode == "exact"
+        dids = sorted(set(chain.from_iterable(store.dist_ids)))
+        vals = list(map(store.value_of, dids))
+        S = 2 * n * n * math.lcm(*(v.denominator for v in vals)) if exact else 1
+        nums = [v.numerator * (S // v.denominator) for v in vals] if exact else vals
+        dist = sorted(set(nums))  # ids into dist until the barycenter norms join them
+        dist_id = {v: i for i, v in enumerate(dist)}
+        dist_pos = {did: dist_id[v] for did, v in zip(dids, nums)}
+
+        counts = Counter(store.tables[1])
+        self.c1 = list(counts)
+        prev0, recs = _nodes(store, self.c1)
+        c0 = list(dict.fromkeys(np.concatenate([prev0, recs.ravel()]).tolist()))
+        mats = np.array([[dist_pos[x] for x in store.interner.payload(c, KIND_MAT)[1]]
+                         for c in c0])
+        r = _index(c0, recs)
+        # slot 0's distances are the (1,0) entries of the slot-1 substitutions,
+        # slot j's the (0,j) entries of the slot-0 ones; sorted, each is one point's row
+        slots = np.stack([mats[r[..., 1], m]] + [mats[r[..., 0], j] for j in range(1, m)], 1)
+        slots = np.sort(slots, -1).reshape(-1, n)
+        first, inv = _distinct_rows(slots)
+        inv = inv.reshape(len(self.c1), m)
+        f = [sum(map(dist.__getitem__, row)) for row in slots[first].tolist()]
+        # the cloud-wide multiset of distance multisets is inflated by n^(d-2)
+        multiplier = n ** (m - 1)
+        global_counts: Counter = Counter()
+        for u, cnt in zip(inv[:, 0].tolist(), counts.values()):
+            global_counts[u] += cnt
+        total = 0
+        for u, cnt in global_counts.items():
+            if cnt % multiplier != 0:
+                raise InconsistentDataError(
+                    f"distance-multiset count {cnt} is not divisible by n^(d-2)={multiplier}")
+            total = total + (cnt // multiplier) * f[u]
+        norms = barycenter_sq_norms(f, total, n)
+        norms = [int(v) for v in norms] if exact else norms
+
+        values = sorted(set(dist) | set(norms))
+        self.distances = [Fraction(v, S) for v in values] if exact else values
+        pos = {v: i for i, v in enumerate(values)}
+        self.mat = np.array([pos[v] for v in dist])[mats[_index(c0, prev0)]]
+        self.bary = np.array([pos[v] for v in norms])[inv]
+        if iterations >= 2:
+            self.c2 = list(dict.fromkeys(store.tables[2]))
+            prev1, recs = _nodes(store, self.c2)
+            self.prev2 = _index(self.c1, prev1)
+            self.entries = _sorted_rows(self.entry(_index(self.c1, recs)))
+
+    def entry(self, r: np.ndarray) -> np.ndarray:
+        """(d(y,b), d(y,x_1), ..., d(y,x_m)) from the iteration-1 positions r[..., :]
+        of a record's substituted tuples (y in slot j of r[..., j])."""
+        m = r.shape[-1]
+        return np.stack([self.bary[r[..., 0], 0], self.mat[r[..., 1], m]]
+                        + [self.mat[r[..., 0], j] for j in range(1, m)], -1)
+
+
 def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
     """Per iteration-1 tuple color, the squared barycenter distance of each slot.
 
@@ -52,31 +169,8 @@ def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
     with all multiplicities inflated by n^(d-2) and is deflated before the
     barycenter identity is applied.
     """
-    m = store.ell
-    if m < 2 or store.iterations < 1:
-        raise ValueError("need a tuple history (ell >= 2) with at least one iteration")
-    n = store.n
-    val = store.value_of
-    payload = store.interner.payload
-    counts = Counter(store.tables[1])
-    slot_dists: dict[int, list[tuple]] = {}
-    for c1 in counts:
-        _, recs = payload(c1, KIND_NODE)
-        # slot 0 distances live in the (1,0) entry of the slot-1 substitution
-        slot_dists[c1] = [tuple(sorted(val(payload(r[1], KIND_MAT)[1][m]) for r in recs))] + [
-            tuple(sorted(val(payload(r[0], KIND_MAT)[1][j]) for r in recs)) for j in range(1, m)]
-    multiplier = n ** (m - 1)
-    global_counts: Counter = Counter()
-    for c1, cnt in counts.items():
-        global_counts[slot_dists[c1][0]] += cnt
-    total = 0
-    for dist_multiset, cnt in global_counts.items():
-        if cnt % multiplier != 0:
-            raise InconsistentDataError(
-                f"distance-multiset count {cnt} is not divisible by n^(d-2)={multiplier}")
-        total = total + (cnt // multiplier) * sum(dist_multiset)
-    return {c1: tuple(barycenter_sq_norms([sum(ds) for ds in slot_dists[c1]], total, n))
-            for c1 in counts}
+    h = _History(store, 1)
+    return {c: tuple(map(h.distances.__getitem__, row)) for c, row in zip(h.c1, h.bary.tolist())}
 
 
 def profiles_from_wl2(store: ColorStore) -> dict[int, tuple]:
@@ -85,24 +179,9 @@ def profiles_from_wl2(store: ColorStore) -> dict[int, tuple]:
     Profile entries are (d(y,b)^2, d(y,x_1)^2, ..., d(y,x_{d-1})^2) over the
     cloud points y, as a sorted multiset.
     """
-    m = store.ell
-    if m < 2 or store.iterations < 2:
-        raise ValueError("need a tuple history (ell >= 2) with at least two iterations")
-    bary = barycenter_dists_from_wl1(store)
-    val = store.value_of
-    payload = store.interner.payload
-    out = {}
-    for c2 in set(store.tables[2]):
-        _, recs = payload(c2, KIND_NODE)
-        entries = []
-        for rec in recs:
-            c1_0 = payload(rec[0], KIND_NODE)[0]
-            mat0 = payload(c1_0, KIND_MAT)[1]
-            mat1 = payload(payload(rec[1], KIND_NODE)[0], KIND_MAT)[1]
-            dy = [val(mat1[m])] + [val(mat0[j]) for j in range(1, m)]
-            entries.append((bary[rec[0]][0], *dy))
-        out[c2] = tuple(sorted(entries))
-    return out
+    h = _History(store, 2)
+    return {c: tuple(tuple(map(h.distances.__getitem__, e)) for e in rows)
+            for c, rows in zip(h.c2, h.entries.tolist())}
 
 
 @dataclass(frozen=True)
@@ -116,27 +195,11 @@ class EnhancedProfile:
 
     a: SquaredDistanceMatrix
     profiles: tuple[tuple, ...]
-    # cached by __hash__ (or set by _prehashed): hashing rationals is slow
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.a.order - 1
         if len(self.profiles) != d:
             raise ValueError("need one substituted profile per anchor slot")
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.a, *map(hash, self.profiles))))
-        return self._hash
-
-    @classmethod
-    def _prehashed(cls, a: SquaredDistanceMatrix, profiles: tuple,
-                   profile_hashes: tuple[int, ...]) -> EnhancedProfile:
-        """Extraction's constructor: profile_hashes[i] == hash(profiles[i]),
-        computed once per distinct profile rather than once per tuple."""
-        ep = cls(a, profiles)
-        object.__setattr__(ep, "_hash", hash((a, *profile_hashes)))
-        return ep
 
     def repeats_a_point(self) -> bool:
         """Whether two of (b, x_1, ..., x_d) coincide, which caps the dimension below d."""
@@ -159,51 +222,167 @@ def _float_rows(rows) -> tuple:
     return tuple(tuple(float(x) for x in row) for row in rows)
 
 
-def enhanced_profiles_from_wl3(store: ColorStore) -> dict[EnhancedProfile, int]:
-    """Multiset of enhanced profiles over all d-tuples, keyed with multiplicities."""
-    m = store.ell
-    if m < 2 or store.iterations < 3:
-        raise ValueError("need a tuple history (ell >= 2) with at least three iterations")
-    bary = barycenter_dists_from_wl1(store)
-    prof = profiles_from_wl2(store)
-    val = store.value_of
-    payload = store.interner.payload
-    remapped: dict = {}
+class ProfileTable(Mapping):
+    """Enhanced profiles as arrays of value ids; a mapping of EnhancedProfile to multiplicity.
 
-    def substituted(c2: int, i: int) -> tuple:
-        """Profile of tuple color c2 with slot i moved last, and its hash."""
-        key = (c2, i)
-        if key not in remapped:
-            p = tuple(sorted((*e[1:1 + i], e[0], *e[2 + i:], e[1 + i]) for e in prof[c2]))
-            remapped[key] = (p, hash(p))
-        return remapped[key]
+    distances[v] is the v-th smallest distinct squared distance (Fractions
+    for an exact store, else floats) and floats[v] its float, correctly rounded.
+    Row r is one distinct enhanced profile: A[r] holds the ids of its anchor
+    distance matrix and profiles[P[r, i]] the (n, d) ids of its profile i,
+    so each distinct substituted profile is stored once; counts[r] is its
+    multiplicity.  `profile(r)` builds row r's EnhancedProfile; iterating or
+    indexing the mapping builds them all.
+    """
 
-    result: Counter = Counter()
-    for c3, count in Counter(store.tables[3]).items():
-        c2x, recs3 = payload(c3, KIND_NODE)
-        c1x = payload(c2x, KIND_NODE)[0]
-        matx = payload(payload(c1x, KIND_NODE)[0], KIND_MAT)[1]
-        bary_x = bary[c1x]
-        profile_x = prof[c2x]
-        last_profile = tuple(sorted((*e[1:], e[0]) for e in profile_x))
-        last_hash = hash(last_profile)
-        for rec in recs3:
-            c1_0 = payload(rec[0], KIND_NODE)[0]
-            c1_1 = payload(rec[1], KIND_NODE)[0]
-            mat0 = payload(payload(c1_0, KIND_NODE)[0], KIND_MAT)[1]
-            mat1 = payload(payload(c1_1, KIND_NODE)[0], KIND_MAT)[1]
-            d_y_x = [val(mat1[m])] + [val(mat0[j]) for j in range(1, m)]
-            d_y_b = bary[c1_0][0]
-            # squared distances among (b, x_1, ..., x_m, y), row by row
-            inner = [[val(matx[i * m + j]) if i != j else 0 for j in range(m)] for i in range(m)]
-            A = [(0, *bary_x, d_y_b), *((bary_x[i], *inner[i], d_y_x[i]) for i in range(m)),
-                 (d_y_b, *d_y_x, 0)]
-            profiles, hashes = zip(*(substituted(rec[i], i) for i in range(m)))
-            a = SquaredDistanceMatrix(order=m + 2, entries=tuple(A))
-            ep = EnhancedProfile._prehashed(a, (*profiles, last_profile),
-                                            (*hashes, last_hash))
-            result[ep] += count
-    return dict(result)
+    def __init__(self, distances: list, A: np.ndarray, P: np.ndarray, profiles: np.ndarray,
+                 counts: np.ndarray):
+        self.distances, self.A, self.P, self.profiles = distances, A, P, profiles
+        self.counts = counts
+        self.d = A.shape[-1] - 1
+        self.exact = all(map(is_exact, distances))
+        self.floats = np.array([float(v) for v in distances])
+        self._profile_rows: dict[int, tuple] = {}
+
+    @classmethod
+    def from_profiles(cls, eps) -> ProfileTable:
+        """One row per given EnhancedProfile, in order (equal ones not merged)."""
+        eps = list(eps)
+        if not eps:
+            raise ValueError("no enhanced profiles given")
+        profs = list(dict.fromkeys(p for ep in eps for p in ep.profiles))
+        values = {x for ep in eps for row in ep.a.entries for x in row}
+        values = sorted(values | {x for p in profs for e in p for x in e})
+        pos = {v: i for i, v in enumerate(values)}
+        pid = {p: i for i, p in enumerate(profs)}
+
+        def ids(rows):
+            return [[pos[x] for x in row] for row in rows]
+        return cls(values, np.array([ids(ep.a.entries) for ep in eps]),
+                   np.array([[pid[p] for p in ep.profiles] for ep in eps]),
+                   np.array([ids(p) for p in profs]), np.ones(len(eps), dtype=np.int64))
+
+    def _rows(self, ids: np.ndarray) -> tuple:
+        return tuple(tuple(map(self.distances.__getitem__, row)) for row in ids.tolist())
+
+    def profile(self, r: int) -> EnhancedProfile:
+        """Row r as an EnhancedProfile; rows share equal profiles."""
+        cache = self._profile_rows
+        for p in self.P[r].tolist():
+            if p not in cache:
+                cache[p] = self._rows(self.profiles[p])
+        return EnhancedProfile(SquaredDistanceMatrix(self.d + 1, self._rows(self.A[r])),
+                               tuple(map(cache.__getitem__, self.P[r].tolist())))
+
+    @cached_property
+    def _mapping(self) -> dict:
+        return dict(zip(map(self.profile, range(len(self))), self.counts.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    def __iter__(self):
+        return iter(self._mapping)
+
+    def __getitem__(self, ep: EnhancedProfile) -> int:
+        return self._mapping[ep]
+
+    def keys(self):
+        """The table itself, so that select_cone_tuple(eps.keys()) ranks the arrays."""
+        return self
+
+    def repeats(self) -> np.ndarray:
+        """Per row, whether two of (b, x_1, ..., x_d) coincide."""
+        off = ~np.eye(self.d + 1, dtype=bool)
+        return (self.A[:, off] == self.distances.index(0)).any(-1)
+
+    def ranks(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`gram_affine_dim` of the anchor matrices of rows, from one float pass.
+
+        Float stores take the batched singular values, cut off as
+        `geometry._float_rank` does.  For exact stores a float determinant
+        of G above 1e-8 * max|G_ij|^d is nonzero, as rounding the entries
+        and the elimination perturb it by orders of magnitude less; only
+        the rest take the exact `gram_affine_dim`.
+        """
+        d = self.d
+        G = _gram(self.floats[self.A[rows]])
+        if not self.exact:
+            sv = np.linalg.svd(G, compute_uv=False)
+            return (sv > tol * np.maximum(1.0, sv[:, :1]) * d).sum(-1)
+        ranks = np.full(len(rows), d)
+        scale = np.abs(G).max(axis=(-2, -1)) ** d
+        for k in np.flatnonzero(~(np.abs(np.linalg.det(G)) > 1e-8 * scale)).tolist():
+            ranks[k] = gram_affine_dim(SquaredDistanceMatrix(d + 1, self._rows(self.A[rows[k]])))
+        return ranks
+
+    def bounds(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`depth_bound` from profile 0's mirror candidates of each full-rank row, NaN as inf.
+
+        Each row's bound is its own, so rows go in blocks of 1024 to bound memory.
+        """
+        out = []
+        for block in (rows[i:i + 1024] for i in range(0, len(rows), 1024)):
+            G = _gram(self.floats[self.A[block]])
+            H = np.linalg.inv(G)
+            plus, minus, _ = mirror_lambdas(G, H, self.floats[self.profiles[self.P[block, 0]]],
+                                            0, tol)
+            out.append(depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1])
+        return np.nan_to_num(np.concatenate(out), nan=np.inf)
+
+    def order(self, rows: np.ndarray, primary: np.ndarray) -> np.ndarray:
+        """Positions of rows sorted by (primary, float anchor matrix, float profiles).
+
+        This is the order of (primary, `sort_key`); profiles are floated only
+        for rows that tie on the rest.  The sort is stable.
+        """
+        keys = np.column_stack([primary, self.floats[self.A[rows]].reshape(len(rows), -1)])
+        idx = np.lexsort(keys.T[::-1])
+        keys = keys[idx]
+        cuts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(-1), True]).tolist()
+        for s, e in zip(cuts, cuts[1:]):
+            if e - s > 1:
+                idx[s:e] = sorted(idx[s:e].tolist(), key=lambda k: self.floats[
+                    self.profiles[self.P[rows[k]]]].tolist())
+        return idx
+
+
+def enhanced_profiles_from_wl3(store: ColorStore) -> ProfileTable:
+    """The enhanced profiles of all d-tuples with their multiplicities, as one table.
+
+    Tuple color c3 of x = (x_1, ..., x_m) has one record per point y, the
+    iteration-2 colors of x with y in each slot; the record gives y's row of
+    (b, x_1, ..., x_m, y)'s distance matrix.  The profile with b in slot i < m
+    is the profile of record color i with its slot i moved last, and the last
+    one is x's own with b moved last; each is keyed (c2, i) and sorted once.
+    """
+    h = _History(store, 3)
+    m, n, d = store.ell, store.n, store.ell + 1
+    perms = [[*range(1, i + 1), 0, *range(i + 2, d), i + 1] for i in range(m)]
+    perms.append([*range(1, d), 0])
+    subs = _sorted_rows(np.concatenate([h.entries[:, :, p] for p in perms]))
+    first, pid = _distinct_rows(subs.reshape(len(subs), -1))
+    pid = pid.reshape(d, -1).T  # (c2 position, slot i) -> profile id
+
+    counts = Counter(store.tables[3])
+    prev, recs = _nodes(store, list(counts))
+    x, rec = _index(h.c2, prev), _index(h.c2, recs)
+    y = h.entry(h.prev2[rec])  # (c3, y): d(y, b), d(y, x_1), ..., d(y, x_m)
+    bx = h.bary[h.prev2[x]][:, None]
+    A = np.empty((len(x), n, d + 1, d + 1), dtype=np.intp)
+    A[..., 1:d, 1:d] = h.mat[h.prev2[x]].reshape(-1, 1, m, m)
+    A[..., 0, 1:d] = A[..., 1:d, 0] = bx
+    A[..., d, :d] = A[..., :d, d] = y
+    A[..., 0, 0] = A[..., d, d] = h.distances.index(0)
+    P = np.empty((len(x), n, d), dtype=np.intp)
+    for i in range(m):
+        P[..., i] = pid[rec[..., i], i]
+    P[..., m] = pid[x, m][:, None]
+
+    A, P = A.reshape(-1, d + 1, d + 1), P.reshape(-1, d)
+    rows, inv = _distinct_rows(np.concatenate([A.reshape(len(A), -1), P], 1))
+    mult = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(mult, inv, np.repeat(np.array(list(counts.values())), n))
+    return ProfileTable(h.distances, A[rows], P[rows], subs[first], mult)
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -290,37 +469,42 @@ def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0
     return eps2, np.where(eps < np.inf, gamma, np.inf)
 
 
-def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> list[EnhancedProfile]:
+class Ranked(Sequence):
+    """A ProfileTable's candidates in ranked order; each EnhancedProfile is built when read.
+
+    `full` says whether they are d-dimensional; a degenerate cloud gets one
+    candidate, of maximal dimension.
+    """
+
+    def __init__(self, table: ProfileTable, rows: np.ndarray, full: bool):
+        self.table, self.rows, self.full = table, rows.tolist(), full
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> EnhancedProfile:
+        return self.table.profile(self.rows[k])
+
+
+def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> Ranked:
     """Order enhanced profiles for reconstruction attempts.
 
-    Degenerate clouds: one profile of maximal dimension.  Otherwise every
-    d-dimensional profile (rank exact for exact profiles; a repeated point
-    skips the test) by increasing `depth_bound` from profile 0's mirror
-    candidates, then `sort_key`, from one float pass over the stacked Gram
-    matrices.  A thin cone gets a large bound; an unbounded one ranks last.
+    eps is a ProfileTable or any iterable of EnhancedProfiles, which are put
+    in one.  Degenerate clouds: one profile of maximal dimension.  Otherwise
+    every d-dimensional profile (a repeated point skips the rank test) by
+    increasing `depth_bound` from profile 0's mirror candidates, then
+    `sort_key`, from one float pass over the stacked Gram matrices.  A thin
+    cone gets a large bound; an unbounded one ranks last.  The result is a
+    `Ranked` sequence, which builds each EnhancedProfile when it is read.
     """
-    eps = list(eps)
-    if not eps:
-        raise ValueError("no enhanced profiles given")
-    d = eps[0].a.order - 1
-    cands = [ep for ep in eps if not ep.repeats_a_point() and ep.dimension(tol) == d]
-    if not cands:
-        return [min(eps, key=lambda ep: (-ep.dimension(tol), ep.sort_key()))]
-    A = np.array([ep.a.as_array() for ep in cands])
-    G = _gram(A)
-    H = np.linalg.inv(G)
-    E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
-    plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
-    bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
-    # sort_key starts with the float anchor matrix, which A holds; the rest of
-    # it floats every profile entry, so only a tie on (bound, A) computes it
-    ranked = sorted(zip(np.nan_to_num(bounds, nan=np.inf).tolist(), A.tolist(), cands),
-                    key=lambda r: r[:2])
-    order: list[EnhancedProfile] = []
-    for _, group in groupby(ranked, key=lambda r: r[:2]):
-        tied = [ep for *_, ep in group]
-        order += sorted(tied, key=EnhancedProfile.sort_key) if len(tied) > 1 else tied
-    return order
+    table = eps if isinstance(eps, ProfileTable) else ProfileTable.from_profiles(eps)
+    rows = np.flatnonzero(~table.repeats())
+    rows = rows[table.ranks(rows, tol) == table.d]
+    if len(rows):
+        return Ranked(table, rows[table.order(rows, table.bounds(rows, tol))], True)
+    ranks = table.ranks(np.arange(len(table)), tol)
+    rows = np.flatnonzero(ranks == ranks.max())
+    return Ranked(table, rows[table.order(rows, np.zeros(len(rows)))][:1], False)
 
 
 @dataclass
@@ -503,8 +687,9 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                    verify_snap: float = DEFAULT_VERIFY_SNAP) -> ReconstructionReport:
     """Full pipeline: extract enhanced profiles, try candidates, verify by fingerprint.
 
-    Candidates go in `select_cone_tuple`'s order; one is accepted when its
-    recoloring reproduces the input fingerprint, which certifies isometry.
+    Candidates go in `select_cone_tuple`'s order, each built when it is
+    tried; one is accepted when its recoloring reproduces the input
+    fingerprint, which certifies isometry.
     Exact stores color the Gram coordinates' squared distances
     (l_x - l_y)^T G (l_x - l_y) exactly against `fingerprint(store)`; float
     stores recolor float coordinates at verify_snap, as the input, and only
@@ -518,8 +703,7 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
         return ReconstructionReport(cloud=PointCloud(d, ((0.0,) * d,)), method="nd-trivial",
                                     counters={"candidates_tried": 0})
 
-    eps = enhanced_profiles_from_wl3(store)
-    candidates = select_cone_tuple(eps.keys(), tol=tol)
+    candidates = select_cone_tuple(enhanced_profiles_from_wl3(store), tol=tol)
     exact = store.interner.mode == "exact"
     verify_interner = Interner("float", verify_snap)
     fin = fingerprint(store, 3) if exact else fingerprint(run_wl_from_sq_values(
@@ -545,7 +729,7 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
         counters = {"candidates_tried": tried, "total_candidates": len(candidates),
                     "failures": dict(reasons)}
         try:
-            if ep.dimension(tol) < d:
+            if not candidates.full:
                 res, method = reconstruct_lowdim(ep, tol), "nd-lowdim"
             else:
                 res, method = reconstruct_fulldim(ep, tol, max_depth), "nd-fulldim"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -12,8 +13,8 @@ from geowl import RunConfig, oracle, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
-from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, _gram,
-                            _inverse, barycenter_dists_from_wl1, depth_bound,
+from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, ProfileTable,
+                            _gram, _inverse, barycenter_dists_from_wl1, depth_bound,
                             enhanced_profiles_from_wl3, mirror_lambdas, profiles_from_wl2,
                             reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
                             select_cone_tuple)
@@ -165,12 +166,12 @@ def test_select_cone_tuple_minimal_angle_cone_is_empty():
 
 def test_select_deterministic_for_fixed_seed():
     eps = list(enhanced_profiles_from_wl3(run_wl(TET, 2, 3)))
-    a = select_cone_tuple(eps)
-    assert select_cone_tuple(eps) == a
+    a = list(select_cone_tuple(eps))
+    assert list(select_cone_tuple(eps)) == a
     for seed in range(3):
         shuffled = eps[:]
         random.Random(seed).shuffle(shuffled)
-        assert select_cone_tuple(shuffled) == a
+        assert list(select_cone_tuple(shuffled)) == a
 
 
 def _ranking_bound(ep):
@@ -204,20 +205,71 @@ def _select_by_one_sort(eps, tol=1e-9):
     return [ep for *_, ep in sorted(ranked, key=lambda r: r[:2])]
 
 
-def test_select_order_equals_one_sort_on_bound_and_sort_key(monkeypatch):
+def test_select_order_equals_one_sort_on_bound_and_sort_key():
+    # the table's ranking, read in order, against the one-sort reference on
+    # enhanced profiles built straight from coordinates (float stores snap
+    # their distances, so a float copy is checked against its own profiles)
     coarse = oracle.random_cloud(6, 3, 1, grid=1, span=1)
-    clouds = [coarse, oracle.random_cloud(8, 3, 3), oracle.random_cloud(5, 4, 4000)]
-    sort_key = EnhancedProfile.sort_key
-    for cloud in clouds:
-        eps = list(enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3)))
-        want = _select_by_one_sort(eps)
-        keyed = []
-        monkeypatch.setattr(EnhancedProfile, "sort_key",
-                            lambda ep: keyed.append(ep) or sort_key(ep))
-        assert select_cone_tuple(eps) == want
-        monkeypatch.undo()
+    floated = PointCloud.from_array(oracle.random_cloud(8, 3, 3).as_array())
+    for cloud in (coarse, oracle.random_cloud(8, 3, 3), oracle.random_cloud(5, 4, 4000),
+                  floated):
+        table = enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3))
+        ranked = select_cone_tuple(table)
+        want = _select_by_one_sort(list(table) if cloud is floated else _direct_eps(cloud))
+        assert ranked.full and list(ranked) == want
         # on the integer grid, congruent anchor sets tie on (bound, anchor matrix)
-        assert bool(keyed) == (cloud is coarse)
+        keys = [(_ranking_bound(ep), ep.a.as_array().tolist()) for ep in want]
+        ties = sum(a == b for a, b in zip(keys, keys[1:]))
+        assert bool(ties) == (cloud is coarse)
+    planar = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(PLANAR3, 2, 3)))
+    lowest = min(_direct_eps(PLANAR3), key=lambda ep: (-ep.dimension(), ep.sort_key()))
+    assert not planar.full and list(planar) == [lowest]
+
+
+def _candidate_digest(candidates):
+    """sha256 prefix of each candidate's anchor matrix and profiles, in order."""
+    h = hashlib.sha256()
+    for ep in candidates:
+        rows = (*ep.a.entries, *(e for p in ep.profiles for e in p))
+        h.update(" ".join(",".join(map(str, row)) for row in rows).encode() + b";")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n, d, seed, digest", [
+    # the `roundtrip` benchmark's wlnd shapes; digests of the ranking before
+    # extraction and ranking moved to integer arrays
+    (6, 3, 906, "c3a1a9de77800826"), (6, 3, 907, "9a7d5d60d608a76f"),
+    (6, 3, 908, "dbd9b521d0a0da3a"), (5, 4, 909, "6875c2ddd0d52517"),
+    (5, 4, 910, "2945f5ea40d52b01"),
+])
+def test_candidate_order_is_pinned(n, d, seed, digest):
+    table = enhanced_profiles_from_wl3(run_wl(oracle.random_cloud(n, d, seed), d - 1, 3))
+    assert _candidate_digest(select_cone_tuple(table)) == digest
+
+
+def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):
+    # `geowl gen --n 10 --d 3 --seed 3` rejects two candidates before the third verifies
+    built = []
+    profile = ProfileTable.profile
+    monkeypatch.setattr(ProfileTable, "profile", lambda t, r: built.append(r) or profile(t, r))
+    rep = reconstruct_nd(run_wl(oracle.random_cloud(10, 3, 3), 2, 3))
+    assert rep.counters["candidates_tried"] == len(built) == 3
+    assert rep.counters["total_candidates"] == 720
+
+
+def test_table_rank_agrees_with_gram_affine_dim():
+    # coarse grids have coplanar anchor quadruples, whose determinant is exactly
+    # 0; PLANAR3 has nothing else; random_cloud(7, 3, 17) has six thin full
+    # tuples whose float determinant falls under the screen; float stores take
+    # the singular values
+    clouds = [oracle.random_cloud(7, 3, 11, grid=1, span=1), oracle.random_cloud(7, 3, 17),
+              oracle.random_cloud(6, 4, 12, grid=1, span=1), PLANAR3,
+              PointCloud.from_array(oracle.random_cloud(6, 3, 1, grid=1, span=1).as_array())]
+    for cloud in clouds:
+        table = enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3))
+        ranks = table.ranks(np.arange(len(table))).tolist()
+        assert ranks == [gram_affine_dim(table.profile(r).a) for r in range(len(table))]
+        assert min(ranks) < max(ranks)
 
 
 def test_repeated_point_filter_agrees_with_the_exact_rank():
@@ -401,8 +453,8 @@ def test_thin_cone_ranks_last_and_fails_at_the_depth_cap():
     thin = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (12, 15, 19)))
     wide = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (0, 1, 2)))
     assert thin.dimension() == wide.dimension() == 3
-    assert select_cone_tuple([thin]) == [thin]
-    assert select_cone_tuple([thin, wide]) == [wide, thin]
+    assert list(select_cone_tuple([thin])) == [thin]
+    assert list(select_cone_tuple([thin, wide])) == [wide, thin]
     assert _ranking_bound(wide) < _ranking_bound(thin)
     start = time.perf_counter()
     with pytest.raises(CandidateRejected, match=r"depth bound \(cap 10\)") as info:
