@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -30,19 +32,29 @@ from .wl import KIND_NODE1, ColorStore
 
 
 def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
-    """Map each iteration-1 point color to its squared distance to the barycenter."""
+    """Map each iteration-1 point color to its squared distance to the barycenter.
+
+    A color's distance sum f is read off its records.  In an exact store
+    every distance is an integer over Q, the lcm of the distances'
+    denominators, so the sums are integer sums; a float store sums its
+    floats in record order.
+    """
     if store.ell != 1 or store.iterations < 1:
         raise ValueError("need a single-point history with at least one iteration")
     counts = Counter(store.tables[1])
-    f_by_color = {}
-    for cid in counts:
-        _, recs = store.interner.payload(cid, KIND_NODE1)
-        f_by_color[cid] = sum(store.value_of(did) for did, _ in recs)
-    n = store.n
-    total = sum(f_by_color[c] * m for c, m in counts.items())
+    payload = store.interner.payload
+    dids = {cid: [did for did, _ in payload(cid, KIND_NODE1)[1]] for cid in counts}
+    vals = {did: store.value_of(did) for did in set(chain.from_iterable(dids.values()))}
+    exact = store.interner.mode == "exact"
+    if exact:
+        q = math.lcm(*(v.denominator for v in vals.values()))
+        vals = {did: v.numerator * (q // v.denominator) for did, v in vals.items()}
     colors = list(counts)
-    sq = barycenter_sq_norms([f_by_color[c] for c in colors], total, n)
-    return dict(zip(colors, sq))
+    f = [sum(map(vals.__getitem__, dids[c])) for c in colors]
+    total = sum(x * counts[c] for x, c in zip(f, colors))
+    if exact:
+        f, total = [Fraction(x, q) for x in f], Fraction(total, q)
+    return dict(zip(colors, barycenter_sq_norms(f, total, store.n)))
 
 
 def _profile(store: ColorStore, norms: dict[int, Scalar], c2: int) -> tuple:

@@ -20,16 +20,18 @@ are scaled by the common denominator D, each unordered pair's squared
 distance is an int S, and each distinct S is interned once as the rational
 S / D^2.  All other runs take one float distance matrix, summed in the same
 coordinate order as `geometry.sq_dist`, so every value keeps all its bits.
-Each record list is put in canonical order by sorting the records' digest
-ranks (and the distance's value rank at ell = 1); the canonical bytes of
-each distance are framed once, when it is interned.
+In float mode that matrix is snapped to the grid in one array pass, and
+every value is checked before the first is interned.  The canonical bytes
+of each distance are framed once, when it is interned.
 
-For ell >= 2 a refinement is array work.  The colors present in the previous
-table are ranked by digest, the (n^ell, n, ell) array of record ranks is
-built by broadcasting that rank table once per position, and every tuple's
-records are put in order by one lexicographic array sort.  A tuple is
-interned under the bytes of its records' color ids, so only a new class
-computes a digest, from one gather over the ranked colors' digests.
+A refinement is array work at every ell.  The colors present in the
+previous table are ranked by digest and each record list is put in
+canonical order by sorting rank tuples: at ell = 1, one packed
+(distance value rank, color rank) key per record and one row sort over the
+n x n matrix of keys; at ell >= 2, the (n^ell, n, ell) array of record
+ranks, built by broadcasting the rank table once per position, and one
+lexicographic array sort.  A tuple is interned under the bytes of its
+records' ids, so only a new class computes a digest.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import hashlib
 import math
 import struct
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -59,15 +62,6 @@ def _frame(b: bytes) -> bytes:
     return len(b).to_bytes(4, "big") + b
 
 
-def _ranking(keys: list) -> tuple[list[int], list[int]]:
-    """(rank of each id, id at each rank) for ids ordered by their keys."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    ranks = [0] * len(keys)
-    for r, i in enumerate(order):
-        ranks[i] = r
-    return ranks, order
-
-
 def _as_float(key) -> float:
     """The correctly rounded float of a distance key; inf past the float range."""
     try:
@@ -77,15 +71,16 @@ def _as_float(key) -> float:
 
 
 class _PackedNode(NamedTuple):
-    """A KIND_NODE payload whose records are still the bytes of its int64 color ids."""
+    """A KIND_NODE1 or KIND_NODE payload whose records are still the bytes of
+    their int64 ids, `width` ids per record."""
 
     prev: int
-    ell: int
+    width: int
     rows: bytes
 
     def unpack(self) -> tuple:
         ids = memoryview(self.rows).cast("q").tolist()
-        return self.prev, tuple(zip(*[iter(ids)] * self.ell))
+        return self.prev, tuple(zip(*[iter(ids)] * self.width))
 
 
 class Interner:
@@ -109,23 +104,39 @@ class Interner:
         self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
         self._dist_frames: list[bytes] = []  # did -> framed canonical bytes of its key
         self._dist_floats: list[float] = []  # did -> float of its key, filled when ranked
-        self._dist_rank_cache: tuple[int, tuple] = (0, ([], []))
+        self._dist_rank_cache: tuple = (-1, None)
 
     # -- distances ---------------------------------------------------------
 
     def intern_distance(self, value: Scalar) -> int:
         if self.mode == "exact":
-            key = value if isinstance(value, Fraction) else Fraction(value)
-        else:
+            return self._intern_key(value if isinstance(value, Fraction) else Fraction(value))
+        return int(self.snap_matrix([[value]])[0, 0])
+
+    def snap_matrix(self, values) -> np.ndarray:
+        """Distance ids of a float-mode matrix of squared distances, as an int64 array.
+
+        Every value is snapped to the grid in one pass: its key is
+        trunc(v / snap + 0.5), which is int(v / snap + 0.5) for every finite
+        v.  All values are checked before any is interned, so a rejected
+        matrix leaves the interner as it was.  New keys are interned in the
+        order in which they first occur in the matrix, row by row, which is
+        the order of interning the values one at a time.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
-                scaled = float(value) / self.snap
-            except OverflowError:
-                scaled = math.inf
-            if not math.isfinite(scaled):
-                raise ValueError(f"a squared distance overflows the float grid of "
-                                 f"step {self.snap!r}")
-            key = int(scaled + 0.5)  # round half up; values >= 0
-        return self._intern_key(key)
+                scaled = np.asarray(values, dtype=np.float64) / self.snap + 0.5
+            except OverflowError:  # a Fraction or int past the float range
+                scaled = np.array(math.inf)
+        if not np.isfinite(scaled).all():
+            raise ValueError(f"a squared distance overflows the float grid of "
+                             f"step {self.snap!r}")
+        keys, first, inverse = np.unique(np.trunc(scaled).ravel(), return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        dids = np.empty(len(keys), dtype=np.int64)
+        dids[order] = [self._intern_key(int(key)) for key in keys[order].tolist()]
+        return dids[inverse].reshape(scaled.shape)
 
     def _intern_key(self, key) -> int:
         did = self._dist_index.get(key)
@@ -143,18 +154,23 @@ class Interner:
             return key
         return key * self.snap
 
-    def distance_ranking(self) -> tuple[list[int], list[int]]:
-        """Distance ids ranked by value: (rank of each id, id at each rank).
+    def distance_ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distance ids ranked by value: (rank of each id, id at each rank), int64 arrays.
 
         Keys are sorted as (float, key) pairs.  The float of a key is
         correctly rounded, so it never reverses two keys, and only keys whose
-        floats tie are compared exactly.
+        floats tie are compared exactly.  The arrays are kept until a new
+        distance is interned.
         """
         count = len(self.dist_keys)
         if self._dist_rank_cache[0] != count:
             floats = self._dist_floats
             floats.extend(map(_as_float, self.dist_keys[len(floats):]))
-            self._dist_rank_cache = (count, _ranking(list(zip(floats, self.dist_keys))))
+            keys = list(zip(floats, self.dist_keys))
+            order = np.array(sorted(range(count), key=keys.__getitem__), dtype=np.int64)
+            ranks = np.empty(count, dtype=np.int64)
+            ranks[order] = np.arange(count)
+            self._dist_rank_cache = (count, (ranks, order))
         return self._dist_rank_cache[1]
 
     # -- colors ------------------------------------------------------------
@@ -183,39 +199,28 @@ class Interner:
             cid = self._add(key, KIND_MAT, (ell, dids), enc)
         return cid
 
-    def intern_node1(self, prev: int, records: tuple[tuple[int, int], ...]) -> int:
-        key = (KIND_NODE1, prev, records)
-        cid = self._index.get(key)
-        if cid is None:
-            dids, children = zip(*records)
-            enc = b"1" + self.digests[prev] + b"".join(chain.from_iterable(zip(
-                map(self._dist_frames.__getitem__, dids),
-                map(self.digests.__getitem__, children))))
-            cid = self._add(key, KIND_NODE1, (prev, records), enc)
-        return cid
+    def intern_nodes(self, kind: int, head: bytes, prev: list[int], rows: np.ndarray,
+                     encode: Callable[[int, bytes], bytes]) -> list[int]:
+        """Intern (prev[t], rows[t]) for every tuple t; return the new table.
 
-    def intern_nodes(self, ell: int, prev: list[int], records: np.ndarray,
-                     colors: list[int]) -> list[int]:
-        """Intern (prev[t], records[t]) for every tuple t; return the new table.
-
-        `records` is an (n^ell, n, ell) array of ranks into `colors`, each
+        `rows` is a (len(prev), n, width) int64 array of record ids, each
         tuple's records already in canonical order.  A tuple is looked up by
-        the bytes of its records' color ids; a new class gets its digest over
-        b"N", ell, the digest of prev[t] and its records' digests in order.
+        the bytes of its row; a new class gets its digest over head, the
+        digest of prev[t] and encode(t, row bytes), the canonical bytes of
+        its records.
         """
-        width = records.shape[1] * ell * 8
-        rows = np.array(colors, dtype=np.int64)[records].tobytes()
+        width = rows.shape[-1]
+        step = rows.shape[1] * width * 8
+        data = rows.tobytes()
         digests = self.digests
-        rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, colors)), dtype="V16")
-        head = b"N" + ell.to_bytes(2, "big")
         index = self._index
         table = []
         for t, p in enumerate(prev):
-            key = (KIND_NODE, p, rows[t * width:(t + 1) * width])
+            key = (kind, p, data[t * step:(t + 1) * step])
             cid = index.get(key)
             if cid is None:
-                cid = self._add(key, KIND_NODE, _PackedNode(p, ell, key[2]),
-                                head + digests[p] + rank_digests[records[t]].tobytes())
+                cid = self._add(key, kind, _PackedNode(p, width, key[2]),
+                                head + digests[p] + encode(t, key[2]))
             table.append(cid)
         return table
 
@@ -239,6 +244,7 @@ class ColorStore:
         self.n = n
         self.dim = dim
         self.dist_ids = dist_ids
+        self.dist_array = np.array(dist_ids, dtype=np.int64).reshape(n, n)
         self.label = label
         self.tables: list[list[int]] = []
 
@@ -297,7 +303,10 @@ def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
                          label: str | None = None) -> ColorStore:
     """Iteration-0 store built directly from an n x n squared-distance matrix."""
     interner = _checked_interner(interner, mode, snap, len(values), ell, max_tuples)
-    dist_ids = [[interner.intern_distance(v) for v in row] for row in values]
+    if mode == "float":
+        dist_ids = interner.snap_matrix(values).tolist()
+    else:
+        dist_ids = [[interner.intern_distance(v) for v in row] for row in values]
     return _store(interner, ell, dim, dist_ids, label)
 
 
@@ -335,11 +344,10 @@ def _float_sq_matrix(cloud: PointCloud):
 
     The order is that of `geometry.sq_dist`, so every value is bit-identical
     to the pairwise computation.  An overflow gives inf, which
-    `Interner.intern_distance` rejects.
+    `Interner.snap_matrix` rejects.
     """
     with np.errstate(over="ignore"):
-        return sum(np.square(col[:, None] - col[None, :])
-                   for col in cloud.as_array().T).tolist()
+        return sum(np.square(col[:, None] - col[None, :]) for col in cloud.as_array().T)
 
 
 def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
@@ -350,11 +358,13 @@ def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
         raise ValueError("ell must be at least 1")
     mode = _mode_for(cloud, mode)
     interner = _checked_interner(interner, mode, snap, cloud.n, ell, max_tuples)
-    if mode == "exact" and cloud.exact:
+    if mode == "float":
+        dist_ids = interner.snap_matrix(_float_sq_matrix(cloud)).tolist()
+    elif cloud.exact:
         dist_ids = _exact_distance_ids(cloud.points, interner)
     else:
         intern = interner.intern_distance
-        dist_ids = [[intern(v) for v in row] for row in _float_sq_matrix(cloud)]
+        dist_ids = [[intern(v) for v in row] for row in _float_sq_matrix(cloud).tolist()]
     return _store(interner, ell, cloud.dim, dist_ids, cloud.label)
 
 
@@ -369,27 +379,41 @@ def refine(store: ColorStore) -> ColorStore:
     """Append one refinement step to the store's color history.
 
     Records are ordered by the digest ranks of their colors among the colors
-    present in the previous table (at ell=1, by the value rank of the
-    distance first).  Ranks are a bijection of those colors, so sorting
-    rank tuples sorts the records.  At ell=1 each tuple's n pairs are sorted
-    with builtin `sorted`.  At ell >= 2 the record ranks of all tuples form
-    one (n^ell, n, ell) array, sorted lexicographically along each tuple's
-    records by one `np.lexsort`; ranks are never packed into one integer, so
-    no rank count overflows.
+    present in the previous table (at ell = 1, by the value rank of the
+    distance first).  Ranks are bijections, so sorting rank tuples sorts the
+    records, and every tuple's records are sorted by one array sort.  At
+    ell = 1 a record's two ranks are packed into one int64 key, which the
+    assert below shows cannot overflow, and `np.sort` orders each point's
+    row of n keys.  At ell >= 2 the record ranks of all tuples form one
+    (n^ell, n, ell) array, sorted along each tuple's records by one
+    `np.lexsort`; those ranks are never packed, so no rank count overflows.
+    Sorted ranks are mapped back to ids, and each tuple is interned under
+    the bytes of its row of ids.
     """
     inter = store.interner
     n, ell = store.n, store.ell
     prev = store.tables[-1]
     rprev, order = _present_ranking(prev, inter.digests)
+    colors = np.array(order, dtype=np.int64)
+    digests = inter.digests
     if ell == 1:
-        color_of = order.__getitem__
+        # one int64 key per record, (distance rank, color rank) in mixed radix
+        m = len(order)
         dranks, dorder = inter.distance_ranking()
-        drank_of, dist_of = dranks.__getitem__, dorder.__getitem__
-        table = []
-        for x, row in enumerate(store.dist_ids):
-            dcol, ccol = zip(*sorted(zip(map(drank_of, row), rprev)))
-            table.append(inter.intern_node1(
-                prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
+        assert len(dorder) * m <= 2 ** 63, "packed record keys overflow int64"
+        keys = dranks[store.dist_array] * m + np.array(rprev, dtype=np.int64)
+        keys.sort(axis=1)
+        q, r = np.divmod(keys, m)
+        rows = np.empty((n, n, 2), dtype=np.int64)
+        rows[..., 0] = dorder[q]
+        rows[..., 1] = colors[r]
+        frames = inter._dist_frames
+
+        def encode(t: int, row: bytes) -> bytes:
+            ids = memoryview(row).cast("q").tolist()
+            return b"".join(chain.from_iterable(zip(map(frames.__getitem__, ids[::2]),
+                                                    map(digests.__getitem__, ids[1::2]))))
+        table = inter.intern_nodes(KIND_NODE1, b"1", prev, rows, encode)
     else:
         ranks = np.array(rprev, dtype=np.int64).reshape((n,) * ell)
         records = np.empty((n,) * ell + (n, ell), dtype=np.int64)
@@ -400,7 +424,10 @@ def refine(store: ColorStore) -> ColorStore:
         perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
         perm += n * np.arange(n ** ell)[:, None]  # each tuple's order, as flat record rows
         records = records.reshape(-1, ell)[perm]
-        table = inter.intern_nodes(ell, prev, records, order)
+        rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, order)), dtype="V16")
+        table = inter.intern_nodes(KIND_NODE, b"N" + ell.to_bytes(2, "big"), prev,
+                                   colors[records],
+                                   lambda t, row: rank_digests[records[t]].tobytes())
     store.tables.append(table)
     return store
 

@@ -1,14 +1,16 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from geowl import oracle, reconstruct
 from geowl.errors import InconsistentDataError, ReconstructionError
-from geowl.geometry import PointCloud, barycenter, remove_nearest, sq_dist, sweep
+from geowl.geometry import (PointCloud, barycenter, barycenter_sq_norms, remove_nearest,
+                            sq_dist, sweep)
 from geowl.recon2d import (InitData2D, PlanarReconstruction, init2d, norms_from_chi1,
                            profiles_from_chi2, reconstruct2d, reconstruct_planar)
-from geowl.wl import run_wl
+from geowl.wl import KIND_NODE1, Interner, run_wl
 
 
 def _direct_norms(cloud):
@@ -45,6 +47,35 @@ def test_norms_match_direct_computation():
         norms = norms_from_chi1(store)
         got = sorted(norms[c] for c in store.tables[1])
         assert got == _direct_norms(cloud)
+
+
+def _fraction_norms(store):
+    """norms_from_chi1 as one scalar sum per color, in record order."""
+    f = {cid: sum(store.value_of(did) for did, _ in store.interner.payload(cid, KIND_NODE1)[1])
+         for cid in set(store.tables[1])}
+    total = sum(f[cid] for cid in store.tables[1])
+    return dict(zip(f, barycenter_sq_norms(list(f.values()), total, store.n)))
+
+
+def test_norms_equal_the_scalar_sums():
+    # integer sums over one denominator give the Fraction sums exactly, also for
+    # stores whose interner holds another cloud's distances; float stores agree bit for
+    # bit, as they sum in record order (the Gaussian cloud's sums depend on the order)
+    clouds = [oracle.apply_random_isometry(oracle.random_cloud(n, 2, seed=70 + n), seed=n)
+              for n in (3, 8, 17, 30)]
+    clouds.append(PointCloud(2, tuple((F(x, 2), F(y, 3)) for x in range(3) for y in range(3))))
+    shared = Interner("exact")
+    stores = [run_wl(c, 1, 1) for c in clouds]
+    stores += [run_wl(c, 1, 1, interner=shared) for c in clouds[1:3]]
+    stores += [run_wl(c, 1, 1, mode="float") for c in clouds[:3]]
+    rng = random.Random(5)
+    stores.append(run_wl(PointCloud(2, tuple((rng.gauss(0, 3), rng.gauss(0, 3))
+                                             for _ in range(17))), 1, 1))
+    for store in stores:
+        norms = norms_from_chi1(store)
+        assert norms == _fraction_norms(store)
+        assert all(type(v) is (F if store.interner.mode == "exact" else float)
+                   for v in norms.values())
 
 
 def test_profiles_from_chi2_examples():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, product
@@ -8,7 +9,8 @@ from geowl import oracle
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
 from geowl.wl import (KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
-                      first_distinguishing_iteration, initial_coloring, refine, run_wl)
+                      first_distinguishing_iteration, initial_coloring, refine, run_wl,
+                      store_from_sq_values)
 
 
 def _line(*xs):
@@ -244,6 +246,42 @@ def test_rejected_run_leaves_interner_empty():
         with pytest.raises(err):
             initial_coloring(cloud, 2, interner=inter, **kwargs)
         assert inter.dist_keys == [] and inter.kinds == []
+    # float values are all checked before the first is interned
+    inter = Interner("float")
+    with pytest.raises(ValueError, match="overflows"):
+        initial_coloring(PointCloud(1, ((0.0,), (1.0,), (1e200,))), 1, interner=inter)
+    assert inter.dist_keys == [] and inter.kinds == []
+    nan = float("nan")
+    with pytest.raises(ValueError, match="overflows"):
+        store_from_sq_values([[0.0, 1.0, nan], [1.0, 0.0, 2.0], [nan, 2.0, 0.0]], 1, 1,
+                             mode="float", interner=inter)
+    assert inter.dist_keys == [] and inter.kinds == []
+
+
+def test_float_snap_matches_rounding_each_value():
+    # keys are int(v / snap + 0.5), negative values and .5 boundaries included, and
+    # new keys get ids in row-major order of first occurrence, after the keys
+    # already in a shared interner
+    rng = random.Random(3)
+    boundaries = [[0.0, 0.375, -0.375, 1e-9, -0.125],
+                  [0.375, 0.0, 0.625, -0.625, 2.0 / 3.0],
+                  [-0.375, 0.625, 0.0, 12345.125, -0.2],
+                  [1e-9, -0.625, 12345.125, 0.0, 7.0],
+                  [-0.125, 2.0 / 3.0, -0.2, 7.0, 0.0]]
+    noise = [[rng.uniform(-3e-9, 3e-9) * rng.choice((1, 1e9)) for _ in range(6)]
+             for _ in range(6)]
+    for snap, values in ((0.25, boundaries), (1e-9, boundaries), (1e-9, noise)):
+        inter = Interner("float", snap)
+        inter.intern_distance(7.0)
+        store = store_from_sq_values(values, 1, 1, mode="float", snap=snap, interner=inter)
+        want = {int(7.0 / snap + 0.5): 0}
+        for row in values:
+            for v in row:
+                want.setdefault(int(v / snap + 0.5), len(want))
+        assert inter.dist_keys == list(want)
+        assert store.dist_ids == tuple(tuple(want[int(v / snap + 0.5)] for v in row)
+                                       for row in values)
+    assert {int(v / 0.25 + 0.5) for row in boundaries for v in row} >= {-1, 0, 2, -2, 3}
 
 
 def test_distance_ranking_orders_keys_that_round_to_one_float():
@@ -259,12 +297,13 @@ def test_distance_ranking_orders_keys_that_round_to_one_float():
         ranks, order = inter.distance_ranking()
         want = sorted(inter.dist_keys)
         assert [inter.dist_keys[i] for i in order] == want
-        assert ranks == [want.index(key) for key in inter.dist_keys]
+        assert ranks.tolist() == [want.index(key) for key in inter.dist_keys]
 
 
 # The per-tuple refinement that the array code in `wl.refine` replaced, kept
 # as the reference: colors ranked by digest over the whole interner, one
-# `sorted` call per tuple, record lists interned as tuples of tuples.
+# `sorted` call per tuple, record lists interned as tuples of tuples through
+# the reference's own interning functions.
 
 def _reference_ranking(keys):
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -284,6 +323,16 @@ def _reference_intern_node(inter, ell, prev, records):
     return cid
 
 
+def _reference_intern_node1(inter, prev, records):
+    key = (KIND_NODE1, prev, records)
+    cid = inter._index.get(key)
+    if cid is None:
+        enc = b"1" + inter.digests[prev] + b"".join(
+            inter._dist_frames[did] + inter.digests[child] for did, child in records)
+        cid = inter._add(key, KIND_NODE1, (prev, records), enc)
+    return cid
+
+
 def _reference_refine(store):
     inter = store.interner
     n, ell = store.n, store.ell
@@ -297,8 +346,8 @@ def _reference_refine(store):
         table = []
         for x, row in enumerate(store.dist_ids):
             dcol, ccol = zip(*sorted(zip(map(drank_of, row), rprev)))
-            table.append(inter.intern_node1(
-                prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
+            table.append(_reference_intern_node1(
+                inter, prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
     else:
         strides = [n ** (ell - 1 - i) for i in range(ell)]
         table = []
@@ -325,17 +374,33 @@ def _equivalence_cases():
               for ell, c, mode in ((2, _posed(6, 2, 61), None), (3, _posed(5, 3, 62), None),
                                    (2, _floats(_posed(6, 3, 63)), None),
                                    (3, _HALF_GRID, None), (4, line, None))]
+    # ell = 1 at n >= 40; an isometric image colored second hits every class
+    big = _posed(40, 2, 64)
+    cases += [(1, [big], None), (1, [_floats(_posed(45, 3, 65))], None), (1, [big], "float"),
+              (1, [big, oracle.apply_random_isometry(big, seed=9)], None)]
     return cases
+
+
+def test_isometric_image_hits_every_class():
+    cloud = _posed(40, 2, 64)
+    inter = Interner("exact")
+    first = run_wl(cloud, 1, 3, interner=inter)
+    count = len(inter.kinds), len(inter.dist_keys)
+    second = run_wl(oracle.apply_random_isometry(cloud, seed=9), 1, 3, interner=inter)
+    assert (len(inter.kinds), len(inter.dist_keys)) == count
+    assert sorted(first.tables[3]) == sorted(second.tables[3])
 
 
 def test_refine_matches_the_per_tuple_reference():
     """Array `refine` gives the reference's tables, ids, kinds, digests and payloads.
 
     Cases: exact and float clouds (native and forced float mode), symmetric
-    grids and a line with repeated gaps, d = 1-4, ell = 1-4, and clouds that
-    share one interner.  The array sort compares rank tuples column by
-    column and never packs ranks into one integer, so no class count can
-    overflow it.
+    grids and a line with repeated gaps, d = 1-4, ell = 1-4, ell = 1 clouds
+    of 40 and 45 points, and clouds that share one interner, among them an
+    isometric image colored second.  The reference interns its own tuple
+    keys and digest bytes, so `wl`'s interning is not compared with itself.  At
+    ell >= 2 the array sort compares rank tuples column by column and never
+    packs ranks into one integer, so no class count can overflow it.
     """
     cases = _equivalence_cases()
     assert len(cases) >= 40
