@@ -191,39 +191,49 @@ def sweep(entries: list, choose: Callable, place: Callable) -> None:
             return
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < cols:
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
+def _eliminate(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination over the rationals, without division.
+
+    Rows are scaled to integers; a pivot row clears its column from every
+    other row by an integer combination, divided by the gcd of its entries.
+    Returns the rows, the i-th a multiple of the i-th row of the reduced row
+    echelon form, and the pivot columns: the first column basis.
+    """
+    m = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = Fraction(m[r][col], pv)
-                for c in range(col, cols):
-                    m[r][c] = m[r][c] - factor * m[rank][c]
-        rank += 1
-        col += 1
-    return rank
+        m[p], m[r] = m[r], m[p]
+        top = m[r]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                row = [top[c] * a - row[c] * b for a, b in zip(row, top)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
 
 
-def _float_rank(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    cutoff = tol * max(1.0, float(sv[0])) * max(mat.shape)
-    return int(np.sum(sv > cutoff))
+def _exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over the rationals."""
+    return len(_eliminate(rows)[1])
+
+
+def _float_rank(mat: np.ndarray, tol: float, sv: np.ndarray | None = None):
+    """Numerical rank of a matrix, or of each of a stack: the singular values
+    (`sv` if already known) above tol * max(1, the largest) * the longer side."""
+    if sv is None:
+        sv = np.linalg.svd(mat, compute_uv=False)
+    above = sv > tol * np.maximum(1.0, sv[..., :1]) * max(mat.shape[-2:])
+    return int(np.count_nonzero(above)) if mat.ndim == 2 else above.sum(-1)
 
 
 def affine_dim(points: Sequence[Sequence[Scalar]], tol: float = DEFAULT_TOL) -> int:
@@ -235,15 +245,24 @@ def affine_dim(points: Sequence[Sequence[Scalar]], tol: float = DEFAULT_TOL) -> 
     if not diffs:
         return 0
     if all(is_exact(c) for row in diffs for c in row):
-        return _exact_rank([[Fraction(c) for c in row] for row in diffs])
+        return _exact_rank(diffs)
     return _float_rank(np.array([[float(c) for c in row] for row in diffs]), tol)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Gram matrices <z_j, z_k> of z_j = x_j - x_0 from (stacked) squared-distance
+    matrices of (x_0, x_1, ..., x_k); exact for object arrays."""
+    half = Fraction(1, 2) if a.dtype == object else 0.5
+    return (a[..., :1, 1:] + a[..., 1:, :1] - a[..., 1:, 1:]) * half
 
 
 def gram_affine_dim(A: SquaredDistanceMatrix, tol: float = DEFAULT_TOL) -> int:
     """Affine dimension of any point tuple realizing A, from A alone.
 
     Uses the Gram matrix G_ij = (A_0i + A_0j - A_ij)/2 of differences to the
-    first point; exact when A is rational.
+    first point; exact when A is rational.  The matrices here are 1x1 to 3x3,
+    one per scanned `oneshot` color, where building them entry by entry is
+    cheaper than `_gram` on numpy object arrays.
     """
     k = A.order
     if k == 1:
@@ -275,11 +294,9 @@ def anchor_embed(A: SquaredDistanceMatrix, dim: int, tol: float = DEFAULT_TOL) -
     M = A.as_array()
     scale = max(1.0, float(M.max(initial=0.0)))
     gtol = tol * scale * k
-    # Gram matrix of differences to point 0.
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            G[i, j] = (M[0, i] + M[0, j] - M[i, j]) / 2.0
+    # Gram matrix of differences to point 0, whose own row is 0.
+    G = np.zeros((k, k))
+    G[1:, 1:] = _gram(M)
     coords = np.zeros((k, dim))
     pivots: list[int] = []
     for i in range(1, k):
@@ -313,9 +330,7 @@ def _span_basis(anchors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     if V.shape[0] == 0:
         return base, np.zeros((anchors.shape[1], 0))
     u, s, vt = np.linalg.svd(V, full_matrices=True)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0) * max(V.shape)
-    r = int(np.sum(s > cutoff))
-    return base, vt[:r].T
+    return base, vt[:_float_rank(V, tol, s)].T
 
 
 def trilaterate(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
@@ -403,7 +418,7 @@ def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
     Raises InconsistentDataError when any tuple is unrealizable.
     """
     P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
-    R2 = np.array([[float(v) for v in r] for r in sq_tuples], dtype=float)
+    R2 = np.array(sq_tuples, dtype=float)
     base, B, T, h2, resident, scale = _plane_heights(P, R2, tol)
     feet = base + (B[None] @ T[:, :, None])[:, :, 0]
     if resident.all():

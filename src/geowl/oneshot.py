@@ -17,7 +17,8 @@ the hyperplane supports the cloud exactly when sum_y |h_y| = n |h_b|.  The
 squared distances to the tuple, (f(x_j) - T/(2n))/n, where f(x_j) sums the
 records' j-th entries and T, the ordered-pair sum of squared distances,
 comes from the initial colors.  Tuple colors are scanned lazily in digest
-order, and only a tuple that passes this test has its points built.
+order, each decoded by `ColorStore.tuple_distances` when it is visited, and
+only a tuple that passes this test has its points built.
 
 The built cloud must still match the coloring's total distance sum.  That
 certificate works with true (unsquared) distances: strict subadditivity
@@ -27,7 +28,6 @@ under mirror mixing fails for squared distances.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -41,7 +41,7 @@ from .geometry import (PointCloud, SquaredDistanceMatrix, _mirror_rows, _plane_h
 # metrics read them.
 from .geometry import anchor_embed, mirror_pair, trilaterate
 from .report import ReconstructionReport
-from .wl import KIND_MAT, KIND_NODE, KIND_NODE1, ColorStore
+from .wl import ColorStore
 
 
 def _pair_sum(points: np.ndarray) -> float:
@@ -53,24 +53,10 @@ def _pair_sum(points: np.ndarray) -> float:
 def _pair_sums(store: ColorStore) -> tuple[float, float]:
     """The ordered pairwise sums of distances and of squared distances.
 
-    Both are read off the coloring.  For d >= 2 the initial colors carry one
-    (1,2)-entry per d-tuple, which counts each pair n^(d-2) times.  The line
-    case has trivial initial colors, so the per-point distance multisets of
-    the first refinement are counted instead.
+    Both are read off the coloring, by `ColorStore.pair_distances`.
     """
-    payload = store.interner.payload
-    if store.ell == 1:
-        if store.iterations < 1:
-            raise ValueError("the line case needs one refinement")
-        counts = Counter(did for cid in store.tables[1]
-                         for did, _ in payload(cid, KIND_NODE1)[1])
-        repeat = 1
-    else:
-        counts = Counter(payload(cid, KIND_MAT)[1][1] for cid in store.tables[0])
-        repeat = store.n ** (store.ell - 2)
     dist = sq = 0.0
-    for did, k in counts.items():
-        k //= repeat
+    for did, k in store.pair_distances().items():
         v = float(store.value_of(did))
         dist += k * math.sqrt(v)
         sq += k * v
@@ -135,27 +121,13 @@ def enumerate_candidates(anchors, sq_tuples, tol: float = DEFAULT_TOL,
 
 
 def _color_tuple_data(store: ColorStore, cid: int):
-    """Anchor distance matrix and distance-tuple multiset of a refined color."""
-    ell = store.ell
+    """Anchor distance matrix (the store's scalars) and distance-tuple multiset
+    (an (n, d) float array, as only float solvers read it) of a refined color."""
+    mats, dists = store.tuple_distances([cid])
     val = store.value_of
-    payload = store.interner.payload
-    if ell == 1:
-        _, recs = payload(cid, KIND_NODE1)
-        mat = SquaredDistanceMatrix(order=1, entries=((0,),))
-        tuples = [(val(did),) for did, _ in recs]
-        return mat, tuples
-    prev, recs = payload(cid, KIND_NODE)
-    dids = payload(prev, KIND_MAT)[1]
-    entries = tuple(tuple(0 if i == j else val(dids[i * ell + j])
-                          for j in range(ell)) for i in range(ell))
-    mat = SquaredDistanceMatrix(order=ell, entries=entries)
-    tuples = []
-    for rec in recs:
-        mat0 = payload(rec[0], KIND_MAT)[1]
-        mat1 = payload(rec[1], KIND_MAT)[1]
-        dy = [val(mat1[ell])] + [val(mat0[j]) for j in range(1, ell)]
-        tuples.append(tuple(dy))
-    return mat, tuples
+    entries = tuple(tuple(0 if i == j else val(did) for j, did in enumerate(row))
+                    for i, row in enumerate(mats[0].tolist()))
+    return SquaredDistanceMatrix(order=store.ell, entries=entries), store.dist_floats[dists[0]]
 
 
 def _supports(anchors: np.ndarray, tuples, sq_total: float, tol: float) -> bool:
@@ -168,7 +140,7 @@ def _supports(anchors: np.ndarray, tuples, sq_total: float, tol: float) -> bool:
     rounding residue is far below the tolerance where its root is not.
     """
     n = len(tuples)
-    R2 = np.array([[float(v) for v in t] for t in tuples], dtype=float)
+    R2 = np.array(tuples, dtype=float)
     bary = barycenter_sq_norms(R2.sum(axis=0), sq_total, n, tol)
     *_, h2, resident, scale = _plane_heights(anchors, np.vstack([R2, bary]), tol)
     s = float(np.sqrt(np.where(resident, 0.0, h2)[:n]).sum())

@@ -1,65 +1,49 @@
 """Planar reconstruction from a 3-iteration single-point coloring history.
 
 Pipeline: the first iteration's distance multisets give every point's squared
-distance to the barycenter; the second pairs those norms with distances from
-each point; the third lets us pick a pivot pair (u, v) spanning a minimal
-positive angle at the barycenter, whose cone is then guaranteed free of cloud
-points.  Reconstruction places u on a fixed ray, v by circle intersection,
-resolves points on the two pivot lines, and then eliminates mirror candidates
-round by round while the known-empty angular region grows by the pivot angle
-on each side.  That region is the arc [-k*alpha, (k+1)*alpha] after k rounds,
-so a candidate's depth in it is a closed form in its cached angle.  Most
-rounds place nothing; they cost one array test of those depths, and only a
-round in which some entry resolves runs the sweeps.
+distance to the barycenter (by `wl._History`, as in `recon_nd`); the second
+pairs those norms with distances from each point; the third picks a pivot
+pair (u, v) spanning a minimal positive angle at the barycenter, whose cone
+is then guaranteed free of cloud points.  Colors are read through
+`ColorStore`'s readers.  Reconstruction places u on a fixed ray, v by circle
+intersection, resolves points on the two pivot lines, and then eliminates
+mirror candidates round by round while the known-empty angular region grows
+by the pivot angle on each side.  That region is the arc
+[-k*alpha, (k+1)*alpha] after k rounds, so a candidate's depth in it is a
+closed form in its cached angle.  Most rounds place nothing; they cost one
+array test of those depths, and only a round in which some entry resolves
+runs the sweeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import (PointCloud, Scalar, barycenter_sq_norms, is_exact, remove_nearest,
-                       sweep)
+from .geometry import PointCloud, Scalar, is_exact, remove_nearest, sweep
 from .report import ReconstructionReport
-from .wl import KIND_NODE1, ColorStore
+from .wl import ColorStore, _History
 
 
 def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
     """Map each iteration-1 point color to its squared distance to the barycenter.
 
-    A color's distance sum f is read off its records.  In an exact store
-    every distance is an integer over Q, the lcm of the distances'
-    denominators, so the sums are integer sums; a float store sums its
-    floats in record order.
+    A view of `wl._History`, which applies the barycenter identity to the
+    colors' distance sums: exact stores over one integer denominator, float
+    stores in record order.
     """
     if store.ell != 1 or store.iterations < 1:
         raise ValueError("need a single-point history with at least one iteration")
-    counts = Counter(store.tables[1])
-    payload = store.interner.payload
-    dids = {cid: [did for did, _ in payload(cid, KIND_NODE1)[1]] for cid in counts}
-    vals = {did: store.value_of(did) for did in set(chain.from_iterable(dids.values()))}
-    exact = store.interner.mode == "exact"
-    if exact:
-        q = math.lcm(*(v.denominator for v in vals.values()))
-        vals = {did: v.numerator * (q // v.denominator) for did, v in vals.items()}
-    colors = list(counts)
-    f = [sum(map(vals.__getitem__, dids[c])) for c in colors]
-    total = sum(x * counts[c] for x, c in zip(f, colors))
-    if exact:
-        f, total = [Fraction(x, q) for x in f], Fraction(total, q)
-    return dict(zip(colors, barycenter_sq_norms(f, total, store.n)))
+    return {c: norm for c, (norm,) in _History(store, 1).norms.items()}
 
 
 def _profile(store: ColorStore, norms: dict[int, Scalar], c2: int) -> tuple:
     """The sorted multiset {(d(x,y)^2, |y|^2) : y in S} of iteration-2 color c2."""
-    _, recs = store.interner.payload(c2, KIND_NODE1)
+    recs = store.nodes([c2])[1][0].tolist()
     return tuple(sorted((store.value_of(did), norms[c1]) for did, c1 in recs))
 
 
@@ -103,10 +87,11 @@ def _cos_greater(qa, na, qb, nb) -> bool:
 def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
     """Extract pivot data from a 3-iteration single-point history.
 
-    The pivot u is any point with positive norm; v minimizes the angle at
-    the barycenter over 0 < angle < pi (compared on cosines, exactly in
-    rational mode), with ties broken by color digest.  A partner within tol
-    of the u-line, by the test that makes it a u-line resident in
+    The pivot u is the first point by color digest that is off the
+    barycenter by `reconstruct2d`'s own test (norm above tol); v minimizes
+    the angle at the barycenter over 0 < angle < pi (compared on cosines,
+    exactly in rational mode), with ties broken by color digest.  A partner
+    within tol of the u-line, by the test that makes it a u-line resident in
     `reconstruct2d`, is no candidate for v.  When no v exists the cloud is
     collinear with the barycenter and the fallback (0, M_u, M_u) applies.
     """
@@ -116,30 +101,26 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
         raise ValueError("initialization needs at least two points")
     norms = norms_from_chi1(store)
     digests = store.interner.digests
+    c2s = list(set(store.tables[2]))
+    c3s = sorted(set(store.tables[3]), key=digests.__getitem__)
+    chi1_of_chi2 = dict(zip(c2s, store.nodes(c2s)[0].tolist()))
+    chi2_of_chi3 = dict(zip(c3s, store.nodes(c3s)[0].tolist()))
 
-    def chi1_of_chi2(c2: int) -> int:
-        return store.interner.payload(c2, KIND_NODE1)[0]
-
-    def chi2_of_chi3(c3: int) -> int:
-        return store.interner.payload(c3, KIND_NODE1)[0]
-
-    # pick u: positive norm, canonical by digest
-    candidates = sorted(set(store.tables[3]), key=lambda c: digests[c])
+    # pick u: off the barycenter by reconstruct2d's test, canonical by digest
     u_color = None
-    for c3 in candidates:
-        if norms[chi1_of_chi2(chi2_of_chi3(c3))] > 0:
+    for c3 in c3s:
+        if float(norms[chi1_of_chi2[chi2_of_chi3[c3]]]) > tol:
             u_color = c3
             break
     if u_color is None:
-        raise InconsistentDataError("no point with positive barycenter distance")
-    nu2 = norms[chi1_of_chi2(chi2_of_chi3(u_color))]
-    m_u = _profile(store, norms, chi2_of_chi3(u_color))
+        raise InconsistentDataError("no point off the barycenter")
+    nu2 = norms[chi1_of_chi2[chi2_of_chi3[u_color]]]
+    m_u = _profile(store, norms, chi2_of_chi3[u_color])
 
-    _, recs = store.interner.payload(u_color, KIND_NODE1)
     best = None  # (q, N, tiebreak, d2, c2_y)
-    for did, c2_y in recs:
+    for did, c2_y in store.nodes([u_color])[1][0].tolist():
         d2 = store.value_of(did)
-        ny2 = norms[chi1_of_chi2(c2_y)]
+        ny2 = norms[chi1_of_chi2[c2_y]]
         if ny2 == 0:
             continue  # angle defined as 0
         q = nu2 + ny2 - d2

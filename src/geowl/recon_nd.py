@@ -8,14 +8,14 @@ for every tuple and every cloud point, an enhanced profile: the full squared
 distance matrix of (barycenter, x_1, ..., x_d) together with the d profiles
 obtained by substituting the barycenter into each slot.
 
-Extraction builds one `ProfileTable` per store instead of one object per
-profile.  Every squared distance of an exact store is worked out as an
-integer over S = 2 n^2 Q, Q the lcm of the distance denominators (2 n^2
-makes the barycenter identity integral too); a float store keeps its floats.
-The table numbers the distinct values in increasing order, holds each
-enhanced profile as arrays of those numbers, and each distinct substituted
-profile once.  Ranking runs on these arrays; the `EnhancedProfile` of a
-candidate, in Fractions or floats, is built only when reconstruction tries it.
+Extraction reads the history through `wl._History`, which numbers the
+distinct squared distances and barycenter norms in increasing order (exact
+ones as integers over one denominator), and builds one `ProfileTable` per
+store: each enhanced profile as arrays of those numbers, each distinct
+substituted profile once.  Ranking runs on these arrays; the
+`EnhancedProfile` of a candidate, in Fractions or floats, is built only when
+reconstruction tries it.  Gram matrices and exact elimination come from
+`geometry`.
 
 Reconstruction runs in the anchors' Gram coordinates: with the barycenter
 at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
@@ -37,140 +37,32 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from .geometry import (PointCloud, SquaredDistanceMatrix, _exact_rank, _float_rank,
-                       anchor_embed, barycenter_sq_norms, gram_affine_dim, is_exact,
+from .geometry import (PointCloud, SquaredDistanceMatrix, _eliminate, _exact_rank,
+                       _float_rank, _gram, anchor_embed, gram_affine_dim, is_exact,
                        remove_nearest, sweep)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
 from .geometry import mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
 from .report import ReconstructionReport
-from .wl import (KIND_MAT, KIND_NODE, ColorStore, Interner, compare, fingerprint,
-                 run_wl, run_wl_from_sq_values)
-
-
-def _nodes(store: ColorStore, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Previous colors and the (len(colors), n, ell) records of KIND_NODE colors."""
-    prev, recs = zip(*(store.interner.payload(c, KIND_NODE) for c in colors))
-    return np.array(prev), np.array(recs)
-
-
-def _index(colors, wanted: np.ndarray) -> np.ndarray:
-    """Positions in `colors` (distinct ints) of every entry of `wanted`."""
-    pos = {c: i for i, c in enumerate(colors)}
-    return np.array([pos[c] for c in wanted.ravel().tolist()]).reshape(wanted.shape)
-
-
-def _sorted_rows(e: np.ndarray) -> np.ndarray:
-    """(k, n, w) integer array with each of its k blocks' rows sorted lexicographically."""
-    k, n, w = e.shape
-    flat = e.reshape(k * n, w)
-    return flat[np.lexsort((*flat.T[::-1], np.repeat(np.arange(k), n)))].reshape(e.shape)
-
-
-def _distinct_rows(a: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """First position of each distinct row of a 2-D array, in order of appearance,
-    and for every row the number of its distinct row in that order."""
-    w = a.shape[1] * a.itemsize
-    b = np.ascontiguousarray(a).tobytes()
-    rows = [b[i:i + w] for i in range(0, len(b), w)]
-    first: dict[bytes, int] = {}
-    for i, row in enumerate(rows):
-        first.setdefault(row, i)
-    number = dict(zip(first, range(len(first))))
-    return list(first.values()), np.array([number[row] for row in rows])
-
-
-class _History:
-    """Iterations 1 and 2 of a tuple coloring as arrays of value ids.
-
-    distances[v] is the v-th smallest distinct squared distance, worked
-    out as a numerator over S = 2 n^2 Q for an exact store, Q the lcm of its
-    distance denominators, which makes every barycenter norm (f - T/(2n))/n
-    an integer over S too; a float store keeps its floats.  Per iteration-1
-    color c1[k]: mat[k], the ids of its tuple's distance matrix (row-major),
-    and bary[k], each slot's squared barycenter distance.  Per iteration-2
-    color c2[k]: prev2[k], the position of its iteration-1 color, and
-    entries[k], its (n, d) profile, rows sorted.
-    """
-
-    def __init__(self, store: ColorStore, iterations: int):
-        m, n = store.ell, store.n
-        if m < 2 or store.iterations < iterations:
-            raise ValueError("need a tuple history (ell >= 2) with at least " + (
-                "one iteration", "two iterations", "three iterations")[iterations - 1])
-        exact = store.interner.mode == "exact"
-        dids = sorted(set(chain.from_iterable(store.dist_ids)))
-        vals = list(map(store.value_of, dids))
-        S = 2 * n * n * math.lcm(*(v.denominator for v in vals)) if exact else 1
-        nums = [v.numerator * (S // v.denominator) for v in vals] if exact else vals
-        dist = sorted(set(nums))  # ids into dist until the barycenter norms join them
-        dist_id = {v: i for i, v in enumerate(dist)}
-        dist_pos = {did: dist_id[v] for did, v in zip(dids, nums)}
-
-        counts = Counter(store.tables[1])
-        self.c1 = list(counts)
-        prev0, recs = _nodes(store, self.c1)
-        c0 = list(dict.fromkeys(np.concatenate([prev0, recs.ravel()]).tolist()))
-        mats = np.array([[dist_pos[x] for x in store.interner.payload(c, KIND_MAT)[1]]
-                         for c in c0])
-        r = _index(c0, recs)
-        # slot 0's distances are the (1,0) entries of the slot-1 substitutions,
-        # slot j's the (0,j) entries of the slot-0 ones; sorted, each is one point's row
-        slots = np.stack([mats[r[..., 1], m]] + [mats[r[..., 0], j] for j in range(1, m)], 1)
-        slots = np.sort(slots, -1).reshape(-1, n)
-        first, inv = _distinct_rows(slots)
-        inv = inv.reshape(len(self.c1), m)
-        f = [sum(map(dist.__getitem__, row)) for row in slots[first].tolist()]
-        # the cloud-wide multiset of distance multisets is inflated by n^(d-2)
-        multiplier = n ** (m - 1)
-        global_counts: Counter = Counter()
-        for u, cnt in zip(inv[:, 0].tolist(), counts.values()):
-            global_counts[u] += cnt
-        total = 0
-        for u, cnt in global_counts.items():
-            if cnt % multiplier != 0:
-                raise InconsistentDataError(
-                    f"distance-multiset count {cnt} is not divisible by n^(d-2)={multiplier}")
-            total = total + (cnt // multiplier) * f[u]
-        norms = barycenter_sq_norms(f, total, n)
-        norms = [int(v) for v in norms] if exact else norms
-
-        values = sorted(set(dist) | set(norms))
-        self.distances = [Fraction(v, S) for v in values] if exact else values
-        pos = {v: i for i, v in enumerate(values)}
-        self.mat = np.array([pos[v] for v in dist])[mats[_index(c0, prev0)]]
-        self.bary = np.array([pos[v] for v in norms])[inv]
-        if iterations >= 2:
-            self.c2 = list(dict.fromkeys(store.tables[2]))
-            prev1, recs = _nodes(store, self.c2)
-            self.prev2 = _index(self.c1, prev1)
-            self.entries = _sorted_rows(self.entry(_index(self.c1, recs)))
-
-    def entry(self, r: np.ndarray) -> np.ndarray:
-        """(d(y,b), d(y,x_1), ..., d(y,x_m)) from the iteration-1 positions r[..., :]
-        of a record's substituted tuples (y in slot j of r[..., j])."""
-        m = r.shape[-1]
-        return np.stack([self.bary[r[..., 0], 0], self.mat[r[..., 1], m]]
-                        + [self.mat[r[..., 0], j] for j in range(1, m)], -1)
+from .wl import (ColorStore, Interner, _distinct_rows, _History, _index, _sorted_rows,
+                 compare, fingerprint, run_wl, run_wl_from_sq_values)
 
 
 def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
     """Per iteration-1 tuple color, the squared barycenter distance of each slot.
 
-    The per-slot distance multisets are read off the substitution records'
-    initial colors; the cloud-wide multiset of distance multisets appears
-    with all multiplicities inflated by n^(d-2) and is deflated before the
-    barycenter identity is applied.
+    `wl._History` reads the per-slot distance multisets off the substitution
+    records' initial colors and deflates the cloud-wide multiset of them,
+    whose multiplicities are inflated by n^(d-2), before applying the
+    barycenter identity.
     """
-    h = _History(store, 1)
-    return {c: tuple(map(h.distances.__getitem__, row)) for c, row in zip(h.c1, h.bary.tolist())}
+    return _History(store, 1).norms
 
 
 def profiles_from_wl2(store: ColorStore) -> dict[int, tuple]:
@@ -298,8 +190,8 @@ class ProfileTable(Mapping):
     def ranks(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """`gram_affine_dim` of the anchor matrices of rows, from one float pass.
 
-        Float stores take the batched singular values, cut off as
-        `geometry._float_rank` does.  For exact stores a float determinant
+        Float stores take `geometry._float_rank` of the stacked Gram
+        matrices.  For exact stores a float determinant
         of G above 1e-8 * max|G_ij|^d is nonzero, as rounding the entries
         and the elimination perturb it by orders of magnitude less; only
         the rest take the exact `gram_affine_dim`.
@@ -307,8 +199,7 @@ class ProfileTable(Mapping):
         d = self.d
         G = _gram(self.floats[self.A[rows]])
         if not self.exact:
-            sv = np.linalg.svd(G, compute_uv=False)
-            return (sv > tol * np.maximum(1.0, sv[:, :1]) * d).sum(-1)
+            return _float_rank(G, tol)
         ranks = np.full(len(rows), d)
         scale = np.abs(G).max(axis=(-2, -1)) ** d
         for k in np.flatnonzero(~(np.abs(np.linalg.det(G)) > 1e-8 * scale)).tolist():
@@ -364,12 +255,12 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> ProfileTable:
     pid = pid.reshape(d, -1).T  # (c2 position, slot i) -> profile id
 
     counts = Counter(store.tables[3])
-    prev, recs = _nodes(store, list(counts))
+    prev, recs = store.nodes(list(counts))
     x, rec = _index(h.c2, prev), _index(h.c2, recs)
     y = h.entry(h.prev2[rec])  # (c3, y): d(y, b), d(y, x_1), ..., d(y, x_m)
     bx = h.bary[h.prev2[x]][:, None]
     A = np.empty((len(x), n, d + 1, d + 1), dtype=np.intp)
-    A[..., 1:d, 1:d] = h.mat[h.prev2[x]].reshape(-1, 1, m, m)
+    A[..., 1:d, 1:d] = h.mat[h.prev2[x]][:, None]
     A[..., 0, 1:d] = A[..., 1:d, 0] = bx
     A[..., d, :d] = A[..., :d, d] = y
     A[..., 0, 0] = A[..., d, d] = h.distances.index(0)
@@ -385,13 +276,6 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> ProfileTable:
     return ProfileTable(h.distances, A[rows], P[rows], subs[first], mult)
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """Gram matrices <z_j, z_k> of the anchors z_j = x_j - b from (stacked)
-    squared-distance matrices of (b, x_1, ..., x_d); exact for object arrays."""
-    half = Fraction(1, 2) if a.dtype == object else 0.5
-    return (a[..., :1, 1:] + a[..., 1:, :1] - a[..., 1:, 1:]) * half
-
-
 def _dots(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
     """<x, z_k> = (|x|^2 + G_kk - E[r, k]) / 2 for k != i (0 at k = i), where
     row r of E holds x's squared distances to the anchors with b in slot i."""
@@ -402,19 +286,16 @@ def _dots(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
 
 
 def _inverse(G: np.ndarray) -> np.ndarray:
-    """G^-1 by Gauss-Jordan elimination over Fractions, or by LAPACK for floats."""
+    """G^-1 by `geometry._eliminate` over Fractions, or by LAPACK for floats."""
     if G.dtype != object:
         return np.linalg.inv(G)
     d = len(G)
-    M = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(G)]
-    for c in range(d):
-        p = next((r for r in range(c, d) if M[r][c]), None)
-        if p is None:
-            raise ReconstructionError("anchors are not full-dimensional")
-        M[p], M[c] = M[c], [v / M[p][c] for v in M[p]]
-        M = [row if r == c else [a - row[c] * b for a, b in zip(row, M[c])]
-             for r, row in enumerate(M)]
-    return np.array([row[d:] for row in M], dtype=object)
+    M, pivots = _eliminate([list(row) + [int(i == j) for j in range(d)]
+                            for i, row in enumerate(G)])
+    if pivots != list(range(d)):
+        raise ReconstructionError("anchors are not full-dimensional")
+    return np.array([[Fraction(x, row[i]) for x in row[d:]] for i, row in enumerate(M)],
+                    dtype=object)
 
 
 def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,

@@ -43,14 +43,15 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_MAX_TUPLES, DEFAULT_TOL
-from .errors import CapExceededError, ParameterMismatchError
-from .geometry import PointCloud, Scalar
+from .errors import CapExceededError, InconsistentDataError, ParameterMismatchError
+from .geometry import PointCloud, Scalar, barycenter_sq_norms
 
 KIND_ZERO = 0   # the shared ell=1 leaf color
 KIND_MAT = 1    # ell x ell squared-distance matrix, row-major distance ids
@@ -98,7 +99,7 @@ class Interner:
         self.snap = float(snap)
         self._index: dict = {}
         self.kinds: list[int] = []
-        self._payloads: list = []      # cid -> payload tuple, or a _PackedNode until read
+        self._payloads: list = []      # cid -> payload tuple, or a _PackedNode
         self.digests: list[bytes] = []
         self._dist_index: dict = {}
         self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
@@ -224,14 +225,16 @@ class Interner:
             table.append(cid)
         return table
 
-    def payload(self, cid: int, kind: int) -> tuple:
-        """The payload of a color that must be of the given KIND_*."""
+    def _checked(self, cid: int, kind: int):
+        """The stored payload of a color that must be of the given KIND_*."""
         if self.kinds[cid] != kind:
             raise ValueError(f"color {cid} has kind {self.kinds[cid]}, expected {kind}")
-        payload = self._payloads[cid]
-        if isinstance(payload, _PackedNode):
-            payload = self._payloads[cid] = payload.unpack()
-        return payload
+        return self._payloads[cid]
+
+    def payload(self, cid: int, kind: int) -> tuple:
+        """The payload of a color that must be of the given KIND_*, records as id tuples."""
+        payload = self._checked(cid, kind)
+        return payload.unpack() if isinstance(payload, _PackedNode) else payload
 
 
 class ColorStore:
@@ -255,12 +258,173 @@ class ColorStore:
     def value_of(self, did: int) -> Scalar:
         return self.interner.dist_value(did)
 
+    @cached_property
+    def dist_floats(self) -> np.ndarray:
+        """float(value_of(did)) for every distance id up to the cloud's largest."""
+        return np.array([float(self.value_of(did)) for did in range(self.dist_array.max() + 1)])
+
     def sq_matrix_values(self):
         """The cloud's n x n squared-distance values (exact or snapped floats)."""
         return [[self.interner.dist_value(d) for d in row] for row in self.dist_ids]
 
     def class_counts(self) -> list[int]:
         return [len(set(t)) for t in self.tables]
+
+    # -- readers of the color history; the pipelines decode payloads only here --
+
+    def nodes(self, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Previous colors and the (k, n, w) records of k refined colors, as int64 arrays
+        read straight from the packed bytes: w = 2 at ell = 1, (distance id,
+        color id) pairs, else w = ell, the colors of the tuple with the point in
+        each slot.  A color of another kind raises ValueError."""
+        kind, width = (KIND_NODE1, 2) if self.ell == 1 else (KIND_NODE, self.ell)
+        packed = [self.interner._checked(c, kind) for c in colors]
+        prev = np.array([p.prev for p in packed], dtype=np.int64)
+        rows = np.frombuffer(b"".join(p.rows for p in packed), dtype=np.int64)
+        return prev, rows.reshape(len(packed), self.n, width)
+
+    def pair_distances(self) -> Counter:
+        """Distance id -> number of ordered point pairs at that distance, in order
+        of first occurrence: at ell >= 2 the (0, 1) entries of the initial
+        colors, which count each pair n^(ell-2) times; at ell = 1, whose initial
+        colors are trivial, the records of the first refinement."""
+        if self.ell == 1:
+            if self.iterations < 1:
+                raise ValueError("the line case needs one refinement")
+            return Counter(self.nodes(self.tables[1])[1][..., 0].ravel().tolist())
+        check, repeat = self.interner._checked, self.n ** (self.ell - 2)
+        counts = Counter(check(c, KIND_MAT)[1][1] for c in self.tables[0])
+        return Counter({did: k // repeat for did, k in counts.items()})
+
+    def tuple_distances(self, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Distance ids of k iteration-1 colors: (k, ell, ell) tuple matrices and
+        (k, n, ell) records in canonical order, record y holding d(y, x_j) for
+        each slot j.  At ell = 1 that is the record's own distance; at ell >= 2,
+        d(y, x_0) is the (1, 0) entry of the record's tuple with y in slot 1 and
+        d(y, x_j) the (0, j) entry of the one with y in slot 0."""
+        prev, recs = self.nodes(colors)
+        k, n, m = len(prev), self.n, self.ell
+        if m == 1:
+            return np.full((k, 1, 1), self.dist_array[0, 0]), recs[..., :1]
+        heads, pairs = prev.tolist(), recs[..., :2].reshape(-1, 2).tolist()
+        kinds, payloads = self.interner.kinds, self.interner._payloads
+        if {kinds[c] for c in chain(heads, chain.from_iterable(pairs))} - {KIND_MAT}:
+            raise ValueError("not the colors of a first refinement")
+        mats = chain.from_iterable(payloads[c][1] for c in heads)
+        dists = chain.from_iterable((payloads[y1][1][m], *payloads[y0][1][1:m])
+                                    for y0, y1 in pairs)
+        return (np.fromiter(mats, dtype=np.int64, count=k * m * m).reshape(k, m, m),
+                np.fromiter(dists, dtype=np.int64, count=k * n * m).reshape(k, n, m))
+
+
+def _index(colors, wanted: np.ndarray) -> np.ndarray:
+    """Positions in `colors` (distinct ints) of every entry of `wanted`."""
+    pos = {c: i for i, c in enumerate(colors)}
+    return np.array([pos[c] for c in wanted.ravel().tolist()]).reshape(wanted.shape)
+
+
+def _sorted_rows(e: np.ndarray) -> np.ndarray:
+    """(k, n, w) integer array with each of its k blocks' rows sorted lexicographically."""
+    k, n, w = e.shape
+    flat = e.reshape(k * n, w)
+    return flat[np.lexsort((*flat.T[::-1], np.repeat(np.arange(k), n)))].reshape(e.shape)
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """First position of each distinct row of a 2-D array, in order of appearance,
+    and for every row the number of its distinct row in that order."""
+    w = a.shape[1] * a.itemsize
+    b = np.ascontiguousarray(a).tobytes()
+    rows = [b[i:i + w] for i in range(0, len(b), w)]
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    number = dict(zip(first, range(len(first))))
+    return list(first.values()), np.array([number[row] for row in rows])
+
+
+class _History:
+    """Iterations 1 and 2 of a coloring as arrays of value ids.
+
+    The one place where the barycenter identity is applied to whole
+    colorings (`oneshot._supports` applies it to one tuple color's sums):
+    norms maps each iteration-1 color to each slot's squared barycenter
+    distance.  Value ids number the distinct squared distances and norms in
+    increasing order, worked out as numerators over S = 2 n^2 Q for an exact
+    store, Q the lcm of its distance denominators, which makes every norm
+    (f - T/(2n))/n an integer over S too.  A float store keeps its floats and
+    lets a norm fall below 0 by its grid step snap, which bounds the error
+    snapping can put in a norm, on top of the default bound 1e-9 max(1, |T|),
+    T the ordered-pair sum; at ell = 1 a
+    point's records come in increasing distance order, so its sum in value
+    order is its sum in record order.  Per iteration-1 color c1[k]: mat[k],
+    the ids of its tuple's distance matrix, and bary[k], of its norms.  From
+    two iterations on (ell >= 2), distances[v] is the value of id v, and per
+    iteration-2 color c2[k]: prev2[k], the position of its iteration-1 color,
+    and entries[k], its profile, rows sorted.
+    """
+
+    def __init__(self, store: ColorStore, iterations: int):
+        m, n = store.ell, store.n
+        if m < 2 and iterations > 1:
+            raise ValueError("profiles need a tuple history (ell >= 2)")
+        if store.iterations < iterations:
+            raise ValueError(f"need a history of at least {iterations} iteration(s)")
+        exact = store.interner.mode == "exact"
+        dids = sorted(set(chain.from_iterable(store.dist_ids)))
+        vals = list(map(store.value_of, dids))
+        S = 2 * n * n * math.lcm(*(v.denominator for v in vals)) if exact else 1
+        nums = [v.numerator * (S // v.denominator) for v in vals] if exact else vals
+        dist = sorted(set(nums))  # ids into dist until the barycenter norms join them
+        dist_id = {v: i for i, v in enumerate(dist)}
+        lut = np.zeros(dids[-1] + 1, dtype=np.int64)  # distance id -> id into dist
+        lut[dids] = [dist_id[v] for v in nums]
+
+        counts = Counter(store.tables[1])
+        self.c1 = list(counts)
+        mats, recs = store.tuple_distances(self.c1)
+        # slot j's distances to the points, sorted: one row per (color, slot)
+        slots = np.sort(np.swapaxes(lut[recs], 1, 2), -1).reshape(-1, n)
+        first, inv = _distinct_rows(slots)
+        inv = inv.reshape(len(self.c1), m)
+        f = [sum(map(dist.__getitem__, row)) for row in slots[first].tolist()]
+        # the cloud-wide multiset of distance multisets is inflated by n^(ell-1)
+        multiplier = n ** (m - 1)
+        global_counts: Counter = Counter()
+        for u, cnt in zip(inv[:, 0].tolist(), counts.values()):
+            global_counts[u] += cnt
+        total = 0
+        for u, cnt in global_counts.items():
+            if cnt % multiplier != 0:
+                raise InconsistentDataError(
+                    f"distance-multiset count {cnt} is not divisible by n^(ell-1)={multiplier}")
+            total = total + (cnt // multiplier) * f[u]
+        # snapping moves a float norm by at most 0.75 snap: the bound is snap
+        # on top of the default DEFAULT_TOL * max(1, |T|)
+        extra = 0.0 if exact else store.interner.snap / max(1.0, abs(total))
+        norms = barycenter_sq_norms(f, total, n, DEFAULT_TOL + extra)
+        norms = [int(v) for v in norms] if exact else norms
+
+        scalars = [Fraction(v, S) for v in norms] if exact else norms
+        self.norms = {c: tuple(map(scalars.__getitem__, row))
+                      for c, row in zip(self.c1, inv.tolist())}
+        values = sorted(set(dist) | set(norms))
+        pos = {v: i for i, v in enumerate(values)}
+        self.mat = np.array([pos[v] for v in dist])[lut[mats]]
+        self.bary = np.array([pos[v] for v in norms])[inv]
+        if iterations >= 2:
+            self.distances = [Fraction(v, S) for v in values] if exact else values
+            self.c2 = list(dict.fromkeys(store.tables[2]))
+            prev1, recs = store.nodes(self.c2)
+            self.prev2 = _index(self.c1, prev1)
+            self.entries = _sorted_rows(self.entry(_index(self.c1, recs)))
+
+    def entry(self, r: np.ndarray) -> np.ndarray:
+        """(d(y,b), d(y,x_1), ..., d(y,x_m)) from the iteration-1 positions r[..., :]
+        of a record's substituted tuples (y in slot j of r[..., j])."""
+        m = r.shape[-1]
+        return np.stack([self.bary[r[..., 0], 0], self.mat[r[..., 1], 1, 0]]
+                        + [self.mat[r[..., 0], 0, j] for j in range(1, m)], -1)
 
 
 def _mode_for(cloud: PointCloud, mode: str | None) -> str:

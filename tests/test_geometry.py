@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,8 +8,9 @@ import pytest
 
 from geowl import oracle
 from geowl.errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _hyperplane_basis, _in_plane,
-                            _mirror_rows, _unit_normal, affine_dim, anchor_embed, barycenter,
+from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _eliminate, _float_rank, _gram,
+                            _hyperplane_basis, _in_plane, _mirror_rows, _unit_normal,
+                            affine_dim, anchor_embed, barycenter,
                             barycenter_sq_norms, cone_coefficients, mirror_pair,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix,
                             sweep, trilaterate)
@@ -380,3 +382,62 @@ def test_sweep_propagates_errors_from_choose():
 
     with pytest.raises(ReconstructionError, match="both mirror candidates"):
         sweep([1], choose, lambda p: None)
+
+
+def _det(M):
+    """Exact determinant by the Leibniz formula."""
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def _greedy_basis(G):
+    """Slots j whose principal submatrix over the basis so far and j gains rank."""
+    basis = []
+    for j in range(len(G)):
+        idx = basis + [j]
+        if _det([[G[a][b] for b in idx] for a in idx]) != 0:
+            basis.append(j)
+    return basis
+
+
+# anchor tuples (x_0, x_1, ..., x_k) whose dependent slots are not the last
+DEPENDENT_TUPLES = [
+    ((0, 0, 0), (1, 2, 0), (3, -1, 0), (4, 1, 0), (0, 1, 5)),   # z_3 = z_1 + z_2
+    ((0, 0, 0), (1, 0, 0), (1, 0, 0), (0, 2, 0)),               # a repeated point
+    ((1, 1, 1), (1, 1, 1), (2, 1, 0), (0, 3, 1)),               # x_1 = x_0
+    ((0, 0), (2, 1), (F(1, 3), F(1, 6)), (1, 5)),               # z_2 = z_1 / 6
+    ((0, 0, 0, 0), (1, 0, 2, 0), (2, 0, 4, 0), (3, 1, 0, 0), (0, 0, 0, 7)),
+]
+
+
+def test_pivot_columns_are_the_greedy_basis():
+    rng = random.Random(4)
+    tuples = list(DEPENDENT_TUPLES)
+    for _ in range(30):  # random coplanar anchor sets in R^3
+        base = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(2)]
+        pts = [(0, 0, 0)] + [tuple(a * u + b * v for u, v in zip(*base))
+                             for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3))
+                                          for _ in range(4))]
+        tuples.append(tuple(pts))
+    for k, pts in enumerate(tuples):
+        pts = [tuple(F(c) for c in p) for p in pts]
+        G = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object))
+        basis = _eliminate(G.tolist())[1]
+        assert basis == _greedy_basis(G.tolist()), pts
+        assert len(basis) == affine_dim(pts) < len(G)
+        if k < len(DEPENDENT_TUPLES):  # a dependent slot comes before an independent one
+            assert basis != list(range(len(basis))), pts
+
+
+def test_float_rank_of_a_stack_is_each_matrix_rank():
+    rng = np.random.default_rng(2)
+    Z = rng.normal(size=(12, 3, 2)) @ rng.normal(size=(12, 2, 3))  # rank 2
+    Z[::3, 1:] = 0  # rank 1
+    Z[1::3] = rng.normal(size=(4, 3, 3))  # rank 3
+    ranks = _float_rank(Z, 1e-9)
+    assert ranks.tolist() == [_float_rank(z, 1e-9) for z in Z]
+    assert set(ranks.tolist()) == {1, 2, 3}

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from geowl import oracle, reconstruct
@@ -456,3 +457,28 @@ def test_float_partner_within_tol_of_the_u_line_is_no_pivot(seed):
     shape = oracle.random_cloud(50, 2, seed, grid=8, span=1)
     rep = reconstruct(_float_copy(shape), "wl2d")
     assert rep.verified and rep.counters["alpha"] is not None
+
+
+def _with_mean(seed, d):
+    """A Gaussian float cloud with its own barycenter added as a point."""
+    pts = np.random.default_rng(seed).normal(size=(6, d)) * 3
+    return PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
+
+
+def test_float_norms_use_the_grid_step():
+    # snapped sums put an error of up to about the step into the norm of the
+    # point at the barycenter, which a 1e-9 bound rejected for 19 of these
+    for seed in range(40):
+        store = run_wl(_with_mean(seed, 2), 1, 1, mode="float", snap=1e-4)
+        norms = norms_from_chi1(store)
+        assert min(norms.values()) >= 0.0, seed
+
+
+def test_pivot_u_is_never_the_point_at_the_barycenter():
+    # the mean's norm read off the colors is 2.0e-11 here, below tol
+    cloud = _with_mean(9, 2)
+    store = run_wl(cloud, 1, 3)
+    norms = norms_from_chi1(store)
+    assert 0 < min(norms.values()) <= 1e-9
+    rep = reconstruct(cloud, "wl2d")
+    assert rep.verified

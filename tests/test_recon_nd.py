@@ -519,3 +519,24 @@ def test_float_store_roundtrips(n, d, seed):
 def test_exact_cloud_roundtrips_in_float_mode():
     rep = reconstruct(oracle.random_cloud(6, 3, 5), "wlnd", RunConfig(mode="float"))
     assert rep.verified
+
+
+def test_float_slot_norms_use_the_grid_step():
+    # the tuple coloring's barycenter identity, with a point at the barycenter
+    for seed in range(40):
+        pts = np.random.default_rng(seed).normal(size=(6, 3)) * 3
+        cloud = PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
+        store = run_wl(cloud, 2, 1, mode="float", snap=1e-4)
+        norms = barycenter_dists_from_wl1(store)
+        assert min(map(min, norms.values())) >= 0.0, seed
+
+
+def test_exact_inverse_of_a_singular_gram_matrix_raises():
+    # coplanar anchors: the Gram matrix of (b, x_1, x_2, x_3) has rank 2
+    pts = [(F(0), F(0), F(0)), (F(1), F(2), F(0)), (F(3), F(-1), F(0)), (F(4), F(1), F(0))]
+    G = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object))
+    with pytest.raises(ReconstructionError, match="not full-dimensional"):
+        _inverse(G)
+    pts[3] = (F(4), F(1), F(1, 2))
+    G = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object))
+    assert (_inverse(G) @ G == np.eye(3, dtype=int)).all()

@@ -8,7 +8,7 @@ import pytest
 from geowl import oracle
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
-from geowl.wl import (KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
+from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
                       first_distinguishing_iteration, initial_coloring, refine, run_wl,
                       store_from_sq_values)
 
@@ -419,3 +419,49 @@ def test_refine_matches_the_per_tuple_reference():
         assert new.kinds == ref.kinds and new.digests == ref.digests
         assert [new.payload(c, k) for c, k in enumerate(new.kinds)] == \
             [ref.payload(c, k) for c, k in enumerate(ref.kinds)]
+
+
+def _payload_decode(store, c):
+    """tuple_distances of one iteration-1 color, decoded through Interner.payload."""
+    inter, m = store.interner, store.ell
+    if m == 1:
+        return [[store.dist_array[0, 0]]], [[did] for did, _ in inter.payload(c, KIND_NODE1)[1]]
+    prev, recs = inter.payload(c, KIND_NODE)
+    mat = inter.payload(prev, KIND_MAT)[1]
+    dists = [[inter.payload(r[1], KIND_MAT)[1][m]]
+             + [inter.payload(r[0], KIND_MAT)[1][j] for j in range(1, m)] for r in recs]
+    return [list(mat[i * m:(i + 1) * m]) for i in range(m)], dists
+
+
+@pytest.mark.parametrize("ell,n,d", [(1, 7, 2), (2, 6, 3), (3, 4, 3)])
+def test_readers_match_the_payload_decode(ell, n, d):
+    store = run_wl(oracle.random_cloud(n, d, seed=40 + ell), ell, 2)
+    kind = KIND_NODE1 if ell == 1 else KIND_NODE
+    read_first = store.tables[1][1]
+    store.interner.payload(read_first, kind)  # a payload read before the readers
+    for it in (1, 2):
+        colors = list(dict.fromkeys(store.tables[it]))
+        prev, recs = store.nodes(colors)
+        assert recs.shape == (len(colors), n, 2 if ell == 1 else ell)
+        assert [(p, tuple(map(tuple, r))) for p, r in zip(prev.tolist(), recs.tolist())] == \
+            [store.interner.payload(c, kind) for c in colors]
+    colors = list(dict.fromkeys(store.tables[1]))
+    assert read_first in colors
+    mats, dists = store.tuple_distances(colors)
+    assert [[m.tolist(), x.tolist()] for m, x in zip(mats, dists)] == \
+        [list(_payload_decode(store, c)) for c in colors]
+    # every ordered pair once, the (x, x) pairs included
+    assert store.pair_distances() == Counter(store.dist_array.ravel().tolist())
+
+
+def test_readers_reject_colors_of_another_kind():
+    store = run_wl(oracle.random_cloud(5, 3, seed=3), 2, 2)
+    with pytest.raises(ValueError, match="kind"):
+        store.nodes(store.tables[0])  # initial colors are distance matrices
+    with pytest.raises(ValueError, match="first refinement"):
+        store.tuple_distances(store.tables[2][:1])
+    line = run_wl(oracle.random_cloud(5, 2, seed=3), 1, 1)
+    with pytest.raises(ValueError, match="kind"):
+        line.tuple_distances(line.tables[0])
+    with pytest.raises(ValueError, match="refinement"):
+        initial_coloring(oracle.random_cloud(5, 2, seed=3), 1).pair_distances()
