@@ -14,12 +14,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from . import oracle, wl
 from .cloudfile import cloud_to_json, load_cloud, save_cloud
-from .config import (DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_DEPTH, DEFAULT_MAX_TUPLES,
-                     DEFAULT_TOL, RunConfig, default_seed)
+from .config import RunConfig, default_seed
 from .errors import CapExceededError, GeowlError
 from .report import reconstruct
 
@@ -38,27 +38,28 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# RunConfig field -> (flags, argparse keywords); each subcommand declares the ones it reads
+# RunConfig field -> (flags, argparse keywords); each subcommand declares the ones it reads.
+# Defaults are RunConfig's, but --seed's None, which `_config_from` reads as GEOWL_SEED or 0.
 _RUN_OPTIONS = {
-    "ell": (("--ell",), dict(type=int, default=1, help="tuple dimension of the coloring")),
-    "iters": (("--iters",), dict(type=int, default=3,
-                                 help="number of refinement iterations")),
-    "mode": (("--mode",), dict(choices=("exact", "float"), default=None,
+    "ell": (("--ell",), dict(type=int, help="tuple dimension of the coloring")),
+    "iters": (("--iters",), dict(type=int, help="number of refinement iterations")),
+    "mode": (("--mode",), dict(choices=("exact", "float"),
                                help="arithmetic mode (default: exact for rational inputs)")),
-    "tol": (("--tol",), dict(type=float, default=DEFAULT_TOL, help="float-mode tolerance")),
+    "tol": (("--tol",), dict(type=float, help="float-mode tolerance")),
     "seed": (("--seed",), dict(type=int, default=None,
                                help="random seed (default: GEOWL_SEED or 0)")),
-    "jobs": (("--jobs",), dict(type=int, default=1, help="parallelism for inner maps")),
-    "max_tuples": (("--max-tuples",), dict(type=int, default=DEFAULT_MAX_TUPLES)),
-    "max_candidates": (("--max-candidates",), dict(type=int, default=DEFAULT_MAX_CANDIDATES)),
-    "max_depth": (("--max-depth",), dict(type=int, default=DEFAULT_MAX_DEPTH)),
+    "jobs": (("--jobs",), dict(type=int, help="parallelism for inner maps")),
+    "max_tuples": (("--max-tuples",), dict(type=int)),
+    "max_candidates": (("--max-candidates",), dict(type=int)),
+    "max_depth": (("--max-depth",), dict(type=int)),
 }
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _add_run_options(p: argparse.ArgumentParser, *names: str) -> None:
     for name, (flags, kwargs) in _RUN_OPTIONS.items():
         if name in names:
-            p.add_argument(*flags, **kwargs)
+            p.add_argument(*flags, **{"default": _DEFAULTS[name], **kwargs})
     p.add_argument("-o", "--out", default=None, help="write the JSON result to a file")
 
 

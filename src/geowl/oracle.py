@@ -168,15 +168,15 @@ def random_cloud(n: int, d: int, seed: int, grid: int = 8, span: int = 4) -> Poi
         raise ValueError(f"{n} distinct points do not fit on the {side}^{d} grid positions")
     rng = random.Random(seed)
     lo, hi = -span * grid, span * grid
-    seen: set = set()
-    points = []
-    while len(points) < n:
-        p = tuple(Fraction(rng.randint(lo, hi), grid) for _ in range(d))
-        if p in seen:
-            continue
-        seen.add(p)
-        points.append(p)
-    return PointCloud(dim=d, points=tuple(points), label=f"random-{n}x{d}-s{seed}")
+    drawn: dict = {}  # distinct numerator tuples, in draw order
+    while len(drawn) < n:
+        drawn[tuple(rng.randint(lo, hi) for _ in range(d))] = None
+    return PointCloud(dim=d, points=_on_grid(drawn, grid), label=f"random-{n}x{d}-s{seed}")
+
+
+def _on_grid(numerators, grid: int) -> tuple:
+    """Points with coordinates k/grid from their numerator tuples, in order."""
+    return tuple(tuple(Fraction(k, grid) for k in p) for p in numerators)
 
 
 def _rational_rotation(d: int, rng: random.Random) -> list[list[Fraction]]:
@@ -227,13 +227,16 @@ def apply_random_isometry(cloud: PointCloud, seed: int) -> PointCloud:
 
 
 def _symmetric_cloud(n: int, d: int, seed: int, grid: int) -> PointCloud | None:
-    """A cloud closed under reflection through the first coordinate hyperplane."""
+    """A cloud closed under reflection through the first coordinate hyperplane.
+
+    Drawn, mirrored and sorted as numerator tuples: k -> k/grid keeps their order.
+    """
     rng = random.Random(seed)
     pts: set = set()
     guard = 0
     while len(pts) < n and guard < 200:
         guard += 1
-        p = tuple(Fraction(rng.randint(-2 * grid, 2 * grid), grid) for _ in range(d))
+        p = tuple(rng.randint(-2 * grid, 2 * grid) for _ in range(d))
         mirror = (-p[0],) + p[1:]
         if p[0] == 0:
             if len(pts) + 1 <= n:
@@ -243,7 +246,7 @@ def _symmetric_cloud(n: int, d: int, seed: int, grid: int) -> PointCloud | None:
             pts.add(mirror)
     if len(pts) != n:
         return None
-    return PointCloud(dim=d, points=tuple(sorted(pts)), label=f"sym-{n}x{d}-s{seed}")
+    return PointCloud(dim=d, points=_on_grid(sorted(pts), grid), label=f"sym-{n}x{d}-s{seed}")
 
 
 def search_indistinguishable(ell: int, iters: int, d: int, n: int, budget: int,

@@ -9,18 +9,14 @@ is then guaranteed free of cloud points.  Colors are read through
 intersection, resolves points on the two pivot lines, and then eliminates
 mirror candidates round by round while the known-empty angular region grows
 by the pivot angle on each side.  That region is the arc
-[-k*alpha, (k+1)*alpha] after k rounds, so a candidate's depth in it is a
-closed form in its cached angle.  Most rounds place nothing; they cost one
-array test of those depths, and only a round in which some entry resolves
-runs the sweeps.
+[-k*alpha, (k+1)*alpha] after k rounds, so each entry's first resolving
+round follows from its candidates' angles, and only those rounds are swept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
@@ -147,9 +143,43 @@ class PlanarReconstruction:
 
 # which mirror candidate to take, by the kinds (0 out, 1 boundary, 2 in) of the
 # two: the one opposite a forbidden one; -1 while unresolved, -2 if both are in
-_PICK = np.array([[-1, 0, 0],
-                  [1, -1, 0],
-                  [1, 1, -2]])
+_PICK = ((-1, 0, 0),
+         (1, -1, 0),
+         (1, 1, -2))
+
+
+def _entry_round(d0: float, d1: float, alpha: float, ang_tol: float) -> tuple[float, int]:
+    """The first round k >= 0 that resolves an entry, and its `_PICK` there.
+
+    d0, d1: its candidates' angular distances from alpha/2.  Their float
+    depth (2k+1)*alpha/2 - delta never falls as k grows, so the scan may
+    start at any k whose round k - 1 leaves the nearer one out.  A NaN
+    distance is never in nor on the boundary: two never resolve (round inf).
+    """
+    def kind(k: int, delta: float) -> int:
+        depth = (2 * k + 1) * alpha / 2 - delta
+        return 2 if depth > ang_tol else 1 if depth >= -ang_tol else 0
+
+    finite = [d for d in (d0, d1) if not math.isnan(d)]
+    if not finite:
+        return math.inf, -1
+    near = min(finite)
+    k = max(0, math.floor((near - ang_tol) / alpha))
+    while k > 0 and kind(k - 1, near) != 0:
+        k -= 1
+    while _PICK[kind(k, d0)][kind(k, d1)] == -1:
+        k += 1
+    return k, _PICK[kind(k, d0)][kind(k, d1)]
+
+
+def _pivot_norm(entries: list, tol: float, pivot: str) -> tuple[float, float]:
+    """The pivot's squared norm and norm, from its multiset's one zero-distance entry."""
+    zero = [e for e in entries if abs(e[0]) <= tol]
+    if len(zero) != 1:
+        raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
+    if zero[0][1] <= tol:
+        raise InconsistentDataError(f"pivot {pivot} must not sit at the barycenter")
+    return zero[0][1], math.sqrt(zero[0][1])
 
 
 def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstruction:
@@ -162,26 +192,17 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     widened by the pivot angle per side and round.  Terminates within
     ceil(1 + pi/alpha) rounds.
 
-    Each entry's mirror candidates and their angular distances from alpha/2
-    are computed once.  The choose() of a sweep is a pure function of the
-    entry while the region is fixed, so a round first classifies every
-    remaining entry of a multiset in one array pass and skips that
-    multiset's sweep when no entry resolves: the sweep would place nothing.
-    The skipped rounds still count, so points, placement order, `rounds` and
-    `round_bound` are those of sweeping every round.
+    Each distinct entry's mirror candidates, resolving round and pick are
+    computed once (`_entry_round`; round -1, the pivot-line pass, for an
+    entry with one candidate), and only the rounds some entry resolves in
+    are swept, in increasing order.  No other round would place anything,
+    so points, order, `rounds` and `round_bound` are those of every round.
     """
     m_u = [(float(a), float(b)) for a, b in init.m_u]
     m_v = [(float(a), float(b)) for a, b in init.m_v]
-    n = len(m_u)
     d0sq = float(init.d0_sq)
 
-    zero_u = [e for e in m_u if abs(e[0]) <= tol]
-    if len(zero_u) != 1:
-        raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
-    ru2 = zero_u[0][1]
-    if ru2 <= tol:
-        raise InconsistentDataError("pivot u must not sit at the barycenter")
-    ru = math.sqrt(ru2)
+    ru2, ru = _pivot_norm(m_u, tol, "u")
 
     if d0sq <= tol:
         # collinear: every point sits on the line through the barycenter and u
@@ -193,13 +214,7 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
             pts.append((x, 0.0))
         return PlanarReconstruction(cloud=_cloud2d(pts), rounds=0, round_bound=0, alpha=None)
 
-    zero_v = [e for e in m_v if abs(e[0]) <= tol]
-    if len(zero_v) != 1:
-        raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
-    rv2 = zero_v[0][1]
-    if rv2 <= tol:
-        raise InconsistentDataError("pivot v must not sit at the barycenter")
-    rv = math.sqrt(rv2)
+    rv2, rv = _pivot_norm(m_v, tol, "v")
 
     u = (ru, 0.0)
     xv = (ru2 + rv2 - d0sq) / (2 * ru)
@@ -252,66 +267,39 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     def off_axis(c) -> float:
         return abs(math.remainder(math.atan2(c[1], c[0]) - alpha / 2, math.tau))
 
-    def resolver(entries: list, cands_of):
-        """for_round(half_width): choose() for a sweep of entries with the arc
-        of that half-width about alpha/2 forbidden, or None when no entry
-        resolves there."""
-        cands = {e: cands_of(*e) for e in entries}
-        deltas = {e: (off_axis(c[0]), off_axis(c[-1])) for e, c in cands.items()}
-        count, delta, single = -1, None, None  # arrays over the remaining entries
+    plans = []
+    for entries, cands_of in ((m_u, u_candidates), (m_v, v_candidates)):
+        plan = {}  # each distinct entry's candidates, resolving round and pick
+        for e in set(entries):
+            cands = cands_of(*e)
+            if len(cands) == 1:
+                plan[e] = (cands, -1, 0)
+            else:
+                d0, d1 = off_axis(cands[0]), off_axis(cands[1])
+                plan[e] = (cands, *_entry_round(d0, d1, alpha, ang_tol))
+        plans.append((entries, plan))
 
-        def for_round(half_width: float):
-            nonlocal count, delta, single
-            if not entries:
+    def chooser(plan: dict, k: int):
+        def choose(entry):
+            cands, entry_round, pick = plan[entry]
+            if entry_round != k:
                 return None
-            if count != len(entries):  # entries are only ever removed
-                count = len(entries)
-                delta = np.array([deltas[e] for e in entries])
-                single = np.array([len(cands[e]) == 1 for e in entries])
-            depth = half_width - delta
-            kinds = np.where(depth > ang_tol, 2, np.where(depth >= -ang_tol, 1, 0))
-            pick = np.where(single, 0, _PICK[kinds[:, 0], kinds[:, 1]])
-            if not (pick != -1).any():
-                return None
-            verdict = dict(zip(entries, pick.tolist()))
-
-            def choose(entry):
-                i = verdict[entry]
-                if i == -2:
-                    raise ReconstructionError("both mirror candidates are forbidden")
-                return cands[entry][i] if i >= 0 else None
-            return choose
-
-        return for_round
-
-    u_round = resolver(m_u, u_candidates)
-    v_round = resolver(m_v, v_candidates)
-
-    def sweep_both(half_width: float) -> None:
-        # choose is pure while the region is fixed: a multiset none of whose
-        # entries resolves at the start of the round places nothing in it
-        for entries, for_round in ((m_u, u_round), (m_v, v_round)):
-            choose = for_round(half_width)
-            if choose is not None:
-                sweep(entries, choose, place)
-
-    # points on the pivot lines have a unique candidate; nothing is forbidden yet
-    sweep_both(-math.inf)
+            if pick == -2:
+                raise ReconstructionError("both mirror candidates are forbidden")
+            return cands[pick]
+        return choose
 
     round_bound = math.ceil(1.0 + math.pi / alpha)
+    scheduled = {r for _, plan in plans for _, r, _ in plan.values()}
     rounds = 0
-
-    while m_u or m_v:
-        sweep_both((2 * rounds + 1) * alpha / 2)
+    for k in sorted(r for r in scheduled if r <= round_bound):
+        for entries, plan in plans:
+            sweep(entries, chooser(plan, k), place)
         if not m_u and not m_v:
+            rounds = max(k, 0)
             break
-        rounds += 1
-        if rounds > round_bound:
-            raise ReconstructionError(
-                f"unresolved points after the round bound {round_bound}")
-
-    if len(placed) != n:
-        raise InconsistentDataError("placement count does not match multiset size")
+    if m_u or m_v:
+        raise ReconstructionError(f"unresolved points after the round bound {round_bound}")
     return PlanarReconstruction(cloud=_cloud2d(placed), rounds=rounds,
                                 round_bound=round_bound, alpha=alpha)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from geowl import oracle
-from geowl.cli import main
+from geowl.cli import _config_from, build_parser, main
+from geowl.config import RunConfig
 from geowl.cloudfile import cloud_to_json, load_cloud, parse_cloud_text, save_cloud
 from geowl.geometry import PointCloud
 
@@ -139,6 +140,15 @@ def test_seed_env_var_default(tmp_path, monkeypatch, capsys):
     out2 = tmp_path / "e2.json"
     assert main(["gen", "--n", "4", "--d", "2", "--seed", "99", "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["color", "c.json"], ["compare", "a.json", "b.json"],
+                                  ["roundtrip", "c.json", "--algorithm", "wl2d"],
+                                  ["search", "--d", "2", "--n", "4"]])
+def test_run_options_default_to_run_config(argv, monkeypatch):
+    # GEOWL_SEED stands in for an absent --seed; every other default is RunConfig's own
+    monkeypatch.setenv("GEOWL_SEED", "0")
+    assert _config_from(build_parser().parse_args(argv)) == RunConfig()
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -105,6 +106,57 @@ def test_random_cloud_fills_a_grid_exactly():
     with _time_limit(5):
         cloud = oracle.random_cloud(3, 1, seed=1, grid=1, span=1)
     assert sorted(cloud.points) == [(-1,), (0,), (1,)]
+
+
+def _fraction_random_cloud(n, d, seed, grid, span):
+    """random_cloud's points with a Fraction tuple built for every draw."""
+    rng = random.Random(seed)
+    seen, points = set(), []
+    while len(points) < n:
+        p = tuple(F(rng.randint(-span * grid, span * grid), grid) for _ in range(d))
+        if p not in seen:
+            seen.add(p)
+            points.append(p)
+    return tuple(points)
+
+
+def _fraction_symmetric_cloud(n, d, seed, grid):
+    """_symmetric_cloud's points (or None) with a Fraction tuple built for every draw."""
+    rng = random.Random(seed)
+    pts = set()
+    for _ in range(200):
+        if len(pts) >= n:
+            break
+        p = tuple(F(rng.randint(-2 * grid, 2 * grid), grid) for _ in range(d))
+        if p[0] == 0:
+            if len(pts) + 1 <= n:
+                pts.add(p)
+        elif len(pts) + 2 <= n:
+            pts.add(p)
+            pts.add((-p[0],) + p[1:])
+    return tuple(sorted(pts)) if len(pts) == n else None
+
+
+def test_generators_match_a_fraction_per_draw():
+    nones = 0
+    for n in (1, 2, 3, 4, 7, 12):
+        for d in (1, 2, 3):
+            for grid in (1, 2, 3, 8):
+                for seed in range(4):
+                    span = seed % 3
+                    if (2 * span * grid + 1) ** d >= n:
+                        got = oracle.random_cloud(n, d, seed, grid=grid, span=span).points
+                        assert got == _fraction_random_cloud(n, d, seed, grid, span)
+                        assert all(type(c) is F for p in got for c in p)
+                    want = _fraction_symmetric_cloud(n, d, seed, grid)
+                    sym = oracle._symmetric_cloud(n, d, seed, grid)
+                    nones += want is None
+                    if want is None:
+                        assert sym is None
+                    else:
+                        assert sym.points == want
+                        assert all(type(c) is F for p in sym.points for c in p)
+    assert nones > 0
 
 
 def test_apply_random_isometry_is_exact():

@@ -9,8 +9,9 @@ from geowl import oracle, reconstruct
 from geowl.errors import InconsistentDataError, ReconstructionError
 from geowl.geometry import (PointCloud, barycenter, barycenter_sq_norms, remove_nearest,
                             sq_dist, sweep)
-from geowl.recon2d import (InitData2D, PlanarReconstruction, init2d, norms_from_chi1,
-                           profiles_from_chi2, reconstruct2d, reconstruct_planar)
+from geowl.recon2d import (InitData2D, PlanarReconstruction, _entry_round, init2d,
+                           norms_from_chi1, profiles_from_chi2, reconstruct2d,
+                           reconstruct_planar)
 from geowl.wl import KIND_NODE1, Interner, run_wl
 
 
@@ -159,6 +160,8 @@ def test_reconstruct2d_square():
     res = reconstruct_planar(run_wl(sq, 1, 3))
     align = oracle.is_isometric(res.cloud, sq)
     assert align is not None and align.residual < 1e-9
+    # the other two corners sit on the pivot lines: placed before round 0
+    assert res.counters["rounds"] == 0
 
 
 def test_reconstruct2d_round_trip_random():
@@ -408,6 +411,22 @@ def test_reconstruct2d_matches_the_reference_on_a_corrupted_entry():
     assert errors[0][0] is InconsistentDataError
 
 
+def test_reconstruct2d_matches_the_reference_on_nan_entries():
+    # NaN entries give NaN mirror candidates, which no round resolves: the round bound
+    # ends the elimination, as in the reference, rather than an unbounded scan
+    init = init2d(run_wl(oracle.random_cloud(12, 2, 7), 1, 3))
+    m_u, m_v = list(init.m_u), list(init.m_v)
+    m_u[4] = (float(m_u[4][0]), math.nan)
+    m_v[4] = (math.nan, float(m_v[4][1]))
+    bad = InitData2D(d0_sq=init.d0_sq, m_u=tuple(m_u), m_v=tuple(m_v))
+    errors = []
+    for fn in (reconstruct2d, _reference_reconstruct2d):
+        with pytest.raises(ReconstructionError) as exc:
+            fn(bad)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "unresolved points after the round bound 266"
+
+
 @pytest.mark.parametrize("alpha", [1e-3, math.pi / 2 - 1e-9, math.pi - 1e-6, 2 * math.pi / 5],
                          ids=["tiny", "near_half_pi", "near_pi", "closes_at_two_pi"])
 def test_reflection_growth_is_the_closed_form_arc(alpha):
@@ -433,6 +452,74 @@ def test_reflection_growth_is_the_closed_form_arc(alpha):
         forbidden = forbidden.grown(alpha)
         k += 1
     assert sum(hi - lo for lo, hi in forbidden.spans) >= two_pi - 1e-12
+
+
+def _brute_entry_round(d0, d1, alpha, ang_tol):
+    """Classify both candidates in every round k = 0, 1, ... until one is taken."""
+    k = 0
+    while True:
+        kinds = []
+        for delta in (d0, d1):
+            depth = (2 * k + 1) * alpha / 2 - delta
+            kinds.append("in" if depth > ang_tol else "boundary" if depth >= -ang_tol
+                         else "out")
+        if kinds == ["in", "in"]:
+            return k, -2
+        if kinds[0] == "in" or kinds == ["boundary", "out"]:
+            return k, 1
+        if kinds[1] == "in" or kinds == ["out", "boundary"]:
+            return k, 0
+        k += 1
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.01, 2 * math.pi / 5, math.pi / 2 - 1e-9,
+                                   math.pi - 1e-6])
+@pytest.mark.parametrize("ang_tol", [0.0, 1e-8, 3e-4])
+def test_entry_round_matches_classifying_every_round(alpha, ang_tol):
+    # distances on each round's arc edge, ang_tol and one ulp either side of it,
+    # paired with an equal, a close (within 2*ang_tol), a far and an antipodal partner
+    deltas = {0.0, math.pi, math.pi / 3}
+    for k in (0, 1, 2, 7, math.floor(math.pi / alpha) - 1):
+        edge = (2 * k + 1) * alpha / 2
+        for x in (edge, edge - ang_tol, edge + ang_tol):
+            deltas.update((math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)))
+    deltas = sorted(d for d in deltas if 0.0 <= d <= math.pi)
+    for d0 in deltas:
+        for d1 in {d0, min(d0 + 1.5 * ang_tol, math.pi), min(d0 + 0.3, math.pi), math.pi}:
+            for pair in ((d0, d1), (d1, d0)):
+                assert _entry_round(*pair, alpha, ang_tol) == \
+                    _brute_entry_round(*pair, alpha, ang_tol), pair
+        assert _entry_round(d0, d0, alpha, ang_tol)[1] == -2
+
+
+def test_entry_round_keeps_candidates_on_the_boundary_for_several_rounds():
+    # alpha below 2*ang_tol: two candidates closer than alpha enter the boundary band
+    # in one round and stay there, unresolved, until the nearer one is in
+    alpha, ang_tol = 1e-4, 1e-3
+    d0, d1 = 0.5, 0.5 + alpha / 10
+    enters = _brute_entry_round(d0, math.pi, alpha, ang_tol)[0]
+    assert _brute_entry_round(d1, math.pi, alpha, ang_tol)[0] == enters
+    k, pick = _entry_round(d0, d1, alpha, ang_tol)
+    assert (k, pick) == _brute_entry_round(d0, d1, alpha, ang_tol)
+    assert k >= enters + 19 and pick in (1, -2)
+
+
+@pytest.mark.parametrize("near, alpha", [(0.801322977421273, 2.5298381201802593e-18),
+                                         (0.29486858827891005, 1.376720153405023e-17)])
+def test_entry_round_start_holds_below_float_resolution(near, alpha):
+    # past 2**53 rounds, floor(delta / alpha) overshoots the first round whose float
+    # depth reaches the candidate; the rounds before the answer must still resolve nothing
+    k, pick = _entry_round(near, math.pi, alpha, 0.0)
+    assert pick == 1
+    for j in range(k - 100, k):
+        assert (2 * j + 1) * alpha / 2 - near < 0.0, j
+    assert (2 * k + 1) * alpha / 2 - near >= 0.0
+
+
+def test_entry_round_of_nan_distances():
+    # NaN compares false, so its candidate is always out: with two, no round resolves
+    assert _entry_round(math.nan, math.nan, 0.1, 1e-8) == (math.inf, -1)
+    assert _entry_round(math.nan, 0.5, 0.1, 1e-8) == _brute_entry_round(math.nan, 0.5, 0.1, 1e-8)
 
 
 def _lattice_disk(k, half):
