@@ -15,14 +15,16 @@ and serialization.  Distance payloads are exact rationals in exact mode and
 are snapped to a quantization grid before interning in float mode (the
 grid is this library's equality surrogate for inexact inputs).
 
-Exact distances of a rational cloud are computed as integers: coordinates
-are scaled by the common denominator D, each unordered pair's squared
-distance is an int S, and each distinct S is interned once as the rational
-S / D^2.  All other runs take one float distance matrix, summed in the same
-coordinate order as `geometry.sq_dist`, so every value keeps all its bits.
-In float mode that matrix is snapped to the grid in one array pass, and
-every value is checked before the first is interned.  The canonical bytes
-of each distance are framed once, when it is interned.
+Every source of distances becomes a list of integer keys, and
+`Interner.intern_keys` interns each distinct key once, in row-major order of
+first occurrence: integers S over D^2 for a rational cloud in exact mode (D
+its common denominator; int64 when every S fits), numerators over the lcm of
+the `Fraction` denominators for a value matrix or float distances in exact
+mode, and grid tokens trunc(v / snap + 0.5) in float mode.  Every value is
+checked before the first is interned.  Float distances are summed in the
+order of `geometry.sq_dist`, so each keeps all its bits.  At ell >= 2 the
+tuple matrices are one gather from the n x n ids, interned as the records of
+a refinement are.
 
 A refinement is array work at every ell.  The colors present in the
 previous table are ranked by digest and each record list is put in
@@ -44,7 +46,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -72,16 +74,12 @@ def _as_float(key) -> float:
 
 
 class _PackedNode(NamedTuple):
-    """A KIND_NODE1 or KIND_NODE payload whose records are still the bytes of
-    their int64 ids, `width` ids per record."""
+    """A payload whose records are still the bytes of their int64 ids, `width` per
+    record; its head is a refined color's previous color, or a distance matrix's ell."""
 
-    prev: int
+    head: int
     width: int
     rows: bytes
-
-    def unpack(self) -> tuple:
-        ids = memoryview(self.rows).cast("q").tolist()
-        return self.prev, tuple(zip(*[iter(ids)] * self.width))
 
 
 class Interner:
@@ -99,7 +97,7 @@ class Interner:
         self.snap = float(snap)
         self._index: dict = {}
         self.kinds: list[int] = []
-        self._payloads: list = []      # cid -> payload tuple, or a _PackedNode
+        self._payloads: list = []      # cid -> () for the zero color, else a _PackedNode
         self.digests: list[bytes] = []
         self._dist_index: dict = {}
         self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
@@ -110,44 +108,53 @@ class Interner:
     # -- distances ---------------------------------------------------------
 
     def intern_distance(self, value: Scalar) -> int:
-        if self.mode == "exact":
-            return self._intern_key(value if isinstance(value, Fraction) else Fraction(value))
-        return int(self.snap_matrix([[value]])[0, 0])
+        return int(self.intern_values([[value]])[0, 0])
 
-    def snap_matrix(self, values) -> np.ndarray:
-        """Distance ids of a float-mode matrix of squared distances, as an int64 array.
+    def intern_values(self, values) -> np.ndarray:
+        """Distance ids of a matrix of squared distances, as an int64 array.
 
-        Every value is snapped to the grid in one pass: its key is
-        trunc(v / snap + 0.5), which is int(v / snap + 0.5) for every finite
-        v.  All values are checked before any is interned, so a rejected
-        matrix leaves the interner as it was.  New keys are interned in the
-        order in which they first occur in the matrix, row by row, which is
-        the order of interning the values one at a time.
+        Float keys are grid tokens trunc(v / snap + 0.5), int(v / snap + 0.5)
+        for every finite v; exact ones are numerators over the lcm of the
+        values' `Fraction` denominators.  Every value is checked before any is
+        interned, so a rejected matrix leaves the interner as it was.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
+        if self.mode == "float":
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    scaled = np.asarray(values, dtype=np.float64) / self.snap + 0.5
+                except OverflowError:  # a Fraction or int past the float range
+                    scaled = np.array(math.inf)
+            if not np.isfinite(scaled).all():
+                raise ValueError(f"a squared distance overflows the float grid of "
+                                 f"step {self.snap!r}")
+            nums, den = np.trunc(scaled).ravel().tolist(), 1
+        else:
             try:
-                scaled = np.asarray(values, dtype=np.float64) / self.snap + 0.5
-            except OverflowError:  # a Fraction or int past the float range
-                scaled = np.array(math.inf)
-        if not np.isfinite(scaled).all():
-            raise ValueError(f"a squared distance overflows the float grid of "
-                             f"step {self.snap!r}")
-        keys, first, inverse = np.unique(np.trunc(scaled).ravel(), return_index=True,
-                                         return_inverse=True)
-        order = np.argsort(first)
-        dids = np.empty(len(keys), dtype=np.int64)
-        dids[order] = [self._intern_key(int(key)) for key in keys[order].tolist()]
-        return dids[inverse].reshape(scaled.shape)
+                fracs = [v if isinstance(v, Fraction) else Fraction(v)
+                         for v in chain.from_iterable(values)]
+            except (OverflowError, ValueError):  # Fraction(inf) or Fraction(nan)
+                raise ValueError("a squared distance is not a finite number") from None
+            den = math.lcm(*(f.denominator for f in fracs))
+            nums = [f.numerator * (den // f.denominator) for f in fracs]
+        return self.intern_keys(nums, den).reshape(len(values), -1)
 
-    def _intern_key(self, key) -> int:
-        did = self._dist_index.get(key)
-        if did is None:
-            did = len(self.dist_keys)
-            self._dist_index[key] = did
-            self.dist_keys.append(key)
-            self._dist_frames.append(_frame(
-                str(key).encode("ascii") if self.mode == "exact" else b"q%d" % key))
-        return did
+    def intern_keys(self, nums: list, den: int = 1) -> np.ndarray:
+        """Distance ids, as an int64 array, of integral keys nums[i] over den: the
+        `Fraction` num / den in exact mode, the grid token int(num) in float mode
+        (den = 1).  Each distinct key is interned once, in order of first
+        occurrence, which gives the ids of interning the keys one at a time."""
+        exact = self.mode == "exact"
+        ids = dict.fromkeys(nums)
+        for num in ids:
+            key = Fraction(num, den) if exact else int(num)
+            did = self._dist_index.get(key)
+            if did is None:
+                did = self._dist_index[key] = len(self.dist_keys)
+                self.dist_keys.append(key)
+                self._dist_frames.append(_frame(
+                    str(key).encode("ascii") if exact else b"q%d" % key))
+            ids[num] = did
+        return np.fromiter(map(ids.__getitem__, nums), dtype=np.int64, count=len(nums))
 
     def dist_value(self, did: int) -> Scalar:
         key = self.dist_keys[did]
@@ -191,37 +198,26 @@ class Interner:
             cid = self._add(key, KIND_ZERO, (), b"Z")
         return cid
 
-    def intern_matrix(self, ell: int, dids: tuple[int, ...]) -> int:
-        key = (KIND_MAT, ell, dids)
-        cid = self._index.get(key)
-        if cid is None:
-            enc = b"M" + ell.to_bytes(2, "big") + b"".join(
-                map(self._dist_frames.__getitem__, dids))
-            cid = self._add(key, KIND_MAT, (ell, dids), enc)
-        return cid
-
-    def intern_nodes(self, kind: int, head: bytes, prev: list[int], rows: np.ndarray,
+    def intern_nodes(self, kind: int, tag: bytes, heads: list[int], rows: np.ndarray,
                      encode: Callable[[int, bytes], bytes]) -> list[int]:
-        """Intern (prev[t], rows[t]) for every tuple t; return the new table.
+        """Intern (heads[t], rows[t]) for every tuple t; return the new table.
 
-        `rows` is a (len(prev), n, width) int64 array of record ids, each
-        tuple's records already in canonical order.  A tuple is looked up by
-        the bytes of its row; a new class gets its digest over head, the
-        digest of prev[t] and encode(t, row bytes), the canonical bytes of
-        its records.
+        `rows` is a (len(heads), r, width) int64 array of record ids, each
+        tuple's records already in canonical order; heads[t] is the tuple's
+        previous color, or ell for a distance matrix.  A tuple is looked up
+        by the bytes of its row; a new class gets its digest over tag and
+        encode(t, row bytes), the canonical bytes of its head and records.
         """
         width = rows.shape[-1]
         step = rows.shape[1] * width * 8
         data = rows.tobytes()
-        digests = self.digests
         index = self._index
         table = []
-        for t, p in enumerate(prev):
-            key = (kind, p, data[t * step:(t + 1) * step])
+        for t, h in enumerate(heads):
+            key = (kind, h, data[t * step:(t + 1) * step])
             cid = index.get(key)
             if cid is None:
-                cid = self._add(key, kind, _PackedNode(p, width, key[2]),
-                                head + digests[p] + encode(t, key[2]))
+                cid = self._add(key, kind, _PackedNode(h, width, key[2]), tag + encode(t, key[2]))
             table.append(cid)
         return table
 
@@ -232,22 +228,28 @@ class Interner:
         return self._payloads[cid]
 
     def payload(self, cid: int, kind: int) -> tuple:
-        """The payload of a color that must be of the given KIND_*, records as id tuples."""
+        """The payload of a color that must be of the given KIND_*: records as id
+        tuples, and a distance matrix as (ell, its row-major ids)."""
         payload = self._checked(cid, kind)
-        return payload.unpack() if isinstance(payload, _PackedNode) else payload
+        if not isinstance(payload, _PackedNode):
+            return payload
+        ids = memoryview(payload.rows).cast("q").tolist()
+        if kind == KIND_MAT:
+            return payload.head, tuple(ids)
+        return payload.head, tuple(zip(*[iter(ids)] * payload.width))
 
 
 class ColorStore:
     """Color tables of one cloud's tuple space, one table per iteration."""
 
-    def __init__(self, interner: Interner, ell: int, n: int, dim: int,
-                 dist_ids: tuple[tuple[int, ...], ...], label: str | None = None):
+    def __init__(self, interner: Interner, ell: int, dim: int, dist_array: np.ndarray,
+                 label: str | None = None):
         self.interner = interner
         self.ell = ell
-        self.n = n
+        self.n = len(dist_array)
         self.dim = dim
-        self.dist_ids = dist_ids
-        self.dist_array = np.array(dist_ids, dtype=np.int64).reshape(n, n)
+        self.dist_array = dist_array  # (n, n) int64 distance ids
+        self.dist_ids = tuple(map(tuple, dist_array.tolist()))
         self.label = label
         self.tables: list[list[int]] = []
 
@@ -278,23 +280,29 @@ class ColorStore:
         color id) pairs, else w = ell, the colors of the tuple with the point in
         each slot.  A color of another kind raises ValueError."""
         kind, width = (KIND_NODE1, 2) if self.ell == 1 else (KIND_NODE, self.ell)
-        packed = [self.interner._checked(c, kind) for c in colors]
-        prev = np.array([p.prev for p in packed], dtype=np.int64)
-        rows = np.frombuffer(b"".join(p.rows for p in packed), dtype=np.int64)
-        return prev, rows.reshape(len(packed), self.n, width)
+        heads, ids = self._packed(colors, kind)
+        return np.array(heads, dtype=np.int64), ids.reshape(len(heads), self.n, width)
+
+    def _packed(self, colors, kind: int) -> tuple[list[int], np.ndarray]:
+        """Payload heads and the flat int64 record ids of colors of the given kind."""
+        check = self.interner._checked
+        packed = [check(c, kind) for c in colors]
+        ids = np.frombuffer(b"".join([p.rows for p in packed]), dtype=np.int64)
+        return [p.head for p in packed], ids
 
     def pair_distances(self) -> Counter:
         """Distance id -> number of ordered point pairs at that distance, in order
         of first occurrence: at ell >= 2 the (0, 1) entries of the initial
-        colors, which count each pair n^(ell-2) times; at ell = 1, whose initial
-        colors are trivial, the records of the first refinement."""
+        colors of the n^2 tuples (x, y, 0, ..., 0), one per ordered pair; at
+        ell = 1, whose initial colors are trivial, the records of the first
+        refinement."""
         if self.ell == 1:
             if self.iterations < 1:
                 raise ValueError("the line case needs one refinement")
             return Counter(self.nodes(self.tables[1])[1][..., 0].ravel().tolist())
-        check, repeat = self.interner._checked, self.n ** (self.ell - 2)
-        counts = Counter(check(c, KIND_MAT)[1][1] for c in self.tables[0])
-        return Counter({did: k // repeat for did, k in counts.items()})
+        # tuples are in product order, so every n^(ell-2)-th one ends in zeros
+        colors = self.tables[0][::self.n ** (self.ell - 2)]
+        return Counter(self._packed(colors, KIND_MAT)[1][1::self.ell ** 2].tolist())
 
     def tuple_distances(self, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Distance ids of k iteration-1 colors: (k, ell, ell) tuple matrices and
@@ -306,15 +314,14 @@ class ColorStore:
         k, n, m = len(prev), self.n, self.ell
         if m == 1:
             return np.full((k, 1, 1), self.dist_array[0, 0]), recs[..., :1]
-        heads, pairs = prev.tolist(), recs[..., :2].reshape(-1, 2).tolist()
-        kinds, payloads = self.interner.kinds, self.interner._payloads
-        if {kinds[c] for c in chain(heads, chain.from_iterable(pairs))} - {KIND_MAT}:
+        used, at = np.unique(np.concatenate([prev, recs[..., :2].ravel()]), return_inverse=True)
+        if any(self.interner.kinds[c] != KIND_MAT for c in used.tolist()):
             raise ValueError("not the colors of a first refinement")
-        mats = chain.from_iterable(payloads[c][1] for c in heads)
-        dists = chain.from_iterable((payloads[y1][1][m], *payloads[y0][1][1:m])
-                                    for y0, y1 in pairs)
-        return (np.fromiter(mats, dtype=np.int64, count=k * m * m).reshape(k, m, m),
-                np.fromiter(dists, dtype=np.int64, count=k * n * m).reshape(k, n, m))
+        mats = self._packed(used.tolist(), KIND_MAT)[1].reshape(len(used), m * m)
+        pairs = at[k:].reshape(k, n, 2)
+        # row-major entry m is (1, 0), entries 1..m-1 are (0, 1)..(0, m-1)
+        dists = np.concatenate([mats[pairs[..., 1], m:m + 1], mats[pairs[..., 0], 1:m]], -1)
+        return mats[at[:k]].reshape(k, m, m), dists
 
 
 def _index(colors, wanted: np.ndarray) -> np.ndarray:
@@ -446,18 +453,23 @@ def _checked_interner(interner: Interner | None, mode: str, snap: float, n: int,
     return interner
 
 
-def _store(interner: Interner, ell: int, dim: int, dist_ids: list[list[int]],
+def _store(interner: Interner, ell: int, dim: int, ids: np.ndarray,
            label: str | None) -> ColorStore:
-    """Iteration-0 store over an n x n matrix of distance ids."""
-    n = len(dist_ids)
-    store = ColorStore(interner, ell, n, dim, tuple(map(tuple, dist_ids)), label=label)
+    """Iteration-0 store over an n x n int64 array of distance ids."""
+    n = len(ids)
+    store = ColorStore(interner, ell, dim, ids, label=label)
     if ell == 1:
         store.tables.append([interner.intern_zero()] * n)
     else:
-        dist = store.dist_ids
-        store.tables.append([
-            interner.intern_matrix(ell, tuple(dist[i][j] for i in digs for j in digs))
-            for digs in product(range(n), repeat=ell)])
+        # mats[t] is the distance matrix of tuple t, tuples in product order
+        tuples = np.indices((n,) * ell).reshape(ell, -1).T
+        mats = ids[tuples[:, :, None], tuples[:, None, :]]
+        frames = interner._dist_frames
+
+        def encode(t: int, row: bytes) -> bytes:
+            return b"".join(map(frames.__getitem__, memoryview(row).cast("q").tolist()))
+        store.tables.append(interner.intern_nodes(KIND_MAT, b"M" + ell.to_bytes(2, "big"),
+                                                  [ell] * n ** ell, mats, encode))
     return store
 
 
@@ -467,40 +479,20 @@ def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
                          label: str | None = None) -> ColorStore:
     """Iteration-0 store built directly from an n x n squared-distance matrix."""
     interner = _checked_interner(interner, mode, snap, len(values), ell, max_tuples)
-    if mode == "float":
-        dist_ids = interner.snap_matrix(values).tolist()
-    else:
-        dist_ids = [[interner.intern_distance(v) for v in row] for row in values]
-    return _store(interner, ell, dim, dist_ids, label)
+    return _store(interner, ell, dim, interner.intern_values(values), label)
 
 
-def _exact_distance_ids(points, interner: Interner) -> list[list[int]]:
-    """Distance ids of rational points, each pair's square computed once as an int.
-
-    Coordinates are scaled by the common denominator D, so the squared
-    distance of a pair is the integer S over D^2; each distinct S is turned
-    into a `Fraction` and interned once.  Pairs are visited in row-major order
-    over the upper triangle, which is where every value first occurs in the
-    full row-major matrix, so distance ids come out in the same order.
-    """
-    n = len(points)
+def _exact_sq_numerators(points) -> tuple[list[int], int]:
+    """Squared distances of rational points as row-major integers S over D^2, D
+    the common denominator.  Each S is at most d (2 max |x|)^2 over the scaled
+    coordinates x: the sums run in int64 when that bound fits, else over
+    Python ints."""
     den = math.lcm(*(c.denominator for p in points for c in p))
     cols = [[c.numerator * (den // c.denominator) for c in col] for col in zip(*points)]
-    den2 = den * den
-    seen: dict[int, int] = {}
-    ids = [[0] * n for _ in range(n)]
-    for i in range(n):
-        sums = [0] * (n - i)
-        for col in cols:
-            a = col[i]
-            sums = [s + (a - b) * (a - b) for s, b in zip(sums, col[i:])]
-        row = ids[i]
-        for j, s in enumerate(sums, i):
-            did = seen.get(s)
-            if did is None:
-                did = seen[s] = interner._intern_key(Fraction(s, den2))
-            row[j] = ids[j][i] = did
-    return ids
+    big = max(abs(x) for col in cols for x in col)
+    dtype = np.int64 if len(cols) * (2 * big) ** 2 < 2 ** 63 else object
+    sq = sum((a[:, None] - a[None, :]) ** 2 for a in (np.array(c, dtype=dtype) for c in cols))
+    return sq.ravel().tolist(), den * den
 
 
 def _float_sq_matrix(cloud: PointCloud):
@@ -508,7 +500,7 @@ def _float_sq_matrix(cloud: PointCloud):
 
     The order is that of `geometry.sq_dist`, so every value is bit-identical
     to the pairwise computation.  An overflow gives inf, which
-    `Interner.snap_matrix` rejects.
+    `Interner.intern_values` rejects.
     """
     with np.errstate(over="ignore"):
         return sum(np.square(col[:, None] - col[None, :]) for col in cloud.as_array().T)
@@ -522,14 +514,12 @@ def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
         raise ValueError("ell must be at least 1")
     mode = _mode_for(cloud, mode)
     interner = _checked_interner(interner, mode, snap, cloud.n, ell, max_tuples)
-    if mode == "float":
-        dist_ids = interner.snap_matrix(_float_sq_matrix(cloud)).tolist()
-    elif cloud.exact:
-        dist_ids = _exact_distance_ids(cloud.points, interner)
+    if mode == "exact" and cloud.exact:
+        ids = interner.intern_keys(*_exact_sq_numerators(cloud.points))
+        ids = ids.reshape(cloud.n, cloud.n)
     else:
-        intern = interner.intern_distance
-        dist_ids = [[intern(v) for v in row] for row in _float_sq_matrix(cloud).tolist()]
-    return _store(interner, ell, cloud.dim, dist_ids, cloud.label)
+        ids = interner.intern_values(_float_sq_matrix(cloud))
+    return _store(interner, ell, cloud.dim, ids, cloud.label)
 
 
 def _present_ranking(prev: list[int], digests: list[bytes]) -> tuple[list[int], list[int]]:
@@ -575,8 +565,8 @@ def refine(store: ColorStore) -> ColorStore:
 
         def encode(t: int, row: bytes) -> bytes:
             ids = memoryview(row).cast("q").tolist()
-            return b"".join(chain.from_iterable(zip(map(frames.__getitem__, ids[::2]),
-                                                    map(digests.__getitem__, ids[1::2]))))
+            return digests[prev[t]] + b"".join(chain.from_iterable(
+                zip(map(frames.__getitem__, ids[::2]), map(digests.__getitem__, ids[1::2]))))
         table = inter.intern_nodes(KIND_NODE1, b"1", prev, rows, encode)
     else:
         ranks = np.array(rprev, dtype=np.int64).reshape((n,) * ell)
@@ -589,9 +579,9 @@ def refine(store: ColorStore) -> ColorStore:
         perm += n * np.arange(n ** ell)[:, None]  # each tuple's order, as flat record rows
         records = records.reshape(-1, ell)[perm]
         rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, order)), dtype="V16")
-        table = inter.intern_nodes(KIND_NODE, b"N" + ell.to_bytes(2, "big"), prev,
-                                   colors[records],
-                                   lambda t, row: rank_digests[records[t]].tobytes())
+        table = inter.intern_nodes(
+            KIND_NODE, b"N" + ell.to_bytes(2, "big"), prev, colors[records],
+            lambda t, row: digests[prev[t]] + rank_digests[records[t]].tobytes())
     store.tables.append(table)
     return store
 

@@ -294,6 +294,7 @@ def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
     '[[Infinity, 0.5], [0, 1]]',
     # finite coordinates whose squared distances leave the float snapping grid
     '[[1e308, 0.0], [-1e308, 0.5], [0.0, 1.0]]',
+    '[[1e308, 0.0], [-1e308, 0.5], [0.0, 1.0]] --mode exact',
     '[[1e150, 0.0], [-1e150, 0.5], [0.0, 1.0]]',
     '[["1e200", 0], ["-1e200", "1/2"], [0, 1]] --mode float',
     '[[1e140, 0.0], [-1e140, 0.5], [0.0, 1.0]] --tol 1e-30',

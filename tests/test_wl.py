@@ -1,11 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import chain, product
+from itertools import chain, permutations, product
 
 import pytest
 
-from geowl import oracle
+from geowl import oracle, reconstruct
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
 from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
@@ -256,6 +256,13 @@ def test_rejected_run_leaves_interner_empty():
         store_from_sq_values([[0.0, 1.0, nan], [1.0, 0.0, 2.0], [nan, 2.0, 0.0]], 1, 1,
                              mode="float", interner=inter)
     assert inter.dist_keys == [] and inter.kinds == []
+    # so are they in exact mode, where inf has no Fraction: a ValueError, not an
+    # OverflowError, and the finite distances before it are not interned either
+    inter = Interner("exact")
+    with pytest.raises(ValueError, match="finite"):
+        initial_coloring(PointCloud(1, ((0.0,), (1.0,), (1e200,))), 1, mode="exact",
+                         interner=inter)
+    assert inter.dist_keys == [] and inter.kinds == []
 
 
 def test_float_snap_matches_rounding_each_value():
@@ -282,6 +289,45 @@ def test_float_snap_matches_rounding_each_value():
         assert store.dist_ids == tuple(tuple(want[int(v / snap + 0.5)] for v in row)
                                        for row in values)
     assert {int(v / 0.25 + 0.5) for row in boundaries for v in row} >= {-1, 0, 2, -2, 3}
+
+
+def _intern_one_at_a_time(keys, values):
+    """Ids of each value's Fraction, interned one at a time after `keys`, which
+    is extended with the new keys."""
+    index = {key: i for i, key in enumerate(keys)}
+    ids = tuple(tuple(index.setdefault(F(v), len(index)) for v in row) for row in values)
+    keys[:] = index
+    return ids
+
+
+def test_exact_keys_match_interning_each_value():
+    # S fits int64 for the clouds of small coordinates and of a = 1518500249,
+    # where d (2a)^2 is just below 2^63, and does not for a + 1 or 3^40 / 7
+    a = 1518500249
+    big = F(3 ** 40, 7)
+    clouds = [_posed(8, 3, 71), _HALF_GRID,
+              PointCloud(1, ((F(-a),), (F(a),), (F(0),))),
+              PointCloud(1, ((F(-a - 1),), (F(a + 1),), (F(0),))),
+              PointCloud(2, ((big, F(1, 2)), (-big, F(0)), (F(1, 3), big), (F(0), F(0)))),
+              _floats(_posed(7, 3, 72))]
+    mixed = [[0, F(1, 3), 0.5, 0.1, 10 ** 30],
+             [F(1, 3), 0.0, 2, F(1, 10), F(1, 10 ** 20)],
+             [0.5, 2.0, F(0), F(1, 2), 7],
+             [0.1, F(1, 10), F(1, 2), 0, 2 ** -60],
+             [10 ** 30, F(1, 10 ** 20), 7.0, 2 ** -60, 0]]
+    cases = [(c, [[sq_dist(p, q) for q in c.points] for p in c.points]) for c in clouds]
+    for cloud, values in cases + [(None, mixed)]:
+        keys = [F(2), F(1, 3), F(0)]
+        inter = Interner("exact")
+        for key in keys:
+            inter.intern_distance(key)
+        want = _intern_one_at_a_time(keys, values)
+        if cloud is None:
+            store = store_from_sq_values(values, 2, 1, interner=inter)
+        else:
+            store = initial_coloring(cloud, 2, mode="exact", interner=inter)
+        assert store.dist_ids == want
+        assert inter.dist_keys == keys
 
 
 def test_distance_ranking_orders_keys_that_round_to_one_float():
@@ -452,6 +498,9 @@ def test_readers_match_the_payload_decode(ell, n, d):
         [list(_payload_decode(store, c)) for c in colors]
     # every ordered pair once, the (x, x) pairs included
     assert store.pair_distances() == Counter(store.dist_array.ravel().tolist())
+    if ell >= 2:  # in order of first occurrence
+        assert list(store.pair_distances()) == \
+            list(dict.fromkeys(store.dist_array.ravel().tolist()))
 
 
 def test_readers_reject_colors_of_another_kind():
@@ -465,3 +514,23 @@ def test_readers_reject_colors_of_another_kind():
         line.tuple_distances(line.tables[0])
     with pytest.raises(ValueError, match="refinement"):
         initial_coloring(oracle.random_cloud(5, 2, seed=3), 1).pair_distances()
+
+
+def test_point_coloring_is_not_complete_in_three_dimensions():
+    """The paper's d - 1 bound is tight at d = 3: two non-isometric clouds of
+    six points that 1-WL never tells apart and 2-WL splits at once."""
+    a, b = (PointCloud(3, tuple(tuple(map(F, p)) for p in pts)) for pts in (
+        ((-3, 0, 1), (-1, -3, 0), (0, -1, 3), (0, 1, -3), (1, 3, 0), (3, 0, -1)),
+        ((-3, 1, 0), (-1, 0, -3), (0, -3, -1), (0, 3, 1), (1, 0, 3), (3, -1, 0))))
+    sa, sb = run_wl(a, 1, 6), run_wl(b, 1, 6)
+    for it in (1, 3, 6):
+        assert compare(fingerprint(sa, it), fingerprint(sb, it)) == "equal"
+    da, db = ([[sq_dist(p, q) for q in c.points] for p in c.points] for c in (a, b))
+    assert sorted(chain.from_iterable(da)) == sorted(chain.from_iterable(db))
+    assert not any(all(da[i][j] == db[s[i]][s[j]] for i in range(6) for j in range(6))
+                   for s in permutations(range(6)))
+    assert oracle.is_isometric(a, b) is None
+    assert first_distinguishing_iteration(run_wl(a, 2, 1), run_wl(b, 2, 1)) == 1
+    for cloud in (a, b):
+        for algorithm in ("wlnd", "oneshot"):
+            assert reconstruct(cloud, algorithm).verified
