@@ -10,6 +10,7 @@ rational.  Square roots appear only inside the float-mode solvers
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -148,47 +149,61 @@ def barycenter_sq_norms(f_values: Sequence[Scalar], total: Scalar, n: int,
     return out
 
 
-def remove_nearest(entries: list, target: Sequence[float], limit: float) -> None:
-    """Remove the entry closest to target in the max norm.
+class Entries:
+    """A profile's unplaced entries in list order, a taken one marked dead."""
 
-    Raises InconsistentDataError when no entry lies within limit; limit 0
-    asks for an exactly equal entry.
-    """
-    if limit == 0:
-        if tuple(target) in entries:
-            entries.remove(tuple(target))
-            return
-        raise InconsistentDataError(f"no multiset entry equals {target}")
-    best_i, best_err = -1, float("inf")
-    for i, e in enumerate(entries):
-        err = max(abs(a - b) for a, b in zip(e, target))
-        if err < best_err:
-            best_i, best_err = i, err
-    if best_i < 0 or best_err > limit:
-        raise InconsistentDataError(
-            f"no multiset entry matches {target} (best error {best_err:.3e})")
-    entries.pop(best_i)
+    def __init__(self, entries: Sequence[tuple]):
+        self._items: list[tuple | None] = list(entries)  # None once taken
+        # sorted on the first coordinate, ties in list order; a NaN there matches no target
+        self._pos = sorted((i for i, e in enumerate(self._items) if e[0] == e[0]),
+                           key=lambda i: self._items[i][0])
+        self._keys = [self._items[i][0] for i in self._pos]
 
+    def __len__(self) -> int:
+        return len(self._items) - self._items.count(None)
 
-def sweep(entries: list, choose: Callable, place: Callable) -> None:
-    """Place entries one at a time until no entry has a position.
+    def live(self) -> list[tuple[int, tuple]]:
+        return [(i, e) for i, e in enumerate(self._items) if e is not None]
 
-    choose(entry) returns a position, or None while the entry is unresolved;
-    the first position found goes to place, which removes entries from the
-    list, so the scan then restarts from the front.  choose must be a pure
-    function of the entry for the whole call (the caller's forbidden region
-    is fixed meanwhile): an entry unresolved once stays unresolved, so a
-    caller that finds no entry resolving may skip the call, which would
-    place nothing.
-    """
-    while True:
-        for entry in entries:
-            p = choose(entry)
-            if p is not None:
+    def taken(self, i: int) -> bool:
+        return self._items[i] is None
+
+    def take(self, target: Sequence[Scalar], limit: float) -> None:
+        """Remove the live entry nearest target in the max norm (the first on ties); raise
+        InconsistentDataError if none lies within limit.  Limit 0 asks for an equal entry."""
+        t0, key = target[0], tuple(target)
+        if limit:  # wide enough that no entry within limit drops out by rounding at the edge
+            w = 2 * limit + abs(t0) * 2.0 ** -50
+            lo, hi = t0 - w, t0 + w
+        else:  # no arithmetic on t0: a float 0.0 would turn an exact bound into a float
+            lo = hi = t0
+        best_err, best_i, best_j = math.inf, -1, -1
+        for j in range(bisect_left(self._keys, lo), bisect_right(self._keys, hi)):
+            i = self._pos[j]
+            if limit:  # max counts a NaN error in the first coordinate only
+                err = max(abs(a - b) for a, b in zip(self._items[i], key))
+            else:  # an equal entry, found with no (Fraction) subtraction
+                err = 0 if self._items[i] == key else math.inf
+            if (err, i) < (best_err, best_i):
+                best_err, best_i, best_j = err, i, j
+        if best_j < 0 or best_err > limit:
+            if limit == 0:
+                raise InconsistentDataError(f"no multiset entry equals {target}")
+            errs = (max(abs(a - b) for a, b in zip(e, key)) for _, e in self.live())
+            best = min((err for err in errs if err < math.inf), default=math.inf)
+            raise InconsistentDataError(
+                f"no multiset entry matches {target} (best error {best:.3e})")
+        del self._pos[best_j], self._keys[best_j]
+        self._items[best_i] = None
+
+    def sweep(self, choose: Callable, place: Callable) -> None:
+        """One pass in list order: while an entry is live and choose(entry) gives a position,
+        place it (place takes entries, not always the chosen one).  choose must be pure while
+        the pass runs (the caller's forbidden region is fixed), so the pass places what a
+        scan restarting from the front after every placement would, in the same order."""
+        for i in range(len(self._items)):
+            while (e := self._items[i]) is not None and (p := choose(e)) is not None:
                 place(p)
-                break
-        else:
-            return
 
 
 def _eliminate(rows: list[list]) -> tuple[list[list[int]], list[int]]:

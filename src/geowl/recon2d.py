@@ -10,7 +10,7 @@ intersection, resolves points on the two pivot lines, and then eliminates
 mirror candidates round by round while the known-empty angular region grows
 by the pivot angle on each side.  That region is the arc
 [-k*alpha, (k+1)*alpha] after k rounds, so each entry's first resolving
-round follows from its candidates' angles, and only those rounds are swept.
+round follows from its candidates' angles, and one walk in that order places all.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import PointCloud, Scalar, is_exact, remove_nearest, sweep
+from .geometry import Entries, PointCloud, Scalar, is_exact
 from .report import ReconstructionReport
 from .wl import ColorStore, _History
 
@@ -172,9 +172,9 @@ def _entry_round(d0: float, d1: float, alpha: float, ang_tol: float) -> tuple[fl
     return k, _PICK[kind(k, d0)][kind(k, d1)]
 
 
-def _pivot_norm(entries: list, tol: float, pivot: str) -> tuple[float, float]:
+def _pivot_norm(entries: Entries, tol: float, pivot: str) -> tuple[float, float]:
     """The pivot's squared norm and norm, from its multiset's one zero-distance entry."""
-    zero = [e for e in entries if abs(e[0]) <= tol]
+    zero = [e for _, e in entries.live() if abs(e[0]) <= tol]
     if len(zero) != 1:
         raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
     if zero[0][1] <= tol:
@@ -185,21 +185,20 @@ def _pivot_norm(entries: list, tol: float, pivot: str) -> tuple[float, float]:
 def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstruction:
     """Rebuild a planar cloud, barycenter at the origin, from pivot data.
 
-    Follows the candidate-elimination schedule.  After the pivots, one
-    `geometry.sweep` per pivot multiset with nothing forbidden places the
-    points on the two pivot lines; round k then sweeps both multisets with
-    the arc [-k*alpha, (k+1)*alpha] forbidden, the pivot cone [0, alpha]
-    widened by the pivot angle per side and round.  Terminates within
-    ceil(1 + pi/alpha) rounds.
+    Follows the candidate-elimination schedule.  After the pivots, the
+    entries with one candidate place the points on the two pivot lines;
+    round k then forbids the arc [-k*alpha, (k+1)*alpha], the pivot cone
+    [0, alpha] widened by the pivot angle per side and round.  Terminates
+    within ceil(1 + pi/alpha) rounds.
 
-    Each distinct entry's mirror candidates, resolving round and pick are
-    computed once (`_entry_round`; round -1, the pivot-line pass, for an
-    entry with one candidate), and only the rounds some entry resolves in
-    are swept, in increasing order.  No other round would place anything,
-    so points, order, `rounds` and `round_bound` are those of every round.
+    Each entry's candidates, resolving round and pick come from
+    `_entry_round` (round -1 for one candidate); one walk over the entries
+    sorted by round, m_u before m_v and position places them.  No round
+    places an entry before its own, so points, order, `rounds` and
+    `round_bound` are those of sweeping every round.
     """
-    m_u = [(float(a), float(b)) for a, b in init.m_u]
-    m_v = [(float(a), float(b)) for a, b in init.m_v]
+    m_u = Entries([(float(a), float(b)) for a, b in init.m_u])
+    m_v = Entries([(float(a), float(b)) for a, b in init.m_v])
     d0sq = float(init.d0_sq)
 
     ru2, ru = _pivot_norm(m_u, tol, "u")
@@ -207,7 +206,7 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     if d0sq <= tol:
         # collinear: every point sits on the line through the barycenter and u
         pts = []
-        for d2, n2 in m_u:
+        for _, (d2, n2) in m_u.live():
             x = (ru2 + n2 - d2) / (2 * ru)
             if abs(x * x - n2) > tol * max(1.0, n2) * 1000:
                 raise InconsistentDataError("collinear entry is off the pivot line")
@@ -230,8 +229,8 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
         n2 = p[0] * p[0] + p[1] * p[1]
         du2 = (p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2
         dv2 = (p[0] - v[0]) ** 2 + (p[1] - v[1]) ** 2
-        remove_nearest(m_u, (du2, n2), tol * max(1.0, du2, n2) * 1000)
-        remove_nearest(m_v, (dv2, n2), tol * max(1.0, dv2, n2) * 1000)
+        m_u.take((du2, n2), tol * max(1.0, du2, n2) * 1000)
+        m_v.take((dv2, n2), tol * max(1.0, dv2, n2) * 1000)
         placed.append(p)
 
     place(u)
@@ -267,37 +266,24 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     def off_axis(c) -> float:
         return abs(math.remainder(math.atan2(c[1], c[0]) - alpha / 2, math.tau))
 
-    plans = []
-    for entries, cands_of in ((m_u, u_candidates), (m_v, v_candidates)):
-        plan = {}  # each distinct entry's candidates, resolving round and pick
-        for e in set(entries):
+    round_bound = math.ceil(1.0 + math.pi / alpha)
+    walk = []  # (round, side, position, entries, candidate; None if both are forbidden)
+    for side, (entries, cands_of) in enumerate(((m_u, u_candidates), (m_v, v_candidates))):
+        for i, e in entries.live():
             cands = cands_of(*e)
             if len(cands) == 1:
-                plan[e] = (cands, -1, 0)
+                k, pick = -1, 0
             else:
-                d0, d1 = off_axis(cands[0]), off_axis(cands[1])
-                plan[e] = (cands, *_entry_round(d0, d1, alpha, ang_tol))
-        plans.append((entries, plan))
-
-    def chooser(plan: dict, k: int):
-        def choose(entry):
-            cands, entry_round, pick = plan[entry]
-            if entry_round != k:
-                return None
-            if pick == -2:
-                raise ReconstructionError("both mirror candidates are forbidden")
-            return cands[pick]
-        return choose
-
-    round_bound = math.ceil(1.0 + math.pi / alpha)
-    scheduled = {r for _, plan in plans for _, r, _ in plan.values()}
+                k, pick = _entry_round(off_axis(cands[0]), off_axis(cands[1]), alpha, ang_tol)
+            if k <= round_bound:
+                walk.append((k, side, i, entries, None if pick == -2 else cands[pick]))
     rounds = 0
-    for k in sorted(r for r in scheduled if r <= round_bound):
-        for entries, plan in plans:
-            sweep(entries, chooser(plan, k), place)
-        if not m_u and not m_v:
+    for k, _, i, entries, cand in sorted(walk, key=lambda step: step[:3]):
+        while not entries.taken(i):
+            if cand is None:
+                raise ReconstructionError("both mirror candidates are forbidden")
+            place(cand)
             rounds = max(k, 0)
-            break
     if m_u or m_v:
         raise ReconstructionError(f"unresolved points after the round bound {round_bound}")
     return PlanarReconstruction(cloud=_cloud2d(placed), rounds=rounds,

@@ -43,9 +43,8 @@ import numpy as np
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from .geometry import (PointCloud, SquaredDistanceMatrix, _eliminate, _exact_rank,
-                       _float_rank, _gram, anchor_embed, gram_affine_dim, is_exact,
-                       remove_nearest, sweep)
+from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _exact_rank,
+                       _float_rank, _gram, anchor_embed, gram_affine_dim, is_exact)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
 from .geometry import mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
@@ -493,19 +492,19 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     tolerance, or floats with tol scaled by the longest anchor.  Phase 1
     places the points on a face; phase 2 takes the slab and depth bound from
     profile 0's other candidates (`depth_bound`), and each round places the
-    entries with one mirror candidate in the region, then deepens it; both
-    are `geometry.sweep` calls.  A placed point removes its entry (an equal
-    one, if exact) from every profile, or rejects ep as "unmatched".
+    entries with one mirror candidate in the region, then deepens it; both are
+    `Entries.sweep` passes.  A placed point takes its entry (an equal one, if
+    exact) from every profile, or rejects ep as "unmatched".
     """
     d = ep.a.order - 1
     G = ep.gram()
     tol = 0 if G.dtype == object else tol
     H = _inverse(G)
     limit = tol * max(1.0, math.sqrt(float(max(np.diagonal(G))))) * 1e5
-    profiles = [list(p) for p in ep.profiles]
+    profiles = [Entries(p) for p in ep.profiles]
     placed: list[tuple] = []
     cands_of = []  # per profile, each distinct entry's one or two mirror candidates
-    for i, entries in enumerate(profiles):
+    for i, entries in enumerate(ep.profiles):
         distinct = list(dict.fromkeys(entries))
         plus, minus, resident = mirror_lambdas(G, H, np.array(distinct, G.dtype), i, tol)
         if G.dtype != object and np.isnan(minus).any():
@@ -519,7 +518,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         for j in range(d):
             target = tuple(norm2 - (k != j) * (2 * dots[k] - G[k][k]) for k in range(d))
             try:
-                remove_nearest(profiles[j], target, limit)
+                profiles[j].take(target, limit)
             except InconsistentDataError as exc:
                 raise CandidateRejected("unmatched", str(exc)) from None
         placed.append(lam)
@@ -538,12 +537,12 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
 
     # phase 1: points on a face have a unique candidate
     for i in range(d):
-        sweep(profiles[i], chooser(i, lambda c: False), place)
+        profiles[i].sweep(chooser(i, lambda c: False), place)
     if not any(profiles):
         return GramCloud(ep, placed)
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
-    rest = np.array([c for e in profiles[0] for c in cands_of[0][e]], dtype=G.dtype)
+    rest = np.array([c for _, e in profiles[0].live() for c in cands_of[0][e]], dtype=G.dtype)
     eps2, gamma = depth_bound(rest, G, H, tol)
     if not math.isfinite(gamma):
         raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
@@ -553,7 +552,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     depth = 0
     while True:
         for i in range(d):
-            sweep(profiles[i], chooser(i, lambda c: region.membership(c, depth)), place)
+            profiles[i].sweep(chooser(i, lambda c: region.membership(c, depth)), place)
         if not any(profiles):
             return GramCloud(ep, placed, depth, int(gamma), math.sqrt(float(eps2)))
         depth += 1

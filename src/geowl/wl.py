@@ -249,7 +249,6 @@ class ColorStore:
         self.n = len(dist_array)
         self.dim = dim
         self.dist_array = dist_array  # (n, n) int64 distance ids
-        self.dist_ids = tuple(map(tuple, dist_array.tolist()))
         self.label = label
         self.tables: list[list[int]] = []
 
@@ -267,7 +266,7 @@ class ColorStore:
 
     def sq_matrix_values(self):
         """The cloud's n x n squared-distance values (exact or snapped floats)."""
-        return [[self.interner.dist_value(d) for d in row] for row in self.dist_ids]
+        return [[self.interner.dist_value(d) for d in row] for row in self.dist_array.tolist()]
 
     def class_counts(self) -> list[int]:
         return [len(set(t)) for t in self.tables]
@@ -378,7 +377,7 @@ class _History:
         if store.iterations < iterations:
             raise ValueError(f"need a history of at least {iterations} iteration(s)")
         exact = store.interner.mode == "exact"
-        dids = sorted(set(chain.from_iterable(store.dist_ids)))
+        dids = sorted(set(store.dist_array.ravel().tolist()))
         vals = list(map(store.value_of, dids))
         S = 2 * n * n * math.lcm(*(v.denominator for v in vals)) if exact else 1
         nums = [v.numerator * (S // v.denominator) for v in vals] if exact else vals

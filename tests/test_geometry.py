@@ -8,12 +8,12 @@ import pytest
 
 from geowl import oracle
 from geowl.errors import InconsistentDataError, NotRealizableError, ReconstructionError
-from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _eliminate, _float_rank, _gram,
-                            _hyperplane_basis, _in_plane, _mirror_rows, _unit_normal,
+from geowl.geometry import (ConeSpec, Entries, Hyperplane, PointCloud, _eliminate, _float_rank,
+                            _gram, _hyperplane_basis, _in_plane, _mirror_rows, _unit_normal,
                             affine_dim, anchor_embed, barycenter,
                             barycenter_sq_norms, cone_coefficients, mirror_pair,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix,
-                            sweep, trilaterate)
+                            trilaterate)
 
 
 def test_point_cloud_invariants():
@@ -334,46 +334,46 @@ def test_cone_angle_monotone_under_interior_swap():
         assert b < a
 
 
-def test_sweep_places_first_resolvable_entry_and_restarts():
-    # 0 and 2 resolve at once, 1 only after 0 is placed
-    entries = [1, 0, 2]
+def test_sweep_places_every_resolving_entry_in_one_pass():
+    # (0,) and (2,) resolve, (1,) does not: each entry is asked once, in list order
+    entries = Entries([(1,), (0,), (2,)])
     asked, placed = [], []
 
     def choose(e):
         asked.append(e)
-        return None if e == 1 and 0 in entries else 10 * e
+        return None if e == (1,) else 10 * e[0]
 
     def place(p):
         placed.append(p)
-        entries.remove(p // 10)
+        entries.take((p // 10,), 0)
 
-    sweep(entries, choose, place)
-    assert placed == [0, 10, 20] and entries == []
-    assert asked == [1, 0, 1, 2]
+    entries.sweep(choose, place)
+    assert placed == [0, 20] and entries.live() == [(0, (1,))]
+    assert asked == [(1,), (0,), (2,)]
 
 
 def test_sweep_placement_may_remove_several_entries():
-    entries = [5, 6, 7, 8]
+    entries = Entries([(5,), (6,), (7,), (8,)])
     placed = []
 
     def place(p):
         placed.append(p)
-        entries.remove(p)
-        entries.pop()  # a placed point also consumes its partner entry
+        entries.take((p,), 0)
+        entries.take(entries.live()[-1][1], 0)  # a placed point also consumes its partner entry
 
-    sweep(entries, lambda e: e if e % 2 else None, place)
-    assert placed == [5, 7] and entries == []
+    entries.sweep(lambda e: e[0] if e[0] % 2 else None, place)
+    assert placed == [5, 7] and len(entries) == 0
 
 
 def test_sweep_stops_when_nothing_resolves():
-    entries = [3, 1, 2]
+    entries = Entries([(3,), (1,), (2,)])
     asked = []
 
     def place(p):
         raise AssertionError("nothing should be placed")
 
-    sweep(entries, lambda e: asked.append(e), place)
-    assert asked == [3, 1, 2] and entries == [3, 1, 2]
+    entries.sweep(lambda e: asked.append(e), place)
+    assert asked == [(3,), (1,), (2,)] and [e for _, e in entries.live()] == asked
 
 
 def test_sweep_propagates_errors_from_choose():
@@ -381,7 +381,17 @@ def test_sweep_propagates_errors_from_choose():
         raise ReconstructionError("both mirror candidates are forbidden")
 
     with pytest.raises(ReconstructionError, match="both mirror candidates"):
-        sweep([1], choose, lambda p: None)
+        Entries([(1,)]).sweep(choose, lambda p: None)
+
+
+def test_take_with_a_float_zero_limit_matches_exact_entries():
+    # an exact store's limit is tol * ... = 0.0: the bound on the first coordinate must
+    # stay exact, or F(1, 3) - 0.0 turns into a float that misses the entry
+    entries = Entries([(F(1, 3), F(2)), (F(1, 3), F(1)), (F(1, 3), F(1))])
+    entries.take((F(1, 3), F(1)), 0.0)
+    assert entries.live() == [(0, (F(1, 3), F(2))), (2, (F(1, 3), F(1)))]
+    with pytest.raises(InconsistentDataError, match="no multiset entry equals"):
+        entries.take((F(1, 3), F(3)), 0.0)
 
 
 def _det(M):

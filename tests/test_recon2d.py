@@ -1,14 +1,15 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
 from geowl import oracle, reconstruct
 from geowl.errors import InconsistentDataError, ReconstructionError
-from geowl.geometry import (PointCloud, barycenter, barycenter_sq_norms, remove_nearest,
-                            sq_dist, sweep)
+from geowl.geometry import Entries, PointCloud, barycenter, barycenter_sq_norms, sq_dist
 from geowl.recon2d import (InitData2D, PlanarReconstruction, _entry_round, init2d,
                            norms_from_chi1, profiles_from_chi2, reconstruct2d,
                            reconstruct_planar)
@@ -211,6 +212,18 @@ def test_placement_order_is_pinned(n, seed, permutation):
         assert rep.counters["rounds"] == 1183
 
 
+@pytest.mark.parametrize("n, rounds, round_bound, digest", [
+    (300, 5469, 5473, "1b1286939410c35a9a909e9b2872f187c62aae7dbf8ecbd65a9a3174509adc57"),
+    (1000, 615, 618, "0f463fc8f1f7612cea8e43a04a3192812707f5b7c7b5e4e7d5d7f31548a138e5"),
+], ids=["n300", "n1000"])
+def test_large_placement_order_is_pinned(n, rounds, round_bound, digest):
+    # `geowl gen --n <n> --d 2 --seed 1`: thousands of rounds, and a thousand entries,
+    # beyond the n <= 80 shapes that the reference covers
+    rep = reconstruct(oracle.random_cloud(n, 2, 1), "wl2d")
+    assert (rep.counters["rounds"], rep.counters["round_bound"]) == (rounds, round_bound)
+    assert hashlib.sha256(repr(list(rep.alignment.permutation)).encode()).hexdigest() == digest
+
+
 # -- reference equivalence ----------------------------------------------------
 
 class _Spans:
@@ -270,6 +283,117 @@ def _reference_depth(spans, theta):
             t = theta + shift
             best = max(best, min(t - lo, hi - t))
     return best
+
+
+# The linear nearest-entry search and the restart scan that `geometry.Entries`
+# replaced, kept here so that the reference places points without it.
+
+def remove_nearest(entries: list, target: Sequence[float], limit: float) -> None:
+    """Remove the entry closest to target in the max norm.
+
+    Raises InconsistentDataError when no entry lies within limit; limit 0
+    asks for an exactly equal entry.
+    """
+    if limit == 0:
+        if tuple(target) in entries:
+            entries.remove(tuple(target))
+            return
+        raise InconsistentDataError(f"no multiset entry equals {target}")
+    best_i, best_err = -1, float("inf")
+    for i, e in enumerate(entries):
+        err = max(abs(a - b) for a, b in zip(e, target))
+        if err < best_err:
+            best_i, best_err = i, err
+    if best_i < 0 or best_err > limit:
+        raise InconsistentDataError(
+            f"no multiset entry matches {target} (best error {best_err:.3e})")
+    entries.pop(best_i)
+
+
+def sweep(entries: list, choose: Callable, place: Callable) -> None:
+    """Place entries one at a time until no entry has a position.
+
+    choose(entry) returns a position, or None while the entry is unresolved;
+    the first position found goes to place, which removes entries from the
+    list, so the scan then restarts from the front.  choose must be a pure
+    function of the entry for the whole call (the caller's forbidden region
+    is fixed meanwhile): an entry unresolved once stays unresolved, so a
+    caller that finds no entry resolving may skip the call, which would
+    place nothing.
+    """
+    while True:
+        for entry in entries:
+            p = choose(entry)
+            if p is not None:
+                place(p)
+                break
+        else:
+            return
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except InconsistentDataError as exc:
+        return str(exc)
+    return None
+
+
+def _take_case(rng):
+    """A multiset, a limit and targets near its entries, of one of three kinds."""
+    kind = rng.randrange(3)
+    size = rng.randint(0, 12)
+    if kind == 0:  # floats: near-duplicates inside and outside limit, equal-error ties,
+        # and first coordinates of the limit's size, whose differences round at the edge
+        limit = rng.choice([2.0 ** -20, 1e-9, 1e-6 * rng.random()])
+        base = [(rng.choice([0.0, 0.1, 1.0, 3.7, -2.5, rng.uniform(-2, 2) * limit]),
+                 rng.choice([0.5, 1.3])) for _ in range(size)]
+        entries = [(a + limit * rng.choice([0, 0, 0.5, 1, 1.5, 2.5]), b) for a, b in base]
+        targets = [(a + limit * rng.choice([0, 0.25, 0.5, 1, -1, 1 + 1e-9, 2]),
+                    b + limit * rng.choice([0, 0.5, 1.25])) for a, b in base]
+    elif kind == 1:  # exact entries with duplicates, limit 0 as an exact store passes it
+        limit = rng.choice([0, 0.0])
+        base = [(F(rng.randint(-2, 2), rng.randint(1, 3)), F(rng.randint(0, 3)))
+                for _ in range(size)]
+        entries = [(a, b) for a, b in base]  # new tuples: a target matches by value only
+        targets = base + [(F(rng.randint(-2, 2), rng.randint(1, 3)), F(rng.randint(0, 3)))
+                          for _ in range(3)]
+    else:  # NaN in either coordinate of entries and targets
+        limit = 1e-9
+        pool = [0.0, 1.0, 1.0 + 5e-10, 2.0, float("nan")]
+        entries = [(rng.choice(pool), rng.choice(pool)) for _ in range(size)]
+        targets = [(rng.choice(pool), rng.choice(pool)) for _ in range(size + 3)]
+    rng.shuffle(targets)
+    return entries, limit, targets
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_entries_take_matches_the_linear_scan(seed):
+    # the same removed entry (by identity), the same live entries in order, and the
+    # same error text as `remove_nearest`
+    rng = random.Random(seed)
+    for _ in range(300):
+        entries, limit, targets = _take_case(rng)
+        want, got = list(entries), Entries(entries)
+        for target in targets:
+            assert _outcome(got.take, target, limit) == _outcome(remove_nearest, want,
+                                                                  target, limit)
+            assert [id(e) for _, e in got.live()] == [id(e) for e in want]
+            assert len(got) == len(want)
+
+
+def test_entries_sweep_matches_the_restart_scan_when_a_placement_takes_another_entry():
+    # choose((1,)) gives 1.75, whose nearest entry is (2,): the chosen entry stays live,
+    # resolves again, and its second placement takes it
+    def choose(e):
+        return e[0] + 0.75 if e[0] < 5 else None
+
+    want, want_placed = [(1,), (2,), (5,)], []
+    sweep(want, choose, lambda p: (want_placed.append(p), remove_nearest(want, (p,), 1)))
+    got, got_placed = Entries([(1,), (2,), (5,)]), []
+    got.sweep(choose, lambda p: (got_placed.append(p), got.take((p,), 1)))
+    assert got_placed == want_placed == [1.75, 1.75]
+    assert [e for _, e in got.live()] == want == [(5,)]
 
 
 def _reference_reconstruct2d(init, tol=1e-9):

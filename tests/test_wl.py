@@ -286,8 +286,8 @@ def test_float_snap_matches_rounding_each_value():
             for v in row:
                 want.setdefault(int(v / snap + 0.5), len(want))
         assert inter.dist_keys == list(want)
-        assert store.dist_ids == tuple(tuple(want[int(v / snap + 0.5)] for v in row)
-                                       for row in values)
+        assert store.dist_array.tolist() == [[want[int(v / snap + 0.5)] for v in row]
+                                             for row in values]
     assert {int(v / 0.25 + 0.5) for row in boundaries for v in row} >= {-1, 0, 2, -2, 3}
 
 
@@ -326,7 +326,7 @@ def test_exact_keys_match_interning_each_value():
             store = store_from_sq_values(values, 2, 1, interner=inter)
         else:
             store = initial_coloring(cloud, 2, mode="exact", interner=inter)
-        assert store.dist_ids == want
+        assert store.dist_array.tolist() == [list(row) for row in want]
         assert inter.dist_keys == keys
 
 
@@ -390,7 +390,7 @@ def _reference_refine(store):
         dranks, dorder = _reference_ranking(inter.dist_keys)
         drank_of, dist_of = dranks.__getitem__, dorder.__getitem__
         table = []
-        for x, row in enumerate(store.dist_ids):
+        for x, row in enumerate(store.dist_array.tolist()):
             dcol, ccol = zip(*sorted(zip(map(drank_of, row), rprev)))
             table.append(_reference_intern_node1(
                 inter, prev[x], tuple(zip(map(dist_of, dcol), map(color_of, ccol)))))
