@@ -169,7 +169,7 @@ def cmd_search(args) -> int:
         bounds = [(i * budget) // cfg.jobs for i in range(cfg.jobs + 1)]
         shards = [(cfg.ell, cfg.iters, args.d, args.n, budget, cfg.seed, lo, hi)
                   for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
             findings = [f for part in pool.map(_search_shard, shards) for f in part]
     else:
         findings = oracle.search_indistinguishable(cfg.ell, cfg.iters, args.d,

@@ -64,7 +64,11 @@ def parse_cloud_text(text: str, label: str | None = None) -> PointCloud:
     if dim is None:
         dim = len(points[0])
     if any(not is_exact(c) for p in points for c in p):
-        points = [tuple(float(c) for c in p) for p in points]
+        try:
+            points = [tuple(float(c) for c in p) for p in points]
+        except OverflowError:
+            raise ValueError("a float cloud has an exact coordinate past the float range") \
+                from None
     return PointCloud(dim=dim, points=tuple(points), label=label)
 
 

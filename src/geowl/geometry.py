@@ -348,49 +348,37 @@ def _span_basis(anchors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return base, vt[:_float_rank(V, tol, s)].T
 
 
-def trilaterate(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
-                tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The unique point of the anchors' affine span at the given squared distances.
+def _span_solve(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar], tol: float):
+    """The float anchors P and squared distances r2, an orthonormal basis B of the
+    anchors' span directions, the span coordinates t of the foot point x, x itself,
+    and the scale max(1, max r2, max |P|) of the tolerances.
 
-    Solves the linear system <x - a_0, a_i - a_0> = (r_0^2 + |a_i - a_0|^2 - r_i^2)/2
-    restricted to the span.  Raises InconsistentDataError when no point of the
-    span realizes the distances within tolerance.
+    t solves <x - a_0, a_j - a_0> = (r_0 + |a_j - a_0|^2 - r_j)/2 in least squares.
     """
     if len(anchors) != len(sq_dists):
         raise ValueError("need one squared distance per anchor")
     P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
     r2 = np.array([float(v) for v in sq_dists], dtype=float)
     base, B = _span_basis(P, tol)
-    scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
-    t = _in_plane(P, base, B, r2[None, :])[0]
-    x = base if B.shape[1] == 0 else base + B @ t
-    err = np.abs(np.sum((x - P) ** 2, axis=1) - r2)
-    if float(np.max(err)) > tol * scale * 100:
-        raise InconsistentDataError(
-            f"trilateration residual {float(np.max(err)):.3e} exceeds tolerance")
-    return x
-
-
-def _in_plane(P: np.ndarray, base: np.ndarray, B: np.ndarray, R2: np.ndarray):
-    """Span coordinates of the foot point for each row of squared distances R2.
-
-    Row i of the result solves <x - a_0, a_j - a_0> = (r_0^2 + |a_j - a_0|^2 - r_j^2)/2
-    in the basis B, by one least-squares solve with a right-hand side per row.
-    """
-    if B.shape[1] == 0:
-        return np.zeros((R2.shape[0], 0))
     V = P[1:] - base
-    rhs = (R2[:, :1] + np.sum(V * V, axis=1) - R2[:, 1:]) / 2.0
-    t, *_ = np.linalg.lstsq(V @ B, rhs.T, rcond=None)
-    return t.T
+    t = np.linalg.lstsq(V @ B, (r2[0] + np.sum(V * V, axis=1) - r2[1:]) / 2.0,
+                        rcond=None)[0] if B.shape[1] else np.zeros(0)
+    scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
+    return P, r2, B, t, base + B @ t, scale
 
 
-def _hyperplane_basis(P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_span_basis` of anchors that must span a hyperplane."""
-    base, B = _span_basis(P, tol)
-    if B.shape[1] != P.shape[1] - 1:
-        raise ValueError("anchors must have affine dimension exactly d-1")
-    return base, B
+def trilaterate(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
+                tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The unique point of the anchors' affine span at the given squared distances.
+
+    Raises InconsistentDataError when no point of the span realizes the
+    distances within tolerance.
+    """
+    P, r2, _, _, x, scale = _span_solve(anchors, sq_dists, tol)
+    err = float(np.max(np.abs(np.sum((x - P) ** 2, axis=1) - r2)))
+    if err > tol * scale * 100:
+        raise InconsistentDataError(f"trilateration residual {err:.3e} exceeds tolerance")
+    return x
 
 
 def _unit_normal(B: np.ndarray) -> np.ndarray:
@@ -398,67 +386,32 @@ def _unit_normal(B: np.ndarray) -> np.ndarray:
     return np.linalg.svd(B.T, full_matrices=True)[2][-1]
 
 
-def _plane_heights(P: np.ndarray, R2: np.ndarray, tol: float):
-    """Span coordinates and squared heights over a hyperplane of anchors.
-
-    P holds d float anchors spanning a hyperplane, R2 one row of squared
-    distances to them per point.  Returns the span base and basis, each row's
-    span coordinates T and squared out-of-plane height h2, whether the row
-    is a span resident (h2 at most the limit tol * scale * 100), and the
-    per-row scale.  All rows share one span basis and one least-squares
-    solve, and each row rounds as a one-row call does.  Raises
-    InconsistentDataError when some h2 lies below minus the limit.
-    """
-    base, B = _hyperplane_basis(P, tol)
-    scale = R2.max(axis=1, initial=max(1.0, float(np.abs(P).max())))
-    limit = tol * scale * 100
-    # contiguous rows and per-row matmuls round like the one-row t @ t and B @ t;
-    # strided rows, a row sum or one T @ B.T differ in the last bits for d >= 3
-    T = np.ascontiguousarray(_in_plane(P, base, B, R2))
-    h2 = R2[:, 0] - (T[:, None, :] @ T[:, :, None])[:, 0, 0]
-    if (h2 < -limit).any():
-        raise InconsistentDataError(
-            f"negative out-of-plane component {float(h2[h2 < -limit][0]):.3e}: "
-            "distances are unrealizable")
-    return base, B, T, h2, h2 <= limit, scale
-
-
-def _mirror_rows(anchors: Sequence[Sequence[Scalar]],
-                 sq_tuples: Sequence[Sequence[Scalar]], tol: float):
-    """Batched `mirror_pair`.
-
-    Returns, per distance tuple, the foot point on the anchors' span, the
-    points lifted off the span by the out-of-plane height along the normal
-    and against it, and whether the tuple is a span resident (height 0).
-    Raises InconsistentDataError when any tuple is unrealizable.
-    """
-    P = np.array([[float(c) for c in a] for a in anchors], dtype=float)
-    R2 = np.array(sq_tuples, dtype=float)
-    base, B, T, h2, resident, scale = _plane_heights(P, R2, tol)
-    feet = base + (B[None] @ T[:, :, None])[:, :, 0]
-    if resident.all():
-        up = down = feet
-    else:
-        lift = np.sqrt(np.where(resident, 0.0, h2))[:, None] * _unit_normal(B)
-        up, down = feet + lift, feet - lift
-    worst = np.abs(((up[:, None, :] - P) ** 2).sum(axis=2) - R2).max(axis=1)
-    if (worst > tol * scale * 1000).any():
-        raise InconsistentDataError(
-            f"mirror-pair residual {float(worst.max()):.3e} exceeds tolerance")
-    return feet, up, down, resident
-
-
 def mirror_pair(anchors: Sequence[Sequence[Scalar]], sq_dists: Sequence[Scalar],
                 tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """The at-most-two points realizing squared distances to a (d-1)-dimensional
     anchor set.
 
-    A tuple whose solution lies on the anchors' span (the out-of-plane
-    component is below tolerance, and is snapped to zero) gets one point,
-    any other tuple the two mirror images across the span.
+    A tuple whose solution lies on the anchors' span (the squared out-of-plane
+    component h^2 = r_0 - |t|^2 is at most tol * scale * 100, and is snapped to
+    zero) gets one point, any other tuple the two mirror images across the
+    span.  Raises InconsistentDataError when no point realizes the distances.
     """
-    feet, up, down, resident = _mirror_rows(anchors, [sq_dists], tol)
-    return [feet[0]] if resident[0] else [up[0], down[0]]
+    P, r2, B, t, foot, scale = _span_solve(anchors, sq_dists, tol)
+    if B.shape[1] != P.shape[1] - 1:
+        raise ValueError("anchors must have affine dimension exactly d-1")
+    h2, limit = r2[0] - float(t @ t), tol * scale * 100
+    if h2 < -limit:
+        raise InconsistentDataError(
+            f"negative out-of-plane component {h2:.3e}: distances are unrealizable")
+    if h2 <= limit:
+        out = [foot]
+    else:
+        lift = math.sqrt(h2) * _unit_normal(B)
+        out = [foot + lift, foot - lift]
+    worst = float(np.max(np.abs(np.sum((out[0] - P) ** 2, axis=1) - r2)))
+    if worst > tol * scale * 1000:
+        raise InconsistentDataError(f"mirror-pair residual {worst:.3e} exceeds tolerance")
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ the hyperplane supports the cloud exactly when sum_y |h_y| = n |h_b|.  The
 squared distances to the tuple, (f(x_j) - T/(2n))/n, where f(x_j) sums the
 records' j-th entries and T, the ordered-pair sum of squared distances,
 comes from the initial colors.  Tuple colors are scanned lazily in digest
-order, each decoded by `ColorStore.tuple_distances` when it is visited, and
-only a tuple that passes this test has its points built.
+order, each decoded by `ColorStore.tuple_distances` when it is visited and
+solved once in the frame `anchor_embed` gives its anchors, which yields the
+heights and the points together.
 
 The built cloud must still match the coloring's total distance sum.  That
 certificate works with true (unsquared) distances: strict subadditivity
@@ -34,12 +35,12 @@ from itertools import combinations, product
 import numpy as np
 
 from .config import DEFAULT_MAX_CANDIDATES, DEFAULT_TOL
-from .errors import CapExceededError, ReconstructionError
-from .geometry import (PointCloud, SquaredDistanceMatrix, _mirror_rows, _plane_heights,
-                       affine_dim, barycenter_sq_norms, gram_affine_dim)
+from .errors import CapExceededError, InconsistentDataError, ReconstructionError
+from .geometry import (PointCloud, SquaredDistanceMatrix, affine_dim, barycenter_sq_norms,
+                       gram_affine_dim)
 # perfbench/tracer.py binds these names on this module, and its per-layer
-# metrics read them.
-from .geometry import anchor_embed, mirror_pair, trilaterate
+# metrics read them; `trilaterate` is bound only.
+from .geometry import anchor_embed, mirror_pair, trilaterate  # noqa: F401
 from .report import ReconstructionReport
 from .wl import ColorStore
 
@@ -130,21 +131,45 @@ def _color_tuple_data(store: ColorStore, cid: int):
     return SquaredDistanceMatrix(order=store.ell, entries=entries), store.dist_floats[dists[0]]
 
 
-def _supports(anchors: np.ndarray, tuples, sq_total: float, tol: float) -> bool:
-    """Whether the anchors' hyperplane leaves every point in one closed half-space.
+def _frame_points(anchors: np.ndarray, R2: np.ndarray, tol: float):
+    """Points at squared distances R2 (a row each) to anchors, in `anchor_embed`'s frame.
 
-    Tests sum_y |h_y| = n |h_b| in squares, from one solve over the records
-    and the barycenter's squared distances to the anchors.  A record's
-    height is 0 when `mirror_pair` would place it on the span.  h_b^2 is not
-    snapped: the barycenter is no point of the cloud, and the square of a
-    rounding residue is far below the tolerance where its root is not.
+    That frame puts the first anchor at the origin and the anchors' span in
+    the first d-1 axes.  A row's span coordinates t solve <t, a_j> =
+    (r_1 + |a_j|^2 - r_j)/2, all rows in one least-squares solve whose
+    minimum-norm solution leaves t at 0 on an axis the anchors do not reach,
+    and its squared height is h^2 = r_1 - |t|^2.  Returns the points (t, +h),
+    h^2 and the per-row scale.  h is snapped to 0 (a span resident) when h^2
+    is at most tol * scale * 100; InconsistentDataError is raised when h^2 is
+    below minus that.
+    """
+    V = anchors[1:, :-1]
+    rhs = (R2[:, :1] + np.sum(V * V, axis=1) - R2[:, 1:]) / 2.0
+    # contiguous rows and per-row matmuls round like the one-row t @ t
+    T = np.linalg.lstsq(V, rhs.T, rcond=None)[0].T.copy() if V.size else np.zeros((len(R2), 0))
+    h2 = R2[:, 0] - (T[:, None, :] @ T[:, :, None])[:, 0, 0]
+    scale = R2.max(axis=1, initial=max(1.0, float(np.abs(anchors).max())))
+    if (bad := h2 < -tol * scale * 100).any():
+        raise InconsistentDataError(
+            f"negative squared height {h2[bad][0]:.3e}: distances are unrealizable")
+    return np.column_stack([T, np.sqrt(np.where(h2 <= tol * scale * 100, 0.0, h2))]), h2, scale
+
+
+def _halfspace_points(anchors: np.ndarray, tuples: np.ndarray, sq_total: float, tol: float):
+    """The records placed on the positive side of the anchors' span, and whether
+    that span leaves every point in one closed half-space.
+
+    The test is sum_y |h_y| = n |h_b| in squares, from one `_frame_points`
+    solve over the records and the barycenter's squared distances to the
+    anchors.  h_b^2 is not snapped: the barycenter is no point of the cloud,
+    and the square of a rounding residue is far below the tolerance where
+    its root is not.
     """
     n = len(tuples)
-    R2 = np.array(tuples, dtype=float)
-    bary = barycenter_sq_norms(R2.sum(axis=0), sq_total, n, tol)
-    *_, h2, resident, scale = _plane_heights(anchors, np.vstack([R2, bary]), tol)
-    s = float(np.sqrt(np.where(resident, 0.0, h2)[:n]).sum())
-    return abs(s * s - n * n * h2[n]) <= tol * n * n * float(scale.max())
+    bary = barycenter_sq_norms(tuples.sum(axis=0), sq_total, n, tol)
+    points, h2, scale = _frame_points(anchors, np.vstack([tuples, bary]), tol)
+    s = float(points[:n, -1].sum())
+    return points[:n], abs(s * s - n * n * h2[n]) <= tol * n * n * float(scale.max())
 
 
 def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
@@ -190,12 +215,9 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
             raise CapExceededError(
                 f"no hyperplane tuple accepted within the cap of {cap} tried tuples")
         tried += 1
-        anchors = anchor_embed(mat, d, tol)
-        if not _supports(anchors, tuples, sq_total, tol):
+        points, supports = _halfspace_points(anchor_embed(mat, d, tol), tuples, sq_total, tol)
+        if not supports:
             continue
-        # every two-sided entry on the positive side
-        feet, up, _, resident = _mirror_rows(anchors, tuples, tol)
-        points = np.where(resident[:, None], feet, up)
         total = _pair_sum(points)
         if abs(total - ds_total) <= tol * n * n * scale:
             try:
@@ -211,9 +233,10 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
             f"no hyperplane tuple accepted: {tried} tuples scanned, target sum {ds_total}")
     # the whole cloud lies in the top tuple's affine span
     maxdim, mat, tuples = span
-    anchors = anchor_embed(mat, d, tol)
-    points = [tuple(trilaterate(anchors, t, tol)) for t in tuples]
-    cloud = PointCloud(dim=d, points=tuple(points))
+    points = _frame_points(anchor_embed(mat, d, tol), tuples, tol)[0]
+    if points[:, -1].any():
+        raise InconsistentDataError("a record lies off the span of the top tuple")
+    cloud = PointCloud(dim=d, points=tuple(map(tuple, points)))
     return ReconstructionReport(cloud=cloud, method="oneshot-span",
                                 counters={"candidates_tried": 1, "anchor_dim": maxdim})
 

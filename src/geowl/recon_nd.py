@@ -213,10 +213,20 @@ class ProfileTable(Mapping):
         out = []
         for block in (rows[i:i + 1024] for i in range(0, len(rows), 1024)):
             G = _gram(self.floats[self.A[block]])
-            H = np.linalg.inv(G)
+            singular = np.zeros(len(block), dtype=bool)
+            try:
+                H = np.linalg.inv(G)
+            except np.linalg.LinAlgError:  # rows of exact rank d singular in floats rank last
+                H = np.full_like(G, np.nan)
+                for k, g in enumerate(G):
+                    try:
+                        H[k] = np.linalg.inv(g)
+                    except np.linalg.LinAlgError:
+                        singular[k] = True
             plus, minus, _ = mirror_lambdas(G, H, self.floats[self.profiles[self.P[block, 0]]],
                                             0, tol)
-            out.append(depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1])
+            bound = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
+            out.append(np.where(singular, np.nan, bound))
         return np.nan_to_num(np.concatenate(out), nan=np.inf)
 
     def order(self, rows: np.ndarray, primary: np.ndarray) -> np.ndarray:

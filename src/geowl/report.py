@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import oracle, wl
@@ -36,9 +37,17 @@ def reconstruct(cloud: PointCloud, algorithm: str,
     coloring, and `oneshot` any cloud from 1 iteration of the d-tuple
     coloring.  The algorithm fixes the coloring, so `cfg.ell`, `cfg.iters`
     and `cfg.jobs` are not read.  The isometry oracle then compares the
-    reconstruction with the input and fills `alignment`.
+    reconstruction with the input and fills `alignment`.  The pipelines take
+    floats of squared distances, so ValueError is raised before coloring a
+    cloud whose bounding box has a squared diagonal past the float range.
     """
     cfg = cfg or RunConfig()
+    try:  # math.isfinite of an int or Fraction past the float range raises
+        finite = math.isfinite(sum((max(c) - min(c)) ** 2 for c in zip(*cloud.points)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the cloud's squared extent is past the float range")
 
     def colored(ell: int, iters: int) -> wl.ColorStore:
         return wl.run_wl(cloud, ell, iters, mode=cfg.mode, snap=cfg.tol,

@@ -353,7 +353,7 @@ class _History:
     """Iterations 1 and 2 of a coloring as arrays of value ids.
 
     The one place where the barycenter identity is applied to whole
-    colorings (`oneshot._supports` applies it to one tuple color's sums):
+    colorings (`oneshot._halfspace_points` applies it to one tuple color's sums):
     norms maps each iteration-1 color to each slot's squared barycenter
     distance.  Value ids number the distinct squared distances and norms in
     increasing order, worked out as numerators over S = 2 n^2 Q for an exact

@@ -263,10 +263,12 @@ def test_roundtrip_max_candidates_caps_oneshot(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
+def _inline_pool(monkeypatch, cpus):
+    """Replace the search's process pool by one that records its size and maps
+    in this process, on a machine of `cpus` cores; no process is started."""
     workers = []
 
-    class InlinePool:  # records the pool size and maps in this process
+    class InlinePool:
         def __init__(self, max_workers):
             workers.append(max_workers)
 
@@ -280,10 +282,26 @@ def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr("geowl.cli.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("geowl.cli.os.cpu_count", lambda: cpus)
+    return workers
+
+
+def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
+    workers = _inline_pool(monkeypatch, 8)
     argv = ["search", "--d", "2", "--n", "5", "--budget", "2"]
     serial = _cli_bytes(argv + ["--jobs", "1"], tmp_path / "serial.json", capsys)
     sharded = _cli_bytes(argv + ["--jobs", "8"], tmp_path / "sharded.json", capsys)
     assert workers == [2]
+    assert sharded == serial
+
+
+@pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1)])
+def test_search_workers_are_capped_at_the_cpu_count(tmp_path, capsys, monkeypatch, cpus, want):
+    workers = _inline_pool(monkeypatch, cpus)
+    argv = ["search", "--d", "2", "--n", "5", "--budget", "8"]
+    serial = _cli_bytes(argv + ["--jobs", "1"], tmp_path / "serial.json", capsys)
+    sharded = _cli_bytes(argv + ["--jobs", "1000"], tmp_path / "sharded.json", capsys)
+    assert workers == [want]
     assert sharded == serial
 
 
@@ -298,6 +316,8 @@ def test_search_starts_one_worker_per_shard(tmp_path, capsys, monkeypatch):
     '[[1e150, 0.0], [-1e150, 0.5], [0.0, 1.0]]',
     '[["1e200", 0], ["-1e200", "1/2"], [0, 1]] --mode float',
     '[[1e140, 0.0], [-1e140, 0.5], [0.0, 1.0]] --tol 1e-30',
+    # a float cloud with an exact coordinate past the float range
+    '[[1.5, 0], [1' + '0' * 400 + ', 0]]',
     # points that are not a list of coordinate lists
     '5',
     '[1, 2]',
@@ -366,3 +386,17 @@ def test_roundtrip_verifies_the_nearly_planar_wlnd_cloud(tmp_path, capsys):
                         tmp_path / "rep.json", capsys).decode().split("\0")[0]
     assert [line for line in stdout.splitlines() if not line.startswith("residual:")] == [
         "method: nd-fulldim", "depth: 3", "candidates_tried: 3", "verified: yes"]
+
+
+@pytest.mark.parametrize("algorithm, points", [
+    ("wl2d", [[0, 0], [1, 0], [0, 1], [1, 3]]),
+    ("oneshot", [[0, 0], [1, 0], [0, 1], [1, 3]]),
+    ("wlnd", [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 3, 1]]),
+])
+def test_roundtrip_past_the_float_range_is_an_error(tmp_path, capsys, algorithm, points):
+    # exact coordinates of 10^200: their squared distances have no float
+    big = [[c * 10 ** 200 if c == 1 else c for c in p] for p in points]
+    path = _write(tmp_path, "big.json", {"points": big})
+    assert main(["roundtrip", path, "--algorithm", algorithm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float range" in err

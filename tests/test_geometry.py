@@ -9,7 +9,7 @@ import pytest
 from geowl import oracle
 from geowl.errors import InconsistentDataError, NotRealizableError, ReconstructionError
 from geowl.geometry import (ConeSpec, Entries, Hyperplane, PointCloud, _eliminate, _float_rank,
-                            _gram, _hyperplane_basis, _in_plane, _mirror_rows, _unit_normal,
+                            _gram, _span_basis, _unit_normal,
                             affine_dim, anchor_embed, barycenter,
                             barycenter_sq_norms, cone_coefficients, mirror_pair,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix,
@@ -187,12 +187,15 @@ def test_mirror_pair_symmetry_random():
 
 
 def _mirror_pair_reference(anchors, sq_dists, tol=1e-9):
-    """One tuple solved on its own: the batched rows must reproduce it bit for bit."""
+    """One tuple solved on its own in an SVD basis of the span, bit for bit."""
     P = np.array([[float(c) for c in a] for a in anchors])
     r2 = np.array([float(v) for v in sq_dists])
-    base, B = _hyperplane_basis(P, tol)
+    base, B = _span_basis(P, tol)
+    assert B.shape[1] == P.shape[1] - 1
     scale = max(1.0, float(np.max(r2, initial=0.0)), float(np.max(np.abs(P))))
-    t = _in_plane(P, base, B, r2[None, :])[0]
+    V = P[1:] - base
+    t = np.linalg.lstsq(V @ B, ((r2[0] + np.sum(V * V, axis=1) - r2[1:]) / 2.0)[:, None],
+                        rcond=None)[0][:, 0] if B.shape[1] else np.zeros(0)
     p = base if B.shape[1] == 0 else base + B @ t
     h2 = r2[0] - float(t @ t)
     if h2 <= tol * scale * 100:
@@ -202,10 +205,10 @@ def _mirror_pair_reference(anchors, sq_dists, tol=1e-9):
 
 
 def _residents(anchors, tuples):
-    return _mirror_rows(anchors, tuples, 1e-9)[3]
+    return [len(mirror_pair(anchors, t)) == 1 for t in tuples]
 
 
-def test_mirror_rows_residents_match_mirror_pair():
+def test_mirror_pair_residents_at_the_limit():
     rng = random.Random(9)
     flags_seen = set()
     for seed in range(80):
@@ -228,26 +231,24 @@ def test_mirror_rows_residents_match_mirror_pair():
             scale = max(1, max(t), max(abs(c) for a in anchors for c in a))
             tuples += [[v + F(k, 2) * 1e-7 * scale for v in t] for k in (-1, 1, 4)]
         flags = _residents(anchors, tuples)
-        assert list(flags) == [len(mirror_pair(anchors, t)) == 1 for t in tuples], seed
-        feet, up, down, resident = _mirror_rows(anchors, tuples, 1e-9)
-        batched = [[p] if r else [u, w] for p, u, w, r in zip(feet, up, down, resident)]
-        for t, got in zip(tuples, batched):
-            for row in (got, mirror_pair(anchors, t)):
-                want = _mirror_pair_reference(anchors, t)
-                assert len(row) == len(want), seed
-                assert all(np.array_equal(a, b) for a, b in zip(row, want)), seed
-        assert all(flags[:3]) and list(flags[8:]) == [True, True, False] * 3
+        for t in tuples:
+            got, want = mirror_pair(anchors, t), _mirror_pair_reference(anchors, t)
+            assert len(got) == len(want), seed
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), seed
+        assert all(flags[:3]) and flags[8:] == [True, True, False] * 3
         flags_seen.update((d, bool(f)) for f in flags)
     assert flags_seen == {(d, f) for d in range(1, 5) for f in (True, False)}
 
 
-def test_mirror_rows_rejects_unrealizable_tuples():
+def test_mirror_pair_rejects_unrealizable_tuples():
     anchors = [(0, 0), (1, 0)]
-    assert list(_residents(anchors, [[1, 2], [1, 4]])) == [False, True]
+    assert _residents(anchors, [[1, 2], [1, 4]]) == [False, True]
     with pytest.raises(InconsistentDataError):
         _residents(anchors, [[1, 2], [1, 9], [1, 4]])
     # d = 1: the anchor span is a single point and the basis has no columns
-    assert list(_residents([(2,)], [[0], [4]])) == [True, False]
+    assert _residents([(2,)], [[0], [4]]) == [True, False]
+    with pytest.raises(ValueError, match="exactly d-1"):
+        mirror_pair([(0, 0, 0), (1, 0, 0), (2, 0, 0)], [1, 0, 1])
 
 
 def test_reflect_examples():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from geowl import oracle
-from geowl.errors import CapExceededError
-from geowl.geometry import PointCloud, _mirror_rows, affine_dim, anchor_embed, gram_affine_dim, \
-    mirror_pair, sq_dist, squared_distance_matrix, trilaterate
-from geowl.oneshot import (_color_tuple_data, _pair_sum, _pair_sums, _supports,
-                           enumerate_candidates, reconstruct_one_iter, supporting_tuple_scan,
-                           total_distance_sum)
+from geowl.errors import CapExceededError, InconsistentDataError
+from geowl.geometry import PointCloud, affine_dim, anchor_embed, gram_affine_dim, mirror_pair, \
+    sq_dist, squared_distance_matrix, trilaterate
+from geowl.oneshot import (_color_tuple_data, _frame_points, _halfspace_points, _pair_sum,
+                           _pair_sums, enumerate_candidates, reconstruct_one_iter,
+                           supporting_tuple_scan, total_distance_sum)
 from geowl.report import reconstruct
 from geowl.wl import run_wl
 
@@ -188,8 +188,28 @@ def _hyperplane_colors(store, tol=1e-9):
             yield anchor_embed(mat, store.dim, tol), tuples
 
 
+def _frame_point(anchors, r, tol=1e-9):
+    """One record solved alone in anchor_embed's frame: span coordinates t on
+    the first d-1 axes, and the height sqrt(r_1 - |t|^2), 0 at most the
+    resident limit, on the last."""
+    V, r = anchors[1:, :-1], np.asarray(r, dtype=float)
+    t = np.linalg.lstsq(V, (r[0] + np.sum(V * V, axis=1) - r[1:]) / 2.0, rcond=None)[0] \
+        if V.size else np.zeros(0)
+    h2 = r[0] - float(t @ t)
+    scale = max(1.0, float(r.max()), float(np.abs(anchors).max()))
+    return np.append(t, 0.0 if h2 <= tol * scale * 100 else math.sqrt(h2))
+
+
+def _solo_frame(anchors, tuples, tol=1e-9):
+    return np.array([_frame_point(anchors, t, tol) for t in tuples])
+
+
 def _positive_side(anchors, tuples, tol=1e-9):
     return np.array([mirror_pair(anchors, t, tol)[0] for t in tuples])
+
+
+def _trilaterated(anchors, tuples, tol=1e-9):
+    return np.array([trilaterate(anchors, t, tol) for t in tuples])
 
 
 def _sum_matches(points, ds_total, tol=1e-9):
@@ -197,15 +217,15 @@ def _sum_matches(points, ds_total, tol=1e-9):
     return abs(_pair_sum(points) - ds_total) <= tol * n * n * max(1.0, ds_total)
 
 
-def _reference_one_iter(store, tol=1e-9):
-    """Reference scan: mirror pairs for every entry of every hyperplane color,
-    in digest order; the span branch trilaterates the first color of greatest
-    dimension."""
+def _reference_one_iter(store, halfspace, span, tol=1e-9):
+    """Reference scan: every entry of every hyperplane color placed by
+    halfspace, in digest order; the span branch places the records of the
+    first color of greatest dimension by span."""
     d, n = store.dim, store.n
     ds_total = total_distance_sum(store)
     tried = 0
     for tried, (anchors, tuples) in enumerate(_hyperplane_colors(store, tol), 1):
-        points = _positive_side(anchors, tuples, tol)
+        points = halfspace(anchors, tuples, tol)
         if _sum_matches(points, ds_total, tol) and len(set(map(tuple, points))) == n:
             return tried, points
     assert tried == 0, "the reference scan accepted no tuple"
@@ -214,8 +234,7 @@ def _reference_one_iter(store, tol=1e-9):
             for c in sorted(set(store.tables[1]), key=lambda c: digests[c])]
     dims = [gram_affine_dim(mat, tol) for mat, _ in data]
     mat, tuples = data[dims.index(max(dims))]
-    anchors = anchor_embed(mat, d, tol)
-    return 1, np.array([trilaterate(anchors, t, tol) for t in tuples])
+    return 1, span(anchor_embed(mat, d, tol), tuples, tol)
 
 
 def test_lazy_scan_matches_reference_scan():
@@ -223,9 +242,14 @@ def test_lazy_scan_matches_reference_scan():
     for k, cloud in enumerate(_scan_clouds()):
         store = run_wl(cloud, cloud.dim, 1)
         rep = reconstruct_one_iter(store)
-        tried, points = _reference_one_iter(store)
+        got = rep.cloud.as_array()
+        tried, points = _reference_one_iter(store, _solo_frame, _solo_frame)
         assert rep.counters["candidates_tried"] == tried, k
-        assert np.array_equal(rep.cloud.as_array(), points), k
+        assert np.array_equal(got, points), k
+        # mirror pairs and trilateration, each in an SVD basis of the anchors' span
+        tried, points = _reference_one_iter(store, _positive_side, _trilaterated)
+        assert rep.counters["candidates_tried"] == tried, k
+        assert float(np.abs(got - points).max()) <= 1e-9 * max(1.0, float(np.abs(points).max())), k
         methods.add(rep.method)
     assert methods == {"oneshot-halfspace", "oneshot-span"}
 
@@ -236,11 +260,51 @@ def test_height_identity_holds_exactly_when_pair_sum_matches():
         store = run_wl(cloud, cloud.dim, 1)
         ds_total, sq_total = _pair_sums(store)
         for anchors, tuples in _hyperplane_colors(store):
-            feet, up, _, resident = _mirror_rows(anchors, tuples, 1e-9)
-            matches = _sum_matches(np.where(resident[:, None], feet, up), ds_total)
-            assert _supports(anchors, tuples, sq_total, 1e-9) == matches, k
+            points, supports = _halfspace_points(anchors, tuples, sq_total, 1e-9)
+            matches = _sum_matches(points, ds_total)
+            assert supports == matches, k
             seen.add(matches)
     assert seen == {True, False}
+
+
+def test_frame_with_fewer_axes_than_the_rank():
+    # exactly a hyperplane tuple, but anchor_embed finds no axis for a gap of 1e-12:
+    # it is tried and rejected, not a ValueError
+    cloud = PointCloud(2, ((F(0), F(0)), (F(1, 10 ** 12), F(0)), (F(0), F(1)), (F(1), F(1))))
+    mat = squared_distance_matrix(cloud.points[:2])
+    assert gram_affine_dim(mat) == 1 and not anchor_embed(mat, 2).any()
+    rep = reconstruct(cloud, "oneshot")
+    assert rep.method == "oneshot-halfspace" and rep.verified
+    assert rep.counters["candidates_tried"] == 3
+    tried, points = _reference_one_iter(run_wl(cloud, 2, 1), _solo_frame, _solo_frame)
+    assert tried == 3 and np.array_equal(rep.cloud.as_array(), points)
+
+
+def test_frame_points_rows_equal_one_record_solves():
+    # the batched solve rounds each row as a solve of that record alone, for
+    # frames up to d = 6, where strided rows would round differently
+    for seed in range(20):
+        d = 2 + seed % 5
+        cloud = oracle.random_cloud(d + 6, d, seed=9400 + seed)
+        anchors = anchor_embed(squared_distance_matrix(cloud.points[:d]), d)
+        R2 = np.array([[float(sq_dist(p, a)) for a in cloud.points[:d]] for p in cloud.points])
+        points = _frame_points(anchors, R2, 1e-9)[0]
+        assert np.array_equal(points, _solo_frame(anchors, R2)), seed
+
+
+def test_frame_points_snap_heights_at_the_resident_limit():
+    # the record (1, 0) on the anchors' line, lifted by h^2 = -1/2, 1/2 and 2 times
+    # the resident limit 1e-7 * scale (scale 2, the anchors' largest coordinate)
+    anchors = anchor_embed(squared_distance_matrix([(F(0), F(0)), (F(2), F(0))]), 2)
+    R2 = np.array([[1 + k * 1e-7, 1 + k * 1e-7] for k in (-1, 1, 4)])
+    points, h2, scale = _frame_points(anchors, R2, 1e-9)
+    assert scale.tolist() == [2.0] * 3 and np.allclose(points[:, 0], 1.0, rtol=0, atol=1e-15)
+    assert points[:, 1].tolist() == [0.0, 0.0, math.sqrt(h2[2])]
+    with pytest.raises(InconsistentDataError):
+        _frame_points(anchors, np.array([[1 - 4e-7, 1 - 4e-7]]), 1e-9)
+    # d = 1: no span axis, the height is the distance to the anchor
+    assert _frame_points(np.zeros((1, 1)), np.array([[4.0], [0.0]]), 1e-9)[0].tolist() == \
+        [[2.0], [0.0]]
 
 
 def test_reconstruct_n30_d3():

@@ -247,6 +247,30 @@ def test_candidate_order_is_pinned(n, d, seed, digest):
     assert _candidate_digest(select_cone_tuple(table)) == digest
 
 
+def test_rows_singular_in_floats_rank_last():
+    # a gap of 1e-12 is exactly a full-rank tuple, but some of its float Gram
+    # matrices are singular: those rows rank last instead of raising LinAlgError
+    cloud = PointCloud(3, ((F(0), F(0), F(0)), (F(1, 10 ** 12), F(0), F(0)),
+                           (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(1), F(1), F(1))))
+    table = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
+    rows = np.arange(len(table))
+    rows = rows[~table.repeats()]
+    rows = rows[table.ranks(rows) == 3]
+    singular = []
+    for r in rows.tolist():
+        try:
+            np.linalg.inv(_gram(table.floats[table.A[[r]]]))
+        except np.linalg.LinAlgError:
+            singular.append(r)
+    bounds = dict(zip(rows.tolist(), table.bounds(rows).tolist()))
+    assert singular and all(bounds[r] == math.inf for r in singular)
+    ranked = select_cone_tuple(table).rows
+    assert min(map(ranked.index, singular)) >= sum(b < math.inf for b in bounds.values())
+    rep = reconstruct(cloud, "wlnd")
+    assert rep.verified and rep.counters["candidates_tried"] == 2
+    assert rep.counters["total_candidates"] == 27
+
+
 def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):
     # `geowl gen --n 10 --d 3 --seed 3` rejects two candidates before the third verifies
     built = []
