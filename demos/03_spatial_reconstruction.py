@@ -25,11 +25,11 @@ print(f"source: {cloud.label}, n={cloud.n}")
 store = run_wl(cloud, ell=2, iters=3)
 print("pair-color classes per iteration:", store.class_counts())
 
-eps = enhanced_profiles_from_wl3(store)
-print(f"{len(eps)} distinct enhanced profiles extracted"
-      f" (multiset size {sum(eps.values())} = n^3)")
+table = enhanced_profiles_from_wl3(store)
+print(f"{len(table)} distinct enhanced profiles extracted"
+      f" (multiset size {table.counts.sum()} = n^3)")
 
-candidates = select_cone_tuple(eps.keys())
+candidates = select_cone_tuple(table)
 print(f"{len(candidates)} full-dimensional candidates,"
       " ordered by the elimination depth bound")
 

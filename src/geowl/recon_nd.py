@@ -12,10 +12,11 @@ Extraction reads the history through `wl._History`, which numbers the
 distinct squared distances and barycenter norms in increasing order (exact
 ones as integers over one denominator), and builds one `ProfileTable` per
 store: each enhanced profile as arrays of those numbers, each distinct
-substituted profile once.  Ranking runs on these arrays; the
-`EnhancedProfile` of a candidate, in Fractions or floats, is built only when
-reconstruction tries it.  Gram matrices and exact elimination come from
-`geometry`.
+substituted profile once.  Ranking is one float pass over these arrays,
+`ProfileTable.ranks_and_bounds`, which gives each row its rank and depth
+bound from one Gram build; the `EnhancedProfile` of a candidate, in
+Fractions or floats, is built only when reconstruction tries it.  Gram
+matrices and exact elimination come from `geometry`.
 
 Reconstruction runs in the anchors' Gram coordinates: with the barycenter
 at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
@@ -33,10 +34,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -51,28 +52,6 @@ from .geometry import mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
 from .report import ReconstructionReport
 from .wl import (ColorStore, Interner, _distinct_rows, _History, _index, _sorted_rows,
                  compare, fingerprint, run_wl, run_wl_from_sq_values)
-
-
-def barycenter_dists_from_wl1(store: ColorStore) -> dict[int, tuple]:
-    """Per iteration-1 tuple color, the squared barycenter distance of each slot.
-
-    `wl._History` reads the per-slot distance multisets off the substitution
-    records' initial colors and deflates the cloud-wide multiset of them,
-    whose multiplicities are inflated by n^(d-2), before applying the
-    barycenter identity.
-    """
-    return _History(store, 1).norms
-
-
-def profiles_from_wl2(store: ColorStore) -> dict[int, tuple]:
-    """Per iteration-2 tuple color, the distance profile of (b, x_1, ..., x_{d-1}).
-
-    Profile entries are (d(y,b)^2, d(y,x_1)^2, ..., d(y,x_{d-1})^2) over the
-    cloud points y, as a sorted multiset.
-    """
-    h = _History(store, 2)
-    return {c: tuple(tuple(map(h.distances.__getitem__, e)) for e in rows)
-            for c, rows in zip(h.c2, h.entries.tolist())}
 
 
 @dataclass(frozen=True)
@@ -113,16 +92,15 @@ def _float_rows(rows) -> tuple:
     return tuple(tuple(float(x) for x in row) for row in rows)
 
 
-class ProfileTable(Mapping):
-    """Enhanced profiles as arrays of value ids; a mapping of EnhancedProfile to multiplicity.
+class ProfileTable:
+    """Enhanced profiles with their multiplicities, as arrays of value ids.
 
     distances[v] is the v-th smallest distinct squared distance (Fractions
     for an exact store, else floats) and floats[v] its float, correctly rounded.
     Row r is one distinct enhanced profile: A[r] holds the ids of its anchor
     distance matrix and profiles[P[r, i]] the (n, d) ids of its profile i,
     so each distinct substituted profile is stored once; counts[r] is its
-    multiplicity.  `profile(r)` builds row r's EnhancedProfile; iterating or
-    indexing the mapping builds them all.
+    multiplicity.  `profile(r)` builds row r's EnhancedProfile.
     """
 
     def __init__(self, distances: list, A: np.ndarray, P: np.ndarray, profiles: np.ndarray,
@@ -164,70 +142,52 @@ class ProfileTable(Mapping):
         return EnhancedProfile(SquaredDistanceMatrix(self.d + 1, self._rows(self.A[r])),
                                tuple(map(cache.__getitem__, self.P[r].tolist())))
 
-    @cached_property
-    def _mapping(self) -> dict:
-        return dict(zip(map(self.profile, range(len(self))), self.counts.tolist()))
-
     def __len__(self) -> int:
         return len(self.A)
-
-    def __iter__(self):
-        return iter(self._mapping)
-
-    def __getitem__(self, ep: EnhancedProfile) -> int:
-        return self._mapping[ep]
-
-    def keys(self):
-        """The table itself, so that select_cone_tuple(eps.keys()) ranks the arrays."""
-        return self
 
     def repeats(self) -> np.ndarray:
         """Per row, whether two of (b, x_1, ..., x_d) coincide."""
         off = ~np.eye(self.d + 1, dtype=bool)
         return (self.A[:, off] == self.distances.index(0)).any(-1)
 
-    def ranks(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """`gram_affine_dim` of the anchor matrices of rows, from one float pass.
+    def ranks_and_bounds(self, rows: np.ndarray, tol: float = DEFAULT_TOL):
+        """Per row, `gram_affine_dim` of its anchor matrix and profile 0's `depth_bound`.
 
-        Float stores take `geometry._float_rank` of the stacked Gram
-        matrices.  For exact stores a float determinant
-        of G above 1e-8 * max|G_ij|^d is nonzero, as rounding the entries
-        and the elimination perturb it by orders of magnitude less; only
-        the rest take the exact `gram_affine_dim`.
+        One float Gram stack per block of 1024 rows gives both.  Float stores
+        take `geometry._float_rank` of it.  For exact stores a float
+        determinant of G above 1e-8 * max|G_ij|^d is nonzero, as rounding the
+        entries and the elimination perturb it by orders of magnitude less;
+        only the rest take the exact `gram_affine_dim`.  Only rows of rank d
+        are inverted, one by one if the block's inverse raises, and get a
+        bound.  Every row without a finite bound (all its candidates on a
+        face, G singular in floats, or rank below d) gets +inf.
         """
         d = self.d
-        G = _gram(self.floats[self.A[rows]])
-        if not self.exact:
-            return _float_rank(G, tol)
-        ranks = np.full(len(rows), d)
-        scale = np.abs(G).max(axis=(-2, -1)) ** d
-        for k in np.flatnonzero(~(np.abs(np.linalg.det(G)) > 1e-8 * scale)).tolist():
-            ranks[k] = gram_affine_dim(SquaredDistanceMatrix(d + 1, self._rows(self.A[rows[k]])))
-        return ranks
-
-    def bounds(self, rows: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """`depth_bound` from profile 0's mirror candidates of each full-rank row, NaN as inf.
-
-        Each row's bound is its own, so rows go in blocks of 1024 to bound memory.
-        """
-        out = []
-        for block in (rows[i:i + 1024] for i in range(0, len(rows), 1024)):
+        ranks, bounds = np.full(len(rows), d), np.full(len(rows), np.inf)
+        for s in range(0, len(rows), 1024):
+            block, rank = rows[s:s + 1024], ranks[s:s + 1024]  # rank is a view
             G = _gram(self.floats[self.A[block]])
-            singular = np.zeros(len(block), dtype=bool)
+            if not self.exact:
+                rank[:] = _float_rank(G, tol)
+            else:
+                scale = np.abs(G).max(axis=(-2, -1)) ** d
+                for k in np.flatnonzero(~(np.abs(np.linalg.det(G)) > 1e-8 * scale)).tolist():
+                    rank[k] = gram_affine_dim(
+                        SquaredDistanceMatrix(d + 1, self._rows(self.A[block[k]])))
+            full = np.flatnonzero(rank == d)
+            G = G[full]
             try:
                 H = np.linalg.inv(G)
-            except np.linalg.LinAlgError:  # rows of exact rank d singular in floats rank last
-                H = np.full_like(G, np.nan)
+            except np.linalg.LinAlgError:
+                H = np.full_like(G, np.nan)  # rows singular in floats stay NaN
                 for k, g in enumerate(G):
-                    try:
+                    with suppress(np.linalg.LinAlgError):
                         H[k] = np.linalg.inv(g)
-                    except np.linalg.LinAlgError:
-                        singular[k] = True
-            plus, minus, _ = mirror_lambdas(G, H, self.floats[self.profiles[self.P[block, 0]]],
-                                            0, tol)
+            plus, minus, _ = mirror_lambdas(
+                G, H, self.floats[self.profiles[self.P[block[full], 0]]], 0, tol)
             bound = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
-            out.append(np.where(singular, np.nan, bound))
-        return np.nan_to_num(np.concatenate(out), nan=np.inf)
+            bounds[s + full] = np.where(np.isfinite(bound), bound, np.inf)  # NaN too
+        return ranks, bounds
 
     def order(self, rows: np.ndarray, primary: np.ndarray) -> np.ndarray:
         """Positions of rows sorted by (primary, float anchor matrix, float profiles).
@@ -376,24 +336,27 @@ class Ranked(Sequence):
         return self.table.profile(self.rows[k])
 
 
-def select_cone_tuple(eps, tol: float = DEFAULT_TOL) -> Ranked:
-    """Order enhanced profiles for reconstruction attempts.
+def select_cone_tuple(table: ProfileTable, tol: float = DEFAULT_TOL) -> Ranked:
+    """Order a table's enhanced profiles for reconstruction attempts.
 
-    eps is a ProfileTable or any iterable of EnhancedProfiles, which are put
-    in one.  Degenerate clouds: one profile of maximal dimension.  Otherwise
-    every d-dimensional profile (a repeated point skips the rank test) by
-    increasing `depth_bound` from profile 0's mirror candidates, then
-    `sort_key`, from one float pass over the stacked Gram matrices.  A thin
-    cone gets a large bound; an unbounded one ranks last.  The result is a
-    `Ranked` sequence, which builds each EnhancedProfile when it is read.
+    Every d-dimensional profile (a repeated point skips the rank test) goes
+    by increasing `depth_bound` from profile 0's mirror candidates, then
+    `sort_key`, from one `ranks_and_bounds` pass.  A thin cone gets a large
+    bound; rows with no finite bound share +inf and come last, by `sort_key`.
+    Degenerate clouds get one profile of maximal dimension, also among rows
+    that repeat a point.  The result is a `Ranked` sequence, which builds
+    each EnhancedProfile when it is read.
     """
-    table = eps if isinstance(eps, ProfileTable) else ProfileTable.from_profiles(eps)
-    rows = np.flatnonzero(~table.repeats())
-    rows = rows[table.ranks(rows, tol) == table.d]
-    if len(rows):
-        return Ranked(table, rows[table.order(rows, table.bounds(rows, tol))], True)
-    ranks = table.ranks(np.arange(len(table)), tol)
-    rows = np.flatnonzero(ranks == ranks.max())
+    repeats = table.repeats()
+    rows = np.flatnonzero(~repeats)
+    ranks, bounds = table.ranks_and_bounds(rows, tol)
+    full = ranks == table.d
+    if full.any():
+        rows = rows[full]
+        return Ranked(table, rows[table.order(rows, bounds[full])], True)
+    rest = np.flatnonzero(repeats)
+    rows, ranks = np.r_[rows, rest], np.r_[ranks, table.ranks_and_bounds(rest, tol)[0]]
+    rows = np.sort(rows[ranks == ranks.max()])
     return Ranked(table, rows[table.order(rows, np.zeros(len(rows)))][:1], False)
 
 

@@ -14,17 +14,28 @@ from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
 from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, ProfileTable,
-                            _gram, _inverse, barycenter_dists_from_wl1, depth_bound,
-                            enhanced_profiles_from_wl3, mirror_lambdas, profiles_from_wl2,
-                            reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
-                            select_cone_tuple)
-from geowl.wl import run_wl
+                            _gram, _inverse, depth_bound, enhanced_profiles_from_wl3,
+                            mirror_lambdas, reconstruct_fulldim, reconstruct_lowdim,
+                            reconstruct_nd, select_cone_tuple)
+from geowl.wl import _History, run_wl
 
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
                      (F(0), F(1), F(0)), (F(0), F(0), F(1))))
 PLANAR3 = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
                          (F(0), F(1), F(0)), (F(1), F(1), F(0)),
                          (F(2), F(1), F(0))))
+# a gap of 1e-12 is exactly a full-rank tuple, but some of its float Gram
+# matrices are singular
+TINY_GAP = PointCloud(3, ((F(0), F(0), F(0)), (F(1, 10 ** 12), F(0), F(0)),
+                          (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(1), F(1), F(1))))
+
+
+def _multiset(table):
+    """A ProfileTable as a Counter of EnhancedProfile to multiplicity."""
+    out = Counter()
+    for r, m in enumerate(table.counts.tolist()):
+        out[table.profile(r)] += m
+    return out
 
 
 def _direct_bary_tuples(cloud, m):
@@ -70,7 +81,7 @@ def _direct_eps(cloud):
 @pytest.mark.parametrize("cloud", [TET, PLANAR3], ids=["tetrahedron", "planar"])
 def test_barycenter_tuple_distances_match_direct(cloud):
     store = run_wl(cloud, 2, 1)
-    bary = barycenter_dists_from_wl1(store)
+    bary = _History(store, 1).norms
     got = Counter()
     for cid in store.tables[1]:
         got[bary[cid]] += 1
@@ -81,14 +92,14 @@ def test_barycenter_tuple_distances_random():
     for seed in range(10):
         cloud = oracle.random_cloud(3 + seed % 3, 3, seed=seed, grid=4)
         store = run_wl(cloud, 2, 1)
-        bary = barycenter_dists_from_wl1(store)
+        bary = _History(store, 1).norms
         got = Counter(bary[cid] for cid in store.tables[1])
         assert got == _direct_bary_tuples(cloud, 2)
 
 
 def test_diagonal_tuple_gets_equal_slots():
     store = run_wl(TET, 2, 1)
-    bary = barycenter_dists_from_wl1(store)
+    bary = _History(store, 1).norms
     n = TET.n
     for i in range(n):
         cid = store.tables[1][i * n + i]  # tuple (x_i, x_i)
@@ -98,7 +109,9 @@ def test_diagonal_tuple_gets_equal_slots():
 @pytest.mark.parametrize("cloud", [TET, PLANAR3], ids=["tetrahedron", "planar"])
 def test_profiles_match_direct(cloud):
     store = run_wl(cloud, 2, 2)
-    prof = profiles_from_wl2(store)
+    h = _History(store, 2)
+    prof = {c: tuple(tuple(map(h.distances.__getitem__, e)) for e in rows)
+            for c, rows in zip(h.c2, h.entries.tolist())}
     got = Counter(prof[cid] for cid in store.tables[2])
     assert got == _direct_profiles(cloud, 2)
 
@@ -107,16 +120,16 @@ def test_enhanced_profiles_match_direct():
     for cloud in (TET, PLANAR3):
         store = run_wl(cloud, 2, 3)
         got = enhanced_profiles_from_wl3(store)
-        assert Counter(got) == _direct_eps(cloud)
+        assert _multiset(got) == _direct_eps(cloud)
     for seed in range(5):
         cloud = oracle.random_cloud(4 + seed % 2, 3, seed=100 + seed, grid=3)
         got = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
-        assert Counter(got) == _direct_eps(cloud)
+        assert _multiset(got) == _direct_eps(cloud)
 
 
 def test_enhanced_profile_matrix_shape_invariants():
     store = run_wl(TET, 2, 3)
-    for ep in enhanced_profiles_from_wl3(store):
+    for ep in _multiset(enhanced_profiles_from_wl3(store)):
         assert ep.a.order == 4
         arr = ep.a.as_array()
         assert np.allclose(arr, arr.T) and np.allclose(np.diag(arr), 0)
@@ -128,20 +141,20 @@ def test_ep_multiset_is_isometry_invariant():
     moved = oracle.apply_random_isometry(cloud, seed=10)
     a = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
     b = enhanced_profiles_from_wl3(run_wl(moved, 2, 3))
-    assert Counter(a) == Counter(b)
+    assert _multiset(a) == _multiset(b)
 
 
 def test_ep_dimension_rule():
     # the maximal enhanced-profile dimension equals the cloud's affine dimension
     from geowl.geometry import affine_dim
     for cloud in (TET, PLANAR3):
-        eps = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
+        eps = _multiset(enhanced_profiles_from_wl3(run_wl(cloud, 2, 3)))
         assert max(ep.dimension() for ep in eps) == affine_dim(cloud.points)
 
 
 def test_select_cone_tuple_planar_goes_lowdim():
     eps = enhanced_profiles_from_wl3(run_wl(PLANAR3, 2, 3))
-    chosen = select_cone_tuple(eps.keys())
+    chosen = select_cone_tuple(eps)
     assert len(chosen) == 1
     assert chosen[0].dimension() == 2
 
@@ -150,7 +163,7 @@ def test_select_cone_tuple_minimal_angle_cone_is_empty():
     # brute-force check of the cone condition for the minimal-angle profile
     eps = enhanced_profiles_from_wl3(run_wl(TET, 2, 3))
     from geowl.geometry import anchor_embed
-    chosen = sorted(select_cone_tuple(eps.keys()), key=lambda ep: (solid_angle_mc(
+    chosen = sorted(select_cone_tuple(eps), key=lambda ep: (solid_angle_mc(
         ConeSpec(generators=tuple(map(tuple, anchor_embed(ep.a, 3, 1e-9)[1:]))), 200_000, 5),
         ep.sort_key()))
     zs = anchor_embed(chosen[0].a, 3)[1:]
@@ -165,28 +178,32 @@ def test_select_cone_tuple_minimal_angle_cone_is_empty():
 
 
 def test_select_deterministic_for_fixed_seed():
-    eps = list(enhanced_profiles_from_wl3(run_wl(TET, 2, 3)))
-    a = list(select_cone_tuple(eps))
-    assert list(select_cone_tuple(eps)) == a
+    eps = list(_multiset(enhanced_profiles_from_wl3(run_wl(TET, 2, 3))))
+    a = list(select_cone_tuple(ProfileTable.from_profiles(eps)))
+    assert list(select_cone_tuple(ProfileTable.from_profiles(eps))) == a
     for seed in range(3):
         shuffled = eps[:]
         random.Random(seed).shuffle(shuffled)
-        assert list(select_cone_tuple(shuffled)) == a
+        assert list(select_cone_tuple(ProfileTable.from_profiles(shuffled))) == a
 
 
-def _ranking_bound(ep):
-    """The depth bound `select_cone_tuple` ranks by, for one profile."""
-    G = np.asarray(ep.gram(), dtype=float)
-    H = np.linalg.inv(G)
+def _ranking_bound(ep, tol=1e-9):
+    """The depth bound `select_cone_tuple` ranks by, for one profile; NaN if G is
+    singular in floats."""
+    G = _gram(ep.a.as_array())
+    try:
+        H = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        return math.nan
     E = np.array([[float(v) for v in e] for e in ep.profiles[0]])
-    plus, minus, _ = mirror_lambdas(G, H, E, 0, 1e-9)
-    return float(depth_bound(np.concatenate([plus, minus]), G, H, 1e-9)[1])
+    plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
+    return float(depth_bound(np.concatenate([plus, minus]), G, H, tol)[1])
 
 
 def test_select_order_is_nondecreasing_in_the_depth_bound():
     for n, d, seed in [(6, 3, 5), (8, 3, 3), (5, 4, 4000)]:
         eps = enhanced_profiles_from_wl3(run_wl(oracle.random_cloud(n, d, seed), d - 1, 3))
-        bounds = [_ranking_bound(ep) for ep in select_cone_tuple(eps.keys())]
+        bounds = [_ranking_bound(ep) for ep in select_cone_tuple(eps)]
         assert bounds == sorted(bounds), (n, d, seed)
         assert bounds[0] < bounds[-1]
 
@@ -200,7 +217,7 @@ def _select_by_one_sort(eps, tol=1e-9):
     E = np.array([[[float(v) for v in e] for e in ep.profiles[0]] for ep in cands])
     plus, minus, _ = mirror_lambdas(G, H, E, 0, tol)
     bounds = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
-    ranked = zip(np.nan_to_num(bounds, nan=np.inf).tolist(),
+    ranked = zip(np.nan_to_num(bounds, nan=np.inf, posinf=np.inf).tolist(),
                  map(EnhancedProfile.sort_key, cands), cands)
     return [ep for *_, ep in sorted(ranked, key=lambda r: r[:2])]
 
@@ -215,7 +232,7 @@ def test_select_order_equals_one_sort_on_bound_and_sort_key():
                   floated):
         table = enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3))
         ranked = select_cone_tuple(table)
-        want = _select_by_one_sort(list(table) if cloud is floated else _direct_eps(cloud))
+        want = _select_by_one_sort(_multiset(table) if cloud is floated else _direct_eps(cloud))
         assert ranked.full and list(ranked) == want
         # on the integer grid, congruent anchor sets tie on (bound, anchor matrix)
         keys = [(_ranking_bound(ep), ep.a.as_array().tolist()) for ep in want]
@@ -248,27 +265,51 @@ def test_candidate_order_is_pinned(n, d, seed, digest):
 
 
 def test_rows_singular_in_floats_rank_last():
-    # a gap of 1e-12 is exactly a full-rank tuple, but some of its float Gram
-    # matrices are singular: those rows rank last instead of raising LinAlgError
-    cloud = PointCloud(3, ((F(0), F(0), F(0)), (F(1, 10 ** 12), F(0), F(0)),
-                           (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(1), F(1), F(1))))
+    # rows singular in floats rank last instead of raising LinAlgError
+    cloud = TINY_GAP
     table = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
     rows = np.arange(len(table))
     rows = rows[~table.repeats()]
-    rows = rows[table.ranks(rows) == 3]
+    ranks, bounds = table.ranks_and_bounds(rows)
+    rows, bounds = rows[ranks == 3], bounds[ranks == 3]
     singular = []
     for r in rows.tolist():
         try:
             np.linalg.inv(_gram(table.floats[table.A[[r]]]))
         except np.linalg.LinAlgError:
             singular.append(r)
-    bounds = dict(zip(rows.tolist(), table.bounds(rows).tolist()))
+    bounds = dict(zip(rows.tolist(), bounds.tolist()))
     assert singular and all(bounds[r] == math.inf for r in singular)
     ranked = select_cone_tuple(table).rows
     assert min(map(ranked.index, singular)) >= sum(b < math.inf for b in bounds.values())
     rep = reconstruct(cloud, "wlnd")
     assert rep.verified and rep.counters["candidates_tried"] == 2
     assert rep.counters["total_candidates"] == 27
+
+
+# an octahedron with TINY_GAP's gap at one vertex, mirrored to keep the
+# barycenter at the origin: orthogonal anchor triples have every candidate on a
+# face (bound inf), and the gap's triples are singular in floats (NaN)
+GAPPED_OCTAHEDRON = PointCloud(3, tuple(tuple(map(F, p)) for p in (
+    (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+    (1, F(1, 10 ** 12), 0), (-1, F(-1, 10 ** 12), 0))))
+
+
+@pytest.mark.parametrize("cloud, counters", [(TINY_GAP, (2, 27)), (GAPPED_OCTAHEDRON, None)],
+                         ids=["tiny-gap", "gapped-octahedron"])
+def test_rows_without_a_finite_bound_rank_last_by_sort_key(cloud, counters):
+    # every row with no finite bound, whatever the reason, ranks after every
+    # finite one, and those rows go in one `sort_key` order
+    ranked = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(cloud, 2, 3)))
+    bounds = [_ranking_bound(ep) for ep in ranked]
+    finite = sum(map(math.isfinite, bounds))
+    assert finite < len(bounds) and all(map(math.isfinite, bounds[:finite]))
+    last = list(ranked)[finite:]
+    assert last == sorted(last, key=EnhancedProfile.sort_key)
+    rep = reconstruct(cloud, "wlnd")
+    assert rep.verified
+    if counters:
+        assert (rep.counters["candidates_tried"], rep.counters["total_candidates"]) == counters
 
 
 def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):
@@ -291,14 +332,15 @@ def test_table_rank_agrees_with_gram_affine_dim():
               PointCloud.from_array(oracle.random_cloud(6, 3, 1, grid=1, span=1).as_array())]
     for cloud in clouds:
         table = enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3))
-        ranks = table.ranks(np.arange(len(table))).tolist()
+        ranks = table.ranks_and_bounds(np.arange(len(table)))[0].tolist()
         assert ranks == [gram_affine_dim(table.profile(r).a) for r in range(len(table))]
         assert min(ranks) < max(ranks)
 
 
 def test_repeated_point_filter_agrees_with_the_exact_rank():
     for n, d, seed in [(4, 3, 1), (6, 3, 2), (5, 3, 3000), (4, 4, 4), (5, 4, 5), (6, 4, 6)]:
-        eps = enhanced_profiles_from_wl3(run_wl(oracle.random_cloud(n, d, seed), d - 1, 3))
+        eps = _multiset(enhanced_profiles_from_wl3(
+            run_wl(oracle.random_cloud(n, d, seed), d - 1, 3)))
         repeats = 0
         for ep in eps:
             full = gram_affine_dim(ep.a) == d
@@ -327,7 +369,7 @@ def test_reconstruct_lowdim_paths():
 
 def test_reconstruct_lowdim_anchors_only():
     eps = enhanced_profiles_from_wl3(run_wl(PLANAR3, 2, 3))
-    chosen = select_cone_tuple(eps.keys())[0]
+    chosen = select_cone_tuple(eps)[0]
     pts = reconstruct_lowdim(chosen).points
     assert pts.shape == (PLANAR3.n, 3)
 
@@ -418,7 +460,7 @@ def test_greedy_reflection_path_reaches_base_region():
 
 def test_epsilon_clears_all_recovered_points():
     eps = enhanced_profiles_from_wl3(run_wl(TET, 2, 3))
-    chosen = select_cone_tuple(eps.keys())[0]
+    chosen = select_cone_tuple(eps)[0]
     res = reconstruct_fulldim(chosen)
     assert res.epsilon is not None
     planes = []
@@ -477,8 +519,8 @@ def test_thin_cone_ranks_last_and_fails_at_the_depth_cap():
     thin = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (12, 15, 19)))
     wide = _direct_ep(cloud, b, tuple(cloud.points[i] for i in (0, 1, 2)))
     assert thin.dimension() == wide.dimension() == 3
-    assert list(select_cone_tuple([thin])) == [thin]
-    assert list(select_cone_tuple([thin, wide])) == [wide, thin]
+    assert list(select_cone_tuple(ProfileTable.from_profiles([thin]))) == [thin]
+    assert list(select_cone_tuple(ProfileTable.from_profiles([thin, wide]))) == [wide, thin]
     assert _ranking_bound(wide) < _ranking_bound(thin)
     start = time.perf_counter()
     with pytest.raises(CandidateRejected, match=r"depth bound \(cap 10\)") as info:
@@ -551,7 +593,7 @@ def test_float_slot_norms_use_the_grid_step():
         pts = np.random.default_rng(seed).normal(size=(6, 3)) * 3
         cloud = PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
         store = run_wl(cloud, 2, 1, mode="float", snap=1e-4)
-        norms = barycenter_dists_from_wl1(store)
+        norms = _History(store, 1).norms
         assert min(map(min, norms.values())) >= 0.0, seed
 
 
