@@ -236,23 +236,15 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     place(u)
     place(v)
 
-    def u_candidates(d2, n2):
-        x = (ru2 + n2 - d2) / (2 * ru)
-        h2 = n2 - x * x
-        if h2 <= tol * max(1.0, n2):
-            return [(x, 0.0)]
-        h = math.sqrt(h2)
-        return [(x, h), (x, -h)]
-
-    vx, vy = v[0] / rv, v[1] / rv
-
-    def v_candidates(d2, n2):
-        x = (rv2 + n2 - d2) / (2 * rv)
-        h2 = n2 - x * x
-        if h2 <= tol * max(1.0, n2):
-            return [(x * vx, x * vy)]
-        h = math.sqrt(h2)
-        return [(x * vx - h * vy, x * vy + h * vx), (x * vx + h * vy, x * vy - h * vx)]
+    def candidates(r2, r, ex, ey):  # an entry (d2, n2)'s points, for the pivot r * (ex, ey)
+        def cands(d2, n2):
+            x = (r2 + n2 - d2) / (2 * r)
+            h2 = n2 - x * x
+            if h2 <= tol * max(1.0, n2):
+                return [(x * ex + 0.0, x * ey + 0.0)]  # + 0.0 turns -0.0 into 0.0
+            h = math.sqrt(h2)
+            return [(x * ex - h * ey, x * ey + h * ex), (x * ex + h * ey, x * ey - h * ex)]
+        return cands
 
     ang_tol = max(tol, 1e-12) * 10
 
@@ -268,7 +260,8 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
 
     round_bound = math.ceil(1.0 + math.pi / alpha)
     walk = []  # (round, side, position, entries, candidate; None if both are forbidden)
-    for side, (entries, cands_of) in enumerate(((m_u, u_candidates), (m_v, v_candidates))):
+    for side, (entries, cands_of) in enumerate(((m_u, candidates(ru2, ru, 1.0, 0.0)),
+                                                (m_v, candidates(rv2, rv, v[0] / rv, v[1] / rv)))):
         for i, e in entries.live():
             cands = cands_of(*e)
             if len(cands) == 1:

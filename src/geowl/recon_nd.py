@@ -27,7 +27,8 @@ epsilon^2 (G^-1)_jj, and reflecting through face j is the rational map
 lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  Degenerate clouds are
 placed inside the anchors' span; full-dimensional ones by forbidden-region
 elimination under a potential bound on the depth, the anchor tuples tried
-in increasing order of that bound.
+in increasing order of that bound; each is certified, and the accepted one
+rendered as float points, from G.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ import numpy as np
 
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
-from .errors import InconsistentDataError, NotRealizableError, ReconstructionError
+from .errors import InconsistentDataError, ReconstructionError
 from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _exact_rank,
-                       _float_rank, _gram, anchor_embed, gram_affine_dim, is_exact)
+                       _float_rank, _gram, gram_affine_dim, is_exact)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
-from .geometry import mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
+from .geometry import anchor_embed, mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
 from .report import ReconstructionReport
 from .wl import (ColorStore, Interner, _distinct_rows, _History, _index, _sorted_rows,
-                 compare, fingerprint, run_wl, run_wl_from_sq_values)
+                 compare, fingerprint, run_wl_from_sq_values)
+from .wl import run_wl  # noqa: F401  (not called here either)
 
 
 @dataclass(frozen=True)
@@ -362,18 +364,28 @@ def select_cone_tuple(table: ProfileTable, tol: float = DEFAULT_TOL) -> Ranked:
 
 @dataclass
 class GramCloud:
-    """Point p is sum_j lambdas[p][j] z_j over the anchors of ep, in ep's scalar type."""
+    """Point p is sum_j lambdas[p][j] z_j over ep's anchors, of Gram matrix G, in G's type."""
 
     ep: EnhancedProfile
+    G: np.ndarray
     lambdas: list[tuple]
     depth: int = 0
     gamma_bound: int = 0
     epsilon: float | None = None
 
     @property
-    def points(self) -> np.ndarray:  # the barycenter row of anchor_embed is the origin
-        Z = anchor_embed(self.ep.a, len(self.ep.profiles), DEFAULT_TOL)[1:]
-        return np.array(self.lambdas, dtype=float) @ Z
+    def points(self) -> np.ndarray:
+        """Float points in `anchor_embed`'s frame: x = (lambda L) sqrt(D), G = L D L^T factored
+        in G's arithmetic over the anchors that lambda uses, so only lambda L and sqrt(D)
+        are rounded (a negative float D is clamped to 0)."""
+        lams = np.array(self.lambdas, dtype=self.G.dtype)
+        used = np.flatnonzero((lams != 0).any(0))
+        G, d = self.G[np.ix_(used, used)], len(self.G)
+        L, D = np.eye(len(used), d, dtype=G.dtype), np.zeros(d, dtype=G.dtype)
+        for k in range(len(used)):
+            D[k] = G[k, k] - (L[k, :k] ** 2 * D[:k]).sum()
+            L[k + 1:, k] = (G[k + 1:, k] - (L[k + 1:, :k] * L[k, :k] * D[:k]).sum(-1)) / D[k]
+        return (lams[:, used] @ L).astype(float) * np.sqrt(np.maximum(D.astype(float), 0.0))
 
 
 def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramCloud:
@@ -395,7 +407,7 @@ def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramClo
     dots = _dots(G, np.array(ep.profiles[drop], dtype=G.dtype), drop)
     lams = np.zeros_like(dots)
     lams[:, basis] = dots[:, basis] @ _inverse(G[np.ix_(basis, basis)])
-    return GramCloud(ep, list(map(tuple, lams.tolist())))
+    return GramCloud(ep, G, list(map(tuple, lams.tolist())))
 
 
 class ForbiddenRegion:
@@ -512,7 +524,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
     for i in range(d):
         profiles[i].sweep(chooser(i, lambda c: False), place)
     if not any(profiles):
-        return GramCloud(ep, placed)
+        return GramCloud(ep, G, placed)
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
     rest = np.array([c for _, e in profiles[0].live() for c in cands_of[0][e]], dtype=G.dtype)
@@ -527,7 +539,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         for i in range(d):
             profiles[i].sweep(chooser(i, lambda c: region.membership(c, depth)), place)
         if not any(profiles):
-            return GramCloud(ep, placed, depth, int(gamma), math.sqrt(float(eps2)))
+            return GramCloud(ep, G, placed, depth, int(gamma), math.sqrt(float(eps2)))
         depth += 1
         if depth > depth_cap:
             raise CandidateRejected(
@@ -542,12 +554,13 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
 
     Candidates go in `select_cone_tuple`'s order, each built when it is
     tried; one is accepted when its recoloring reproduces the input
-    fingerprint, which certifies isometry.
-    Exact stores color the Gram coordinates' squared distances
-    (l_x - l_y)^T G (l_x - l_y) exactly against `fingerprint(store)`; float
-    stores recolor float coordinates at verify_snap, as the input, and only
-    they read verify_snap.  counters["failures"] counts the earlier rejects
-    by FAILURE_REASONS.  `samples` and `seed` are unread (perfbench passes them).
+    fingerprint, which certifies isometry.  Every candidate's squared
+    distances (l_x - l_y)^T G (l_x - l_y), in G's arithmetic, are recolored
+    in the store's mode: exactly against `fingerprint(store)`, or at
+    verify_snap against the input's distances for a float store, which alone
+    reads verify_snap and first bounds the drift m^T G m of the mean lambda.
+    counters["failures"] counts the earlier rejects by FAILURE_REASONS.
+    `samples` and `seed` are unread (perfbench passes them).
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
@@ -557,24 +570,23 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                                     counters={"candidates_tried": 0})
 
     candidates = select_cone_tuple(enhanced_profiles_from_wl3(store), tol=tol)
-    exact = store.interner.mode == "exact"
-    verify_interner = Interner("float", verify_snap)
-    fin = fingerprint(store, 3) if exact else fingerprint(run_wl_from_sq_values(
-        [[float(v) for v in row] for row in store.sq_matrix_values()], store.ell, 3, d,
-        mode="float", snap=verify_snap, interner=verify_interner))
+    interner = Interner(store.interner.mode, verify_snap)
 
-    def recolored(res: GramCloud):
-        if exact:
-            L = np.array(res.lambdas, dtype=object)
-            diff = L[:, None, :] - L[None, :, :]
-            sq = ((diff @ res.ep.gram()) * diff).sum(-1).tolist()
-            return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode="exact"))
-        pts = res.points
-        drift = float(np.linalg.norm(pts.mean(axis=0)))
-        if drift > 1e-6 * max(1.0, float(np.max(np.abs(pts)))):
-            raise ReconstructionError(f"barycenter drift {drift:.3e}")
-        return fingerprint(run_wl(PointCloud.from_array(pts), store.ell, 3, mode="float",
-                                  snap=verify_snap, interner=verify_interner))
+    def recolored(sq):
+        return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode=interner.mode,
+                                                 snap=verify_snap, interner=interner))
+
+    exact = interner.mode == "exact"
+    fin = fingerprint(store, 3) if exact else recolored(store.dist_floats[store.dist_array])
+
+    def certificate(res: GramCloud):
+        lams, G = np.array(res.lambdas, dtype=res.G.dtype), res.G
+        if not exact:
+            mean = lams.mean(axis=0)
+            if (drift2 := mean @ G @ mean) > 1e-12 * max(1.0, ((lams @ G) * lams).sum(-1).max()):
+                raise ReconstructionError(f"barycenter drift {math.sqrt(drift2):.3e}")
+        diff = lams[:, None, :] - lams[None, :, :]
+        return recolored(((diff @ G) * diff).sum(-1))
 
     failures: list[str] = []
     reasons = dict.fromkeys(FAILURE_REASONS, 0)
@@ -588,11 +600,10 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                 res, method = reconstruct_fulldim(ep, tol, max_depth), "nd-fulldim"
                 counters.update(depth=res.depth, gamma_bound=res.gamma_bound,
                                 epsilon=res.epsilon)
-            if compare(fin, recolored(res)) == "equal":
+            if compare(fin, certificate(res)) == "equal":
                 return ReconstructionReport(cloud=PointCloud.from_array(res.points),
                                             method=method, counters=counters)
-        except (ReconstructionError, InconsistentDataError, NotRealizableError,
-                ValueError) as exc:
+        except (ReconstructionError, InconsistentDataError, ValueError) as exc:
             reasons[getattr(exc, "reason", "other")] += 1
             failures.append(f"candidate {tried}: {exc}")
             continue

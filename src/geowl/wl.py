@@ -264,10 +264,6 @@ class ColorStore:
         """float(value_of(did)) for every distance id up to the cloud's largest."""
         return np.array([float(self.value_of(did)) for did in range(self.dist_array.max() + 1)])
 
-    def sq_matrix_values(self):
-        """The cloud's n x n squared-distance values (exact or snapped floats)."""
-        return [[self.interner.dist_value(d) for d in row] for row in self.dist_array.tolist()]
-
     def class_counts(self) -> list[int]:
         return [len(set(t)) for t in self.tables]
 

@@ -17,7 +17,7 @@ from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion,
                             _gram, _inverse, depth_bound, enhanced_profiles_from_wl3,
                             mirror_lambdas, reconstruct_fulldim, reconstruct_lowdim,
                             reconstruct_nd, select_cone_tuple)
-from geowl.wl import _History, run_wl
+from geowl.wl import _History, run_wl, run_wl_from_sq_values
 
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
                      (F(0), F(1), F(0)), (F(0), F(0), F(1))))
@@ -295,9 +295,10 @@ GAPPED_OCTAHEDRON = PointCloud(3, tuple(tuple(map(F, p)) for p in (
     (1, F(1, 10 ** 12), 0), (-1, F(-1, 10 ** 12), 0))))
 
 
-@pytest.mark.parametrize("cloud, counters", [(TINY_GAP, (2, 27)), (GAPPED_OCTAHEDRON, None)],
-                         ids=["tiny-gap", "gapped-octahedron"])
-def test_rows_without_a_finite_bound_rank_last_by_sort_key(cloud, counters):
+@pytest.mark.parametrize("cloud, counters, failures", [
+    (TINY_GAP, (2, 27), {"unmatched": 1}), (GAPPED_OCTAHEDRON, (1, 36), {})],
+    ids=["tiny-gap", "gapped-octahedron"])
+def test_rows_without_a_finite_bound_rank_last_by_sort_key(cloud, counters, failures):
     # every row with no finite bound, whatever the reason, ranks after every
     # finite one, and those rows go in one `sort_key` order
     ranked = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(cloud, 2, 3)))
@@ -308,8 +309,36 @@ def test_rows_without_a_finite_bound_rank_last_by_sort_key(cloud, counters):
     assert last == sorted(last, key=EnhancedProfile.sort_key)
     rep = reconstruct(cloud, "wlnd")
     assert rep.verified
-    if counters:
-        assert (rep.counters["candidates_tried"], rep.counters["total_candidates"]) == counters
+    assert (rep.counters["candidates_tried"], rep.counters["total_candidates"]) == counters
+    assert {k: v for k, v in rep.counters["failures"].items() if v} == failures
+
+
+def test_rendered_points_keep_a_gap_of_1e_12_apart():
+    # the render rounds only lambda L and sqrt(D), so the octahedron's vertex and
+    # its copy 1e-12 away stay distinct rows
+    ranked = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(GAPPED_OCTAHEDRON, 2, 3)))
+    pts = reconstruct_fulldim(ranked[0]).points
+    assert len(np.unique(pts, axis=0)) == GAPPED_OCTAHEDRON.n == 8
+
+
+def test_float_candidates_recolor_their_gram_coordinates(monkeypatch):
+    # a float store's candidates are certified from (l_x - l_y)^T G (l_x - l_y),
+    # bitwise symmetric with a zero diagonal; no candidate is embedded or
+    # recolored as a point cloud
+    matrices = []
+
+    def recolor(sq, *args, **kwargs):
+        matrices.append(np.asarray(sq))
+        return run_wl_from_sq_values(sq, *args, **kwargs)
+    monkeypatch.setattr("geowl.recon_nd.run_wl_from_sq_values", recolor)
+    for name in ("run_wl", "anchor_embed"):
+        monkeypatch.setattr(f"geowl.recon_nd.{name}", lambda *a, **k: pytest.fail("called"))
+    cloud = PointCloud.from_array(oracle.random_cloud(7, 3, 4).as_array() * 1.0001)
+    rep = reconstruct_nd(run_wl(cloud, 2, 3))
+    # four candidates are rejected as unmatched before the fifth is recolored
+    assert rep.counters["candidates_tried"] == 5 and len(matrices) == 2
+    for sq in matrices[1:]:
+        assert sq.dtype == float and np.array_equal(sq, sq.T) and not np.diagonal(sq).any()
 
 
 def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):

@@ -233,7 +233,8 @@ def test_distance_matrix_matches_pairwise_sq_dist():
     # the integer-exact and the vectorised float paths agree with sq_dist bit for bit
     cloud = _posed(9, 3, 41)
     for c, mode in ((cloud, None), (_floats(cloud), "exact")):
-        values = initial_coloring(c, 1, mode=mode).sq_matrix_values()
+        store = initial_coloring(c, 1, mode=mode)
+        values = [list(map(store.value_of, row)) for row in store.dist_array.tolist()]
         assert values == [[F(sq_dist(p, q)) for q in c.points] for p in c.points]
 
 
