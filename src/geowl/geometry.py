@@ -114,6 +114,19 @@ def squared_distance_matrix(points: Sequence[Sequence[Scalar]]) -> SquaredDistan
     return SquaredDistanceMatrix(order=k, entries=tuple(rows))
 
 
+def exact_sq_numerators(points: Sequence[Sequence[Scalar]]) -> tuple[np.ndarray, int]:
+    """Squared distances of rational points as an n x n integer matrix S over D^2,
+    D the common denominator.  Each S is at most d (2 max |x|)^2 over the scaled
+    coordinates x: the sums run in int64 when that bound fits, else over
+    Python ints."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    cols = [[c.numerator * (den // c.denominator) for c in col] for col in zip(*points)]
+    big = max(abs(x) for col in cols for x in col)
+    dtype = np.int64 if len(cols) * (2 * big) ** 2 < 2 ** 63 else object
+    sq = sum((a[:, None] - a[None, :]) ** 2 for a in (np.array(c, dtype=dtype) for c in cols))
+    return sq, den * den
+
+
 def barycenter(cloud: PointCloud) -> Point:
     """Arithmetic mean of the cloud's points; exact for rational coordinates."""
     n = cloud.n

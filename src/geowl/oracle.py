@@ -1,8 +1,12 @@
 """Ground-truth utilities: brute-force isometry decision and random generators.
 
 The isometry oracle is deliberately independent of the coloring machinery:
-it searches point correspondences directly and fits an orthogonal alignment,
-so it can serve as the reference answer when validating everything else.
+it searches point correspondences on the clouds' squared-distance matrices
+and fits an orthogonal alignment, so it can serve as the reference answer
+when validating everything else.  Its verdict is scale-free: two exact clouds
+must have exactly equal squared distances, and every float bound is tol
+relative to the clouds' extent, so a cloud and its scaled copy get the same
+answer against equally scaled partners.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import wl
-from .geometry import PointCloud, affine_dim
+from .geometry import PointCloud, _eliminate, exact_sq_numerators
 
 # Exactness-preserving rational rotations: columns (a, b, c) with a^2+b^2=c^2.
 _PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
@@ -35,21 +39,28 @@ class Alignment:
         return points @ Q.T + t
 
 
-def _anchor_indices(A: np.ndarray) -> list[int]:
-    """Greedy affinely independent subset of rows, picked in index order.
+def _anchor_indices(A: np.ndarray, floor: float, points=None) -> list[int]:
+    """Row 0 and, in index order, each later row that raises the affine
+    dimension of the rows kept, until dim + 1 are held.
 
-    Row 0 is always taken; each later row is kept when it raises the affine
-    dimension, judged at a fixed tolerance of 1e-12, until dim + 1 rows are
-    held.
+    With the cloud's exact `points` the rank is exact: the kept rows are the
+    pivot columns of the differences to row 0.  Otherwise a row is kept when
+    it lies farther than `floor` from the affine span of the rows kept.
     """
-    n = A.shape[0]
-    idx = [0]
+    n, d = A.shape
+    if points is not None:
+        diffs = [[p[c] - points[0][c] for p in points[1:]] for c in range(d)]
+        return [0] + [1 + c for c in _eliminate(diffs)[1]]
+    idx, basis = [0], np.zeros((0, d))
     for i in range(1, n):
-        cand = idx + [i]
-        if affine_dim([tuple(A[j]) for j in cand], tol=1e-12) == len(cand) - 1:
+        r = A[i] - A[0]
+        r -= basis.T @ (basis @ r)
+        norm = float(np.linalg.norm(r))
+        if norm > floor:
             idx.append(i)
-        if len(idx) == A.shape[1] + 1:
-            break
+            basis = np.vstack([basis, r / norm])
+            if len(idx) == d + 1:
+                break
     return idx
 
 
@@ -64,29 +75,20 @@ def _fit(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q, t
 
 
-def _match(mapped: np.ndarray, B: np.ndarray, limit: float) -> list[int] | None:
-    """Greedy nearest-unused assignment; None when any point has no match."""
-    n = B.shape[0]
-    used = [False] * n
-    perm: list[int] = []
-    for i in range(n):
-        diffs = np.sum((B - mapped[i]) ** 2, axis=1)
-        order = np.argsort(diffs)
-        chosen = -1
-        for j in order:
-            if not used[j]:
-                chosen = int(j)
-                break
-        if chosen < 0 or diffs[chosen] > limit * limit:
-            return None
-        used[chosen] = True
-        perm.append(chosen)
-    return perm
+def _sq_matrix(X: np.ndarray) -> np.ndarray:
+    return np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
 
 
 def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment | None:
     """Decide whether a distance-preserving bijection maps a onto b.
 
+    With R the larger of the two clouds' extents (the largest distance from
+    a cloud's barycenter), a bijection is accepted when every squared
+    distance is preserved within 8·tol·R², exactly when both clouds are
+    exact, and its orthogonal fit leaves every point within tol·R of its
+    image.  The search backtracks a's affinely independent anchors onto b
+    through sorted squared-distance rows, then sends every other point to
+    the point of b nearest in squared distances to the anchors' images.
     Returns the witnessing alignment (orthogonal matrix, translation, point
     permutation, max per-point residual) or None.  Size or dimension
     mismatches simply report non-isometric.
@@ -94,53 +96,42 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
     if a.n != b.n or a.dim != b.dim:
         return None
     A, B = a.as_array(), b.as_array()
-    n, d = A.shape
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    if n == 1:
-        t = B[0] - A[0]
-        return Alignment(tuple(map(tuple, np.eye(d))), tuple(t), (0,), 0.0)
-
-    def sorted_sq(M):
-        return np.sort(np.sum((M[:, None, :] - M[None, :, :]) ** 2, axis=2), axis=None)
-
-    pre_tol = 8 * tol * scale * max(1.0, scale)
-    if float(np.max(np.abs(sorted_sq(A) - sorted_sq(B)))) > pre_tol:
-        return None
-
-    anchors = _anchor_indices(A)
+    n = A.shape[0]
+    R = max(float(np.max(np.linalg.norm(X - X.mean(axis=0), axis=1))) for X in (A, B))
+    bound = 8 * tol * R * R
+    sqA, sqB = _sq_matrix(A), _sq_matrix(B)
+    rows_a, rows_b = np.sort(sqA, axis=1), np.sort(sqB, axis=1)
+    points = a.points if a.exact else None
+    anchors = _anchor_indices(A, tol * R, points)
     k = len(anchors)
-    sqA = np.sum((A[:, None, :] - A[None, :, :]) ** 2, axis=2)
-    sqB = np.sum((B[:, None, :] - B[None, :, :]) ** 2, axis=2)
-    inv_a = [np.sort(sqA[i]) for i in range(n)]
-    inv_b = [np.sort(sqB[i]) for i in range(n)]
-
-    def compatible(i, j):
-        return float(np.max(np.abs(inv_a[i] - inv_b[j]))) <= pre_tol
+    to_anchors = sqA[:, anchors]
+    exact = points is not None and b.exact
 
     def try_assignment(images: list[int]) -> Alignment | None:
-        Q, t = _fit(A[anchors], B[images])
-        mapped = A @ Q.T + t
-        perm = _match(mapped, B, limit=100 * tol * scale)
-        if perm is None:
+        gaps = to_anchors[:, None, :] - sqB[None, :, images]
+        perm = np.argmin(np.sum(gaps * gaps, axis=2), axis=1)
+        if len(set(perm.tolist())) < n:
             return None
-        # refit on the full correspondence for the final residual
+        if float(np.max(np.abs(sqA - sqB[np.ix_(perm, perm)]))) > bound:
+            return None
+        if exact:  # one common denominator for both clouds' squared distances
+            S = exact_sq_numerators(a.points + b.points)[0]
+            if not np.array_equal(S[:n, :n], S[n:, n:][np.ix_(perm, perm)]):
+                return None
         Q, t = _fit(A, B[perm])
-        mapped = A @ Q.T + t
-        residual = float(np.max(np.sqrt(np.sum((mapped - B[perm]) ** 2, axis=1))))
-        if residual > tol * scale:
+        residual = float(np.max(np.sqrt(np.sum((A @ Q.T + t - B[perm]) ** 2, axis=1))))
+        if residual > tol * R:
             return None
-        return Alignment(tuple(map(tuple, Q)), tuple(t), tuple(perm), residual)
+        return Alignment(tuple(map(tuple, Q)), tuple(t), tuple(perm.tolist()), residual)
 
     def backtrack(pos: int, images: list[int]) -> Alignment | None:
         if pos == k:
             return try_assignment(images)
         ai = anchors[pos]
         for j in range(n):
-            if j in images or not compatible(ai, j):
+            if j in images or float(np.max(np.abs(rows_a[ai] - rows_b[j]))) > bound:
                 continue
-            ok = all(abs(sqA[ai, anchors[s]] - sqB[j, images[s]]) <= pre_tol
-                     for s in range(pos))
-            if not ok:
+            if any(abs(sqA[ai, anchors[s]] - sqB[j, images[s]]) > bound for s in range(pos)):
                 continue
             images.append(j)
             found = backtrack(pos + 1, images)
@@ -255,9 +246,10 @@ def search_indistinguishable(ell: int, iters: int, d: int, n: int, budget: int,
 
     Draws pairs of small-grid clouds (coarse grids make distance collisions
     frequent), compares exact fingerprints at (ell, iters), and keeps pairs
-    that the isometry oracle rejects.  Returns findings with full provenance;
-    an empty list is the expected outcome in the regimes where the test is
-    complete.  `trials` restricts the scan to a subset of trial indices so
+    that the isometry oracle rejects: the clouds are exact, so a pair is kept
+    when no bijection preserves every squared distance exactly.  Returns
+    findings with full provenance; an empty list is the expected outcome in
+    the regimes where the test is complete.  `trials` restricts the scan to a subset of trial indices so
     callers can shard the budget; results depend only on (seed, trial).
     """
     findings = []

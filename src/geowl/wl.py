@@ -53,7 +53,7 @@ import numpy as np
 
 from .config import DEFAULT_MAX_TUPLES, DEFAULT_TOL
 from .errors import CapExceededError, InconsistentDataError, ParameterMismatchError
-from .geometry import PointCloud, Scalar, barycenter_sq_norms
+from .geometry import PointCloud, Scalar, barycenter_sq_norms, exact_sq_numerators
 
 KIND_ZERO = 0   # the shared ell=1 leaf color
 KIND_MAT = 1    # ell x ell squared-distance matrix, row-major distance ids
@@ -477,19 +477,6 @@ def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
     return _store(interner, ell, dim, interner.intern_values(values), label)
 
 
-def _exact_sq_numerators(points) -> tuple[list[int], int]:
-    """Squared distances of rational points as row-major integers S over D^2, D
-    the common denominator.  Each S is at most d (2 max |x|)^2 over the scaled
-    coordinates x: the sums run in int64 when that bound fits, else over
-    Python ints."""
-    den = math.lcm(*(c.denominator for p in points for c in p))
-    cols = [[c.numerator * (den // c.denominator) for c in col] for col in zip(*points)]
-    big = max(abs(x) for col in cols for x in col)
-    dtype = np.int64 if len(cols) * (2 * big) ** 2 < 2 ** 63 else object
-    sq = sum((a[:, None] - a[None, :]) ** 2 for a in (np.array(c, dtype=dtype) for c in cols))
-    return sq.ravel().tolist(), den * den
-
-
 def _float_sq_matrix(cloud: PointCloud):
     """All squared distances in floating point, summed in coordinate order.
 
@@ -510,8 +497,8 @@ def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
     mode = _mode_for(cloud, mode)
     interner = _checked_interner(interner, mode, snap, cloud.n, ell, max_tuples)
     if mode == "exact" and cloud.exact:
-        ids = interner.intern_keys(*_exact_sq_numerators(cloud.points))
-        ids = ids.reshape(cloud.n, cloud.n)
+        sq, den2 = exact_sq_numerators(cloud.points)
+        ids = interner.intern_keys(sq.ravel().tolist(), den2).reshape(cloud.n, cloud.n)
     else:
         ids = interner.intern_values(_float_sq_matrix(cloud))
     return _store(interner, ell, cloud.dim, ids, cloud.label)

@@ -9,6 +9,7 @@ import pytest
 
 from geowl import oracle
 from geowl.geometry import PointCloud, sq_dist
+from geowl.report import reconstruct
 from geowl.wl import Interner, fingerprint, run_wl
 
 
@@ -57,6 +58,54 @@ def test_alignment_maps_points():
     mapped = align.apply(cloud.as_array())
     target = moved.as_array()[list(align.permutation)]
     assert float(np.max(np.abs(mapped - target))) < 1e-9
+
+
+def _scaled(cloud, factor, as_float=False):
+    """The cloud with every coordinate times factor, in floats when as_float."""
+    return PointCloud(cloud.dim, tuple(
+        tuple(float(c) * float(factor) if as_float else c * factor for c in p)
+        for p in cloud.points))
+
+
+def test_tiny_non_isometric_pairs_are_rejected():
+    # their squared distances, about 1e-14, lie below any absolute bound
+    tiny = F(1, 10 ** 8)
+    for s in range(20):
+        a = _scaled(oracle.random_cloud(8, 3, 300 + s), tiny)
+        b = _scaled(oracle.random_cloud(8, 3, 400 + s), tiny)
+        assert oracle.is_isometric(a, b) is None
+
+
+def test_verdict_is_scale_free():
+    for s in range(24):
+        n, d = 4 + s % 5, 1 + s % 3
+        cloud = oracle.random_cloud(n, d, 500 + s, grid=3)
+        other = (oracle.apply_random_isometry(cloud, 600 + s) if s % 2 == 0
+                 else oracle.random_cloud(n, d, 700 + s, grid=3))
+        verdict = oracle.is_isometric(cloud, other) is not None
+        for k in (-8, -4, 4, 8):
+            for as_float in (False, True):
+                a, b = (_scaled(c, F(10) ** k, as_float) for c in (cloud, other))
+                assert (oracle.is_isometric(a, b) is not None) == verdict, (s, k, as_float)
+
+
+def test_exact_clouds_need_exactly_equal_distances():
+    cloud = oracle.random_cloud(8, 3, 5)
+    points = [list(p) for p in cloud.points]
+    points[3][1] += F(1, 10 ** 12)
+    moved = PointCloud(3, tuple(map(tuple, points)))
+    assert oracle.is_isometric(cloud, moved) is None
+    # in floats the move is far inside tol relative to the extent
+    assert oracle.is_isometric(_scaled(cloud, 1, True), _scaled(moved, 1, True)) is not None
+
+
+def test_wide_planar_cloud_verifies():
+    # the best alignment's residual, about 5e-3, is far below tol times the
+    # extent of about 4.5e4
+    points = ((5, 5), (1, 2), (-3, 1), (4, -3), (-1, 1), (5, -1), (1, 4), (-1, 0),
+              (0, -50000), (3, -4), (-4, 5))
+    wide = PointCloud(2, tuple(tuple(F(c) for c in p) for p in points))
+    assert reconstruct(wide, "wl2d").verified
 
 
 def test_random_cloud_shape_and_determinism():
