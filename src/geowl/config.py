@@ -48,8 +48,9 @@ class RunConfig:
             raise ValueError("iters must be non-negative")
         if self.mode not in (None, "exact", "float"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 < self.tol < math.inf:  # also rejects NaN
-            raise ValueError("tol must be positive and finite")
+        for name in ("tol", "verify_snap"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite")
         for cap in (self.max_tuples, self.max_candidates, self.max_depth,
                     self.select_samples, self.jobs):
             if cap < 1:

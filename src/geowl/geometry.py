@@ -285,28 +285,63 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 
 def gram_affine_dim(A: SquaredDistanceMatrix, tol: float = DEFAULT_TOL) -> int:
-    """Affine dimension of any point tuple realizing A, from A alone.
+    """Affine dimension of any point tuple realizing A, from A alone: the rank of
+    the Gram matrix `_gram(A)` of differences to the first point; exact when A is
+    rational."""
+    exact = all(is_exact(x) for row in A.entries for x in row)
+    G = _gram(np.array(A.entries, dtype=object if exact else float))
+    return _exact_rank(G.tolist()) if exact else _float_rank(G, tol)
 
-    Uses the Gram matrix G_ij = (A_0i + A_0j - A_ij)/2 of differences to the
-    first point; exact when A is rational.  The matrices here are 1x1 to 3x3,
-    one per scanned `oneshot` color, where building them entry by entry is
-    cheaper than `_gram` on numpy object arrays.
-    """
-    k = A.order
-    if k == 1:
-        return 0
-    e = A.entries
-    rows = []
-    exact = all(is_exact(x) for row in e for x in row)
-    for i in range(1, k):
-        row = []
-        for j in range(1, k):
-            v = e[0][i] + e[0][j] - e[i][j]
-            row.append(Fraction(v, 2) if exact else v / 2.0)
-        rows.append(row)
-    if exact:
-        return _exact_rank(rows)
-    return _float_rank(np.array(rows, dtype=float), tol)
+
+def gram_ranks(ids: np.ndarray, floats: np.ndarray, tol: float = DEFAULT_TOL,
+               exact: Callable | None = None):
+    """The float Gram stack of the squared-distance matrices floats[ids] and each
+    one's rank, its tuple's affine dimension: `_float_rank`, or with `exact`
+    (ids -> Fractions) exact, where a float determinant of G / max|G_ij| above
+    1e-8 is nonzero, as rounding perturbs it by orders of magnitude less."""
+    G = _gram(floats[ids])
+    if exact is None:
+        return G, _float_rank(G, tol)
+    top = np.abs(G).max(axis=(-2, -1), initial=0.0)
+    det = np.linalg.det(G / np.where(top > 0, top, 1.0)[..., None, None])
+    rank = np.full(len(G), G.shape[-1])
+    for k in np.flatnonzero(~(np.abs(det) > 1e-8)).tolist():
+        rank[k] = _exact_rank(_gram(exact(ids[k])).tolist())
+    return G, rank
+
+
+def gram_basis(G: np.ndarray, tol: float = DEFAULT_TOL) -> list[int]:
+    """The greedy basis of anchors z_j of Gram matrix G: each j that raises the rank
+    of the ones kept, exact for an object array."""
+    basis: list[int] = []
+    for j in range(len(G)):
+        sub = G[np.ix_(basis + [j], basis + [j])]
+        rank = _exact_rank(sub.tolist()) if G.dtype == object else _float_rank(sub, tol)
+        basis += [j] if rank > len(basis) else []
+    return basis
+
+
+def ldl(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = L D L^T, without pivoting, for a symmetric matrix or a stack of them
+    (leading axes), in G's arithmetic: L unit lower triangular and D its diagonal."""
+    m = G.shape[-1]
+    L, D = np.zeros_like(G) + np.eye(m, dtype=G.dtype), np.zeros(G.shape[:-1], dtype=G.dtype)
+    for k in range(m):
+        D[..., k] = G[..., k, k] - (L[..., k, :k] ** 2 * D[..., :k]).sum(-1)
+        L[..., k + 1:, k] = (G[..., k + 1:, k] - (L[..., k + 1:, :k] * L[..., k, None, :k]
+                                                  * D[..., None, :k]).sum(-1)) / D[..., k, None]
+    return L, D
+
+
+def gram_points(G: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Float points x = sum_j lambda_j z_j (a row of lams each) over anchors of Gram
+    matrix G, in `anchor_embed`'s frame: x = (lambda L) sqrt(D), G = L D L^T by
+    `ldl` in G's arithmetic over the anchors used, so only lambda L and sqrt(D)
+    are rounded (a negative float D is clamped to 0)."""
+    used, m = np.flatnonzero((lams != 0).any(0)), len(G)
+    L, D = np.eye(len(used), m, dtype=G.dtype), np.zeros(m, dtype=G.dtype)
+    L[:, :len(used)], D[:len(used)] = ldl(G[np.ix_(used, used)])
+    return (lams[:, used] @ L).astype(float) * np.sqrt(np.maximum(D.astype(float), 0.0))
 
 
 def anchor_embed(A: SquaredDistanceMatrix, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -328,10 +363,8 @@ def anchor_embed(A: SquaredDistanceMatrix, dim: int, tol: float = DEFAULT_TOL) -
     coords = np.zeros((k, dim))
     pivots: list[int] = []
     for i in range(1, k):
-        x = np.zeros(len(pivots))
         for m, p in enumerate(pivots):
-            x[m] = (G[i, p] - coords[i, :m] @ coords[p, :m]) / coords[p, m]
-            coords[i, m] = x[m]
+            coords[i, m] = (G[i, p] - coords[i, :m] @ coords[p, :m]) / coords[p, m]
         resid = G[i, i] - float(coords[i, : len(pivots)] @ coords[i, : len(pivots)])
         if resid > gtol:
             if len(pivots) == dim:

@@ -1,25 +1,24 @@
 """Reconstruction from a single refinement of the d-tuple coloring.
 
 Every refined tuple color carries the tuple's own distance matrix plus the
-multiset of distance d-tuples from all cloud points to the tuple.  Two
-regimes cover everything:
-
-* every tuple spans less than d-1 dimensions: the whole cloud lies in the
-  top tuple's affine span and trilateration places each point uniquely;
-* some tuple spans exactly d-1 dimensions: each point then has at most two
-  mirror positions, and the cloud is rebuilt from a tuple whose hyperplane
-  supports it (leaves every point in one closed half-space), by placing
-  every point on the same side.
+multiset of distance d-tuples from all cloud points to the tuple.  If no
+tuple spans d-1 dimensions, the whole cloud lies in the top tuple's affine
+span, where each point has one position.  Otherwise each point has at most
+two mirror positions over a hyperplane tuple, and the cloud is rebuilt
+from one whose hyperplane supports it (leaves every point in one closed
+half-space), by placing every point on the same side.
 
 Signed heights over a hyperplane average to the barycenter's height, so
 the hyperplane supports the cloud exactly when sum_y |h_y| = n |h_b|.  The
 |h_y| come from the tuple's records, and |h_b| from the barycenter's
 squared distances to the tuple, (f(x_j) - T/(2n))/n, where f(x_j) sums the
 records' j-th entries and T, the ordered-pair sum of squared distances,
-comes from the initial colors.  Tuple colors are scanned lazily in digest
-order, each decoded by `ColorStore.tuple_distances` when it is visited and
-solved once in the frame `anchor_embed` gives its anchors, which yields the
-heights and the points together.
+comes from the initial colors.  Colors are scanned in digest order, BLOCK
+at a time: one `ColorStore.tuple_distances` read and one float Gram stack
+give every tuple's rank (`geometry.gram_ranks`, as `wlnd` ranks) and every
+height over each hyperplane tuple, from one L D L^T solve.  Only the tuple
+accepted is placed, in Gram coordinates rendered by `geometry.gram_points`,
+its heights on the last axis.  Every bound is relative to the data.
 
 The built cloud must still match the coloring's total distance sum.  That
 certificate works with true (unsquared) distances: strict subadditivity
@@ -36,13 +35,18 @@ import numpy as np
 
 from .config import DEFAULT_MAX_CANDIDATES, DEFAULT_TOL
 from .errors import CapExceededError, InconsistentDataError, ReconstructionError
-from .geometry import (PointCloud, SquaredDistanceMatrix, affine_dim, barycenter_sq_norms,
-                       gram_affine_dim)
+from .geometry import (PointCloud, _gram, affine_dim, gram_basis, gram_points, gram_ranks,
+                       ldl)
 # perfbench/tracer.py binds these names on this module, and its per-layer
-# metrics read them; `trilaterate` is bound only.
+# metrics read them; `anchor_embed` and `trilaterate` are bound only.
 from .geometry import anchor_embed, mirror_pair, trilaterate  # noqa: F401
 from .report import ReconstructionReport
 from .wl import ColorStore
+
+# Tuple colors per `tuple_distances` read.  At n = 30, d = 3 a read of 32 colors
+# takes 0.7 ms and one of 64 2.0 ms.  Of 16, 32, 48, 64 and 128, 32 took least in
+# total on scans of 6 colors (d = 3) and of 51 (d = 2, n = 24), 16 a close second.
+BLOCK = 32
 
 
 def _pair_sum(points: np.ndarray) -> float:
@@ -52,10 +56,8 @@ def _pair_sum(points: np.ndarray) -> float:
 
 
 def _pair_sums(store: ColorStore) -> tuple[float, float]:
-    """The ordered pairwise sums of distances and of squared distances.
-
-    Both are read off the coloring, by `ColorStore.pair_distances`.
-    """
+    """The ordered pairwise sums of distances and of squared distances, read off
+    the coloring by `ColorStore.pair_distances`."""
     dist = sq = 0.0
     for did, k in store.pair_distances().items():
         v = float(store.value_of(did))
@@ -88,10 +90,7 @@ def enumerate_candidates(anchors, sq_tuples, tol: float = DEFAULT_TOL,
     positive side to quotient out the reflection through the span.
     """
     anchors = np.array([[float(c) for c in a] for a in anchors])
-    resolved = []
-    for entry in sq_tuples:
-        cands = mirror_pair(anchors, entry, tol)
-        resolved.append(cands)
+    resolved = [mirror_pair(anchors, entry, tol) for entry in sq_tuples]
     two_sided = [i for i, c in enumerate(resolved) if len(c) == 2]
     free = max(len(two_sided) - 1, 0)
     if 2 ** free > cap:
@@ -100,76 +99,62 @@ def enumerate_candidates(anchors, sq_tuples, tol: float = DEFAULT_TOL,
     out = []
     for signs in product((1, -1), repeat=free):
         assignment = [0] * len(resolved)
-        points = []
-        sign_of = {}
-        if two_sided:
-            sign_of[two_sided[0]] = 1
-            for idx, s in zip(two_sided[1:], signs):
-                sign_of[idx] = s
-        for i, cands in enumerate(resolved):
-            if len(cands) == 1:
-                points.append(tuple(cands[0]))
-            else:
-                s = sign_of[i]
-                assignment[i] = s
-                points.append(tuple(cands[0] if s > 0 else cands[1]))
-        arr = np.array(points)
+        for i, sign in zip(two_sided, (1,) + signs):
+            assignment[i] = sign
+        points = tuple(tuple(c[sign < 0]) for c, sign in zip(resolved, assignment))
         out.append(CandidateCloud(anchors=tuple(map(tuple, anchors)),
-                                  assignment=tuple(assignment),
-                                  points=tuple(map(tuple, points)),
-                                  total=_pair_sum(arr)))
+                                  assignment=tuple(assignment), points=points,
+                                  total=_pair_sum(np.array(points))))
     return out
 
 
-def _color_tuple_data(store: ColorStore, cid: int):
-    """Anchor distance matrix (the store's scalars) and distance-tuple multiset
-    (an (n, d) float array, as only float solvers read it) of a refined color."""
-    mats, dists = store.tuple_distances([cid])
-    val = store.value_of
-    entries = tuple(tuple(0 if i == j else val(did) for j, did in enumerate(row))
-                    for i, row in enumerate(mats[0].tolist()))
-    return SquaredDistanceMatrix(order=store.ell, entries=entries), store.dist_floats[dists[0]]
+def _solve(G: np.ndarray, R: np.ndarray):
+    """L, D, u and the squared heights h^2 of points over the span of anchors x_0..x_m,
+    G = L D L^T the Gram matrix of z_j = x_j - x_0 and R a point's squared distances
+    (r_0, ..., r_m) per row; leading axes stack frames.  u = L^-1 g solves for
+    g_j = <x - x_0, z_j> = (r_0 + G_jj - r_j)/2 with the condition number of
+    L sqrt(D), the square root of G's, and h^2 = r_0 - sum_j u_j (u_j / D_j)."""
+    u = (R[..., :1] + np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] - R[..., 1:]) / 2
+    L, D = ldl(G)
+    for j in range(1, u.shape[-1]):
+        u[..., j] -= (u[..., :j] * L[..., None, j, :j]).sum(-1)
+    return L, D, u, R[..., 0] - (u * (u / D[..., None, :])).sum(-1)
 
 
-def _frame_points(anchors: np.ndarray, R2: np.ndarray, tol: float):
-    """Points at squared distances R2 (a row each) to anchors, in `anchor_embed`'s frame.
-
-    That frame puts the first anchor at the origin and the anchors' span in
-    the first d-1 axes.  A row's span coordinates t solve <t, a_j> =
-    (r_1 + |a_j|^2 - r_j)/2, all rows in one least-squares solve whose
-    minimum-norm solution leaves t at 0 on an axis the anchors do not reach,
-    and its squared height is h^2 = r_1 - |t|^2.  Returns the points (t, +h),
-    h^2 and the per-row scale.  h is snapped to 0 (a span resident) when h^2
-    is at most tol * scale * 100; InconsistentDataError is raised when h^2 is
-    below minus that.
-    """
-    V = anchors[1:, :-1]
-    rhs = (R2[:, :1] + np.sum(V * V, axis=1) - R2[:, 1:]) / 2.0
-    # contiguous rows and per-row matmuls round like the one-row t @ t
-    T = np.linalg.lstsq(V, rhs.T, rcond=None)[0].T.copy() if V.size else np.zeros((len(R2), 0))
-    h2 = R2[:, 0] - (T[:, None, :] @ T[:, :, None])[:, 0, 0]
-    scale = R2.max(axis=1, initial=max(1.0, float(np.abs(anchors).max())))
-    if (bad := h2 < -tol * scale * 100).any():
-        raise InconsistentDataError(
-            f"negative squared height {h2[bad][0]:.3e}: distances are unrealizable")
-    return np.column_stack([T, np.sqrt(np.where(h2 <= tol * scale * 100, 0.0, h2))]), h2, scale
+def _heights(h2: np.ndarray, R: np.ndarray, tol: float):
+    """sqrt(h^2), 0 (a resident) where h^2 is at most 100 tol times its row's largest
+    squared distance, and per stack of rows whether one h^2 is below minus that."""
+    limit = 100 * tol * R.max(-1)
+    return np.sqrt(np.where(h2 <= limit, 0.0, h2)), (h2 < -limit).any(-1)
 
 
-def _halfspace_points(anchors: np.ndarray, tuples: np.ndarray, sq_total: float, tol: float):
-    """The records placed on the positive side of the anchors' span, and whether
-    that span leaves every point in one closed half-space.
+def _rows(G: np.ndarray, R: np.ndarray, sq_total: float, tol: float):
+    """Tuples' records R, (k, n, d), with the barycenter's squared distances
+    appended; `_solve`'s h^2 of them (NaN for a G singular in floats); whether
+    one is negative; and whether each tuple's hyperplane supports the cloud:
+    (sum_y h_y)^2 = n^2 h_b^2 within tol n^2 times the records' largest r_j."""
+    n = R.shape[1]
+    R = np.concatenate([R, (R.sum(1, keepdims=True) - sq_total / (2 * n)) / n], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h2 = _solve(G, R)[3]
+    heights, negative = _heights(h2, R, tol)
+    s, bound = heights[:, :n].sum(-1), tol * n * n * R[:, :n].max((-2, -1))
+    return R, h2, negative, np.abs(s * s - n * n * h2[:, n]) <= bound
 
-    The test is sum_y |h_y| = n |h_b| in squares, from one `_frame_points`
-    solve over the records and the barycenter's squared distances to the
-    anchors.  h_b^2 is not snapped: the barycenter is no point of the cloud,
-    and the square of a rounding residue is far below the tolerance where
-    its root is not.
-    """
-    n = len(tuples)
-    bary = barycenter_sq_norms(tuples.sum(axis=0), sq_total, n, tol)
-    points, h2, scale = _frame_points(anchors, np.vstack([tuples, bary]), tol)
-    s = float(points[:n, -1].sum())
-    return points[:n], abs(s * s - n * n * h2[n]) <= tol * n * n * float(scale.max())
+
+def _placed(G: np.ndarray, R: np.ndarray, B: list[int], tol: float) -> np.ndarray:
+    """Points at squared distances R to the anchors: Gram coordinates lambda over
+    the anchors in the basis B, from lambda L = u / D by back substitution,
+    rendered by `gram_points`, and their heights above the span last."""
+    L, D, u, h2 = _solve(G[np.ix_(B, B)], R[:, [0] + [j + 1 for j in B]])
+    lams, w = np.zeros((len(R), len(G))), u / D
+    for j in reversed(range(len(B) - 1)):
+        w[:, j] -= (w[:, j + 1:] * L[j + 1:, j]).sum(-1)
+    lams[:, B] = w
+    heights, negative = _heights(h2, R, tol)
+    if negative:
+        raise InconsistentDataError("negative squared height: distances are unrealizable")
+    return np.column_stack([gram_points(G, lams), heights])
 
 
 def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
@@ -177,15 +162,13 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
     """Rebuild the cloud from one refinement of its d-tuple coloring.
 
     Scans the tuple colors in digest order.  Each tuple spanning a
-    hyperplane is tested by the barycenter-height identity, and the first
-    that passes has its points placed on the positive side of its span.
-    The result is accepted when its ordered pair-distance sum matches the
-    coloring's and its points are distinct; otherwise the scan goes on.
-    Unrealizable distance data in a tested tuple raises
-    InconsistentDataError.  At most `cap` hyperplane tuples are tested
-    before CapExceededError is raised.  When no tuple spans a hyperplane,
-    the cloud lies in the span of the first tuple of greatest dimension and
-    is trilaterated from it.
+    hyperplane is tested by the barycenter-height identity, and one that
+    passes has its points placed on the positive side of its span; they are
+    accepted when their ordered pair-distance sum matches the coloring's and
+    they are distinct.  Unrealizable distance data in a tested tuple raises
+    InconsistentDataError, and a test past the `cap`-th CapExceededError.
+    When no tuple spans a hyperplane, the cloud lies in the span of the
+    first color of greatest dimension and is placed in it.
     """
     if store.iterations < 1:
         raise ValueError("need at least one refinement")
@@ -200,45 +183,48 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
                                     counters={"candidates_tried": 0})
 
     ds_total, sq_total = _pair_sums(store)
-    scale = max(1.0, ds_total)
-    digests = store.interner.digests
-    span = None  # (dim, matrix, records) of the first color of greatest dimension
-    tried = 0
-    for c in sorted(set(store.tables[1]), key=lambda c: digests[c]):
-        mat, tuples = _color_tuple_data(store, c)
-        dim = gram_affine_dim(mat, tol)
-        if dim < d - 1:
-            if span is None or dim > span[0]:
-                span = (dim, mat, tuples)
-            continue
-        if tried == cap:
-            raise CapExceededError(
-                f"no hyperplane tuple accepted within the cap of {cap} tried tuples")
-        tried += 1
-        points, supports = _halfspace_points(anchor_embed(mat, d, tol), tuples, sq_total, tol)
-        if not supports:
-            continue
-        total = _pair_sum(points)
-        if abs(total - ds_total) <= tol * n * n * scale:
-            try:
-                cloud = PointCloud(dim=d, points=tuple(map(tuple, points)))
-            except ValueError:
-                continue  # degenerate coincidences cannot be the accepted candidate
-            return ReconstructionReport(
-                cloud=cloud, method="oneshot-halfspace",
-                counters={"candidates_tried": tried, "total_gap": total - ds_total,
-                          "pair_sum": total})
+    floats = store.dist_floats
+    exact = np.vectorize(store.value_of, otypes="O") if store.interner.mode == "exact" else None
+    colors = sorted(set(store.tables[1]), key=store.interner.digests.__getitem__)
+    off, tried = ~np.eye(d, dtype=bool), 0
+    for s in range(0, len(colors), BLOCK):
+        mats, dists = store.tuple_distances(colors[s:s + BLOCK])
+        # a tuple that repeats a point spans no hyperplane
+        rows = np.flatnonzero(~(mats[:, off] == store.dist_array[0, 0]).any(-1))
+        G, rank = gram_ranks(mats[rows], floats, tol, exact)
+        rows, G = rows[rank == d - 1], G[rank == d - 1]
+        R, _, negative, supports = _rows(G, floats[dists[rows]], sq_total, tol)
+        for i in range(len(rows)):
+            if tried == cap:
+                raise CapExceededError(
+                    f"no hyperplane tuple accepted within the cap of {cap} tried tuples")
+            tried += 1
+            if negative[i]:
+                raise InconsistentDataError("negative squared height: distances are unrealizable")
+            if not supports[i]:
+                continue
+            points = _placed(G[i], R[i, :n], list(range(d - 1)), tol)
+            total = _pair_sum(points)
+            # degenerate coincidences cannot be the accepted candidate
+            if abs(total - ds_total) <= tol * n * n * ds_total \
+                    and len(set(map(tuple, points))) == n:
+                return ReconstructionReport(
+                    cloud=PointCloud.from_array(points), method="oneshot-halfspace",
+                    counters={"candidates_tried": tried, "total_gap": total - ds_total,
+                              "pair_sum": total})
     if tried:
         raise ReconstructionError(
             f"no hyperplane tuple accepted: {tried} tuples scanned, target sum {ds_total}")
-    # the whole cloud lies in the top tuple's affine span
-    maxdim, mat, tuples = span
-    points = _frame_points(anchor_embed(mat, d, tol), tuples, tol)[0]
+    # the whole cloud lies in the span of the first color of greatest dimension
+    mats, dists = store.tuple_distances(colors)
+    rank = gram_ranks(mats, floats, tol, exact)[1]
+    k = int(np.argmax(rank))
+    basis = gram_basis(_gram((exact or floats.__getitem__)(mats[k])), tol)
+    points = _placed(_gram(floats[mats[k]]), floats[dists[k]], basis, tol)
     if points[:, -1].any():
         raise InconsistentDataError("a record lies off the span of the top tuple")
-    cloud = PointCloud(dim=d, points=tuple(map(tuple, points)))
-    return ReconstructionReport(cloud=cloud, method="oneshot-span",
-                                counters={"candidates_tried": 1, "anchor_dim": maxdim})
+    return ReconstructionReport(cloud=PointCloud.from_array(points), method="oneshot-span",
+                                counters={"candidates_tried": 1, "anchor_dim": int(rank[k])})
 
 
 def supporting_tuple_scan(cloud: PointCloud, tol: float = DEFAULT_TOL) -> tuple:
@@ -249,18 +235,15 @@ def supporting_tuple_scan(cloud: PointCloud, tol: float = DEFAULT_TOL) -> tuple:
     the cloud's affine dimension is at least d-1; exhausting the scan without
     a hit is therefore a hard failure.
     """
-    d = cloud.dim
-    pts = cloud.as_array()
+    d, pts = cloud.dim, cloud.as_array()
     scale = max(1.0, float(np.max(np.abs(pts))))
     for idx in combinations(range(cloud.n), d):
         sel = [cloud.points[i] for i in idx]
         if affine_dim(sel, tol) != d - 1:
             continue
         base = pts[idx[0]]
-        rows = pts[list(idx)] - base
-        _, _, vt = np.linalg.svd(rows if d > 1 else np.zeros((1, 1)))
-        normal = vt[-1] if d > 1 else np.array([1.0])
+        normal = np.linalg.svd(pts[list(idx)] - base)[2][-1] if d > 1 else np.ones(1)
         sides = (pts - base) @ normal
-        if bool(np.all(sides >= -tol * scale * 100)) or bool(np.all(sides <= tol * scale * 100)):
+        if np.all(sides >= -tol * scale * 100) or np.all(sides <= tol * scale * 100):
             return tuple(sel)
     raise ReconstructionError("no supporting hyperplane tuple found")

@@ -96,6 +96,9 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
     if a.n != b.n or a.dim != b.dim:
         return None
     A, B = a.as_array(), b.as_array()
+    # scaling by 2^-e, 2^e about the largest coordinate, is exact and keeps every square finite
+    e = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
+    A, B = np.ldexp(A, -e), np.ldexp(B, -e)
     n = A.shape[0]
     R = max(float(np.max(np.linalg.norm(X - X.mean(axis=0), axis=1))) for X in (A, B))
     bound = 8 * tol * R * R
@@ -122,7 +125,8 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
         residual = float(np.max(np.sqrt(np.sum((A @ Q.T + t - B[perm]) ** 2, axis=1))))
         if residual > tol * R:
             return None
-        return Alignment(tuple(map(tuple, Q)), tuple(t), tuple(perm.tolist()), residual)
+        return Alignment(tuple(map(tuple, Q)), tuple(np.ldexp(t, e).tolist()),
+                         tuple(perm.tolist()), float(np.ldexp(residual, e)))
 
     def backtrack(pos: int, images: list[int]) -> Alignment | None:
         if pos == k:

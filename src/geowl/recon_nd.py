@@ -16,7 +16,8 @@ substituted profile once.  Ranking is one float pass over these arrays,
 `ProfileTable.ranks_and_bounds`, which gives each row its rank and depth
 bound from one Gram build; the `EnhancedProfile` of a candidate, in
 Fractions or floats, is built only when reconstruction tries it.  Gram
-matrices and exact elimination come from `geometry`.
+matrices, their rank rule, exact elimination and the render of Gram
+coordinates come from `geometry`, shared with `oneshot`.
 
 Reconstruction runs in the anchors' Gram coordinates: with the barycenter
 at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
@@ -45,8 +46,8 @@ import numpy as np
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _exact_rank,
-                       _float_rank, _gram, gram_affine_dim, is_exact)
+from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _gram,
+                       gram_affine_dim, gram_basis, gram_points, gram_ranks, is_exact)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
 from .geometry import anchor_embed, mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
@@ -153,30 +154,18 @@ class ProfileTable:
         return (self.A[:, off] == self.distances.index(0)).any(-1)
 
     def ranks_and_bounds(self, rows: np.ndarray, tol: float = DEFAULT_TOL):
-        """Per row, `gram_affine_dim` of its anchor matrix and profile 0's `depth_bound`.
-
-        One float Gram stack per block of 1024 rows gives both.  Float stores
-        take `geometry._float_rank` of it.  For exact stores a float
-        determinant of G above 1e-8 * max|G_ij|^d is nonzero, as rounding the
-        entries and the elimination perturb it by orders of magnitude less;
-        only the rest take the exact `gram_affine_dim`.  Only rows of rank d
-        are inverted, one by one if the block's inverse raises, and get a
-        bound.  Every row without a finite bound (all its candidates on a
-        face, G singular in floats, or rank below d) gets +inf.
+        """Per row, its anchors' `geometry.gram_ranks` rank and profile 0's
+        `depth_bound`, from one float Gram stack per block of 1024 rows.  Only
+        rows of rank d are inverted, one by one if the block's inverse raises.
+        Every row without a finite bound (all its candidates on a face, G
+        singular in floats, or rank below d) gets +inf.
         """
-        d = self.d
-        ranks, bounds = np.full(len(rows), d), np.full(len(rows), np.inf)
+        ranks, bounds = np.empty(len(rows), dtype=int), np.full(len(rows), np.inf)
+        exact = np.vectorize(self.distances.__getitem__, otypes="O") if self.exact else None
         for s in range(0, len(rows), 1024):
-            block, rank = rows[s:s + 1024], ranks[s:s + 1024]  # rank is a view
-            G = _gram(self.floats[self.A[block]])
-            if not self.exact:
-                rank[:] = _float_rank(G, tol)
-            else:
-                scale = np.abs(G).max(axis=(-2, -1)) ** d
-                for k in np.flatnonzero(~(np.abs(np.linalg.det(G)) > 1e-8 * scale)).tolist():
-                    rank[k] = gram_affine_dim(
-                        SquaredDistanceMatrix(d + 1, self._rows(self.A[block[k]])))
-            full = np.flatnonzero(rank == d)
+            block = rows[s:s + 1024]
+            G, ranks[s:s + 1024] = gram_ranks(self.A[block], self.floats, tol, exact)
+            full = np.flatnonzero(ranks[s:s + 1024] == self.d)
             G = G[full]
             try:
                 H = np.linalg.inv(G)
@@ -375,32 +364,19 @@ class GramCloud:
 
     @property
     def points(self) -> np.ndarray:
-        """Float points in `anchor_embed`'s frame: x = (lambda L) sqrt(D), G = L D L^T factored
-        in G's arithmetic over the anchors that lambda uses, so only lambda L and sqrt(D)
-        are rounded (a negative float D is clamped to 0)."""
-        lams = np.array(self.lambdas, dtype=self.G.dtype)
-        used = np.flatnonzero((lams != 0).any(0))
-        G, d = self.G[np.ix_(used, used)], len(self.G)
-        L, D = np.eye(len(used), d, dtype=G.dtype), np.zeros(d, dtype=G.dtype)
-        for k in range(len(used)):
-            D[k] = G[k, k] - (L[k, :k] ** 2 * D[:k]).sum()
-            L[k + 1:, k] = (G[k + 1:, k] - (L[k + 1:, :k] * L[k, :k] * D[:k]).sum(-1)) / D[k]
-        return (lams[:, used] @ L).astype(float) * np.sqrt(np.maximum(D.astype(float), 0.0))
+        """Float points, rendered from G by `geometry.gram_points`."""
+        return gram_points(self.G, np.array(self.lambdas, dtype=self.G.dtype))
 
 
 def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramCloud:
     """Place every cloud point inside the proper subspace that the anchors span.
 
-    A greedy basis B of the anchors (exact rank for exact profiles) spans
-    it, so a slot outside B can be dropped: the profile with the barycenter
-    in that slot gives <x, z_j> for j in B, and so x = sum_{j in B} lambda_j z_j.
+    A greedy basis B of the anchors (`gram_basis`) spans it, so a slot
+    outside B can be dropped: the profile with the barycenter in that slot
+    gives <x, z_j> for j in B, and so x = sum_{j in B} lambda_j z_j.
     """
     G = ep.gram()
-    basis: list[int] = []
-    for j in range(len(G)):
-        sub = G[np.ix_(basis + [j], basis + [j])]
-        rank = _exact_rank(sub.tolist()) if G.dtype == object else _float_rank(sub, tol)
-        basis += [j] if rank > len(basis) else []
+    basis = gram_basis(G, tol)
     drop = next((j for j in range(len(G)) if j not in basis), None)
     if drop is None:
         raise ReconstructionError("the anchors span the whole space")

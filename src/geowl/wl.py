@@ -93,6 +93,8 @@ class Interner:
     def __init__(self, mode: str = "exact", snap: float = DEFAULT_TOL):
         if mode not in ("exact", "float"):
             raise ValueError(f"unknown mode {mode!r}")
+        if not 0 < snap < math.inf:  # also rejects NaN
+            raise ValueError(f"snap must be positive and finite, got {snap!r}")
         self.mode = mode
         self.snap = float(snap)
         self._index: dict = {}
@@ -349,7 +351,7 @@ class _History:
     """Iterations 1 and 2 of a coloring as arrays of value ids.
 
     The one place where the barycenter identity is applied to whole
-    colorings (`oneshot._halfspace_points` applies it to one tuple color's sums):
+    colorings (`oneshot._rows` applies it to a block of tuple colors' sums):
     norms maps each iteration-1 color to each slot's squared barycenter
     distance.  Value ids number the distinct squared distances and norms in
     increasing order, worked out as numerators over S = 2 n^2 Q for an exact

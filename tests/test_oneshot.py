@@ -1,19 +1,19 @@
 import math
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
 
-from geowl import oracle
+from geowl import oneshot, oracle
 from geowl.errors import CapExceededError, InconsistentDataError
-from geowl.geometry import PointCloud, affine_dim, anchor_embed, gram_affine_dim, mirror_pair, \
-    sq_dist, squared_distance_matrix, trilaterate
-from geowl.oneshot import (_color_tuple_data, _frame_points, _halfspace_points, _pair_sum,
-                           _pair_sums, enumerate_candidates, reconstruct_one_iter,
+from geowl.geometry import PointCloud, SquaredDistanceMatrix, _gram, affine_dim, anchor_embed, \
+    gram_affine_dim, gram_basis, mirror_pair, sq_dist, squared_distance_matrix, trilaterate
+from geowl.oneshot import (BLOCK, _heights, _pair_sum, _pair_sums, _placed, _rows, _solve,
+                           enumerate_candidates, reconstruct_one_iter,
                            supporting_tuple_scan, total_distance_sum)
 from geowl.report import reconstruct
-from geowl.wl import run_wl
+from geowl.wl import ColorStore, run_wl
 
 SQUARE = PointCloud(2, ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -179,37 +179,37 @@ def _scan_clouds():
     return clouds
 
 
-def _hyperplane_colors(store, tol=1e-9):
-    """Anchors and records of each hyperplane tuple color, in digest order."""
+def _colors(store, tol=1e-9):
+    """(dimension, matrix, records) of every tuple color in digest order, each
+    color read alone by `tuple_distances`, in the store's arithmetic."""
     digests = store.interner.digests
+    values = np.vectorize(store.value_of, otypes=[object]) \
+        if store.interner.mode == "exact" else store.dist_floats.__getitem__
     for c in sorted(set(store.tables[1]), key=lambda c: digests[c]):
-        mat, tuples = _color_tuple_data(store, c)
-        if gram_affine_dim(mat, tol) == store.dim - 1:
-            yield anchor_embed(mat, store.dim, tol), tuples
+        mats, dists = store.tuple_distances([c])
+        A = values(mats[0])
+        yield gram_affine_dim(SquaredDistanceMatrix(store.ell, tuple(map(tuple, A.tolist()))),
+                              tol), A, values(dists[0])
 
 
-def _frame_point(anchors, r, tol=1e-9):
-    """One record solved alone in anchor_embed's frame: span coordinates t on
-    the first d-1 axes, and the height sqrt(r_1 - |t|^2), 0 at most the
-    resident limit, on the last."""
-    V, r = anchors[1:, :-1], np.asarray(r, dtype=float)
-    t = np.linalg.lstsq(V, (r[0] + np.sum(V * V, axis=1) - r[1:]) / 2.0, rcond=None)[0] \
-        if V.size else np.zeros(0)
-    h2 = r[0] - float(t @ t)
-    scale = max(1.0, float(r.max()), float(np.abs(anchors).max()))
-    return np.append(t, 0.0 if h2 <= tol * scale * 100 else math.sqrt(h2))
+def _one_color(A, R, hyperplane, tol=1e-9, sq_total=None):
+    """One color alone through oneshot's support test (a hyperplane color that
+    fails it gives None) and placement."""
+    G, R = _gram(A.astype(float)), R.astype(float)
+    if hyperplane:
+        supports = _rows(G[None], R[None], sq_total, tol)[3][0]
+        return _placed(G, R, list(range(len(G))), tol) if supports else None
+    return _placed(G, R, gram_basis(_gram(A), tol), tol)
 
 
-def _solo_frame(anchors, tuples, tol=1e-9):
-    return np.array([_frame_point(anchors, t, tol) for t in tuples])
-
-
-def _positive_side(anchors, tuples, tol=1e-9):
-    return np.array([mirror_pair(anchors, t, tol)[0] for t in tuples])
-
-
-def _trilaterated(anchors, tuples, tol=1e-9):
-    return np.array([trilaterate(anchors, t, tol) for t in tuples])
+def _anchor_frame(A, R, hyperplane, tol=1e-9, sq_total=None):
+    """Mirror pairs (positive side) or trilateration, each in an SVD basis of the
+    anchors' span, with anchors in anchor_embed's frame."""
+    anchors = anchor_embed(SquaredDistanceMatrix(len(A), tuple(map(tuple, A.tolist()))),
+                           len(A), tol)
+    place = (lambda t: mirror_pair(anchors, t, tol)[0]) if hyperplane else \
+        (lambda t: trilaterate(anchors, t, tol))
+    return np.array([place(t) for t in R])
 
 
 def _sum_matches(points, ds_total, tol=1e-9):
@@ -217,24 +217,23 @@ def _sum_matches(points, ds_total, tol=1e-9):
     return abs(_pair_sum(points) - ds_total) <= tol * n * n * max(1.0, ds_total)
 
 
-def _reference_one_iter(store, halfspace, span, tol=1e-9):
-    """Reference scan: every entry of every hyperplane color placed by
-    halfspace, in digest order; the span branch places the records of the
-    first color of greatest dimension by span."""
+def _reference_one_iter(store, place, tol=1e-9):
+    """Reference scan, one color at a time: every hyperplane color's records placed
+    by place in digest order until they match the pair sum with distinct points;
+    else the records of the first color of greatest dimension."""
     d, n = store.dim, store.n
-    ds_total = total_distance_sum(store)
-    tried = 0
-    for tried, (anchors, tuples) in enumerate(_hyperplane_colors(store, tol), 1):
-        points = halfspace(anchors, tuples, tol)
-        if _sum_matches(points, ds_total, tol) and len(set(map(tuple, points))) == n:
+    ds_total, sq_total = _pair_sums(store)
+    colors = list(_colors(store, tol))
+    hyper = [(A, R) for dim, A, R in colors if dim == d - 1]
+    for tried, (A, R) in enumerate(hyper, 1):
+        points = place(A, R, True, tol, sq_total)
+        if points is not None and _sum_matches(points, ds_total, tol) \
+                and len(set(map(tuple, points))) == n:
             return tried, points
-    assert tried == 0, "the reference scan accepted no tuple"
-    digests = store.interner.digests
-    data = [_color_tuple_data(store, c)
-            for c in sorted(set(store.tables[1]), key=lambda c: digests[c])]
-    dims = [gram_affine_dim(mat, tol) for mat, _ in data]
-    mat, tuples = data[dims.index(max(dims))]
-    return 1, span(anchor_embed(mat, d, tol), tuples, tol)
+    assert not hyper, "the reference scan accepted no tuple"
+    dims = [dim for dim, _, _ in colors]
+    _, A, R = colors[dims.index(max(dims))]
+    return 1, place(A, R, False, tol)
 
 
 def test_lazy_scan_matches_reference_scan():
@@ -243,11 +242,12 @@ def test_lazy_scan_matches_reference_scan():
         store = run_wl(cloud, cloud.dim, 1)
         rep = reconstruct_one_iter(store)
         got = rep.cloud.as_array()
-        tried, points = _reference_one_iter(store, _solo_frame, _solo_frame)
+        # the block scan picks the color that a scan reading one color at a time
+        # picks, and renders it bit for bit as that color alone
+        tried, points = _reference_one_iter(store, _one_color)
         assert rep.counters["candidates_tried"] == tried, k
         assert np.array_equal(got, points), k
-        # mirror pairs and trilateration, each in an SVD basis of the anchors' span
-        tried, points = _reference_one_iter(store, _positive_side, _trilaterated)
+        tried, points = _reference_one_iter(store, _anchor_frame)
         assert rep.counters["candidates_tried"] == tried, k
         assert float(np.abs(got - points).max()) <= 1e-9 * max(1.0, float(np.abs(points).max())), k
         methods.add(rep.method)
@@ -259,52 +259,67 @@ def test_height_identity_holds_exactly_when_pair_sum_matches():
     for k, cloud in enumerate(_scan_clouds()):
         store = run_wl(cloud, cloud.dim, 1)
         ds_total, sq_total = _pair_sums(store)
-        for anchors, tuples in _hyperplane_colors(store):
-            points, supports = _halfspace_points(anchors, tuples, sq_total, 1e-9)
-            matches = _sum_matches(points, ds_total)
-            assert supports == matches, k
+        for dim, A, R in _colors(store):
+            if dim != cloud.dim - 1:
+                continue
+            G, R = _gram(A.astype(float)), R.astype(float)
+            matches = _sum_matches(_placed(G, R, list(range(len(G))), 1e-9), ds_total)
+            assert _rows(G[None], R[None], sq_total, 1e-9)[3][0] == matches, k
             seen.add(matches)
     assert seen == {True, False}
 
 
 def test_frame_with_fewer_axes_than_the_rank():
-    # exactly a hyperplane tuple, but anchor_embed finds no axis for a gap of 1e-12:
-    # it is tried and rejected, not a ValueError
+    # exactly a hyperplane tuple that anchor_embed gives no axis for a gap of 1e-12;
+    # the L D L^T frame has one (D = 1e-24), and the tuple is tried and rejected
     cloud = PointCloud(2, ((F(0), F(0)), (F(1, 10 ** 12), F(0)), (F(0), F(1)), (F(1), F(1))))
     mat = squared_distance_matrix(cloud.points[:2])
     assert gram_affine_dim(mat) == 1 and not anchor_embed(mat, 2).any()
     rep = reconstruct(cloud, "oneshot")
     assert rep.method == "oneshot-halfspace" and rep.verified
     assert rep.counters["candidates_tried"] == 3
-    tried, points = _reference_one_iter(run_wl(cloud, 2, 1), _solo_frame, _solo_frame)
+    tried, points = _reference_one_iter(run_wl(cloud, 2, 1), _one_color)
     assert tried == 3 and np.array_equal(rep.cloud.as_array(), points)
 
 
 def test_frame_points_rows_equal_one_record_solves():
-    # the batched solve rounds each row as a solve of that record alone, for
-    # frames up to d = 6, where strided rows would round differently
+    # a block of tuples rounds each row as that tuple alone, and each record as
+    # that record alone, for frames up to d = 6
     for seed in range(20):
         d = 2 + seed % 5
         cloud = oracle.random_cloud(d + 6, d, seed=9400 + seed)
-        anchors = anchor_embed(squared_distance_matrix(cloud.points[:d]), d)
-        R2 = np.array([[float(sq_dist(p, a)) for a in cloud.points[:d]] for p in cloud.points])
-        points = _frame_points(anchors, R2, 1e-9)[0]
-        assert np.array_equal(points, _solo_frame(anchors, R2)), seed
+        pts = cloud.points
+        tuples = list(combinations(range(len(pts)), d))[:8]
+        A = np.array([[[float(sq_dist(pts[i], pts[j])) for j in t] for i in t] for t in tuples])
+        R = np.array([[[float(sq_dist(p, pts[i])) for i in t] for p in pts] for t in tuples])
+        G, sq_total = _gram(A), float(sum(sq_dist(p, q) for p in pts for q in pts))
+        block = _rows(G, R, sq_total, 1e-9)
+        Rb, h2 = block[:2]
+        for k in range(len(tuples)):
+            one = _rows(G[k:k + 1], R[k:k + 1], sq_total, 1e-9)
+            assert all(np.array_equal(a[0], b[k]) for a, b in zip(one, block)), seed
+            solo = [_solve(G[k], Rb[k, y:y + 1])[3][0] for y in range(len(pts) + 1)]
+            assert np.array_equal(np.array(solo), h2[k]), seed
 
 
 def test_frame_points_snap_heights_at_the_resident_limit():
-    # the record (1, 0) on the anchors' line, lifted by h^2 = -1/2, 1/2 and 2 times
-    # the resident limit 1e-7 * scale (scale 2, the anchors' largest coordinate)
-    anchors = anchor_embed(squared_distance_matrix([(F(0), F(0)), (F(2), F(0))]), 2)
-    R2 = np.array([[1 + k * 1e-7, 1 + k * 1e-7] for k in (-1, 1, 4)])
-    points, h2, scale = _frame_points(anchors, R2, 1e-9)
-    assert scale.tolist() == [2.0] * 3 and np.allclose(points[:, 0], 1.0, rtol=0, atol=1e-15)
-    assert points[:, 1].tolist() == [0.0, 0.0, math.sqrt(h2[2])]
-    with pytest.raises(InconsistentDataError):
-        _frame_points(anchors, np.array([[1 - 4e-7, 1 - 4e-7]]), 1e-9)
+    # the record (1, 0) on the line of the anchors (0, 0) and (2, 0), lifted by
+    # h^2 = -1/2, 1/2 and 2 times the resident limit 100 tol r_max (r_max = 1);
+    # scaled by 10^-16 (the coordinates by 10^-8) the limit scales with it
+    for scale in (1.0, 1e-16):
+        G = np.array([[4.0]]) * scale
+        R = np.array([[1 + k * 1e-7, 1 + k * 1e-7] for k in (-0.5, 0.5, 2)]) * scale
+        h2 = _solve(G, R)[3]
+        assert np.allclose(h2 / scale, [-0.5e-7, 0.5e-7, 2e-7], rtol=1e-6, atol=0)
+        heights, negative = _heights(h2, R, 1e-9)
+        assert heights.tolist() == [0.0, 0.0, math.sqrt(h2[2])] and not negative
+        R = np.array([[1 - 2e-7, 1 - 2e-7]]) * scale
+        assert _heights(_solve(G, R)[3], R, 1e-9)[1]
+        with pytest.raises(InconsistentDataError):
+            _placed(G, R, [0], 1e-9)
     # d = 1: no span axis, the height is the distance to the anchor
-    assert _frame_points(np.zeros((1, 1)), np.array([[4.0], [0.0]]), 1e-9)[0].tolist() == \
-        [[2.0], [0.0]]
+    R = np.array([[4.0], [0.0]])
+    assert _heights(_solve(np.zeros((0, 0)), R)[3], R, 1e-9)[0].tolist() == [2.0, 0.0]
 
 
 def test_reconstruct_n30_d3():
@@ -313,6 +328,75 @@ def test_reconstruct_n30_d3():
     assert rep.method == "oneshot-halfspace"
     assert rep.counters["candidates_tried"] == 5
     assert rep.alignment is not None
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("oneshot places no point one record at a time")
+
+
+def test_scan_reads_one_block_at_a_time(monkeypatch):
+    # the shapes of the benchmark's two `roundtrip` oneshot clouds (their poses
+    # color alike) and gen --n 30 --d 3 --seed 2
+    assert not hasattr(oneshot, "_color_tuple_data") and not hasattr(oneshot, "_frame_points")
+    for name in ("anchor_embed", "mirror_pair", "trilaterate"):
+        monkeypatch.setattr(oneshot, name, _forbidden)
+    reads = []
+    read = ColorStore.tuple_distances
+    monkeypatch.setattr(ColorStore, "tuple_distances",
+                        lambda self, colors: reads.append(list(colors)) or read(self, colors))
+    for (n, d, seed), tried in (((24, 2, 911), 49), ((10, 3, 912), 4), ((30, 3, 2), 5)):
+        store = run_wl(oracle.random_cloud(n, d, seed), d, 1)
+        digests = store.interner.digests
+        colors = sorted(set(store.tables[1]), key=lambda c: digests[c])
+        hyper = (k for k, (dim, _, _) in enumerate(_colors(store)) if dim == d - 1)
+        accepted = next(islice(hyper, tried - 1, None))
+        reads.clear()
+        assert reconstruct_one_iter(store).counters["candidates_tried"] == tried
+        blocks = [colors[s:s + BLOCK] for s in range(0, len(colors), BLOCK)]
+        assert reads == blocks[:accepted // BLOCK + 1], (n, d, seed)
+
+
+def _det(M):
+    return M[0][0] if len(M) == 1 else sum(
+        (-1) ** j * M[0][j] * _det([r[:j] + r[j + 1:] for r in M[1:]]) for j in range(len(M)))
+
+
+def _first_supporting(cloud):
+    """Exact reference: the rank, among the hyperplane colors in digest order, of
+    the first whose tuples' hyperplane leaves the cloud on one side."""
+    d, pts = cloud.dim, cloud.points
+    store = run_wl(cloud, d, 1)
+    first = {}
+    for t, c in zip(product(range(cloud.n), repeat=d), store.tables[1]):
+        first.setdefault(c, t)
+    digests = store.interner.digests
+    rank = 0
+    for c in sorted(first, key=lambda c: digests[c]):
+        tup = [pts[i] for i in first[c]]
+        if affine_dim(tup) != d - 1:
+            continue
+        rank += 1
+        rows = [[a - b for a, b in zip(p, tup[0])] for p in tup[1:]]
+        sides = {(v > 0) - (v < 0) for v in
+                 (_det(rows + [[a - b for a, b in zip(y, tup[0])]]) for y in pts)}
+        if not {1, -1} <= sides:
+            return rank
+    raise AssertionError("no supporting hyperplane tuple")
+
+
+def test_oneshot_is_scale_free():
+    # every scaled copy verifies with the method of the unscaled cloud and tries
+    # exactly the hyperplane colors up to the first supporting one; the digest
+    # order, and so that count, depends on the exact squared distances
+    for d, n in ((1, 5), (2, 3), (2, 8), (3, 6)):
+        for s in range(3):
+            base = oracle.random_cloud(n, d, 100 + s)
+            method = reconstruct(base, "oneshot").method
+            for k in (-8, -6, -4, 0, 4, 8):
+                cloud = PointCloud(d, tuple(tuple(x * F(10) ** k for x in p) for p in base.points))
+                rep = reconstruct(cloud, "oneshot")
+                assert rep.verified and rep.method == method, (d, n, s, k)
+                assert rep.counters["candidates_tried"] == _first_supporting(cloud), (d, n, s, k)
 
 
 def test_supporting_tuple_scan_examples():

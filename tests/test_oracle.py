@@ -89,6 +89,22 @@ def test_verdict_is_scale_free():
                 assert (oracle.is_isometric(a, b) is not None) == verdict, (s, k, as_float)
 
 
+def test_verdict_holds_where_squared_gaps_overflow():
+    # at 10^100 and more the squares of squared-distance gaps pass the float
+    # range unless both clouds are scaled down first
+    for s in range(5):
+        cloud = oracle.random_cloud(8, 3, 800 + s)
+        image = oracle.apply_random_isometry(cloud, 850 + s)
+        other = oracle.random_cloud(8, 3, 900 + s)
+        for k in (100, 150):
+            for as_float in (False, True):
+                a, b, c = (_scaled(x, F(10) ** k, as_float) for x in (cloud, image, other))
+                align = oracle.is_isometric(a, b)
+                assert align is not None and oracle.is_isometric(a, c) is None, (s, k, as_float)
+                B = b.as_array()[list(align.permutation)]
+                assert np.abs(align.apply(a.as_array()) - B).max() <= 1e-9 * np.abs(B).max()
+
+
 def test_exact_clouds_need_exactly_equal_distances():
     cloud = oracle.random_cloud(8, 3, 5)
     points = [list(p) for p in cloud.points]

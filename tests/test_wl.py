@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ from itertools import chain, permutations, product
 import pytest
 
 from geowl import oracle, reconstruct
+from geowl.config import RunConfig
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
 from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
@@ -236,6 +238,19 @@ def test_distance_matrix_matches_pairwise_sq_dist():
         store = initial_coloring(c, 1, mode=mode)
         values = [list(map(store.value_of, row)) for row in store.dist_array.tolist()]
         assert values == [[F(sq_dist(p, q)) for q in c.points] for p in c.points]
+
+
+@pytest.mark.parametrize("snap", [0.0, -1e-6, math.inf, math.nan])
+def test_grid_step_must_be_positive_and_finite(snap):
+    # inf put every float distance on one token, nan failed as a snap mismatch and
+    # 0 as an overflow of the grid
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="snap must be positive and finite"):
+            Interner(mode, snap)
+    with pytest.raises(ValueError, match="snap must be positive and finite"):
+        run_wl(oracle.random_cloud(4, 2, 1), 2, 1, mode="float", snap=snap)
+    with pytest.raises(ValueError, match="verify_snap must be positive and finite"):
+        RunConfig(verify_snap=snap)
 
 
 def test_rejected_run_leaves_interner_empty():
