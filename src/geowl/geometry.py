@@ -250,6 +250,33 @@ def _eliminate(rows: list[list]) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
+def det_adj(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """det(M) and adj(M) of a square integer matrix M, by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) of [M | I] with row swaps.
+
+    Step k takes every other row r to (p_k r - r_k top) / p_(k-1), p_k the
+    pivot and p_0 = 1; each division is exact (every entry is a minor of
+    [M | I]), and [M | I] ends as [p I | X] with p = +-det(M) and X = +-adj(M),
+    the sign that of the row permutation.  adj is None when det is 0.
+    """
+    m = len(rows)
+    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(m):
+        p = next((i for i in range(k, m) if a[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        top, piv = a[k], a[k][k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[m:]] for row in a]
+
+
 def _exact_rank(rows: list[list[Fraction]]) -> int:
     """Rank over the rationals."""
     return len(_eliminate(rows)[1])
@@ -277,11 +304,15 @@ def affine_dim(points: Sequence[Sequence[Scalar]], tol: float = DEFAULT_TOL) -> 
     return _float_rank(np.array([[float(c) for c in row] for row in diffs]), tol)
 
 
+def _gram2(a: np.ndarray) -> np.ndarray:
+    """Twice the Gram matrices <z_j, z_k> of z_j = x_j - x_0 from (stacked)
+    squared-distance matrices of (x_0, x_1, ..., x_k): integers for integer entries."""
+    return a[..., :1, 1:] + a[..., 1:, :1] - a[..., 1:, 1:]
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
-    """Gram matrices <z_j, z_k> of z_j = x_j - x_0 from (stacked) squared-distance
-    matrices of (x_0, x_1, ..., x_k); exact for object arrays."""
-    half = Fraction(1, 2) if a.dtype == object else 0.5
-    return (a[..., :1, 1:] + a[..., 1:, :1] - a[..., 1:, 1:]) * half
+    """The Gram matrices of `_gram2`; exact for object arrays."""
+    return _gram2(a) * (Fraction(1, 2) if a.dtype == object else 0.5)
 
 
 def gram_affine_dim(A: SquaredDistanceMatrix, tol: float = DEFAULT_TOL) -> int:

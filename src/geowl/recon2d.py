@@ -121,8 +121,9 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
             continue  # angle defined as 0
         q = nu2 + ny2 - d2
         N = nu2 * ny2
-        # the partner's squared height over the u-line is (4N - q^2) / (4|u|^2)
-        if 4 * N - q * q <= 4 * nu2 * tol * max(1, ny2):
+        # the partner's squared height over the u-line is (4N - q^2) / (4|u|^2),
+        # tested as reconstruct2d tests heights, with no product of two norms
+        if (4 * N - q * q) / (4 * nu2) <= tol * max(1, ny2):
             continue  # angle is 0 or pi, up to tol
         tiebreak = (digests[c2_y], did)
         if (best is None or _cos_greater(q, N, best[0], best[1])

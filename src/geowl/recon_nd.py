@@ -21,8 +21,11 @@ coordinates come from `geometry`, shared with `oneshot`.
 
 Reconstruction runs in the anchors' Gram coordinates: with the barycenter
 at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
-matrix G comes straight from the enhanced profile (rational for exact
-stores, which run everything in Fractions; float stores use tolerances).
+matrix G comes straight from the enhanced profile.  An exact store runs
+each tried candidate on one `GramKernel`: G and the profile entries as
+integers over one denominator, with det and adj of G by fraction-free
+elimination, and Gram coordinates as integers over one denominator, from
+the mirror candidates to the certificate; float stores use tolerances.
 The cone is lambda >= 0, the slab about face j is lambda_j^2 <
 epsilon^2 (G^-1)_jj, and reflecting through face j is the rational map
 lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  Degenerate clouds are
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
+from itertools import chain
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +50,7 @@ import numpy as np
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _gram,
+from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _gram, _gram2, det_adj,
                        gram_affine_dim, gram_basis, gram_points, gram_ranks, is_exact)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
@@ -82,10 +86,13 @@ class EnhancedProfile:
     def dimension(self, tol: float = DEFAULT_TOL) -> int:
         return gram_affine_dim(self.a, tol)
 
+    @property
+    def exact(self) -> bool:
+        return all(is_exact(v) for row in self.a.entries for v in row)
+
     def gram(self) -> np.ndarray:
         """The anchors' Gram matrix: Fractions (object array) if exact, else floats."""
-        exact = all(is_exact(v) for row in self.a.entries for v in row)
-        return _gram(np.array(self.a.entries, dtype=object if exact else float))
+        return _gram(np.array(self.a.entries, dtype=object if self.exact else float))
 
     def sort_key(self):
         return (_float_rows(self.a.entries), tuple(map(_float_rows, self.profiles)))
@@ -236,56 +243,43 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> ProfileTable:
     return ProfileTable(h.distances, A[rows], P[rows], subs[first], mult)
 
 
-def _dots(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
-    """<x, z_k> = (|x|^2 + G_kk - E[r, k]) / 2 for k != i (0 at k = i), where
-    row r of E holds x's squared distances to the anchors with b in slot i."""
-    half = Fraction(1, 2) if E.dtype == object else 0.5
-    g = (E[..., i:i + 1] + np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] - E) * half
+def _dots2(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
+    """2<x, z_k> = |x|^2 + G_kk - E[r, k] for k != i (0 at k = i), where row r of E
+    holds x's squared distances to the anchors with b in slot i; integers for
+    integer G and E over one denominator."""
+    g = E[..., i:i + 1] + np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] - E
     g[..., i] = 0
     return g
 
 
-def _inverse(G: np.ndarray) -> np.ndarray:
-    """G^-1 by `geometry._eliminate` over Fractions, or by LAPACK for floats."""
-    if G.dtype != object:
-        return np.linalg.inv(G)
-    d = len(G)
-    M, pivots = _eliminate([list(row) + [int(i == j) for j in range(d)]
-                            for i, row in enumerate(G)])
-    if pivots != list(range(d)):
-        raise ReconstructionError("anchors are not full-dimensional")
-    return np.array([[Fraction(x, row[i]) for x in row[d:]] for i, row in enumerate(M)],
-                    dtype=object)
-
-
 def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
                    tol: float = 0.0):
-    """Gram coordinates (plus, minus, resident) of the points realizing profile-i entries.
+    """Float Gram coordinates (plus, minus, resident) of the points realizing profile-i
+    entries.
 
-    `_dots` and |x|^2 = E[r, i] fix lambda = G^-1 <x, z> but for lambda_i =
+    `_dots2` and |x|^2 = E[r, i] fix lambda = G^-1 <x, z> but for lambda_i =
     +-sqrt(disc): x and its mirror image across face i, equal for resident
-    rows (disc within tol of 0).  Leading axes stack frames.  Object arrays
-    stay exact and raise InconsistentDataError unless disc is a rational
-    square; float rows that no point realizes come out NaN.
+    rows (disc within tol of 0).  Leading axes stack frames.  Rows that no
+    point realizes come out NaN.  `GramKernel.mirror` is the exact form.
     """
-    g = _dots(G, E, i)
+    g = _dots2(G, E, i) * 0.5
     Hg = g @ np.swapaxes(H, -1, -2)
     hii = H[..., i, i][..., None]
     disc = Hg[..., i] ** 2 - hii * ((g * Hg).sum(-1) - E[..., i])
     v = H[..., :, i] / hii
     u = Hg - Hg[..., i:i + 1] * v[..., None, :]
-    if E.dtype == object:
-        resident = disc == 0
-        root = np.array([Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
-                         for q in disc.flat], dtype=object).reshape(disc.shape)
-        if (root * root != disc).any():
-            raise InconsistentDataError("a profile entry has no rational realization")
-    else:
-        resident = np.abs(disc) <= hii * tol * np.maximum(E.max(-1), 1.0) * 100
-        with np.errstate(invalid="ignore"):
-            root = np.sqrt(np.where(resident, 0.0, disc))
+    resident = np.abs(disc) <= hii * tol * np.maximum(E.max(-1), 1.0) * 100
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(np.where(resident, 0.0, disc))
     lift = root[..., None] * v[..., None, :]
     return u + lift, u - lift, resident
+
+
+def _gamma(norm, gd, hd_max, eps):
+    """`depth_bound`'s gamma_bound from max |x|, the G_jj, max_j (G^-1)_jj and epsilon."""
+    c_const = 2 / np.sqrt(hd_max)  # twice the least z_j to face j
+    gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
+    return np.where(eps < np.inf, gamma, np.inf)
 
 
 def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0):
@@ -293,21 +287,141 @@ def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0
 
     epsilon^2 is a quarter of the least squared face distance min_j
     lambda_j^2 / (G^-1)_jj of a candidate (row of lams) above tol * 1000 times
-    the longest anchor; exact arrays keep it exact.  A useful reflection
-    raises sum_j <x, z_j> by c*epsilon, c = 2 min_j (G^-1)_jj^(-1/2), so the
-    depth is below ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1, or inf if
-    every candidate sits on a face.  Leading axes stack frames.
+    the longest anchor.  A useful reflection raises sum_j <x, z_j> by c*epsilon,
+    c = 2 min_j (G^-1)_jj^(-1/2), so the depth is below
+    ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1, or inf if every candidate
+    sits on a face.  Leading axes stack float frames; `GramKernel.depth_bound`
+    is the exact form.
     """
     hd = np.diagonal(H, axis1=-2, axis2=-1)
-    gd = np.asarray(np.diagonal(G, axis1=-2, axis2=-1), dtype=float)
+    gd = np.diagonal(G, axis1=-2, axis2=-1)
     face2 = np.asarray((tol * 1000) ** 2 * np.maximum(1.0, gd.max(-1)))
     rho2 = (lams * lams / hd[..., None, :]).min(-1)
     eps2 = np.where(rho2 > face2[..., None], rho2, np.inf).min(-1) / 4
-    norm = np.sqrt(np.asarray(((lams @ G) * lams).sum(-1).max(-1), dtype=float))
-    eps = np.sqrt(np.asarray(eps2, dtype=float))
-    c_const = 2 / np.sqrt(np.asarray(hd, dtype=float).max(-1))  # twice the least z_j to face j
-    gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
-    return eps2, np.where(eps < np.inf, gamma, np.inf)
+    norm = np.sqrt(((lams @ G) * lams).sum(-1).max(-1))
+    return eps2, _gamma(norm, gd, hd.max(-1), np.sqrt(eps2))
+
+
+class GramKernel:
+    """An exact anchor Gram matrix in integers: G / c, G an integer matrix.
+
+    `geometry.det_adj` gives det = det(G) and adj = adj(G), signed so that
+    det > 0, and the inverse is c adj / det.  Gram coordinates are integer
+    vectors over q = 2 det lcm_i adj_ii, which holds every mirror candidate.
+    Raises ReconstructionError if G is singular, and InconsistentDataError if
+    a diagonal entry of adj is not positive, as it is for every Gram matrix.
+    """
+
+    limit = 0  # profile entries are matched exactly
+
+    def __init__(self, G: np.ndarray, c: int):
+        det, adj = det_adj(G.tolist())
+        if not det:
+            raise ReconstructionError("anchors are not full-dimensional")
+        sign = 1 if det > 0 else -1
+        self.G, self.c, self.det = G, c, sign * det
+        self.adj = np.array(adj, dtype=object) * sign
+        self.diag = np.diagonal(self.adj).tolist()
+        if min(self.diag) <= 0:
+            raise InconsistentDataError("the anchors' Gram matrix is not positive definite")
+        self.lcm = math.lcm(*self.diag)
+        self.q = 2 * self.det * self.lcm
+        self._rows, self._gdiag = G.tolist(), np.diagonal(G).tolist()
+
+    def mirror(self, E: list, i: int):
+        """`mirror_lambdas` for profile-i entries E, integer tuples over c, as integer
+        tuples over q; raises InconsistentDataError unless every entry is realized.
+
+        With g = `_dots2` and N = g adj, G^-1 <x, z> = N / (2 det) and the
+        discriminant is D / (4 det^2), D = N_i^2 - adj_ii (g.N - 4 det E_i): a
+        rational square exactly when isqrt(D)^2 = D.  The candidates are
+        (adj_ii N - (N_i -+ isqrt(D)) adj e_i) / (2 det adj_ii).
+        """
+        E = np.array(E, dtype=object)
+        g = _dots2(self.G, E, i)
+        N = g @ self.adj
+        a = self.diag[i]
+        D = (N[:, i] ** 2 - a * ((g * N).sum(-1) - 4 * self.det * E[:, i])).tolist()
+        if min(D) < 0 or any(math.isqrt(x) ** 2 != x for x in D):
+            raise InconsistentDataError("a profile entry has no rational realization")
+        root = np.array([math.isqrt(x) for x in D], dtype=object)[:, None]
+        col = self.adj[i] * (self.lcm // a)
+        u, Ni = N * self.lcm, N[:, i:i + 1]
+        return (u - (Ni - root) * col).tolist(), (u - (Ni + root) * col).tolist(), \
+            [x == 0 for x in D]
+
+    def _dots(self, lam: tuple) -> tuple[list, int]:
+        """G lam and lam^T G lam, for <x, z_k> and |x|^2 over c q and c q^2."""
+        s = [sum(g * x for g, x in zip(row, lam)) for row in self._rows]
+        return s, sum(x * y for x, y in zip(lam, s))
+
+    def targets(self, lam: tuple):
+        """(|x|^2, [2<x, z_k> - G_kk]) as integers over c for the point lam / q, or
+        (None, None) if they are not integers over c, so that no entry can equal them."""
+        (s, nn), q = self._dots(lam), self.q
+        if nn % (q * q) or any(2 * x % q for x in s):
+            return None, None
+        return nn // (q * q), [2 * x // q - g for x, g in zip(s, self._gdiag)]
+
+    def depth_bound(self, lams: list):
+        """`depth_bound` of integer Gram coordinates over q, epsilon^2 a Fraction:
+        lambda_j^2 / (G^-1)_jj is Lambda_j^2 (lcm / adj_jj) det / (q^2 c lcm)."""
+        w = [self.lcm // a for a in self.diag]
+        rho = min(filter(None, (min(x * x * v for x, v in zip(lam, w)) for lam in lams)),
+                  default=0)
+        den = 4 * self.q * self.q * self.c * self.lcm
+        eps2, eps2f = (Fraction(rho * self.det, den), rho * self.det / den) if rho \
+            else (math.inf, math.inf)
+        nn = max(self._dots(lam)[1] for lam in lams)
+        gd = np.array([g / self.c for g in self._gdiag])
+        hd_max = np.array([self.c * a / self.det for a in self.diag]).max()
+        return eps2, _gamma(np.sqrt(nn / (self.c * self.q * self.q)), gd, hd_max,
+                             np.sqrt(eps2f))
+
+    def region(self, eps2) -> ForbiddenRegion:
+        return ForbiddenRegion(self, eps2)
+
+
+class _FloatGram:
+    """`reconstruct_fulldim`'s float arithmetic behind GramKernel's interface
+    (c = q = 1): `mirror_lambdas`, `depth_bound` and a tolerance-scaled match."""
+
+    c = q = 1
+
+    def __init__(self, G: np.ndarray, tol: float):
+        self.G, self.H, self.tol = G, np.linalg.inv(G), tol
+        self.limit = tol * max(1.0, math.sqrt(float(max(np.diagonal(G))))) * 1e5
+
+    def mirror(self, E: list, i: int):
+        plus, minus, resident = mirror_lambdas(self.G, self.H, np.array(E, dtype=float), i,
+                                               self.tol)
+        if np.isnan(minus).any():
+            raise InconsistentDataError("a profile entry is unrealizable")
+        return plus.tolist(), minus.tolist(), resident.tolist()
+
+    def targets(self, lam: tuple):
+        dots = (self.G @ np.array(lam)).tolist()
+        return sum(a * b for a, b in zip(lam, dots)), \
+            [2 * x - g for x, g in zip(dots, np.diagonal(self.G).tolist())]
+
+    def depth_bound(self, lams: list):
+        return depth_bound(np.array(lams), self.G, self.H, self.tol)
+
+    def region(self, eps2) -> ForbiddenRegion:
+        return ForbiddenRegion(self.G, eps2, self.tol)
+
+
+def _numerators(ep: EnhancedProfile) -> tuple[np.ndarray, int, list[list[tuple]]]:
+    """An exact ep as integers over one denominator c, twice the lcm of its
+    denominators: the anchors' Gram matrix times c and each profile's entries."""
+    values = chain(chain.from_iterable(ep.a.entries),
+                   chain.from_iterable(chain.from_iterable(ep.profiles)))
+    c = 2 * math.lcm(*(v.denominator for v in values))
+
+    def num(v):
+        return v.numerator * (c // v.denominator)
+    A = np.array([list(map(num, row)) for row in ep.a.entries], dtype=object)
+    return _gram2(A) // 2, c, [[tuple(map(num, e)) for e in p] for p in ep.profiles]
 
 
 class Ranked(Sequence):
@@ -353,19 +467,38 @@ def select_cone_tuple(table: ProfileTable, tol: float = DEFAULT_TOL) -> Ranked:
 
 @dataclass
 class GramCloud:
-    """Point p is sum_j lambdas[p][j] z_j over ep's anchors, of Gram matrix G, in G's type."""
+    """Point p is sum_j lambdas[p][j] / q z_j over ep's anchors, of Gram matrix G / c:
+    integer numerators for an exact store, floats (c = q = 1) for a float one."""
 
     ep: EnhancedProfile
     G: np.ndarray
     lambdas: list[tuple]
+    c: int = 1
+    q: int = 1
     depth: int = 0
     gamma_bound: int = 0
     epsilon: float | None = None
 
     @property
     def points(self) -> np.ndarray:
-        """Float points, rendered from G by `geometry.gram_points`."""
-        return gram_points(self.G, np.array(self.lambdas, dtype=self.G.dtype))
+        """Float points, rendered from G by `geometry.gram_points` (in Fractions if exact)."""
+        lams = np.array(self.lambdas, dtype=self.G.dtype)
+        if self.G.dtype != object:
+            return gram_points(self.G, lams)
+        frac = np.vectorize(Fraction, otypes="O")
+        return gram_points(frac(self.G, self.c), frac(lams, self.q))
+
+    def sq_distances(self) -> tuple[np.ndarray, int]:
+        """The points' squared distances (l_x - l_y)^T G (l_x - l_y) over a denominator:
+        integers over c q^2, as |x|^2 + |y|^2 - 2<x, y>, if exact; floats over 1,
+        bitwise symmetric with a zero diagonal, otherwise."""
+        lams = np.array(self.lambdas, dtype=self.G.dtype)
+        if self.G.dtype == object:
+            dots = lams @ self.G @ lams.T
+            norms = np.diagonal(dots)
+            return norms[:, None] + norms[None, :] - 2 * dots, self.c * self.q ** 2
+        diff = lams[:, None, :] - lams[None, :, :]
+        return ((diff @ self.G) * diff).sum(-1), 1
 
 
 def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramCloud:
@@ -373,17 +506,22 @@ def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramClo
 
     A greedy basis B of the anchors (`gram_basis`) spans it, so a slot
     outside B can be dropped: the profile with the barycenter in that slot
-    gives <x, z_j> for j in B, and so x = sum_{j in B} lambda_j z_j.
+    gives <x, z_j> for j in B, and so x = sum_{j in B} lambda_j z_j, by the
+    GramKernel of B's anchors if exact.
     """
-    G = ep.gram()
+    G, c, entries = _numerators(ep) if ep.exact else (ep.gram(), 1, ep.profiles)
     basis = gram_basis(G, tol)
     drop = next((j for j in range(len(G)) if j not in basis), None)
     if drop is None:
         raise ReconstructionError("the anchors span the whole space")
-    dots = _dots(G, np.array(ep.profiles[drop], dtype=G.dtype), drop)
-    lams = np.zeros_like(dots)
-    lams[:, basis] = dots[:, basis] @ _inverse(G[np.ix_(basis, basis)])
-    return GramCloud(ep, G, list(map(tuple, lams.tolist())))
+    g = _dots2(G, np.array(entries[drop], dtype=G.dtype), drop)
+    lams, sub = np.zeros_like(g), np.ix_(basis, basis)
+    if ep.exact:  # lambda = g / (2c) c adj / det
+        kernel = GramKernel(G[sub], c)
+        lams[:, basis], q = g[:, basis] @ kernel.adj, 2 * kernel.det
+    else:
+        lams[:, basis], q = (g * 0.5)[:, basis] @ np.linalg.inv(G[sub]), 1
+    return GramCloud(ep, G, list(map(tuple, lams.tolist())), c, q)
 
 
 class ForbiddenRegion:
@@ -395,20 +533,25 @@ class ForbiddenRegion:
     the reflection words depth-first, never back through the face a point
     came from, and tests only the levels below the depth at which that point
     last missed; it keeps no frontier, so memory stays flat at any depth.
-    Points are numerators over one denominator per level: integers for an
-    exact G and eps2, floats over 1 otherwise; tol is the float cone tolerance.
+    G is a float Gram matrix, whose points are floats, or a GramKernel, whose
+    points are integer numerators over its q (eps2 a rational); a level-k
+    point is a numerator over q step^k, and tol is the float cone tolerance.
     """
 
-    def __init__(self, G: np.ndarray, eps2, tol: float = 0.0):
-        H = _inverse(G)
-        w = [[2 * H[k][j] / H[j][j] for k in range(len(H))] for j in range(len(H))]
-        self._exact, self.tol, self._known = G.dtype == object, tol, {}
-        self._step = math.lcm(*(x.denominator for row in w for x in row)) if self._exact \
-            else 1.0
-        self._num = int if self._exact else float  # exact numerators are integral
-        self._w = [[self._num(x * self._step) for x in row] for row in w]
-        self._slabs = [(eps2 * H[j][j]).as_integer_ratio() if self._exact
-                       else (float(eps2 * H[j][j]), 1.0) for j in range(len(H))]
+    def __init__(self, G, eps2, tol: float = 0.0):
+        if isinstance(G, GramKernel):  # 2 (G^-1)_kj / (G^-1)_jj = 2 adj_kj / adj_jj
+            a, w = G.diag, (2 * G.adj).T.tolist()
+            self._step = math.lcm(*(x // math.gcd(x, *row) for x, row in zip(a, w)))
+            self._w = [[y * self._step // x for y in row] for x, row in zip(a, w)]
+            num, den = eps2.as_integer_ratio()
+            self._slabs = [(num * G.c * x * G.q ** 2, den * G.det) for x in a]
+        else:
+            H = np.linalg.inv(G)
+            self._step = 1.0
+            self._w = [[float(2 * H[k][j] / H[j][j]) for k in range(len(H))]
+                       for j in range(len(H))]
+            self._slabs = [(float(eps2 * H[j][j]), 1.0) for j in range(len(H))]
+        self.tol, self._known, self._cuts = tol, {}, []
 
     def _in_base(self, p: tuple, cuts: list) -> bool:
         if min(p) >= (-self.tol * max(1.0, max(map(abs, p))) if self.tol else 0):
@@ -419,14 +562,14 @@ class ForbiddenRegion:
         hit, miss = self._known.get(lam, (math.inf, -1))  # depths known to hit and to miss
         if hit <= depth or depth <= miss:
             return hit <= depth
-        den = math.lcm(*(c.denominator for c in lam)) if self._exact else 1.0
-        cuts = [[sn * (den * self._step ** k) ** 2 for sn, _ in self._slabs]
-                for k in range(depth + 1)]
-        stack = [(tuple(self._num(c * den) for c in lam), -1, 0)]
+        while len(self._cuts) <= depth:  # the slab cuts of each level, scaled by step^2k
+            f = self._step ** (2 * len(self._cuts))
+            self._cuts.append([sn * f for sn, _ in self._slabs])
+        stack = [(lam, -1, 0)]
         found = False
         while stack and not found:
             p, last, k = stack.pop()
-            found = k > miss and self._in_base(p, cuts[k])
+            found = k > miss and self._in_base(p, self._cuts[k])
             if k < depth:
                 stack += [(tuple(self._step * a - p[j] * b for a, b in zip(p, w)), j, k + 1)
                           for j, w in enumerate(self._w) if j != last and p[j]]
@@ -449,39 +592,38 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
                         max_depth: int = DEFAULT_MAX_DEPTH) -> GramCloud:
     """Forbidden-region elimination for full-dimensional anchor tuples.
 
-    Runs in Gram coordinates and ep's scalar type: Fractions with zero
-    tolerance, or floats with tol scaled by the longest anchor.  Phase 1
-    places the points on a face; phase 2 takes the slab and depth bound from
-    profile 0's other candidates (`depth_bound`), and each round places the
-    entries with one mirror candidate in the region, then deepens it; both are
-    `Entries.sweep` passes.  A placed point takes its entry (an equal one, if
-    exact) from every profile, or rejects ep as "unmatched".
+    Runs in Gram coordinates, on ep's GramKernel (integers over one
+    denominator, matched exactly) if exact, else in floats with tol scaled by
+    the longest anchor.  Phase 1 places the points on a face; phase 2 takes
+    the slab and depth bound from profile 0's other candidates
+    (`depth_bound`), and each round places the entries with one mirror
+    candidate in the region, then deepens it; both are `Entries.sweep` passes.
+    A placed point takes its entry (an equal one, if exact) from every
+    profile, or rejects ep as "unmatched".
     """
-    d = ep.a.order - 1
-    G = ep.gram()
-    tol = 0 if G.dtype == object else tol
-    H = _inverse(G)
-    limit = tol * max(1.0, math.sqrt(float(max(np.diagonal(G))))) * 1e5
-    profiles = [Entries(p) for p in ep.profiles]
+    if ep.exact:
+        G, c, entries = _numerators(ep)
+        frame = GramKernel(G, c)
+    else:
+        frame, entries = _FloatGram(ep.gram(), tol), ep.profiles
+    profiles = [Entries(p) for p in entries]
     placed: list[tuple] = []
     cands_of = []  # per profile, each distinct entry's one or two mirror candidates
-    for i, entries in enumerate(ep.profiles):
-        distinct = list(dict.fromkeys(entries))
-        plus, minus, resident = mirror_lambdas(G, H, np.array(distinct, G.dtype), i, tol)
-        if G.dtype != object and np.isnan(minus).any():
-            raise InconsistentDataError("a profile entry is unrealizable")
-        cands_of.append({e: [tuple(p)] if r else [tuple(p), tuple(m)] for e, p, m, r
-                         in zip(distinct, plus.tolist(), minus.tolist(), resident)})
+    for i, es in enumerate(entries):
+        distinct = list(dict.fromkeys(es))
+        cands_of.append({e: [tuple(p)] if r else [tuple(p), tuple(m)]
+                         for e, p, m, r in zip(distinct, *frame.mirror(distinct, i))})
 
-    def place(lam: tuple) -> None:
-        dots = (G @ np.array(lam, dtype=G.dtype)).tolist()  # <x, z_k>
-        norm2 = sum(a * b for a, b in zip(lam, dots))
-        for j in range(d):
-            target = tuple(norm2 - (k != j) * (2 * dots[k] - G[k][k]) for k in range(d))
-            try:
-                profiles[j].take(target, limit)
-            except InconsistentDataError as exc:
-                raise CandidateRejected("unmatched", str(exc)) from None
+    def place(lam: tuple) -> None:  # its entry in profile j: |x|^2 - t_k at k != j
+        norm2, t = frame.targets(lam)
+        try:
+            if t is None:
+                raise InconsistentDataError("a placed point is off the profiles' grid")
+            for j, entries in enumerate(profiles):
+                entries.take(tuple(norm2 - (k != j) * tk for k, tk in enumerate(t)),
+                             frame.limit)
+        except InconsistentDataError as exc:
+            raise CandidateRejected("unmatched", str(exc)) from None
         placed.append(lam)
 
     def chooser(i: int, member):
@@ -496,18 +638,21 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
             return cands[inside.index(False)] if any(inside) else None
         return choose
 
+    def cloud(**counters) -> GramCloud:
+        return GramCloud(ep, frame.G, placed, frame.c, frame.q, **counters)
+
     # phase 1: points on a face have a unique candidate
+    d = len(profiles)
     for i in range(d):
         profiles[i].sweep(chooser(i, lambda c: False), place)
     if not any(profiles):
-        return GramCloud(ep, G, placed)
+        return cloud()
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
-    rest = np.array([c for _, e in profiles[0].live() for c in cands_of[0][e]], dtype=G.dtype)
-    eps2, gamma = depth_bound(rest, G, H, tol)
+    eps2, gamma = frame.depth_bound([c for _, e in profiles[0].live() for c in cands_of[0][e]])
     if not math.isfinite(gamma):
         raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
-    region = ForbiddenRegion(G, eps2, tol)
+    region = frame.region(eps2)
     depth_cap = min(max_depth, int(gamma))
 
     depth = 0
@@ -515,7 +660,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         for i in range(d):
             profiles[i].sweep(chooser(i, lambda c: region.membership(c, depth)), place)
         if not any(profiles):
-            return GramCloud(ep, G, placed, depth, int(gamma), math.sqrt(float(eps2)))
+            return cloud(depth=depth, gamma_bound=int(gamma), epsilon=math.sqrt(float(eps2)))
         depth += 1
         if depth > depth_cap:
             raise CandidateRejected(
@@ -548,21 +693,21 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
     candidates = select_cone_tuple(enhanced_profiles_from_wl3(store), tol=tol)
     interner = Interner(store.interner.mode, verify_snap)
 
-    def recolored(sq):
+    def recolored(sq, den=None):
         return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode=interner.mode,
-                                                 snap=verify_snap, interner=interner))
+                                                 snap=verify_snap, interner=interner, den=den))
 
     exact = interner.mode == "exact"
     fin = fingerprint(store, 3) if exact else recolored(store.dist_floats[store.dist_array])
 
     def certificate(res: GramCloud):
-        lams, G = np.array(res.lambdas, dtype=res.G.dtype), res.G
         if not exact:
+            lams, G = np.array(res.lambdas), res.G
             mean = lams.mean(axis=0)
             if (drift2 := mean @ G @ mean) > 1e-12 * max(1.0, ((lams @ G) * lams).sum(-1).max()):
                 raise ReconstructionError(f"barycenter drift {math.sqrt(drift2):.3e}")
-        diff = lams[:, None, :] - lams[None, :, :]
-        return recolored(((diff @ G) * diff).sum(-1))
+        sq, den = res.sq_distances()
+        return recolored(sq, den if exact else None)
 
     failures: list[str] = []
     reasons = dict.fromkeys(FAILURE_REASONS, 0)

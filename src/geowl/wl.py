@@ -472,11 +472,18 @@ def _store(interner: Interner, ell: int, dim: int, ids: np.ndarray,
 
 def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
                          snap: float = DEFAULT_TOL, interner: Interner | None = None,
-                         max_tuples: int = DEFAULT_MAX_TUPLES,
-                         label: str | None = None) -> ColorStore:
-    """Iteration-0 store built directly from an n x n squared-distance matrix."""
+                         max_tuples: int = DEFAULT_MAX_TUPLES, label: str | None = None,
+                         den: int | None = None) -> ColorStore:
+    """Iteration-0 store built directly from an n x n squared-distance matrix, or,
+    given den (exact mode), from integer numerators over den."""
     interner = _checked_interner(interner, mode, snap, len(values), ell, max_tuples)
-    return _store(interner, ell, dim, interner.intern_values(values), label)
+    if den is None:
+        ids = interner.intern_values(values)
+    elif mode != "exact":
+        raise ValueError("integer keys over a denominator need exact mode")
+    else:
+        ids = interner.intern_keys(np.asarray(values).ravel().tolist(), den)
+    return _store(interner, ell, dim, ids.reshape(len(values), -1), label)
 
 
 def _float_sq_matrix(cloud: PointCloud):
@@ -586,9 +593,10 @@ def run_wl(cloud: PointCloud, ell: int, iters: int, *, mode: str | None = None,
 def run_wl_from_sq_values(values, ell: int, iters: int, dim: int, *,
                           mode: str = "exact", snap: float = DEFAULT_TOL,
                           interner: Interner | None = None,
-                          max_tuples: int = DEFAULT_MAX_TUPLES) -> ColorStore:
+                          max_tuples: int = DEFAULT_MAX_TUPLES,
+                          den: int | None = None) -> ColorStore:
     store = store_from_sq_values(values, ell, dim, mode=mode, snap=snap,
-                                 interner=interner, max_tuples=max_tuples)
+                                 interner=interner, max_tuples=max_tuples, den=den)
     for _ in range(iters):
         refine(store)
     return store

@@ -693,3 +693,15 @@ def test_pivot_u_is_never_the_point_at_the_barycenter():
     assert 0 < min(norms.values()) <= 1e-9
     rep = reconstruct(cloud, "wl2d")
     assert rep.verified
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("power", [80, 100, 150])
+def test_exact_clouds_scaled_past_1e80_verify(seed, power):
+    # the partner's height test multiplied two squared norms, 4 |u|^2 tol |y|^2,
+    # which overflowed to inf past 1e308: every partner then read as collinear and
+    # reconstruct2d reported "collinear entry is off the pivot line"
+    shape = oracle.random_cloud(8, 2, seed)
+    cloud = PointCloud(2, tuple(tuple(c * 10 ** power for c in p) for p in shape.points))
+    rep = reconstruct(cloud, "wl2d")
+    assert rep.verified and rep.counters["alpha"] is not None

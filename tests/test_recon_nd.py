@@ -9,14 +9,14 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from geowl import RunConfig, oracle, reconstruct
+from geowl import RunConfig, oracle, recon_nd, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
-from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, ProfileTable,
-                            _gram, _inverse, depth_bound, enhanced_profiles_from_wl3,
-                            mirror_lambdas, reconstruct_fulldim, reconstruct_lowdim,
-                            reconstruct_nd, select_cone_tuple)
+from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, GramCloud,
+                            GramKernel, ProfileTable, _gram, _gram2, _numerators, depth_bound,
+                            enhanced_profiles_from_wl3, mirror_lambdas, reconstruct_fulldim,
+                            reconstruct_lowdim, reconstruct_nd, select_cone_tuple)
 from geowl.wl import _History, run_wl, run_wl_from_sq_values
 
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -418,9 +418,11 @@ def _check_orthant_region(exact):
                                 [1.0 if k == j else 0.0 for k in range(3)]],
                                toward=[1.0 if k == m else 0.0 for k in range(3)])
         for m, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))))
-    num = F if exact else float
-    region = ForbiddenRegion(np.eye(3, dtype=object if exact else float) * num(1),
-                             eps2=num(1, 100) if exact else 0.1 ** 2, tol=0 if exact else 1e-9)
+    if exact:  # points are integer numerators over the kernel's q
+        kernel = GramKernel(np.eye(3, dtype=object), 1)
+        region, num = ForbiddenRegion(kernel, eps2=F(1, 100)), lambda x: x * kernel.q
+    else:
+        region, num = ForbiddenRegion(np.eye(3), eps2=0.1 ** 2, tol=1e-9), float
     inside = tuple(map(num, (1, 2, 3)))
     for depth in range(4):
         assert region.membership(inside, depth)
@@ -589,10 +591,9 @@ def test_profile0_mirror_candidates_never_both_inside_the_cone():
             ep = _direct_ep(cloud, b, tuple(cloud.points[i] for i in idx))
             if ep.dimension() < d:
                 continue
-            G = ep.gram()
-            plus, minus, resident = mirror_lambdas(
-                G, _inverse(G), np.array(ep.profiles[0], dtype=object), 0)
-            for lam in zip(plus.tolist(), minus.tolist(), resident):
+            G, c, entries = _numerators(ep)
+            plus, minus, resident = GramKernel(G, c).mirror(entries[0], 0)
+            for lam in zip(plus, minus, resident):
                 if lam[2]:
                     continue
                 inside = [min(v) > 0 for v in lam[:2]]
@@ -627,11 +628,133 @@ def test_float_slot_norms_use_the_grid_step():
 
 
 def test_exact_inverse_of_a_singular_gram_matrix_raises():
-    # coplanar anchors: the Gram matrix of (b, x_1, x_2, x_3) has rank 2
+    # coplanar anchors: the Gram matrix of (b, x_1, x_2, x_3) has rank 2; the
+    # kernel holds G = G8 / 8, G8 an integer matrix, as coordinates are halves
+    def kernel(pts):
+        A = squared_distance_matrix(pts).entries
+        return GramKernel(_gram2(np.array([[int(4 * x) for x in row] for row in A])), 8)
     pts = [(F(0), F(0), F(0)), (F(1), F(2), F(0)), (F(3), F(-1), F(0)), (F(4), F(1), F(0))]
-    G = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object))
     with pytest.raises(ReconstructionError, match="not full-dimensional"):
-        _inverse(G)
+        kernel(pts)
     pts[3] = (F(4), F(1), F(1, 2))
-    G = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object))
-    assert (_inverse(G) @ G == np.eye(3, dtype=int)).all()
+    G, k = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object)), kernel(pts)
+    inverse = np.vectorize(F, otypes="O")(k.c * k.adj, k.det)
+    assert (inverse @ G == np.eye(3, dtype=int)).all()
+
+
+def _reference_inverse(G):
+    """G^-1 by Gauss-Jordan elimination over Fractions."""
+    d = len(G)
+    M = [list(row) + [F(int(i == j)) for j in range(d)] for i, row in enumerate(G)]
+    for k in range(d):
+        p = next(i for i in range(k, d) if M[i][k])
+        M[k], M[p] = M[p], M[k]
+        M[k] = [x / M[k][k] for x in M[k]]
+        for i in range(d):
+            if i != k:
+                M[i] = [a - M[i][k] * b for a, b in zip(M[i], M[k])]
+    return np.array([row[d:] for row in M], dtype=object)
+
+
+def _reference_mirror(G, H, E, i):
+    """`mirror_lambdas` over Fractions: G^-1 <x, z> but for lambda_i = +-sqrt(disc)."""
+    g = (E[:, i:i + 1] + np.diagonal(G)[None, :] - E) * F(1, 2)
+    g[:, i] = 0
+    Hg = g @ H.T
+    disc = Hg[:, i] ** 2 - H[i, i] * ((g * Hg).sum(-1) - E[:, i])
+    root = np.array([F(math.isqrt(q.numerator), math.isqrt(q.denominator)) for q in disc],
+                    dtype=object)
+    assert (root * root == disc).all()
+    v = H[:, i] / H[i, i]
+    u = Hg - Hg[:, i:i + 1] * v[None, :]
+    lift = root[:, None] * v[None, :]
+    return u + lift, u - lift, disc == 0
+
+
+def _reference_depth_bound(lams, G, H):
+    """`depth_bound` over Fractions: epsilon^2 exact, gamma_bound from its floats."""
+    hd = np.diagonal(H)
+    rho2 = [r for r in (lams * lams / hd[None, :]).min(-1) if r > 0]
+    eps2 = min(rho2) / 4 if rho2 else math.inf
+    norm = math.sqrt(float(((lams @ G) * lams).sum(-1).max()))
+    gd = np.array([float(x) for x in np.diagonal(G)])
+    c_const = 2 / np.sqrt(max(float(x) for x in hd))
+    gamma = math.ceil(norm * np.sqrt(gd).sum() / (c_const * math.sqrt(float(eps2)))) + 1
+    return eps2, gamma if eps2 < math.inf else math.inf
+
+
+@pytest.mark.parametrize("cloud, stride", [
+    (oracle.random_cloud(6, 3, 5), 1), (oracle.random_cloud(9, 4, 1), 24),
+    (GAPPED_OCTAHEDRON, 1)], ids=["n6d3s5", "n9d4s1", "gapped-oct"])
+def test_gram_kernel_matches_the_fraction_formulas(cloud, stride):
+    # each candidate row's profiles: mirror candidates, epsilon^2 and gamma_bound
+    # from profile 0's doubled candidates, and the squared distances of its plus
+    # candidates, from the integer kernel and from Fractions, equal as rationals.
+    # Every row, but for `gen --n 9 --d 4 --seed 1` (3 024 rows at ~18 ms each in
+    # Fractions) the 19 that wlnd tries and every stride-th row after them
+    ranked = select_cone_tuple(enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3)))
+    assert ranked.full
+    frac = np.vectorize(F, otypes="O")
+    for ep in (ranked[k] for k in range(len(ranked)) if k < 19 or k % stride == 0):
+        G, (Gi, c, entries) = ep.gram(), _numerators(ep)
+        H, kernel = _reference_inverse(G), GramKernel(Gi, c)
+        assert (frac(c * kernel.adj, kernel.det) == H).all()
+        for i, profile in enumerate(ep.profiles):
+            distinct = list(dict.fromkeys(profile))
+            plus, minus, resident = kernel.mirror(list(dict.fromkeys(entries[i])), i)
+            ref = _reference_mirror(G, H, np.array(distinct, dtype=object), i)
+            assert (frac(plus, kernel.q) == ref[0]).all() and resident == ref[2].tolist()
+            assert (frac(minus, kernel.q) == ref[1]).all()
+            if i == 0:
+                doubled = plus + minus
+                eps2, gamma = kernel.depth_bound(doubled)
+                want = _reference_depth_bound(frac(doubled, kernel.q), G, H)
+                assert (eps2, float(gamma)) == want
+                sq, den = GramCloud(ep, Gi, plus, c, kernel.q).sq_distances()
+                lams = frac(plus, kernel.q)
+                diff = lams[:, None, :] - lams[None, :, :]
+                assert (frac(sq, den) == ((diff @ G) * diff).sum(-1)).all()
+
+
+def test_exact_candidates_run_no_fraction_arithmetic(monkeypatch):
+    # `geowl gen --n 10 --d 3 --seed 3`: no Fraction is added, subtracted, multiplied
+    # or divided while a candidate is eliminated (`reconstruct_fulldim`) or certified
+    # (from its return to the `compare` of the recolored fingerprint)
+    counts, where = Counter(), [None]
+
+    def counted(name):
+        op = getattr(F, name)
+
+        def wrapper(*args):
+            counts[where[0]] += 1
+            return op(*args)
+        return wrapper
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(F, name, counted(name))
+    assert F(1, 2) + 1 == F(3, 2) and counts[None] == 1
+
+    def fulldim(*args, **kwargs):
+        where[0] = "fulldim"
+        try:
+            res = reconstruct_fulldim(*args, **kwargs)
+        finally:
+            where[0] = None
+        where[0] = "certificate"
+        calls["fulldim"] += 1
+        return res
+
+    def compare(a, b, original=recon_nd.compare):
+        calls["certificate"] += where[0] == "certificate"
+        where[0] = None
+        return original(a, b)
+    calls = Counter()
+    monkeypatch.setattr(recon_nd, "reconstruct_fulldim", fulldim)
+    monkeypatch.setattr(recon_nd, "compare", compare)
+    cloud = oracle.random_cloud(10, 3, 3)
+    rep = reconstruct_nd(run_wl(cloud, 2, 3))
+    assert (rep.counters["candidates_tried"], rep.counters["depth"]) == (3, 3)
+    assert oracle.is_isometric(rep.cloud, cloud) is not None
+    assert calls["certificate"] >= 1 and calls["fulldim"] >= 1
+    assert counts["fulldim"] == counts["certificate"] == 0
+    assert counts[None] > 1  # the render of the accepted cloud runs in Fractions
