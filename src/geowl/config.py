@@ -24,9 +24,10 @@ class RunConfig:
     """Knobs for a coloring or reconstruction run.
 
     mode None selects exact arithmetic for rational inputs and float mode
-    (with distance snapping at step tol) otherwise.  select_samples is not
-    read: it sized the Monte Carlo cone-angle order that `wlnd` no longer
-    uses, and stays while perfbench/workloads.py passes it on.
+    (with distance snapping at step tol) otherwise.  select_samples and
+    verify_snap are not read: they sized the Monte Carlo cone-angle order and
+    the float certificate's own grid, which `wlnd` no longer uses, and stay
+    while perfbench/workloads.py passes them on.
     """
 
     ell: int = 1

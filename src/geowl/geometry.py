@@ -219,67 +219,47 @@ class Entries:
                 place(p)
 
 
-def _eliminate(rows: list[list]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination over the rationals, without division.
+def _eliminate(rows: list[list]) -> tuple[list[int], int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of a rational matrix,
+    each row first scaled to integers by the lcm of its denominators.
 
-    Rows are scaled to integers; a pivot row clears its column from every
-    other row by an integer combination, divided by the gcd of its entries.
-    Returns the rows, the i-th a multiple of the i-th row of the reduced row
-    echelon form, and the pivot columns: the first column basis.
+    Column by column, the first row at or below row k with a nonzero entry
+    becomes row k, whose entry is the pivot p_k (a column with none is
+    skipped), and every other row r goes to (p_k r - r_c row_k) / p_(k-1),
+    p_0 = 1.  Each division is exact, as every entry is a minor of the
+    scaled matrix.  Returns the pivot columns (the first column basis), the
+    sign of the row permutation and the rows.  For [M | I], M square and
+    nonsingular, the rows end as [p I | X] with p = sign det(M) and
+    X = sign adj(M).
     """
     m = []
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
         m.append([x.numerator * (den // x.denominator) for x in row])
     pivots: list[int] = []
+    sign, prev = 1, 1
     for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][c]), None)
         if p is None:
             continue
-        m[p], m[r] = m[r], m[p]
-        top = m[r]
+        if p != k:
+            m[p], m[k], sign = m[k], m[p], -sign
+        top, piv = m[k], m[k][c]
         for i, row in enumerate(m):
-            if i != r and row[c]:
-                row = [top[c] * a - row[c] * b for a, b in zip(row, top)]
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
+            if i != k:
+                f = row[c]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
         pivots.append(c)
+        prev = piv
         if len(pivots) == len(m):
             break
-    return m, pivots
-
-
-def det_adj(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
-    """det(M) and adj(M) of a square integer matrix M, by fraction-free
-    Gauss-Jordan elimination (Bareiss 1968) of [M | I] with row swaps.
-
-    Step k takes every other row r to (p_k r - r_k top) / p_(k-1), p_k the
-    pivot and p_0 = 1; each division is exact (every entry is a minor of
-    [M | I]), and [M | I] ends as [p I | X] with p = +-det(M) and X = +-adj(M),
-    the sign that of the row permutation.  adj is None when det is 0.
-    """
-    m = len(rows)
-    a = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(m):
-        p = next((i for i in range(k, m) if a[i][k]), None)
-        if p is None:
-            return 0, None
-        if p != k:
-            a[k], a[p], sign = a[p], a[k], -sign
-        top, piv = a[k], a[k][k]
-        for i, row in enumerate(a):
-            if i != k:
-                f = row[k]
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = piv
-    return sign * prev, [[sign * x for x in row[m:]] for row in a]
+    return pivots, sign, m
 
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:
     """Rank over the rationals."""
-    return len(_eliminate(rows)[1])
+    return len(_eliminate(rows)[0])
 
 
 def _float_rank(mat: np.ndarray, tol: float, sv: np.ndarray | None = None):
@@ -343,12 +323,12 @@ def gram_ranks(ids: np.ndarray, floats: np.ndarray, tol: float = DEFAULT_TOL,
 
 def gram_basis(G: np.ndarray, tol: float = DEFAULT_TOL) -> list[int]:
     """The greedy basis of anchors z_j of Gram matrix G: each j that raises the rank
-    of the ones kept, exact for an object array."""
+    of the ones kept; for an object array, G's pivot columns, which are that basis."""
+    if G.dtype == object:
+        return _eliminate(G.tolist())[0]
     basis: list[int] = []
     for j in range(len(G)):
-        sub = G[np.ix_(basis + [j], basis + [j])]
-        rank = _exact_rank(sub.tolist()) if G.dtype == object else _float_rank(sub, tol)
-        basis += [j] if rank > len(basis) else []
+        basis += [j] if _float_rank(G[np.ix_(basis + [j], basis + [j])], tol) > len(basis) else []
     return basis
 
 

@@ -50,7 +50,7 @@ def _anchor_indices(A: np.ndarray, floor: float, points=None) -> list[int]:
     n, d = A.shape
     if points is not None:
         diffs = [[p[c] - points[0][c] for p in points[1:]] for c in range(d)]
-        return [0] + [1 + c for c in _eliminate(diffs)[1]]
+        return [0] + [1 + c for c in _eliminate(diffs)[0]]
     idx, basis = [0], np.zeros((0, d))
     for i in range(1, n):
         r = A[i] - A[0]

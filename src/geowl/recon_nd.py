@@ -50,13 +50,13 @@ import numpy as np
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _gram, _gram2, det_adj,
+from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _gram, _gram2,
                        gram_affine_dim, gram_basis, gram_points, gram_ranks, is_exact)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
 from .geometry import anchor_embed, mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
 from .report import ReconstructionReport
-from .wl import (ColorStore, Interner, _distinct_rows, _History, _index, _sorted_rows,
+from .wl import (ColorStore, _distinct_rows, _History, _index, _sorted_rows,
                  compare, fingerprint, run_wl_from_sq_values)
 from .wl import run_wl  # noqa: F401  (not called here either)
 
@@ -305,22 +305,26 @@ def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0
 class GramKernel:
     """An exact anchor Gram matrix in integers: G / c, G an integer matrix.
 
-    `geometry.det_adj` gives det = det(G) and adj = adj(G), signed so that
-    det > 0, and the inverse is c adj / det.  Gram coordinates are integer
-    vectors over q = 2 det lcm_i adj_ii, which holds every mirror candidate.
-    Raises ReconstructionError if G is singular, and InconsistentDataError if
-    a diagonal entry of adj is not positive, as it is for every Gram matrix.
+    `geometry._eliminate` of [G | I] gives det = |det(G)| and adj = det G^-1,
+    which is +-adj(G), so the inverse is c adj / det.  Gram coordinates
+    are integer vectors over q = 2 det lcm_i adj_ii, which holds every mirror
+    candidate.  Raises ReconstructionError if G is singular, and
+    InconsistentDataError if a diagonal entry of adj is not positive, as it is
+    for every Gram matrix.
     """
 
     limit = 0  # profile entries are matched exactly
 
     def __init__(self, G: np.ndarray, c: int):
-        det, adj = det_adj(G.tolist())
-        if not det:
+        m = len(G)
+        pivots, _, rows = _eliminate([row + [int(i == j) for j in range(m)]
+                                      for i, row in enumerate(G.tolist())])
+        if pivots != list(range(m)):
             raise ReconstructionError("anchors are not full-dimensional")
-        sign = 1 if det > 0 else -1
-        self.G, self.c, self.det = G, c, sign * det
-        self.adj = np.array(adj, dtype=object) * sign
+        p = rows[0][0]  # [G | I] ends as [p I | X], and X / p is G^-1
+        sign = 1 if p > 0 else -1
+        self.G, self.c, self.det = G, c, sign * p
+        self.adj = np.array([row[m:] for row in rows], dtype=object) * sign
         self.diag = np.diagonal(self.adj).tolist()
         if min(self.diag) <= 0:
             raise InconsistentDataError("the anchors' Gram matrix is not positive definite")
@@ -467,10 +471,9 @@ def select_cone_tuple(table: ProfileTable, tol: float = DEFAULT_TOL) -> Ranked:
 
 @dataclass
 class GramCloud:
-    """Point p is sum_j lambdas[p][j] / q z_j over ep's anchors, of Gram matrix G / c:
+    """Point p is sum_j lambdas[p][j] / q z_j over the anchors of Gram matrix G / c:
     integer numerators for an exact store, floats (c = q = 1) for a float one."""
 
-    ep: EnhancedProfile
     G: np.ndarray
     lambdas: list[tuple]
     c: int = 1
@@ -521,7 +524,7 @@ def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramClo
         lams[:, basis], q = g[:, basis] @ kernel.adj, 2 * kernel.det
     else:
         lams[:, basis], q = (g * 0.5)[:, basis] @ np.linalg.inv(G[sub]), 1
-    return GramCloud(ep, G, list(map(tuple, lams.tolist())), c, q)
+    return GramCloud(G, list(map(tuple, lams.tolist())), c, q)
 
 
 class ForbiddenRegion:
@@ -639,7 +642,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
         return choose
 
     def cloud(**counters) -> GramCloud:
-        return GramCloud(ep, frame.G, placed, frame.c, frame.q, **counters)
+        return GramCloud(frame.G, placed, frame.c, frame.q, **counters)
 
     # phase 1: points on a face have a unique candidate
     d = len(profiles)
@@ -667,6 +670,30 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
                 "depth_cap", f"unresolved points at the depth bound (cap {depth_cap})")
 
 
+def _grid_keys(store: ColorStore, tol: float):
+    """The certificate's map from a candidate's squared distances over a denominator
+    to keys on the input's own grid.  Exact integers over c q^2 pass as they
+    are.  A float distance takes the grid token of the nearest input distance,
+    which must lie within one grid step plus tol times the largest input
+    squared distance, or the candidate is rejected as "fingerprint_mismatch"."""
+    if store.interner.mode == "exact":
+        return lambda sq, den: (sq, den)
+    ids = np.unique(store.dist_array)
+    ids = ids[np.argsort(store.dist_floats[ids], kind="stable")]
+    values = store.dist_floats[ids]
+    tokens = np.array([store.interner.dist_keys[i] for i in ids.tolist()], dtype=object)
+    bound = store.interner.snap + tol * values[-1]
+
+    def keys(sq, den):
+        at = np.clip(np.searchsorted(values, sq), 1, len(values) - 1)
+        near = at - (sq - values[at - 1] <= values[at] - sq)
+        if not (err := np.abs(sq - values[near]).max()) <= bound:  # NaN too
+            raise CandidateRejected("fingerprint_mismatch",
+                                    f"a distance is {err:.3e} off the input's (bound {bound:.3e})")
+        return tokens[near], 1
+    return keys
+
+
 def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                    samples: int = DEFAULT_SELECT_SAMPLES, seed: int = 0,
                    max_depth: int = DEFAULT_MAX_DEPTH,
@@ -675,13 +702,12 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
 
     Candidates go in `select_cone_tuple`'s order, each built when it is
     tried; one is accepted when its recoloring reproduces the input
-    fingerprint, which certifies isometry.  Every candidate's squared
-    distances (l_x - l_y)^T G (l_x - l_y), in G's arithmetic, are recolored
-    in the store's mode: exactly against `fingerprint(store)`, or at
-    verify_snap against the input's distances for a float store, which alone
-    reads verify_snap and first bounds the drift m^T G m of the mean lambda.
+    fingerprint `fingerprint(store, 3)`, which certifies isometry.  Every
+    candidate's squared distances (l_x - l_y)^T G (l_x - l_y), in G's
+    arithmetic, become keys on the input's grid (`_grid_keys`) and are
+    recolored in the store's mode and snap, in an interner of their own.
     counters["failures"] counts the earlier rejects by FAILURE_REASONS.
-    `samples` and `seed` are unread (perfbench passes them).
+    `samples`, `seed` and `verify_snap` are unread (perfbench passes them).
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
@@ -691,23 +717,12 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                                     counters={"candidates_tried": 0})
 
     candidates = select_cone_tuple(enhanced_profiles_from_wl3(store), tol=tol)
-    interner = Interner(store.interner.mode, verify_snap)
-
-    def recolored(sq, den=None):
-        return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode=interner.mode,
-                                                 snap=verify_snap, interner=interner, den=den))
-
-    exact = interner.mode == "exact"
-    fin = fingerprint(store, 3) if exact else recolored(store.dist_floats[store.dist_array])
+    fin, keys = fingerprint(store, 3), _grid_keys(store, tol)
 
     def certificate(res: GramCloud):
-        if not exact:
-            lams, G = np.array(res.lambdas), res.G
-            mean = lams.mean(axis=0)
-            if (drift2 := mean @ G @ mean) > 1e-12 * max(1.0, ((lams @ G) * lams).sum(-1).max()):
-                raise ReconstructionError(f"barycenter drift {math.sqrt(drift2):.3e}")
-        sq, den = res.sq_distances()
-        return recolored(sq, den if exact else None)
+        sq, den = keys(*res.sq_distances())
+        return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode=store.interner.mode,
+                                                 snap=store.interner.snap, den=den))
 
     failures: list[str] = []
     reasons = dict.fromkeys(FAILURE_REASONS, 0)

@@ -61,8 +61,7 @@ def reconstruct(cloud: PointCloud, algorithm: str,
         if cloud.dim < 3:
             raise ValueError("wlnd needs dimension at least 3")
         report = recon_nd.reconstruct_nd(colored(cloud.dim - 1, 3), tol=cfg.tol,
-                                         max_depth=cfg.max_depth,
-                                         verify_snap=cfg.verify_snap)
+                                         max_depth=cfg.max_depth)
     elif algorithm == "oneshot":
         report = oneshot.reconstruct_one_iter(colored(cloud.dim, 1), tol=cfg.tol,
                                               cap=cfg.max_candidates)

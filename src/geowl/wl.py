@@ -475,12 +475,13 @@ def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
                          max_tuples: int = DEFAULT_MAX_TUPLES, label: str | None = None,
                          den: int | None = None) -> ColorStore:
     """Iteration-0 store built directly from an n x n squared-distance matrix, or,
-    given den (exact mode), from integer numerators over den."""
+    given den, from integer keys over den: numerators in exact mode, grid tokens
+    (den 1) in float mode."""
     interner = _checked_interner(interner, mode, snap, len(values), ell, max_tuples)
     if den is None:
         ids = interner.intern_values(values)
-    elif mode != "exact":
-        raise ValueError("integer keys over a denominator need exact mode")
+    elif mode != "exact" and den != 1:
+        raise ValueError("float grid tokens are integer keys over den 1")
     else:
         ids = interner.intern_keys(np.asarray(values).ravel().tolist(), den)
     return _store(interner, ell, dim, ids.reshape(len(values), -1), label)

@@ -437,11 +437,75 @@ def test_pivot_columns_are_the_greedy_basis():
     for k, pts in enumerate(tuples):
         pts = [tuple(F(c) for c in p) for p in pts]
         G = _gram(np.array(squared_distance_matrix(pts).entries, dtype=object))
-        basis = _eliminate(G.tolist())[1]
+        basis = _eliminate(G.tolist())[0]
         assert basis == _greedy_basis(G.tolist()), pts
         assert len(basis) == affine_dim(pts) < len(G)
         if k < len(DEPENDENT_TUPLES):  # a dependent slot comes before an independent one
             assert basis != list(range(len(basis))), pts
+
+
+def _reference_rref(M):
+    """Pivot columns and reduced row echelon form of M, in Fractions."""
+    m, pivots = [[F(x) for x in row] for row in M], []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m
+
+
+def _random_matrix(rng, rational: bool):
+    """A random rectangular matrix, a third of them square, of random rank (full
+    for a third), maybe with a zero column and a zero top entry over a nonzero
+    one, which forces a row swap."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    cols = rows if rng.random() < 1 / 3 else cols
+    k = min(rows, cols) if rng.random() < 1 / 3 else rng.randint(0, min(rows, cols))
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 5)) if rational else rng.randint(-4, 4)
+    left = [[entry() for _ in range(k)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(k)]
+    M = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(cols)]
+         for i in range(rows)]
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in M:
+            row[c] = 0
+    if rows > 1 and rng.random() < 0.5:
+        M[0], M[1] = M[1], M[0]
+        M[0][0], M[1][0] = 0, M[1][0] or 1
+    return M
+
+
+def test_fraction_free_elimination_matches_the_rational_reference():
+    rng = random.Random(7)
+    for t in range(600):
+        M = _random_matrix(rng, rational=t % 3 == 0)
+        pivots, sign, rows = _eliminate(M)
+        ref, rref = _reference_rref(M)
+        assert pivots == ref, M
+        # each pivot row is p times its reduced row, p the last pivot; the rest are 0
+        p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+        assert rows == [[p * x for x in row] for row in rref[:len(pivots)]] \
+            + [[0] * len(M[0])] * (len(M) - len(pivots)), M
+        if len(M) == len(M[0]) and t % 3:  # square integer: det and adj from [M | I]
+            m = len(M)
+            pivots, sign, rows = _eliminate([row + [int(i == j) for j in range(m)]
+                                             for i, row in enumerate(M)])
+            det = sign * rows[0][0] if pivots == list(range(m)) else 0
+            assert det == _det(M), M
+            if det:
+                adj = [[sign * x for x in row[m:]] for row in rows]
+                assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)]
+                        for row in M] == [[det * (i == j) for j in range(m)] for i in range(m)]
 
 
 def test_float_rank_of_a_stack_is_each_matrix_rank():

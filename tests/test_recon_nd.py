@@ -3,6 +3,7 @@ import math
 import random
 import time
 from collections import Counter
+from contextlib import suppress
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -323,8 +324,9 @@ def test_rendered_points_keep_a_gap_of_1e_12_apart():
 
 def test_float_candidates_recolor_their_gram_coordinates(monkeypatch):
     # a float store's candidates are certified from (l_x - l_y)^T G (l_x - l_y),
-    # bitwise symmetric with a zero diagonal; no candidate is embedded or
-    # recolored as a point cloud
+    # keyed by the input's own grid tokens, symmetric with a zero diagonal; no
+    # candidate is embedded or recolored as a point cloud, and the input is not
+    # recolored at all
     matrices = []
 
     def recolor(sq, *args, **kwargs):
@@ -334,11 +336,48 @@ def test_float_candidates_recolor_their_gram_coordinates(monkeypatch):
     for name in ("run_wl", "anchor_embed"):
         monkeypatch.setattr(f"geowl.recon_nd.{name}", lambda *a, **k: pytest.fail("called"))
     cloud = PointCloud.from_array(oracle.random_cloud(7, 3, 4).as_array() * 1.0001)
-    rep = reconstruct_nd(run_wl(cloud, 2, 3))
+    store = run_wl(cloud, 2, 3)
+    rep = reconstruct_nd(store)
     # four candidates are rejected as unmatched before the fifth is recolored
-    assert rep.counters["candidates_tried"] == 5 and len(matrices) == 2
-    for sq in matrices[1:]:
-        assert sq.dtype == float and np.array_equal(sq, sq.T) and not np.diagonal(sq).any()
+    assert rep.counters["candidates_tried"] == 5 and len(matrices) == 1
+    keys, tokens = matrices[0], store.interner.dist_keys
+    assert sorted(keys.ravel().tolist()) == sorted(tokens[i] for i in store.dist_array.ravel())
+    assert np.array_equal(keys, keys.T) and not np.diagonal(keys).any()
+
+
+def _scaled(n: int, d: int, seed: int, factor: float) -> PointCloud:
+    return PointCloud.from_array(oracle.random_cloud(n, d, seed).as_array() * factor)
+
+
+@pytest.mark.parametrize("n, d", [(7, 3), (6, 4)])
+def test_float_certificate_is_free_of_the_clouds_units(n, d):
+    # on an absolute verify grid of 1e-6 every early candidate of these x10^4
+    # copies read as a fingerprint mismatch, and none verified
+    rep = reconstruct(_scaled(n, d, 100, 10.0 ** 4), "wlnd")
+    assert rep.verified and rep.counters["candidates_tried"] == 1
+
+
+@pytest.mark.parametrize("n, d, seed", [(8, 3, 101), (7, 4, 501)])
+def test_float_certificate_does_not_hinge_on_a_grid_boundary(n, d, seed):
+    # x0.37 puts input distances a few grid tokens from a boundary of the old
+    # verify grid: the first copy then tried 5 candidates, 2 of them mismatches
+    rep = reconstruct(_scaled(n, d, seed, 0.37), "wlnd")
+    assert rep.verified and rep.counters["failures"]["fingerprint_mismatch"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_certificate_follows_a_coarse_tolerance(seed):
+    # at tol 1e-6 the old certificate rejected every candidate of both copies
+    rep = reconstruct(_scaled(7, 3, seed, 1.0001), "wlnd", RunConfig(tol=1e-6))
+    assert rep.verified
+
+
+def test_no_hundredth_scale_copy_comes_back_unverified():
+    # a candidate the certificate accepts is one the oracle accepts; before it
+    # keyed on the input's own tokens, 3 of these 12 came back unverified
+    for (n, d), s in product([(7, 3), (6, 4)], range(6)):
+        with suppress(ReconstructionError):
+            assert reconstruct(_scaled(n, d, 100 + s, 10.0 ** -2), "wlnd").verified, (n, d, s)
 
 
 def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):
@@ -710,7 +749,7 @@ def test_gram_kernel_matches_the_fraction_formulas(cloud, stride):
                 eps2, gamma = kernel.depth_bound(doubled)
                 want = _reference_depth_bound(frac(doubled, kernel.q), G, H)
                 assert (eps2, float(gamma)) == want
-                sq, den = GramCloud(ep, Gi, plus, c, kernel.q).sq_distances()
+                sq, den = GramCloud(Gi, plus, c, kernel.q).sq_distances()
                 lams = frac(plus, kernel.q)
                 diff = lams[:, None, :] - lams[None, :, :]
                 assert (frac(sq, den) == ((diff @ G) * diff).sum(-1)).all()
