@@ -11,6 +11,9 @@ mirror candidates round by round while the known-empty angular region grows
 by the pivot angle on each side.  That region is the arc
 [-k*alpha, (k+1)*alpha] after k rounds, so each entry's first resolving
 round follows from its candidates' angles, and one walk in that order places all.
+Each tolerance test reads value <= tol * max(f, s), s the squared length the
+value comes from: f is 1 on a float store, whose grid step is tol, and 0 on an
+exact one, which thus decides alike at every scale.
 """
 
 from __future__ import annotations
@@ -83,13 +86,13 @@ def _cos_greater(qa, na, qb, nb) -> bool:
 def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
     """Extract pivot data from a 3-iteration single-point history.
 
-    The pivot u is the first point by color digest that is off the
-    barycenter by `reconstruct2d`'s own test (norm above tol); v minimizes
-    the angle at the barycenter over 0 < angle < pi (compared on cosines,
-    exactly in rational mode), with ties broken by color digest.  A partner
-    within tol of the u-line, by the test that makes it a u-line resident in
-    `reconstruct2d`, is no candidate for v.  When no v exists the cloud is
-    collinear with the barycenter and the fallback (0, M_u, M_u) applies.
+    The pivot u is the first point by color digest whose norm is above
+    tol * max(f, the largest norm), `reconstruct2d`'s test; v minimizes the
+    angle at the barycenter over 0 < angle < pi (compared on cosines, exactly
+    in rational mode), ties broken by color digest.  A partner whose squared
+    height over the u-line is within tol * max(f, its norm), `reconstruct2d`'s
+    u-line test, is no candidate for v.  With no v the cloud is collinear
+    with the barycenter and the fallback (0, M_u, M_u) applies.
     """
     if store.ell != 1 or store.iterations < 3:
         raise ValueError("need a single-point history with at least three iterations")
@@ -103,11 +106,10 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
     chi2_of_chi3 = dict(zip(c3s, store.nodes(c3s)[0].tolist()))
 
     # pick u: off the barycenter by reconstruct2d's test, canonical by digest
-    u_color = None
-    for c3 in c3s:
-        if float(norms[chi1_of_chi2[chi2_of_chi3[c3]]]) > tol:
-            u_color = c3
-            break
+    top = max(norms.values())
+    f = 0 if is_exact(top) else 1
+    u_color = next((c3 for c3 in c3s
+                    if norms[chi1_of_chi2[chi2_of_chi3[c3]]] > tol * max(f, top)), None)
     if u_color is None:
         raise InconsistentDataError("no point off the barycenter")
     nu2 = norms[chi1_of_chi2[chi2_of_chi3[u_color]]]
@@ -123,7 +125,7 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
         N = nu2 * ny2
         # the partner's squared height over the u-line is (4N - q^2) / (4|u|^2),
         # tested as reconstruct2d tests heights, with no product of two norms
-        if (4 * N - q * q) / (4 * nu2) <= tol * max(1, ny2):
+        if (4 * N - q * q) / (4 * nu2) <= tol * max(f, ny2):
             continue  # angle is 0 or pi, up to tol
         tiebreak = (digests[c2_y], did)
         if (best is None or _cos_greater(q, N, best[0], best[1])
@@ -173,12 +175,13 @@ def _entry_round(d0: float, d1: float, alpha: float, ang_tol: float) -> tuple[fl
     return k, _PICK[kind(k, d0)][kind(k, d1)]
 
 
-def _pivot_norm(entries: Entries, tol: float, pivot: str) -> tuple[float, float]:
-    """The pivot's squared norm and norm, from its multiset's one zero-distance entry."""
-    zero = [e for _, e in entries.live() if abs(e[0]) <= tol]
+def _pivot_norm(entries: Entries, tol: float, f: int, pivot: str) -> tuple[float, float]:
+    """The pivot's squared norm and norm, from its multiset's one zero-distance
+    entry, d^2 <= tol * max(f, |y|^2); it must exceed tol * max(f, the largest norm)."""
+    zero = [e for _, e in entries.live() if abs(e[0]) <= tol * max(f, e[1])]
     if len(zero) != 1:
         raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
-    if zero[0][1] <= tol:
+    if zero[0][1] <= tol * max(f, *(n2 for _, (_, n2) in entries.live())):
         raise InconsistentDataError(f"pivot {pivot} must not sit at the barycenter")
     return zero[0][1], math.sqrt(zero[0][1])
 
@@ -201,25 +204,26 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     m_u = Entries([(float(a), float(b)) for a, b in init.m_u])
     m_v = Entries([(float(a), float(b)) for a, b in init.m_v])
     d0sq = float(init.d0_sq)
+    f = 0 if is_exact(init.d0_sq) else 1
 
-    ru2, ru = _pivot_norm(m_u, tol, "u")
+    ru2, ru = _pivot_norm(m_u, tol, f, "u")
 
-    if d0sq <= tol:
+    if d0sq <= tol * max(f, ru2):
         # collinear: every point sits on the line through the barycenter and u
         pts = []
         for _, (d2, n2) in m_u.live():
             x = (ru2 + n2 - d2) / (2 * ru)
-            if abs(x * x - n2) > tol * max(1.0, n2) * 1000:
+            if abs(x * x - n2) > tol * max(f, n2) * 1000:
                 raise InconsistentDataError("collinear entry is off the pivot line")
             pts.append((x, 0.0))
         return PlanarReconstruction(cloud=_cloud2d(pts), rounds=0, round_bound=0, alpha=None)
 
-    rv2, rv = _pivot_norm(m_v, tol, "v")
+    rv2, rv = _pivot_norm(m_v, tol, f, "v")
 
     u = (ru, 0.0)
     xv = (ru2 + rv2 - d0sq) / (2 * ru)
     yv2 = rv2 - xv * xv
-    if yv2 <= tol * max(1.0, rv2):
+    if yv2 <= tol * max(f, rv2):
         raise InconsistentDataError("pivots are collinear with the barycenter but d0 > 0")
     v = (xv, math.sqrt(yv2))
     alpha = math.atan2(v[1], v[0])
@@ -230,8 +234,8 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
         n2 = p[0] * p[0] + p[1] * p[1]
         du2 = (p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2
         dv2 = (p[0] - v[0]) ** 2 + (p[1] - v[1]) ** 2
-        m_u.take((du2, n2), tol * max(1.0, du2, n2) * 1000)
-        m_v.take((dv2, n2), tol * max(1.0, dv2, n2) * 1000)
+        m_u.take((du2, n2), tol * max(f, du2, n2) * 1000)
+        m_v.take((dv2, n2), tol * max(f, dv2, n2) * 1000)
         placed.append(p)
 
     place(u)
@@ -241,7 +245,7 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
         def cands(d2, n2):
             x = (r2 + n2 - d2) / (2 * r)
             h2 = n2 - x * x
-            if h2 <= tol * max(1.0, n2):
+            if h2 <= tol * max(f, n2):
                 return [(x * ex + 0.0, x * ey + 0.0)]  # + 0.0 turns -0.0 into 0.0
             h = math.sqrt(h2)
             return [(x * ex - h * ey, x * ey + h * ex), (x * ex + h * ey, x * ey - h * ex)]

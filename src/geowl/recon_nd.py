@@ -169,6 +169,7 @@ class ProfileTable:
         """
         ranks, bounds = np.empty(len(rows), dtype=int), np.full(len(rows), np.inf)
         exact = np.vectorize(self.distances.__getitem__, otypes="O") if self.exact else None
+        f = 0 if self.exact else 1
         for s in range(0, len(rows), 1024):
             block = rows[s:s + 1024]
             G, ranks[s:s + 1024] = gram_ranks(self.A[block], self.floats, tol, exact)
@@ -182,8 +183,8 @@ class ProfileTable:
                     with suppress(np.linalg.LinAlgError):
                         H[k] = np.linalg.inv(g)
             plus, minus, _ = mirror_lambdas(
-                G, H, self.floats[self.profiles[self.P[block[full], 0]]], 0, tol)
-            bound = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
+                G, H, self.floats[self.profiles[self.P[block[full], 0]]], 0, tol, f)
+            bound = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol, f)[1]
             bounds[s + full] = np.where(np.isfinite(bound), bound, np.inf)  # NaN too
         return ranks, bounds
 
@@ -253,14 +254,14 @@ def _dots2(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
 
 
 def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
-                   tol: float = 0.0):
+                   tol: float = 0.0, f: int = 1):
     """Float Gram coordinates (plus, minus, resident) of the points realizing profile-i
     entries.
 
     `_dots2` and |x|^2 = E[r, i] fix lambda = G^-1 <x, z> but for lambda_i =
-    +-sqrt(disc): x and its mirror image across face i, equal for resident
-    rows (disc within tol of 0).  Leading axes stack frames.  Rows that no
-    point realizes come out NaN.  `GramKernel.mirror` is the exact form.
+    +-sqrt(disc): x and its mirror across face i, equal for resident rows,
+    |disc| <= 100 tol (G^-1)_ii max(f, E[r]), f = 0 for exact data, else 1.
+    Leading axes stack frames; unrealizable rows are NaN.  `GramKernel.mirror` is exact.
     """
     g = _dots2(G, E, i) * 0.5
     Hg = g @ np.swapaxes(H, -1, -2)
@@ -268,7 +269,7 @@ def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
     disc = Hg[..., i] ** 2 - hii * ((g * Hg).sum(-1) - E[..., i])
     v = H[..., :, i] / hii
     u = Hg - Hg[..., i:i + 1] * v[..., None, :]
-    resident = np.abs(disc) <= hii * tol * np.maximum(E.max(-1), 1.0) * 100
+    resident = np.abs(disc) <= hii * tol * np.maximum(E.max(-1), f) * 100
     with np.errstate(invalid="ignore"):
         root = np.sqrt(np.where(resident, 0.0, disc))
     lift = root[..., None] * v[..., None, :]
@@ -282,20 +283,20 @@ def _gamma(norm, gd, hd_max, eps):
     return np.where(eps < np.inf, gamma, np.inf)
 
 
-def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0):
+def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0, f: int = 1):
     """Squared slab width epsilon^2 and the potential bound gamma_bound on the depth.
 
     epsilon^2 is a quarter of the least squared face distance min_j
-    lambda_j^2 / (G^-1)_jj of a candidate (row of lams) above tol * 1000 times
-    the longest anchor.  A useful reflection raises sum_j <x, z_j> by c*epsilon,
-    c = 2 min_j (G^-1)_jj^(-1/2), so the depth is below
+    lambda_j^2 / (G^-1)_jj of a candidate (row of lams) above (1000 tol)^2
+    max(f, max_j G_jj), f as in `mirror_lambdas`.  A useful reflection raises
+    sum_j <x, z_j> by c*epsilon, c = 2 min_j (G^-1)_jj^(-1/2), so the depth is below
     ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1, or inf if every candidate
     sits on a face.  Leading axes stack float frames; `GramKernel.depth_bound`
     is the exact form.
     """
     hd = np.diagonal(H, axis1=-2, axis2=-1)
     gd = np.diagonal(G, axis1=-2, axis2=-1)
-    face2 = np.asarray((tol * 1000) ** 2 * np.maximum(1.0, gd.max(-1)))
+    face2 = np.asarray((tol * 1000) ** 2 * np.maximum(f, gd.max(-1)))
     rho2 = (lams * lams / hd[..., None, :]).min(-1)
     eps2 = np.where(rho2 > face2[..., None], rho2, np.inf).min(-1) / 4
     norm = np.sqrt(((lams @ G) * lams).sum(-1).max(-1))

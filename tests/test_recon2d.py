@@ -696,12 +696,26 @@ def test_pivot_u_is_never_the_point_at_the_barycenter():
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
-@pytest.mark.parametrize("power", [80, 100, 150])
-def test_exact_clouds_scaled_past_1e80_verify(seed, power):
-    # the partner's height test multiplied two squared norms, 4 |u|^2 tol |y|^2,
-    # which overflowed to inf past 1e308: every partner then read as collinear and
-    # reconstruct2d reported "collinear entry is off the pivot line"
+@pytest.mark.parametrize("power", [-12, -8, -5, -4, 80, 100, 150])
+def test_exact_clouds_verify_at_every_scale(seed, power):
+    # past 1e80 the partner's height test multiplied two squared norms, 4 |u|^2 tol
+    # |y|^2, which overflowed to inf: every partner then read as collinear and
+    # reconstruct2d reported "collinear entry is off the pivot line".  At 1e-4 and
+    # below, tests floored at tol * 1 in the cloud's units raised "no point off the
+    # barycenter" or came back unverified; exact data has no floor
     shape = oracle.random_cloud(8, 2, seed)
-    cloud = PointCloud(2, tuple(tuple(c * 10 ** power for c in p) for p in shape.points))
+    cloud = PointCloud(2, tuple(tuple(c * F(10) ** power for c in p) for p in shape.points))
     rep = reconstruct(cloud, "wl2d")
     assert rep.verified and rep.counters["alpha"] is not None
+
+
+def test_points_closer_than_tol_times_the_extent_fail_typed():
+    # (1, 0) and (1, 1e-12) are 1e-24 apart squared, within tol * |y|^2 of each
+    # other: the pivot's multiset then has two zero-distance entries.  Testing them
+    # against exact zero instead raised ValueError("duplicate points are not
+    # allowed"), which the CLI reports as a parse error
+    gap = F(1, 10 ** 12)
+    cloud = PointCloud(2, ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)),
+                           (F(1), gap), (F(-1), -gap)))
+    with pytest.raises(InconsistentDataError):
+        reconstruct(cloud, "wl2d")

@@ -380,6 +380,21 @@ def test_no_hundredth_scale_copy_comes_back_unverified():
             assert reconstruct(_scaled(n, d, 100 + s, 10.0 ** -2), "wlnd").verified, (n, d, s)
 
 
+def test_wlnd_is_scale_free():
+    # every exact scaled copy verifies as the unscaled cloud does, by the same
+    # candidate at the same depth; with the float ranking's tests floored at
+    # tol * 1 in the cloud's units, 14 of these 32 copies ranked otherwise
+    for (n, d), s in product([(7, 3), (6, 4)], range(4)):
+        base = oracle.random_cloud(n, d, 100 + s)
+        want = reconstruct(base, "wlnd")
+        for k in (-8, -4, 4, 8):
+            cloud = PointCloud(d, tuple(tuple(x * F(10) ** k for x in p) for p in base.points))
+            rep = reconstruct(cloud, "wlnd")
+            assert rep.verified and rep.method == want.method, (n, d, s, k)
+            for key in ("candidates_tried", "depth"):
+                assert rep.counters.get(key) == want.counters.get(key), (n, d, s, k, key)
+
+
 def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):
     # `geowl gen --n 10 --d 3 --seed 3` rejects two candidates before the third verifies
     built = []
