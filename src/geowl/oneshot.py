@@ -27,6 +27,7 @@ under mirror mixing fails for squared distances.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -185,10 +186,12 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
     ds_total, sq_total = _pair_sums(store)
     floats = store.dist_floats
     exact = np.vectorize(store.value_of, otypes="O") if store.interner.mode == "exact" else None
-    colors = sorted(set(store.tables[1]), key=store.interner.digests.__getitem__)
-    off, tried = ~np.eye(d, dtype=bool), 0
-    for s in range(0, len(colors), BLOCK):
-        mats, dists = store.tuple_distances(colors[s:s + BLOCK])
+    heap = [(store.interner.digests[c], c) for c in set(store.tables[1])]
+    heapq.heapify(heap)  # popped in digest order a block at a time: most scans stop early
+    colors, off, tried = [], ~np.eye(d, dtype=bool), 0
+    while heap:
+        colors += (block := [heapq.heappop(heap)[1] for _ in range(min(BLOCK, len(heap)))])
+        mats, dists = store.tuple_distances(block)
         # a tuple that repeats a point spans no hyperplane
         rows = np.flatnonzero(~(mats[:, off] == store.dist_array[0, 0]).any(-1))
         G, rank = gram_ranks(mats[rows], floats, tol, exact)

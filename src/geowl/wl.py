@@ -32,8 +32,10 @@ canonical order by sorting rank tuples: at ell = 1, one packed
 (distance value rank, color rank) key per record and one row sort over the
 n x n matrix of keys; at ell >= 2, the (n^ell, n, ell) array of record
 ranks, built by broadcasting the rank table once per position, and one
-lexicographic array sort.  A tuple is interned under the bytes of its
-records' ids, so only a new class computes a digest.
+lexicographic array sort.  A tuple's key, also its payload, is the bytes of
+its int64 row [kind and width, head, record ids] (the kind tells a matrix from
+a node at n = ell); one call looks up all keys and inserts the new classes in
+one batch, and only a new class is hashed.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ import hashlib
 import math
 import struct
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import NamedTuple
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -60,9 +61,7 @@ KIND_MAT = 1    # ell x ell squared-distance matrix, row-major distance ids
 KIND_NODE1 = 2  # (prev color, sorted ((distance id, color id), ...))
 KIND_NODE = 3   # (prev color, sorted (ell-tuple of color ids, ...))
 
-
-def _frame(b: bytes) -> bytes:
-    return len(b).to_bytes(4, "big") + b
+BLOCK = 256  # new ell >= 2 classes whose digest inputs are held at once: bounds memory
 
 
 def _as_float(key) -> float:
@@ -73,13 +72,12 @@ def _as_float(key) -> float:
         return math.inf
 
 
-class _PackedNode(NamedTuple):
-    """A payload whose records are still the bytes of their int64 ids, `width` per
-    record; its head is a refined color's previous color, or a distance matrix's ell."""
-
-    head: int
-    width: int
-    rows: bytes
+def _key_rows(kind: int, heads: list[int], size: int, width: int) -> np.ndarray:
+    """int64 key rows [kind | width << 8, head, `size` record ids left to fill] of tuples."""
+    rows = np.empty((len(heads), 2 + size), dtype=np.int64)
+    rows[:, 0] = kind | width << 8
+    rows[:, 1] = heads
+    return rows
 
 
 class Interner:
@@ -99,7 +97,7 @@ class Interner:
         self.snap = float(snap)
         self._index: dict = {}
         self.kinds: list[int] = []
-        self._payloads: list = []      # cid -> () for the zero color, else a _PackedNode
+        self._payloads: list[bytes] = []  # cid -> its key bytes
         self.digests: list[bytes] = []
         self._dist_index: dict = {}
         self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
@@ -153,16 +151,10 @@ class Interner:
             if did is None:
                 did = self._dist_index[key] = len(self.dist_keys)
                 self.dist_keys.append(key)
-                self._dist_frames.append(_frame(
-                    str(key).encode("ascii") if exact else b"q%d" % key))
+                enc = str(key).encode("ascii") if exact else b"q%d" % key
+                self._dist_frames.append(len(enc).to_bytes(4, "big") + enc)  # framed
             ids[num] = did
         return np.fromiter(map(ids.__getitem__, nums), dtype=np.int64, count=len(nums))
-
-    def dist_value(self, did: int) -> Scalar:
-        key = self.dist_keys[did]
-        if self.mode == "exact":
-            return key
-        return key * self.snap
 
     def distance_ranking(self) -> tuple[np.ndarray, np.ndarray]:
         """Distance ids ranked by value: (rank of each id, id at each rank), int64 arrays.
@@ -185,46 +177,40 @@ class Interner:
 
     # -- colors ------------------------------------------------------------
 
-    def _add(self, key, kind: int, payload: tuple, enc: bytes) -> int:
-        cid = len(self.kinds)
-        self._index[key] = cid
-        self.kinds.append(kind)
-        self._payloads.append(payload)
-        self.digests.append(hashlib.blake2b(enc, digest_size=16).digest())
-        return cid
-
     def intern_zero(self) -> int:
-        key = (KIND_ZERO,)
+        key = bytes(8)  # the int64 word of KIND_ZERO and width 0; no head, no records
         cid = self._index.get(key)
         if cid is None:
-            cid = self._add(key, KIND_ZERO, (), b"Z")
+            cid = self._index[key] = len(self.kinds)
+            self.kinds.append(KIND_ZERO)
+            self._payloads.append(key)
+            self.digests.append(hashlib.blake2b(b"Z", digest_size=16).digest())
         return cid
 
-    def intern_nodes(self, kind: int, tag: bytes, heads: list[int], rows: np.ndarray,
-                     encode: Callable[[int, bytes], bytes]) -> list[int]:
-        """Intern (heads[t], rows[t]) for every tuple t; return the new table.
+    def intern_nodes(self, kind: int, rows: np.ndarray,
+                     encode: Callable[[list[int], list[bytes]], Iterable]) -> list[int]:
+        """Intern each row of a `_key_rows` array, records in canonical order; return the
+        new table.  A key, the bytes of a row sliced from one `tobytes()`, is the payload.
+        New keys go in as one batch, in order of first occurrence as one at a time would;
+        encode(ts, keys) yields their digest inputs, ts their first rows, each hashed once."""
+        data, step = rows.tobytes(), rows.shape[1] * 8
+        keys = [data[i:i + step] for i in range(0, len(data), step)]
+        found = list(map(self._index.get, keys))
+        if None not in found:
+            return found
+        new: dict[bytes, int] = {}
+        for t in [t for t, cid in enumerate(found) if cid is None]:
+            new.setdefault(keys[t], t)
+        digests = [hashlib.blake2b(enc, digest_size=16).digest()
+                   for enc in encode(list(new.values()), list(new))]
+        self._index.update(zip(new, range(len(self.kinds), len(self.kinds) + len(new))))
+        self.kinds.extend([kind] * len(new))
+        self._payloads.extend(new)
+        self.digests.extend(digests)
+        return list(map(self._index.__getitem__, keys))
 
-        `rows` is a (len(heads), r, width) int64 array of record ids, each
-        tuple's records already in canonical order; heads[t] is the tuple's
-        previous color, or ell for a distance matrix.  A tuple is looked up
-        by the bytes of its row; a new class gets its digest over tag and
-        encode(t, row bytes), the canonical bytes of its head and records.
-        """
-        width = rows.shape[-1]
-        step = rows.shape[1] * width * 8
-        data = rows.tobytes()
-        index = self._index
-        table = []
-        for t, h in enumerate(heads):
-            key = (kind, h, data[t * step:(t + 1) * step])
-            cid = index.get(key)
-            if cid is None:
-                cid = self._add(key, kind, _PackedNode(h, width, key[2]), tag + encode(t, key[2]))
-            table.append(cid)
-        return table
-
-    def _checked(self, cid: int, kind: int):
-        """The stored payload of a color that must be of the given KIND_*."""
+    def _checked(self, cid: int, kind: int) -> bytes:
+        """The key bytes of a color that must be of the given KIND_*."""
         if self.kinds[cid] != kind:
             raise ValueError(f"color {cid} has kind {self.kinds[cid]}, expected {kind}")
         return self._payloads[cid]
@@ -232,13 +218,12 @@ class Interner:
     def payload(self, cid: int, kind: int) -> tuple:
         """The payload of a color that must be of the given KIND_*: records as id
         tuples, and a distance matrix as (ell, its row-major ids)."""
-        payload = self._checked(cid, kind)
-        if not isinstance(payload, _PackedNode):
-            return payload
-        ids = memoryview(payload.rows).cast("q").tolist()
+        word, *ids = memoryview(self._checked(cid, kind)).cast("q").tolist()
+        if kind == KIND_ZERO:
+            return ()
         if kind == KIND_MAT:
-            return payload.head, tuple(ids)
-        return payload.head, tuple(zip(*[iter(ids)] * payload.width))
+            return ids[0], tuple(ids[1:])
+        return ids[0], tuple(zip(*[iter(ids[1:])] * (word >> 8)))
 
 
 class ColorStore:
@@ -259,7 +244,8 @@ class ColorStore:
         return len(self.tables) - 1
 
     def value_of(self, did: int) -> Scalar:
-        return self.interner.dist_value(did)
+        key = self.interner.dist_keys[did]
+        return key if self.interner.mode == "exact" else key * self.interner.snap
 
     @cached_property
     def dist_floats(self) -> np.ndarray:
@@ -273,19 +259,17 @@ class ColorStore:
 
     def nodes(self, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Previous colors and the (k, n, w) records of k refined colors, as int64 arrays
-        read straight from the packed bytes: w = 2 at ell = 1, (distance id,
+        read straight from the key bytes: w = 2 at ell = 1, (distance id,
         color id) pairs, else w = ell, the colors of the tuple with the point in
         each slot.  A color of another kind raises ValueError."""
         kind, width = (KIND_NODE1, 2) if self.ell == 1 else (KIND_NODE, self.ell)
-        heads, ids = self._packed(colors, kind)
-        return np.array(heads, dtype=np.int64), ids.reshape(len(heads), self.n, width)
+        keys = self._packed(colors, kind, self.n * width)
+        return keys[:, 1], keys[:, 2:].reshape(-1, self.n, width)
 
-    def _packed(self, colors, kind: int) -> tuple[list[int], np.ndarray]:
-        """Payload heads and the flat int64 record ids of colors of the given kind."""
-        check = self.interner._checked
-        packed = [check(c, kind) for c in colors]
-        ids = np.frombuffer(b"".join([p.rows for p in packed]), dtype=np.int64)
-        return [p.head for p in packed], ids
+    def _packed(self, colors, kind: int, size: int) -> np.ndarray:
+        """The (k, 2 + size) int64 key rows of k colors of the given kind."""
+        keys = b"".join(map(self.interner._checked, colors, repeat(kind)))
+        return np.frombuffer(keys, dtype=np.int64).reshape(-1, 2 + size)
 
     def pair_distances(self) -> Counter:
         """Distance id -> number of ordered point pairs at that distance, in order
@@ -299,7 +283,7 @@ class ColorStore:
             return Counter(self.nodes(self.tables[1])[1][..., 0].ravel().tolist())
         # tuples are in product order, so every n^(ell-2)-th one ends in zeros
         colors = self.tables[0][::self.n ** (self.ell - 2)]
-        return Counter(self._packed(colors, KIND_MAT)[1][1::self.ell ** 2].tolist())
+        return Counter(self._packed(colors, KIND_MAT, self.ell ** 2)[:, 3].tolist())
 
     def tuple_distances(self, colors: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Distance ids of k iteration-1 colors: (k, ell, ell) tuple matrices and
@@ -314,7 +298,7 @@ class ColorStore:
         used, at = np.unique(np.concatenate([prev, recs[..., :2].ravel()]), return_inverse=True)
         if any(self.interner.kinds[c] != KIND_MAT for c in used.tolist()):
             raise ValueError("not the colors of a first refinement")
-        mats = self._packed(used.tolist(), KIND_MAT)[1].reshape(len(used), m * m)
+        mats = self._packed(used.tolist(), KIND_MAT, m * m)[:, 2:]
         pairs = at[k:].reshape(k, n, 2)
         # row-major entry m is (1, 0), entries 1..m-1 are (0, 1)..(0, m-1)
         dists = np.concatenate([mats[pairs[..., 1], m:m + 1], mats[pairs[..., 0], 1:m]], -1)
@@ -458,15 +442,16 @@ def _store(interner: Interner, ell: int, dim: int, ids: np.ndarray,
     if ell == 1:
         store.tables.append([interner.intern_zero()] * n)
     else:
-        # mats[t] is the distance matrix of tuple t, tuples in product order
+        # mats[t] holds the distance matrix of tuple t, tuples in product order
         tuples = np.indices((n,) * ell).reshape(ell, -1).T
-        mats = ids[tuples[:, :, None], tuples[:, None, :]]
-        frames = interner._dist_frames
+        mats = _key_rows(KIND_MAT, [ell] * n ** ell, ell * ell, ell)
+        mats[:, 2:] = ids[tuples[:, :, None], tuples[:, None, :]].reshape(n ** ell, ell * ell)
+        frames, tag = interner._dist_frames, b"M" + ell.to_bytes(2, "big")
 
-        def encode(t: int, row: bytes) -> bytes:
-            return b"".join(map(frames.__getitem__, memoryview(row).cast("q").tolist()))
-        store.tables.append(interner.intern_nodes(KIND_MAT, b"M" + ell.to_bytes(2, "big"),
-                                                  [ell] * n ** ell, mats, encode))
+        def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
+            return (tag + b"".join(map(frames.__getitem__, memoryview(k)[16:].cast("q").tolist()))
+                    for k in keys)
+        store.tables.append(interner.intern_nodes(KIND_MAT, mats, encode))
     return store
 
 
@@ -534,14 +519,15 @@ def refine(store: ColorStore) -> ColorStore:
     (n^ell, n, ell) array, sorted along each tuple's records by one
     `np.lexsort`; those ranks are never packed, so no rank count overflows.
     Sorted ranks are mapped back to ids, and each tuple is interned under
-    the bytes of its row of ids.
+    the bytes of its row of ids.  At ell >= 2 the digest inputs of new
+    classes are gathered BLOCK at a time as rows of one uint8 array.
     """
     inter = store.interner
     n, ell = store.n, store.ell
     prev = store.tables[-1]
     rprev, order = _present_ranking(prev, inter.digests)
     colors = np.array(order, dtype=np.int64)
-    digests = inter.digests
+    digests, frames = inter.digests, inter._dist_frames
     if ell == 1:
         # one int64 key per record, (distance rank, color rank) in mixed radix
         m = len(order)
@@ -550,16 +536,15 @@ def refine(store: ColorStore) -> ColorStore:
         keys = dranks[store.dist_array] * m + np.array(rprev, dtype=np.int64)
         keys.sort(axis=1)
         q, r = np.divmod(keys, m)
-        rows = np.empty((n, n, 2), dtype=np.int64)
-        rows[..., 0] = dorder[q]
-        rows[..., 1] = colors[r]
-        frames = inter._dist_frames
+        rows = _key_rows(KIND_NODE1, prev, 2 * n, 2)
+        rows[:, 2::2], rows[:, 3::2] = dorder[q], colors[r]
 
-        def encode(t: int, row: bytes) -> bytes:
-            ids = memoryview(row).cast("q").tolist()
-            return digests[prev[t]] + b"".join(chain.from_iterable(
-                zip(map(frames.__getitem__, ids[::2]), map(digests.__getitem__, ids[1::2]))))
-        table = inter.intern_nodes(KIND_NODE1, b"1", prev, rows, encode)
+        def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
+            for key in keys:  # [word, head, (distance id, color id)...]
+                ids = memoryview(key).cast("q").tolist()
+                yield b"1" + digests[ids[1]] + b"".join(chain.from_iterable(
+                    zip(map(frames.__getitem__, ids[2::2]), map(digests.__getitem__, ids[3::2]))))
+        table = inter.intern_nodes(KIND_NODE1, rows, encode)
     else:
         ranks = np.array(rprev, dtype=np.int64).reshape((n,) * ell)
         records = np.empty((n,) * ell + (n, ell), dtype=np.int64)
@@ -569,11 +554,23 @@ def refine(store: ColorStore) -> ColorStore:
         records = records.reshape(n ** ell, n, ell)
         perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
         perm += n * np.arange(n ** ell)[:, None]  # each tuple's order, as flat record rows
-        records = records.reshape(-1, ell)[perm]
+        records = records.reshape(-1, ell)[perm].reshape(n ** ell, n * ell)
         rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, order)), dtype="V16")
-        table = inter.intern_nodes(
-            KIND_NODE, b"N" + ell.to_bytes(2, "big"), prev, colors[records],
-            lambda t, row: digests[prev[t]] + rank_digests[records[t]].tobytes())
+        tag, step = np.frombuffer(b"N" + ell.to_bytes(2, "big"), np.uint8), 3 + 16 * (1 + n * ell)
+
+        def encode(ts: list[int], keys: list[bytes]) -> Iterable[memoryview]:
+            for s in range(0, len(ts), BLOCK):  # tag, previous digest, record digests
+                block = np.array(ts[s:s + BLOCK])
+                enc = np.empty((len(block), step), dtype=np.uint8)
+                enc[:, :3] = tag
+                digs = enc[:, 3:].view("V16")
+                digs[:, 0] = rank_digests[ranks.flat[block]]
+                digs[:, 1:] = rank_digests[records[block]]
+                flat = memoryview(enc).cast("B")
+                yield from (flat[i:i + step] for i in range(0, len(flat), step))
+        rows = _key_rows(KIND_NODE, prev, n * ell, ell)
+        rows[:, 2:] = colors[records]
+        table = inter.intern_nodes(KIND_NODE, rows, encode)
     store.tables.append(table)
     return store
 

@@ -1,18 +1,21 @@
+import hashlib
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 from itertools import chain, permutations, product
 
+import numpy as np
 import pytest
 
 from geowl import oracle, reconstruct
 from geowl.config import RunConfig
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
-from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, compare, fingerprint,
-                      first_distinguishing_iteration, initial_coloring, refine, run_wl,
-                      store_from_sq_values)
+from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, _key_rows, compare,
+                      fingerprint, first_distinguishing_iteration, initial_coloring, refine,
+                      run_wl, store_from_sq_values)
 
 
 def _line(*xs):
@@ -216,6 +219,21 @@ def test_golden_digest_float(ell, n, d, seed, as_float, forced_float, forced_exa
     assert fingerprint(run_wl(flt, ell, 3, mode="exact")).digest() == forced_exact
 
 
+@pytest.mark.parametrize("ell,n,d,as_float,counts,digest", [
+    (1, 150, 3, False, [1, 150, 150, 150], "2a5ce027fbce19bf010284b82c9d169f"),
+    (1, 150, 3, True, [1, 150, 150, 150], "ddd1f53c30cad027f848143585f2da52"),
+    (2, 44, 3, False, [823, 1936, 1936, 1936], "bebd886169fa4ad5648249947aaf79a2"),
+    (3, 14, 4, False, [2458, 2744, 2744, 2744], "627b73683d83d072590c9a716754384c"),
+])
+def test_golden_digest_benchmark_scale(ell, n, d, as_float, counts, digest):
+    # the `color` benchmark's corpus shapes: encodings past 2 KB, thousands of
+    # new classes per interning call
+    cloud = oracle.random_cloud(n, d, 1000 * d + n)
+    store = run_wl(_floats(cloud) if as_float else cloud, ell, 3)
+    assert store.class_counts() == counts
+    assert fingerprint(store).digest() == digest
+
+
 @pytest.mark.parametrize("ell,counts,grid,half,half_float", [
     (1, [1, 3, 3, 3], "b99d87aec44b5ca360464f1b9486e032", "c8abd5dc99cc91584b45d16609a51965",
      "c7cf2149a2773b3c30bce966c675e6b4"),
@@ -363,9 +381,9 @@ def test_distance_ranking_orders_keys_that_round_to_one_float():
 
 
 # The per-tuple refinement that the array code in `wl.refine` replaced, kept
-# as the reference: colors ranked by digest over the whole interner, one
-# `sorted` call per tuple, record lists interned as tuples of tuples through
-# the reference's own interning functions.
+# as the reference: colors ranked by digest over all colors, one `sorted` call
+# per tuple, record lists interned as tuples of tuples under the reference's
+# own keys and lists, seeded with an interner's initial colors.
 
 def _reference_ranking(keys):
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -375,28 +393,37 @@ def _reference_ranking(keys):
     return ranks, order
 
 
-def _reference_intern_node(inter, ell, prev, records):
-    key = (KIND_NODE, prev, records)
-    cid = inter._index.get(key)
-    if cid is None:
-        enc = b"N" + ell.to_bytes(2, "big") + inter.digests[prev] + b"".join(
-            map(inter.digests.__getitem__, chain.from_iterable(records)))
-        cid = inter._add(key, KIND_NODE, (prev, records), enc)
-    return cid
+class _ReferenceColors:
+    def __init__(self, inter):
+        self.dist_keys, self.dist_frames = inter.dist_keys, inter._dist_frames
+        self.kinds = list(inter.kinds)
+        self.digests = list(inter.digests)
+        self.payloads = [inter.payload(c, k) for c, k in enumerate(self.kinds)]
+        self.index = {}
+
+    def add(self, key, enc):
+        cid = self.index.get(key)
+        if cid is None:
+            cid = self.index[key] = len(self.kinds)
+            self.kinds.append(key[0])
+            self.payloads.append(key[1:])
+            self.digests.append(hashlib.blake2b(enc, digest_size=16).digest())
+        return cid
 
 
-def _reference_intern_node1(inter, prev, records):
-    key = (KIND_NODE1, prev, records)
-    cid = inter._index.get(key)
-    if cid is None:
-        enc = b"1" + inter.digests[prev] + b"".join(
-            inter._dist_frames[did] + inter.digests[child] for did, child in records)
-        cid = inter._add(key, KIND_NODE1, (prev, records), enc)
-    return cid
+def _reference_intern_node(ref, ell, prev, records):
+    enc = b"N" + ell.to_bytes(2, "big") + ref.digests[prev] + b"".join(
+        map(ref.digests.__getitem__, chain.from_iterable(records)))
+    return ref.add((KIND_NODE, prev, records), enc)
 
 
-def _reference_refine(store):
-    inter = store.interner
+def _reference_intern_node1(ref, prev, records):
+    enc = b"1" + ref.digests[prev] + b"".join(
+        ref.dist_frames[did] + ref.digests[child] for did, child in records)
+    return ref.add((KIND_NODE1, prev, records), enc)
+
+
+def _reference_refine(store, inter):
     n, ell = store.n, store.ell
     prev = store.tables[-1]
     ranks, order = _reference_ranking(inter.digests)
@@ -443,6 +470,36 @@ def _equivalence_cases():
     return cases
 
 
+def test_intern_nodes_inserts_each_new_row_once():
+    inter = Interner("exact")
+    calls = []
+
+    def encode(ts, keys):
+        calls.append(ts)
+        return [b"enc%d" % t for t in ts]
+
+    def intern(kind, heads, rows):
+        keys = _key_rows(kind, heads, 4, 2)
+        keys[:, 2:] = np.array(rows).reshape(len(rows), 4)
+        return inter.intern_nodes(kind, keys, encode)
+
+    a, b, c, d = [[1, 2], [3, 4]], [[3, 4], [1, 2]], [[5, 6], [7, 8]], [[0, 0], [0, 0]]
+    assert intern(KIND_NODE, [9, 9], [a, b]) == [0, 1]
+    # c repeats inside the call, a was interned by the call before, and the
+    # same rows under another head are another color
+    assert intern(KIND_NODE, [9, 9, 9, 9, 8, 9], [c, a, c, d, a, d]) == [2, 0, 2, 3, 4, 3]
+    assert calls == [[0, 1], [0, 3, 4]]
+    assert inter.kinds == [KIND_NODE] * 5
+    digest = [hashlib.blake2b(b"enc%d" % t, digest_size=16).digest() for t in (0, 1, 0, 3, 4)]
+    assert inter.digests == digest
+    assert intern(KIND_NODE, [9, 8], [d, a]) == [3, 4] and calls[2:] == []
+    # n = ell: a distance matrix row and a refined row of the same ints
+    assert intern(KIND_MAT, [9], [a]) == [5]
+    assert inter.kinds[5] == KIND_MAT and len(inter.digests) == 6
+    assert inter.payload(5, KIND_MAT) == (9, (1, 2, 3, 4))
+    assert inter.payload(0, KIND_NODE) == (9, ((1, 2), (3, 4)))
+
+
 def test_isometric_image_hits_every_class():
     cloud = _posed(40, 2, 64)
     inter = Interner("exact")
@@ -469,18 +526,19 @@ def test_refine_matches_the_per_tuple_reference():
     for ell, clouds, mode in cases:
         mode = mode or ("exact" if clouds[0].exact else "float")
         runs = []
-        for step in (refine, _reference_refine):
+        for reference in (False, True):
             inter = Interner(mode)
             stores = [initial_coloring(c, ell, mode=mode, interner=inter) for c in clouds]
+            colors = _ReferenceColors(inter) if reference else inter
+            step = partial(_reference_refine, inter=colors) if reference else refine
             for store in stores:
                 for _ in range(3):
                     step(store)
-            runs.append((inter, [s.tables for s in stores]))
+            runs.append((colors, [s.tables for s in stores]))
         (new, new_tables), (ref, ref_tables) = runs
         assert new_tables == ref_tables
         assert new.kinds == ref.kinds and new.digests == ref.digests
-        assert [new.payload(c, k) for c, k in enumerate(new.kinds)] == \
-            [ref.payload(c, k) for c, k in enumerate(ref.kinds)]
+        assert [new.payload(c, k) for c, k in enumerate(new.kinds)] == ref.payloads
 
 
 def _payload_decode(store, c):
