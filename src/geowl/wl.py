@@ -20,7 +20,10 @@ Every source of distances becomes a list of integer keys, and
 first occurrence: integers S over D^2 for a rational cloud in exact mode (D
 its common denominator; int64 when every S fits), numerators over the lcm of
 the `Fraction` denominators for a value matrix or float distances in exact
-mode, and grid tokens trunc(v / snap + 0.5) in float mode.  Every value is
+mode, and grid tokens trunc(v / snap + 0.5) in float mode.  An exact key is
+looked up as the reduced integer pair (S / g, D^2 / g), g = gcd(S, D^2), so
+equal values over different denominators share one id, and only a new key
+builds its `Fraction`, its frame and its float.  Every value is
 checked before the first is interned.  Float distances are summed in the
 order of `geometry.sq_dist`, so each keeps all its bits.  At ell >= 2 the
 tuple matrices are one gather from the n x n ids, interned as the records of
@@ -35,7 +38,9 @@ ranks, built by broadcasting the rank table once per position, and one
 lexicographic array sort.  A tuple's key, also its payload, is the bytes of
 its int64 row [kind and width, head, record ids] (the kind tells a matrix from
 a node at n = ell); one call looks up all keys and inserts the new classes in
-one batch, and only a new class is hashed.
+one batch, and only a new class is hashed.  At ell = 1 a new class's digest
+input is joined from one list laid out like its key, filled from strided views
+of the key.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
+from operator import floordiv, truediv
 
 import numpy as np
 
@@ -65,11 +71,11 @@ BLOCK = 256  # new ell >= 2 classes whose digest inputs are held at once: bounds
 
 
 def _as_float(key) -> float:
-    """The correctly rounded float of a distance key; inf past the float range."""
+    """The correctly rounded float of a distance key; +-inf past the float range."""
     try:
         return float(key)
     except OverflowError:
-        return math.inf
+        return math.inf if key > 0 else -math.inf
 
 
 def _key_rows(kind: int, heads: list[int], size: int, width: int) -> np.ndarray:
@@ -99,10 +105,10 @@ class Interner:
         self.kinds: list[int] = []
         self._payloads: list[bytes] = []  # cid -> its key bytes
         self.digests: list[bytes] = []
-        self._dist_index: dict = {}
-        self.dist_keys: list = []      # did -> Fraction (exact) or int grid token (float)
+        self._dist_index: dict = {}    # reduced pair (p, q) (exact) or grid token -> did
+        self.dist_keys: list = []      # did -> Fraction p / q (exact) or int grid token (float)
         self._dist_frames: list[bytes] = []  # did -> framed canonical bytes of its key
-        self._dist_floats: list[float] = []  # did -> float of its key, filled when ranked
+        self._dist_floats: list[float] = []  # did -> float of its key, filled when interned
         self._dist_rank_cache: tuple = (-1, None)
 
     # -- distances ---------------------------------------------------------
@@ -140,20 +146,42 @@ class Interner:
 
     def intern_keys(self, nums: list, den: int = 1) -> np.ndarray:
         """Distance ids, as an int64 array, of integral keys nums[i] over den: the
-        `Fraction` num / den in exact mode, the grid token int(num) in float mode
+        rational num / den in exact mode, the grid token int(num) in float mode
         (den = 1).  Each distinct key is interned once, in order of first
-        occurrence, which gives the ids of interning the keys one at a time."""
-        exact = self.mode == "exact"
-        ids = dict.fromkeys(nums)
-        for num in ids:
-            key = Fraction(num, den) if exact else int(num)
-            did = self._dist_index.get(key)
-            if did is None:
-                did = self._dist_index[key] = len(self.dist_keys)
-                self.dist_keys.append(key)
-                enc = str(key).encode("ascii") if exact else b"q%d" % key
-                self._dist_frames.append(len(enc).to_bytes(4, "big") + enc)  # framed
-            ids[num] = did
+        occurrence, which gives the ids of interning the keys one at a time.
+
+        An exact key is the reduced pair (num / g, den / g), g = gcd(num, den), so
+        equal rationals over different denominators share an id; a frame is
+        b"%d" or b"%d/%d" of the pair, the bytes of str(Fraction).  Only a new key
+        gets its `Fraction`, frame and float."""
+        distinct = list(dict.fromkeys(nums))
+        if self.mode == "exact":
+            if den < 1:
+                raise ValueError(f"den must be a positive integer, got {den!r}")
+            gs = list(map(math.gcd, distinct, repeat(den)))
+            keys = list(zip(map(floordiv, distinct, gs), map(floordiv, repeat(den), gs)))
+        else:
+            keys = list(map(int, distinct))
+        found = list(map(self._dist_index.get, keys))
+        if None in found:
+            new = [key for key, did in zip(keys, found) if did is None]
+            start = len(self.dist_keys)
+            if self.mode == "exact":
+                pairs, values = new, list(starmap(Fraction, new))
+                encs = [b"%d" % p if q == 1 else b"%d/%d" % (p, q) for p, q in new]
+            else:
+                pairs, values = zip(new, repeat(1)), new
+                encs = [b"q%d" % key for key in new]
+            try:  # int true division is correctly rounded, as float(Fraction) is
+                floats = list(starmap(truediv, pairs))
+            except OverflowError:
+                floats = list(map(_as_float, values))
+            self._dist_index.update(zip(new, range(start, start + len(new))))
+            self.dist_keys.extend(values)
+            self._dist_frames.extend([len(enc).to_bytes(4, "big") + enc for enc in encs])
+            self._dist_floats.extend(floats)
+            found = list(map(self._dist_index.__getitem__, keys))
+        ids = dict(zip(distinct, found))
         return np.fromiter(map(ids.__getitem__, nums), dtype=np.int64, count=len(nums))
 
     def distance_ranking(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +194,7 @@ class Interner:
         """
         count = len(self.dist_keys)
         if self._dist_rank_cache[0] != count:
-            floats = self._dist_floats
-            floats.extend(map(_as_float, self.dist_keys[len(floats):]))
-            keys = list(zip(floats, self.dist_keys))
+            keys = list(zip(self._dist_floats, self.dist_keys))
             order = np.array(sorted(range(count), key=keys.__getitem__), dtype=np.int64)
             ranks = np.empty(count, dtype=np.int64)
             ranks[order] = np.arange(count)
@@ -449,7 +475,7 @@ def _store(interner: Interner, ell: int, dim: int, ids: np.ndarray,
         frames, tag = interner._dist_frames, b"M" + ell.to_bytes(2, "big")
 
         def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
-            return (tag + b"".join(map(frames.__getitem__, memoryview(k)[16:].cast("q").tolist()))
+            return (tag + b"".join(map(frames.__getitem__, memoryview(k).cast("q")[2:]))
                     for k in keys)
         store.tables.append(interner.intern_nodes(KIND_MAT, mats, encode))
     return store
@@ -539,18 +565,23 @@ def refine(store: ColorStore) -> ColorStore:
         rows = _key_rows(KIND_NODE1, prev, 2 * n, 2)
         rows[:, 2::2], rows[:, 3::2] = dorder[q], colors[r]
 
+        parts = [b"1"] * (2 + 2 * n)  # laid out as a key: [1, head, (frame, digest)...]
+
         def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
             for key in keys:  # [word, head, (distance id, color id)...]
-                ids = memoryview(key).cast("q").tolist()
-                yield b"1" + digests[ids[1]] + b"".join(chain.from_iterable(
-                    zip(map(frames.__getitem__, ids[2::2]), map(digests.__getitem__, ids[3::2]))))
+                ids = memoryview(key).cast("q")
+                parts[1] = digests[ids[1]]
+                parts[2::2] = map(frames.__getitem__, ids[2::2])
+                parts[3::2] = map(digests.__getitem__, ids[3::2])
+                yield b"".join(parts)
         table = inter.intern_nodes(KIND_NODE1, rows, encode)
     else:
         ranks = np.array(rprev, dtype=np.int64).reshape((n,) * ell)
         records = np.empty((n,) * ell + (n, ell), dtype=np.int64)
         for i in range(ell):
             # records[t, y, i] is the rank of t with position i set to y
-            records[..., i] = np.expand_dims(np.moveaxis(ranks, i, -1), i)
+            others = [j for j in range(ell) if j != i]
+            records[..., i] = ranks.transpose([*others, i])[(slice(None),) * i + (None,)]
         records = records.reshape(n ** ell, n, ell)
         perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
         perm += n * np.arange(n ** ell)[:, None]  # each tuple's order, as flat record rows

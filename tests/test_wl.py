@@ -9,11 +9,11 @@ from itertools import chain, permutations, product
 import numpy as np
 import pytest
 
-from geowl import oracle, reconstruct
+from geowl import oracle, reconstruct, wl
 from geowl.config import RunConfig
 from geowl.errors import CapExceededError, ParameterMismatchError
 from geowl.geometry import PointCloud, sq_dist
-from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, _key_rows, compare,
+from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, _as_float, _key_rows, compare,
                       fingerprint, first_distinguishing_iteration, initial_coloring, refine,
                       run_wl, store_from_sq_values)
 
@@ -378,6 +378,58 @@ def test_distance_ranking_orders_keys_that_round_to_one_float():
         want = sorted(inter.dist_keys)
         assert [inter.dist_keys[i] for i in order] == want
         assert ranks.tolist() == [want.index(key) for key in inter.dist_keys]
+    # a negative key past the float range ranks first, not with +inf
+    inter.intern_distance(-huge)
+    ranks, order = inter.distance_ranking()
+    assert order[0] == len(inter.dist_keys) - 1 and inter._dist_floats[-1] == -math.inf
+
+
+def test_exact_keys_are_reduced_pairs():
+    inter = Interner("exact")
+    assert inter.intern_keys([2, 6], 4).tolist() == [0, 1]
+    # 1/2 and 3/2 again, over another denominator, and 4/2 = 2/1 new
+    assert inter.intern_keys([1, 3, 4, 1], 2).tolist() == [0, 1, 2, 0]
+    assert inter.dist_keys == [F(1, 2), F(3, 2), F(2)]
+    assert inter.intern_keys([-10, 0], 20).tolist() == [3, 4]
+    assert inter.dist_keys[3:] == [F(-1, 2), F(0)]
+    with pytest.raises(ValueError, match="den must be a positive integer"):
+        inter.intern_keys([1], 0)
+    assert len(inter.dist_keys) == 5
+
+
+def test_distance_frames_and_floats_are_set_when_interned():
+    huge = F(10 ** 400)
+    exact = Interner("exact")
+    exact.intern_keys([0, 3, -6, 9, 2 ** 80], 9)
+    for key in (huge, -huge, F(-10 ** 400, 3), 2.0 ** -1074, F(1, 10 ** 400)):
+        exact.intern_distance(key)
+    grid = Interner("float", 0.25)
+    store_from_sq_values([[0.0, -1.0, 1e300], [-1.0, 0.0, 0.3], [1e300, 0.3, 0.0]], 1, 1,
+                         mode="float", snap=0.25, interner=grid)
+    grid.intern_keys([10 ** 400, -(10 ** 400), 5])
+    for inter, enc in ((exact, str), (grid, lambda key: "q%d" % key)):
+        framed = [len(enc(k)).to_bytes(4, "big") + enc(k).encode() for k in inter.dist_keys]
+        assert inter._dist_frames == framed
+        assert inter._dist_floats == list(map(_as_float, inter.dist_keys))
+    assert exact._dist_floats[1:3] == [1 / 3, -2 / 3]
+    assert exact._dist_floats[-5:] == [math.inf, -math.inf, -math.inf, 2.0 ** -1074, 0.0]
+    assert grid._dist_floats[-3:] == [math.inf, -math.inf, 5.0]
+
+
+def test_reinterning_known_keys_builds_no_fraction(monkeypatch):
+    cloud = _posed(30, 2, 66)
+    inter = Interner("exact")
+    first = initial_coloring(cloud, 1, interner=inter)
+    count = len(inter.dist_keys)
+
+    def no_fraction(*args):
+        raise AssertionError("a known key built a Fraction")
+    monkeypatch.setattr(wl, "Fraction", no_fraction)
+    # the image's coordinates have other denominators, its distances the same values
+    image = oracle.apply_random_isometry(cloud, seed=11)
+    second = initial_coloring(image, 1, interner=inter)
+    assert len(inter.dist_keys) == count
+    assert sorted(second.dist_array.ravel().tolist()) == sorted(first.dist_array.ravel().tolist())
 
 
 # The per-tuple refinement that the array code in `wl.refine` replaced, kept
