@@ -28,6 +28,15 @@ def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 
 
+def _over_tol(tol: float, exact: bool) -> Callable[[Scalar, Scalar, Scalar], bool]:
+    """The tolerance rule's test value / den > tol * max(f, scale), den > 0: exactly on
+    integers (f = 0), with tol = a / b; as that float expression on floats (f = 1)."""
+    if not exact:
+        return lambda value, den, scale: value / den > tol * max(1, scale)
+    a, b = Fraction(tol).as_integer_ratio()
+    return lambda value, den, scale: value * b > a * den * max(0, scale)
+
+
 def sq_dist(p: Sequence[Scalar], q: Sequence[Scalar]) -> Scalar:
     """Squared Euclidean distance; exact when both points are rational."""
     if len(p) != len(q):

@@ -5,15 +5,17 @@ distance to the barycenter (by `wl._History`, as in `recon_nd`); the second
 pairs those norms with distances from each point; the third picks a pivot
 pair (u, v) spanning a minimal positive angle at the barycenter, whose cone
 is then guaranteed free of cloud points.  Colors are read through
-`ColorStore`'s readers.  Reconstruction places u on a fixed ray, v by circle
-intersection, resolves points on the two pivot lines, and then eliminates
-mirror candidates round by round while the known-empty angular region grows
-by the pivot angle on each side.  That region is the arc
-[-k*alpha, (k+1)*alpha] after k rounds, so each entry's first resolving
-round follows from its candidates' angles, and one walk in that order places all.
+`ColorStore`'s readers; extraction runs on `wl._History`'s integer numerators
+and builds `Fraction`s only for the pivot data it returns.  Reconstruction
+places u on a fixed ray, v by circle intersection, resolves points on the two
+pivot lines, and then eliminates mirror candidates round by round while the
+known-empty angular region grows by the pivot angle on each side.  That
+region is the arc [-k*alpha, (k+1)*alpha] after k rounds, so each entry's
+first resolving round follows from its candidates' angles, and one walk in
+that order places all.
 Each tolerance test reads value <= tol * max(f, s), s the squared length the
 value comes from: f is 1 on a float store, whose grid step is tol, and 0 on an
-exact one, which thus decides alike at every scale.
+exact one, which thus decides alike at every scale (on integers, exactly).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import Entries, PointCloud, Scalar, is_exact
+from .geometry import Entries, PointCloud, Scalar, _over_tol, is_exact
 from .report import ReconstructionReport
 from .wl import ColorStore, _History
 
@@ -32,26 +34,28 @@ def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
     """Map each iteration-1 point color to its squared distance to the barycenter.
 
     A view of `wl._History`, which applies the barycenter identity to the
-    colors' distance sums: exact stores over one integer denominator, float
-    stores in record order.
+    colors' distance sums: exact stores as integers over one denominator,
+    float stores in record order.
     """
     if store.ell != 1 or store.iterations < 1:
         raise ValueError("need a single-point history with at least one iteration")
-    return {c: norm for c, (norm,) in _History(store, 1).norms.items()}
+    h = _History(store, 1)
+    return {c: h.value(norm) for c, (norm,) in h.norms.items()}
 
 
-def _profile(store: ColorStore, norms: dict[int, Scalar], c2: int) -> tuple:
-    """The sorted multiset {(d(x,y)^2, |y|^2) : y in S} of iteration-2 color c2."""
-    recs = store.nodes([c2])[1][0].tolist()
-    return tuple(sorted((store.value_of(did), norms[c1]) for did, c1 in recs))
+def _profile(store: ColorStore, h: _History, c2: int) -> tuple:
+    """{(d(x,y)^2, |y|^2) : y in S} of iteration-2 color c2, sorted on h's numerators."""
+    dids, c1s = store.nodes([c2])[1][0].T.tolist()
+    pairs = sorted(zip(h.nums[dids].tolist(), [h.norms[c][0] for c in c1s]))
+    return tuple((h.value(d2), h.value(n2)) for d2, n2 in pairs)
 
 
 def profiles_from_chi2(store: ColorStore) -> dict[int, tuple]:
     """Map each iteration-2 point color to {(d(x,y)^2, |y|^2) : y in S}."""
     if store.ell != 1 or store.iterations < 2:
         raise ValueError("need a single-point history with at least two iterations")
-    norms = norms_from_chi1(store)
-    return {c2: _profile(store, norms, c2) for c2 in set(store.tables[2])}
+    h = _History(store, 1)
+    return {c2: _profile(store, h, c2) for c2 in set(store.tables[2])}
 
 
 @dataclass(frozen=True)
@@ -89,16 +93,19 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
     The pivot u is the first point by color digest whose norm is above
     tol * max(f, the largest norm), `reconstruct2d`'s test; v minimizes the
     angle at the barycenter over 0 < angle < pi (compared on cosines, exactly
-    in rational mode), ties broken by color digest.  A partner whose squared
+    on an exact store), ties broken by color digest.  A partner whose squared
     height over the u-line is within tol * max(f, its norm), `reconstruct2d`'s
     u-line test, is no candidate for v.  With no v the cloud is collinear
-    with the barycenter and the fallback (0, M_u, M_u) applies.
+    with the barycenter and the fallback (0, M_u, M_u) applies.  It all runs on
+    `wl._History`'s numerators: `Fraction`s only for what is returned.
     """
     if store.ell != 1 or store.iterations < 3:
         raise ValueError("need a single-point history with at least three iterations")
     if store.n < 2:
         raise ValueError("initialization needs at least two points")
-    norms = norms_from_chi1(store)
+    h = _History(store, 1)
+    norms = {c: norm for c, (norm,) in h.norms.items()}
+    over = _over_tol(tol, h.exact)
     digests = store.interner.digests
     c2s = list(set(store.tables[2]))
     c3s = sorted(set(store.tables[3]), key=digests.__getitem__)
@@ -107,17 +114,16 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
 
     # pick u: off the barycenter by reconstruct2d's test, canonical by digest
     top = max(norms.values())
-    f = 0 if is_exact(top) else 1
     u_color = next((c3 for c3 in c3s
-                    if norms[chi1_of_chi2[chi2_of_chi3[c3]]] > tol * max(f, top)), None)
+                    if over(norms[chi1_of_chi2[chi2_of_chi3[c3]]], 1, top)), None)
     if u_color is None:
         raise InconsistentDataError("no point off the barycenter")
     nu2 = norms[chi1_of_chi2[chi2_of_chi3[u_color]]]
-    m_u = _profile(store, norms, chi2_of_chi3[u_color])
+    m_u = _profile(store, h, chi2_of_chi3[u_color])
 
     best = None  # (q, N, tiebreak, d2, c2_y)
-    for did, c2_y in store.nodes([u_color])[1][0].tolist():
-        d2 = store.value_of(did)
+    dids, c2ys = store.nodes([u_color])[1][0].T.tolist()
+    for did, d2, c2_y in zip(dids, h.nums[dids].tolist(), c2ys):
         ny2 = norms[chi1_of_chi2[c2_y]]
         if ny2 == 0:
             continue  # angle defined as 0
@@ -125,15 +131,15 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
         N = nu2 * ny2
         # the partner's squared height over the u-line is (4N - q^2) / (4|u|^2),
         # tested as reconstruct2d tests heights, with no product of two norms
-        if (4 * N - q * q) / (4 * nu2) <= tol * max(f, ny2):
+        if not over(4 * N - q * q, 4 * nu2, ny2):
             continue  # angle is 0 or pi, up to tol
         tiebreak = (digests[c2_y], did)
         if (best is None or _cos_greater(q, N, best[0], best[1])
                 or (not _cos_greater(best[0], best[1], q, N) and tiebreak < best[2])):
             best = (q, N, tiebreak, d2, c2_y)
     if best is None:
-        return InitData2D(d0_sq=0 if is_exact(nu2) else 0.0, m_u=m_u, m_v=m_u)
-    return InitData2D(d0_sq=best[3], m_u=m_u, m_v=_profile(store, norms, best[4]))
+        return InitData2D(d0_sq=0 if h.exact else 0.0, m_u=m_u, m_v=m_u)
+    return InitData2D(d0_sq=h.value(best[3]), m_u=m_u, m_v=_profile(store, h, best[4]))
 
 
 @dataclass

@@ -54,13 +54,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat, starmap
-from operator import floordiv, truediv
+from operator import floordiv, mul, truediv
 
 import numpy as np
 
 from .config import DEFAULT_MAX_TUPLES, DEFAULT_TOL
 from .errors import CapExceededError, InconsistentDataError, ParameterMismatchError
-from .geometry import PointCloud, Scalar, barycenter_sq_norms, exact_sq_numerators
+from .geometry import PointCloud, Scalar, _over_tol, exact_sq_numerators
 
 KIND_ZERO = 0   # the shared ell=1 leaf color
 KIND_MAT = 1    # ell x ell squared-distance matrix, row-major distance ids
@@ -321,10 +321,14 @@ class ColorStore:
         k, n, m = len(prev), self.n, self.ell
         if m == 1:
             return np.full((k, 1, 1), self.dist_array[0, 0]), recs[..., :1]
-        used, at = np.unique(np.concatenate([prev, recs[..., :2].ravel()]), return_inverse=True)
-        if any(self.interner.kinds[c] != KIND_MAT for c in used.tolist()):
+        ids = np.concatenate([prev, recs[..., :2].ravel()])
+        lo = ids.min() if k else 0
+        seen = np.bincount(ids - lo) > 0  # over the ids' span, no sort: read each color once
+        used = (np.flatnonzero(seen) + lo).tolist()
+        if any(self.interner.kinds[c] != KIND_MAT for c in used):
             raise ValueError("not the colors of a first refinement")
-        mats = self._packed(used.tolist(), KIND_MAT, m * m)[:, 2:]
+        mats = self._packed(used, KIND_MAT, m * m)[:, 2:]
+        at = (np.cumsum(seen) - 1)[ids - lo]  # rank of each id among the used
         pairs = at[k:].reshape(k, n, 2)
         # row-major entry m is (1, 0), entries 1..m-1 are (0, 1)..(0, m-1)
         dists = np.concatenate([mats[pairs[..., 1], m:m + 1], mats[pairs[..., 0], 1:m]], -1)
@@ -358,24 +362,25 @@ def _distinct_rows(a: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 
 class _History:
-    """Iterations 1 and 2 of a coloring as arrays of value ids.
+    """Iterations 1 and 2 of a coloring: numerators over one denominator, and value ids.
 
     The one place where the barycenter identity is applied to whole
-    colorings (`oneshot._rows` applies it to a block of tuple colors' sums):
-    norms maps each iteration-1 color to each slot's squared barycenter
-    distance.  Value ids number the distinct squared distances and norms in
-    increasing order, worked out as numerators over S = 2 n^2 Q for an exact
-    store, Q the lcm of its distance denominators, which makes every norm
-    (f - T/(2n))/n an integer over S too.  A float store keeps its floats and
-    lets a norm fall below 0 by its grid step snap, which bounds the error
-    snapping can put in a norm, on top of the default bound 1e-9 max(1, |T|),
-    T the ordered-pair sum; at ell = 1 a
-    point's records come in increasing distance order, so its sum in value
-    order is its sum in record order.  Per iteration-1 color c1[k]: mat[k],
-    the ids of its tuple's distance matrix, and bary[k], of its norms.  From
-    two iterations on (ell >= 2), distances[v] is the value of id v, and per
-    iteration-2 color c2[k]: prev2[k], the position of its iteration-1 color,
-    and entries[k], its profile, rows sorted.
+    colorings (`oneshot._rows` applies it to a block of tuple colors' sums).
+    An exact store runs on integers over S = 2 n^2 Q, Q the lcm of its
+    distance denominators: nums[did] is distance id did's numerator, a
+    slot's distance sum f one row sum (int64 when n times the largest
+    numerator fits, else Python ints), and a norm (f - T/(2n))/n, T the
+    ordered-pair sum, the exact quotient (2n f - T) / (2n^2).  `value` makes
+    a numerator a `Fraction`.  A float store keeps its floats (S = 1), sums
+    each row in increasing order (record order at ell = 1), and lets a norm
+    fall below 0 by its grid step snap, which bounds the error snapping puts
+    in a norm, on top of the default bound 1e-9 max(1, |T|).  norms maps
+    each iteration-1 color to its slots' norm numerators.  From two
+    iterations on (ell >= 2), value ids number the distinct distances and
+    norms in increasing order, distances[v] the value of id v; per
+    iteration-1 color c1[k], mat[k] and bary[k] are the ids of its tuple's
+    distance matrix and norms; per iteration-2 color c2[k], prev2[k] is the
+    position of its iteration-1 color and entries[k] its profile, rows sorted.
     """
 
     def __init__(self, store: ColorStore, iterations: int):
@@ -384,24 +389,29 @@ class _History:
             raise ValueError("profiles need a tuple history (ell >= 2)")
         if store.iterations < iterations:
             raise ValueError(f"need a history of at least {iterations} iteration(s)")
-        exact = store.interner.mode == "exact"
-        dids = sorted(set(store.dist_array.ravel().tolist()))
-        vals = list(map(store.value_of, dids))
-        S = 2 * n * n * math.lcm(*(v.denominator for v in vals)) if exact else 1
-        nums = [v.numerator * (S // v.denominator) for v in vals] if exact else vals
-        dist = sorted(set(nums))  # ids into dist until the barycenter norms join them
-        dist_id = {v: i for i, v in enumerate(dist)}
-        lut = np.zeros(dids[-1] + 1, dtype=np.int64)  # distance id -> id into dist
-        lut[dids] = [dist_id[v] for v in nums]
+        inter = store.interner
+        self.exact = exact = inter.mode == "exact"
+        dids = np.flatnonzero(np.bincount(store.dist_array.ravel())).tolist()
+        keys = list(map(inter.dist_keys.__getitem__, dids))
+        if exact:
+            tops, bottoms = zip(*map(Fraction.as_integer_ratio, keys))
+            self.S = 2 * n * n * math.lcm(*bottoms)
+            nums = list(map(mul, tops, map(floordiv, repeat(self.S), bottoms)))
+            dtype = np.int64 if n * max(map(abs, nums)) < 2 ** 63 else object
+        else:
+            self.S, nums, dtype = 1, [key * inter.snap for key in keys], float
+        self.nums = np.zeros(dids[-1] + 1, dtype=dtype)
+        self.nums[dids] = nums
 
         counts = Counter(store.tables[1])
         self.c1 = list(counts)
         mats, recs = store.tuple_distances(self.c1)
-        # slot j's distances to the points, sorted: one row per (color, slot)
-        slots = np.sort(np.swapaxes(lut[recs], 1, 2), -1).reshape(-1, n)
+        # slot j's distance ids to the points, sorted: one row per (color, slot)
+        slots = np.sort(np.swapaxes(recs, 1, 2), -1).reshape(-1, n)
         first, inv = _distinct_rows(slots)
         inv = inv.reshape(len(self.c1), m)
-        f = [sum(map(dist.__getitem__, row)) for row in slots[first].tolist()]
+        rows = self.nums[slots[first]]  # summed in int64, else in Python in increasing order
+        f = rows.sum(-1).tolist() if rows.dtype == np.int64 else [*map(sum, np.sort(rows).tolist())]
         # the cloud-wide multiset of distance multisets is inflated by n^(ell-1)
         multiplier = n ** (m - 1)
         global_counts: Counter = Counter()
@@ -413,25 +423,37 @@ class _History:
                 raise InconsistentDataError(
                     f"distance-multiset count {cnt} is not divisible by n^(ell-1)={multiplier}")
             total = total + (cnt // multiplier) * f[u]
+        if exact:  # every numerator is a multiple of 2n^2, so (2n f - T) / (2n^2) is exact
+            assert all(x % (2 * n * n) == 0 for x in (*f, total))
+            norms = [(2 * n * x - total) // (2 * n * n) for x in f]
+        else:
+            norms = [(x - total / (2 * n)) / n for x in f]
         # snapping moves a float norm by at most 0.75 snap: the bound is snap
         # on top of the default DEFAULT_TOL * max(1, |T|)
-        extra = 0.0 if exact else store.interner.snap / max(1.0, abs(total))
-        norms = barycenter_sq_norms(f, total, n, DEFAULT_TOL + extra)
-        norms = [int(v) for v in norms] if exact else norms
-
-        scalars = [Fraction(v, S) for v in norms] if exact else norms
-        self.norms = {c: tuple(map(scalars.__getitem__, row))
+        extra = 0.0 if exact else inter.snap / max(1.0, abs(total))
+        over = _over_tol(DEFAULT_TOL + extra, exact)
+        if any(over(-v, 1, abs(total)) for v in norms):
+            raise InconsistentDataError(
+                f"negative squared barycenter distance {self.value(min(norms))} from f-values")
+        norms = norms if exact else [max(v, 0.0) for v in norms]
+        self.norms = {c: tuple(map(norms.__getitem__, row))
                       for c, row in zip(self.c1, inv.tolist())}
-        values = sorted(set(dist) | set(norms))
-        pos = {v: i for i, v in enumerate(values)}
-        self.mat = np.array([pos[v] for v in dist])[lut[mats]]
-        self.bary = np.array([pos[v] for v in norms])[inv]
         if iterations >= 2:
-            self.distances = [Fraction(v, S) for v in values] if exact else values
+            values = sorted(set(nums) | set(norms))
+            pos = dict(zip(values, range(len(values))))
+            ids = np.zeros(len(self.nums), dtype=np.int64)  # distance id -> value id
+            ids[dids] = list(map(pos.__getitem__, nums))
+            self.mat = ids[mats]
+            self.bary = np.array(list(map(pos.__getitem__, norms)))[inv]
+            self.distances = list(map(self.value, values))
             self.c2 = list(dict.fromkeys(store.tables[2]))
             prev1, recs = store.nodes(self.c2)
             self.prev2 = _index(self.c1, prev1)
             self.entries = _sorted_rows(self.entry(_index(self.c1, recs)))
+
+    def value(self, num: Scalar) -> Scalar:
+        """The squared distance or norm with numerator num over S: a `Fraction` if exact."""
+        return Fraction(num, self.S) if self.exact else num
 
     def entry(self, r: np.ndarray) -> np.ndarray:
         """(d(y,b), d(y,x_1), ..., d(y,x_m)) from the iteration-1 positions r[..., :]

@@ -10,7 +10,8 @@ import pytest
 from geowl import oracle, reconstruct
 from geowl.errors import InconsistentDataError, ReconstructionError
 from geowl.geometry import Entries, PointCloud, barycenter, barycenter_sq_norms, sq_dist
-from geowl.recon2d import (InitData2D, PlanarReconstruction, _entry_round, init2d,
+from geowl.geometry import _over_tol
+from geowl.recon2d import (InitData2D, PlanarReconstruction, _cos_greater, _entry_round, init2d,
                            norms_from_chi1, profiles_from_chi2, reconstruct2d,
                            reconstruct_planar)
 from geowl.wl import KIND_NODE1, Interner, run_wl
@@ -719,3 +720,106 @@ def test_points_closer_than_tol_times_the_extent_fail_typed():
                            (F(1), gap), (F(-1), -gap)))
     with pytest.raises(InconsistentDataError):
         reconstruct(cloud, "wl2d")
+
+
+# -- init2d against its Fraction form ------------------------------------------
+
+def _reference_profile(store, norms, c2):
+    return tuple(sorted((store.value_of(did), norms[c1])
+                        for did, c1 in store.interner.payload(c2, KIND_NODE1)[1]))
+
+
+def _reference_init2d(store, tol=1e-9):
+    """init2d as written on scalars: `Fraction` norms from `_fraction_norms`, each
+    distance by `value_of`, each record by `Interner.payload`, and both tests
+    against tol * max(f, s) as a float."""
+    norms = _fraction_norms(store)
+    digests = store.interner.digests
+    prev = {c: store.interner.payload(c, KIND_NODE1)[0]
+            for c in set(store.tables[2]) | set(store.tables[3])}
+    c3s = sorted(set(store.tables[3]), key=digests.__getitem__)
+    top = max(norms.values())
+    f = 0 if isinstance(top, F) else 1
+    u_color = next((c3 for c3 in c3s if norms[prev[prev[c3]]] > tol * max(f, top)), None)
+    if u_color is None:
+        raise InconsistentDataError("no point off the barycenter")
+    nu2 = norms[prev[prev[u_color]]]
+    m_u = _reference_profile(store, norms, prev[u_color])
+    best = None  # (q, N, tiebreak, d2, c2_y)
+    for did, c2_y in store.interner.payload(u_color, KIND_NODE1)[1]:
+        d2, ny2 = store.value_of(did), norms[prev[c2_y]]
+        if ny2 == 0:
+            continue
+        q, N = nu2 + ny2 - d2, nu2 * ny2
+        if (4 * N - q * q) / (4 * nu2) <= tol * max(f, ny2):
+            continue
+        tiebreak = (digests[c2_y], did)
+        if (best is None or _cos_greater(q, N, best[0], best[1])
+                or (not _cos_greater(best[0], best[1], q, N) and tiebreak < best[2])):
+            best = (q, N, tiebreak, d2, c2_y)
+    if best is None:
+        return InitData2D(d0_sq=0 if f == 0 else 0.0, m_u=m_u, m_v=m_u)
+    return InitData2D(d0_sq=best[3], m_u=m_u, m_v=_reference_profile(store, norms, best[4]))
+
+
+def _scalar_types(init):
+    return [type(init.d0_sq)] + [type(x) for e in init.m_u + init.m_v for x in e]
+
+
+def _scaled(cloud, power):
+    return PointCloud(2, tuple(tuple(c * F(10) ** power for c in p) for p in cloud.points))
+
+
+def _init2d_stores():
+    randoms = [oracle.apply_random_isometry(oracle.random_cloud(3 + s % 9, 2, seed=500 + s),
+                                            seed=s) for s in range(12)]
+    stores = [run_wl(c, 1, 3) for c in randoms]
+    # one interner, two denominators: the second cloud's ids interleave with the first's
+    shared = Interner("exact")
+    thirds = PointCloud(2, tuple((F(x, 3), F(y, 3)) for x, y in ((0, 0), (5, 1), (2, 7), (-4, 3),
+                                                                 (1, -6), (6, 6))))
+    stores += [run_wl(c, 1, 3, interner=shared) for c in (thirds, randoms[5], randoms[8])]
+    shape = oracle.random_cloud(10, 2, seed=3)
+    stores += [run_wl(_scaled(shape, p), 1, 3) for p in (-80, 80)]
+    stores += [run_wl(_float_copy(c), 1, 3) for c in (randoms[4], shape, _lattice_disk(3, True))]
+    stores.append(run_wl(_with_mean(9, 2), 1, 3))  # a float point at the barycenter
+    lines = [PointCloud(2, ((F(0), F(0)), (F(2), F(0)))),
+             PointCloud(2, tuple((F(x), F(2 * x)) for x in (-3, -1, 0, 2, 5))),
+             PointCloud(2, ((F(1), F(1)), (F(-1), F(1)), (F(0), F(-2)), (F(0), F(0))))]
+    stores += [run_wl(c, 1, 3) for c in lines]
+    stores.append(run_wl(_float_copy(lines[1]), 1, 3))
+    # centrally symmetric, each point x with a far partner 1000 x + (x rotated by 90
+    # degrees) / 100, whose squared height over the u-line is within tol times its own
+    # squared norm but not tol * |u|^2
+    pts = [p for x, y in oracle.random_cloud(3, 2, seed=0).points
+           for p in ((x, y), (1000 * x - y / 100, 1000 * y + x / 100))]
+    far = PointCloud(2, tuple(pts + [(-x, -y) for x, y in pts]))
+    stores += [run_wl(far, 1, 3), run_wl(_float_copy(far), 1, 3)]
+    return stores
+
+
+def test_init2d_matches_its_fraction_form():
+    # random, shared-interner, scaled (1e-80 and 1e80), float, point-at-barycenter and
+    # collinear stores: equal pivot data, of equal types
+    fallbacks = 0
+    for store in _init2d_stores():
+        got, want = init2d(store), _reference_init2d(store)
+        assert got == want
+        assert _scalar_types(got) == _scalar_types(want)
+        fallbacks += got.d0_sq == 0
+    assert fallbacks == 3  # the three collinear ones, exact and float
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.1, 2.0 ** -30, 1 / 3])
+def test_exact_tolerance_test_at_its_boundary(tol):
+    # value / den = tol * scale exactly, and one numerator either side, against the
+    # Fraction comparison: tol's integer ratio is exact, up to numerators of 1e160
+    over = _over_tol(tol, True)
+    a, b = F(tol).as_integer_ratio()
+    for scale in (0, 1, 7, 10 ** 80, 10 ** 140):
+        for k in (1, 3, 10 ** 20):
+            den, edge = b * k, a * k * scale
+            for value in (edge - 1, edge, edge + 1):
+                assert over(value, den, scale) == (F(value, den) > F(tol) * scale)
+                assert over(-value, den, scale) == (F(-value, den) > F(tol) * scale)
+    assert edge >= 10 ** 160

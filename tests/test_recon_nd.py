@@ -79,10 +79,16 @@ def _direct_eps(cloud):
                    for tup in product(cloud.points, repeat=cloud.dim))
 
 
+def _bary(store):
+    """Each iteration-1 color's slot norms, as values."""
+    h = _History(store, 1)
+    return {c: tuple(map(h.value, norms)) for c, norms in h.norms.items()}
+
+
 @pytest.mark.parametrize("cloud", [TET, PLANAR3], ids=["tetrahedron", "planar"])
 def test_barycenter_tuple_distances_match_direct(cloud):
     store = run_wl(cloud, 2, 1)
-    bary = _History(store, 1).norms
+    bary = _bary(store)
     got = Counter()
     for cid in store.tables[1]:
         got[bary[cid]] += 1
@@ -93,14 +99,14 @@ def test_barycenter_tuple_distances_random():
     for seed in range(10):
         cloud = oracle.random_cloud(3 + seed % 3, 3, seed=seed, grid=4)
         store = run_wl(cloud, 2, 1)
-        bary = _History(store, 1).norms
+        bary = _bary(store)
         got = Counter(bary[cid] for cid in store.tables[1])
         assert got == _direct_bary_tuples(cloud, 2)
 
 
 def test_diagonal_tuple_gets_equal_slots():
     store = run_wl(TET, 2, 1)
-    bary = _History(store, 1).norms
+    bary = _bary(store)
     n = TET.n
     for i in range(n):
         cid = store.tables[1][i * n + i]  # tuple (x_i, x_i)
@@ -677,7 +683,7 @@ def test_float_slot_norms_use_the_grid_step():
         pts = np.random.default_rng(seed).normal(size=(6, 3)) * 3
         cloud = PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
         store = run_wl(cloud, 2, 1, mode="float", snap=1e-4)
-        norms = _History(store, 1).norms
+        norms = _bary(store)
         assert min(map(min, norms.values())) >= 0.0, seed
 
 

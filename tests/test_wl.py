@@ -629,6 +629,32 @@ def test_readers_match_the_payload_decode(ell, n, d):
             list(dict.fromkeys(store.dist_array.ravel().tolist()))
 
 
+def _unique_tuple_distances(store, colors):
+    """tuple_distances as written with np.unique(return_inverse=True)."""
+    prev, recs = store.nodes(colors)
+    k, n, m = len(prev), store.n, store.ell
+    used, at = np.unique(np.concatenate([prev, recs[..., :2].ravel()]), return_inverse=True)
+    mats = store._packed(used.tolist(), KIND_MAT, m * m)[:, 2:]
+    pairs = at.ravel()[k:].reshape(k, n, 2)
+    dists = np.concatenate([mats[pairs[..., 1], m:m + 1], mats[pairs[..., 0], 1:m]], -1)
+    return mats[at.ravel()[:k]].reshape(k, m, m), dists
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_tuple_distances_match_the_unique_form(ell):
+    # through one shared interner the second cloud's color ids are not 0, 1, ...: blocks
+    # in either order, with repeats, of one color and of none
+    shared = Interner("exact")
+    for n, seed in ((5, 61), (4, 62)):
+        store = run_wl(oracle.random_cloud(n, 3, seed=seed), ell, 1, interner=shared)
+        colors = list(dict.fromkeys(store.tables[1]))
+        for block in (colors, colors[::-1][:7], colors[:3] + colors[:2], colors[3:4], []):
+            for got, want in zip(store.tuple_distances(block),
+                                 _unique_tuple_distances(store, block)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert (got == want).all()
+
+
 def test_readers_reject_colors_of_another_kind():
     store = run_wl(oracle.random_cloud(5, 3, seed=3), 2, 2)
     with pytest.raises(ValueError, match="kind"):
