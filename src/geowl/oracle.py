@@ -153,6 +153,12 @@ def random_cloud(n: int, d: int, seed: int, grid: int = 8, span: int = 4) -> Poi
     Raises ValueError, before drawing anything, when the (2*span*grid + 1)^d
     grid positions are fewer than n.
     """
+    return PointCloud(dim=d, points=_on_grid(_random_numerators(n, d, seed, grid, span), grid),
+                      label=f"random-{n}x{d}-s{seed}")
+
+
+def _random_numerators(n: int, d: int, seed: int, grid: int, span: int) -> list[tuple]:
+    """The numerator tuples k of `random_cloud`'s points k/grid, in draw order."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if d < 1 or grid < 1 or span < 0:
@@ -166,7 +172,7 @@ def random_cloud(n: int, d: int, seed: int, grid: int = 8, span: int = 4) -> Poi
     drawn: dict = {}  # distinct numerator tuples, in draw order
     while len(drawn) < n:
         drawn[tuple(rng.randint(lo, hi) for _ in range(d))] = None
-    return PointCloud(dim=d, points=_on_grid(drawn, grid), label=f"random-{n}x{d}-s{seed}")
+    return list(drawn)
 
 
 def _on_grid(numerators, grid: int) -> tuple:
@@ -222,10 +228,16 @@ def apply_random_isometry(cloud: PointCloud, seed: int) -> PointCloud:
 
 
 def _symmetric_cloud(n: int, d: int, seed: int, grid: int) -> PointCloud | None:
-    """A cloud closed under reflection through the first coordinate hyperplane.
+    """A cloud closed under reflection through the first coordinate hyperplane."""
+    nums = _symmetric_numerators(n, d, seed, grid)
+    if nums is None:
+        return None
+    return PointCloud(dim=d, points=_on_grid(nums, grid), label=f"sym-{n}x{d}-s{seed}")
 
-    Drawn, mirrored and sorted as numerator tuples: k -> k/grid keeps their order.
-    """
+
+def _symmetric_numerators(n: int, d: int, seed: int, grid: int) -> list[tuple] | None:
+    """The sorted numerator tuples k of `_symmetric_cloud`'s points k/grid (k -> k/grid
+    keeps their order), or None when 200 draws do not give n points."""
     rng = random.Random(seed)
     pts: set = set()
     guard = 0
@@ -239,9 +251,7 @@ def _symmetric_cloud(n: int, d: int, seed: int, grid: int) -> PointCloud | None:
         elif len(pts) + 2 <= n:
             pts.add(p)
             pts.add(mirror)
-    if len(pts) != n:
-        return None
-    return PointCloud(dim=d, points=_on_grid(sorted(pts), grid), label=f"sym-{n}x{d}-s{seed}")
+    return sorted(pts) if len(pts) == n else None
 
 
 def search_indistinguishable(ell: int, iters: int, d: int, n: int, budget: int,
@@ -251,29 +261,41 @@ def search_indistinguishable(ell: int, iters: int, d: int, n: int, budget: int,
     Draws pairs of small-grid clouds (coarse grids make distance collisions
     frequent), compares exact fingerprints at (ell, iters), and keeps pairs
     that the isometry oracle rejects: the clouds are exact, so a pair is kept
-    when no bijection preserves every squared distance exactly.  Returns
-    findings with full provenance; an empty list is the expected outcome in
-    the regimes where the test is complete.  `trials` restricts the scan to a subset of trial indices so
-    callers can shard the budget; results depend only on (seed, trial).
+    when no bijection preserves every squared distance exactly.  A trial
+    stays on the clouds' integer numerators over the grid: both stores are
+    colored through one interner from the squared numerators over grid^2 and
+    refined in lockstep (`wl.refine(sa, sb)`), and the `PointCloud`s are
+    built only when the fingerprints tie.  Returns findings with full
+    provenance; an empty list is the expected outcome in the regimes where
+    the test is complete.  `trials` restricts the scan to a subset of trial
+    indices so callers can shard the budget; results depend only on
+    (seed, trial).
     """
+    if iters < 0:
+        raise ValueError("iters must be non-negative")
+    grid = 2
     findings = []
     if trials is None:
         trials = range(budget)
     for trial in trials:
         base = seed * 1_000_003 + trial * 7919
         if trial % 2 == 0:
-            a = random_cloud(n, d, base, grid=2, span=1)
-            b = random_cloud(n, d, base + 1, grid=2, span=1)
+            drawn = [_random_numerators(n, d, base + i, grid, 1) for i in (0, 1)]
         else:
-            a = _symmetric_cloud(n, d, base, grid=2)
-            b = _symmetric_cloud(n, d, base + 1, grid=2)
-            if a is None or b is None:
+            drawn = [_symmetric_numerators(n, d, base + i, grid) for i in (0, 1)]
+            if None in drawn:
                 continue
         interner = wl.Interner("exact")
-        fa = wl.fingerprint(wl.run_wl(a, ell, iters, interner=interner))
-        fb = wl.fingerprint(wl.run_wl(b, ell, iters, interner=interner))
+        sa, sb = (wl.store_from_sq_values(exact_sq_numerators(nums)[0], ell, d,
+                                          den=grid * grid, interner=interner)
+                  for nums in drawn)
+        for _ in range(iters):
+            wl.refine(sa, sb)
+        fa = wl.fingerprint(sa)
+        fb = wl.fingerprint(sb)
         if fa.entries != fb.entries:
             continue
+        a, b = (PointCloud(dim=d, points=_on_grid(nums, grid)) for nums in drawn)
         if is_isometric(a, b) is not None:
             continue
         findings.append({

@@ -29,16 +29,18 @@ order of `geometry.sq_dist`, so each keeps all its bits.  At ell >= 2 the
 tuple matrices are one gather from the n x n ids, interned as the records of
 a refinement are.
 
-A refinement is array work at every ell.  The colors present in the
-previous table are ranked by digest and each record list is put in
-canonical order by sorting rank tuples: at ell = 1, one packed
-(distance value rank, color rank) key per record and one row sort over the
-n x n matrix of keys; at ell >= 2, the (n^ell, n, ell) array of record
-ranks, built by broadcasting the rank table once per position, and one
-lexicographic array sort.  A tuple's key, also its payload, is the bytes of
-its int64 row [kind and width, head, record ids] (the kind tells a matrix from
-a node at n = ell); one call looks up all keys and inserts the new classes in
-one batch, and only a new class is hashed.  At ell = 1 a new class's digest
+A refinement is array work at every ell, over one or more stores that share
+an interner (the two clouds of a comparison are refined in lockstep, a
+leading batch axis B on every array).  The colors present in the previous
+tables are ranked by digest and each record list is put in canonical order
+by sorting rank tuples: at ell = 1, one packed (distance value rank, color
+rank) key per record and one row sort over the B x n x n array of keys; at
+ell >= 2, the (B n^ell, n, ell) array of record ranks, built by
+broadcasting the rank table once per position, and one lexicographic array
+sort.  A tuple's key, also its payload, is the bytes of its int64 row [kind
+and width, head, record ids] (the kind tells a matrix from a node at
+n = ell); one call looks up all the stores' keys and inserts the new classes
+in one batch, and only a new class is hashed.  At ell = 1 a new class's digest
 input is joined from one list laid out like its key, filled from strided views
 of the key.
 """
@@ -375,9 +377,11 @@ class _History:
     each row in increasing order (record order at ell = 1), and lets a norm
     fall below 0 by its grid step snap, which bounds the error snapping puts
     in a norm, on top of the default bound 1e-9 max(1, |T|).  norms maps
-    each iteration-1 color to its slots' norm numerators.  From two
-    iterations on (ell >= 2), value ids number the distinct distances and
-    norms in increasing order, distances[v] the value of id v; per
+    each iteration-1 color to its slots' norm numerators.  At ell = 1 a point
+    color is its distance multiset, so its record row is its one slot row,
+    distinct from every other color's: no row sort, no `_distinct_rows`.
+    From two iterations on (ell >= 2), value ids number the distinct
+    distances and norms in increasing order, distances[v] the value of id v; per
     iteration-1 color c1[k], mat[k] and bary[k] are the ids of its tuple's
     distance matrix and norms; per iteration-2 color c2[k], prev2[k] is the
     position of its iteration-1 color and entries[k] its profile, rows sorted.
@@ -406,10 +410,12 @@ class _History:
         counts = Counter(store.tables[1])
         self.c1 = list(counts)
         mats, recs = store.tuple_distances(self.c1)
-        # slot j's distance ids to the points, sorted: one row per (color, slot)
-        slots = np.sort(np.swapaxes(recs, 1, 2), -1).reshape(-1, n)
-        first, inv = _distinct_rows(slots)
-        inv = inv.reshape(len(self.c1), m)
+        if m == 1:  # a point color's record row is its one slot row, already distinct
+            slots, first, inv = recs[..., 0], slice(None), np.arange(len(self.c1))[:, None]
+        else:  # slot j's distance ids to the points, sorted: one row per (color, slot)
+            slots = np.sort(np.swapaxes(recs, 1, 2), -1).reshape(-1, n)
+            first, inv = _distinct_rows(slots)
+            inv = inv.reshape(len(self.c1), m)
         rows = self.nums[slots[first]]  # summed in int64, else in Python in increasing order
         f = rows.sum(-1).tolist() if rows.dtype == np.int64 else [*map(sum, np.sort(rows).tolist())]
         # the cloud-wide multiset of distance multisets is inflated by n^(ell-1)
@@ -472,6 +478,8 @@ def _mode_for(cloud: PointCloud, mode: str | None) -> str:
 def _checked_interner(interner: Interner | None, mode: str, snap: float, n: int,
                       ell: int, max_tuples: int) -> Interner:
     """The run's interner, after the checks that must precede any interning."""
+    if ell < 1:
+        raise ValueError("ell must be at least 1")
     if interner is None:
         interner = Interner(mode, snap)
     elif interner.mode != mode or (mode == "float" and interner.snap != float(snap)):
@@ -535,8 +543,6 @@ def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
                      snap: float = DEFAULT_TOL, interner: Interner | None = None,
                      max_tuples: int = DEFAULT_MAX_TUPLES) -> ColorStore:
     """Color every tuple in S^ell by its intra-tuple squared-distance matrix."""
-    if ell < 1:
-        raise ValueError("ell must be at least 1")
     mode = _mode_for(cloud, mode)
     interner = _checked_interner(interner, mode, snap, cloud.n, ell, max_tuples)
     if mode == "exact" and cloud.exact:
@@ -554,26 +560,35 @@ def _present_ranking(prev: list[int], digests: list[bytes]) -> tuple[list[int], 
     return list(map(rank.__getitem__, prev)), order
 
 
-def refine(store: ColorStore) -> ColorStore:
-    """Append one refinement step to the store's color history.
+def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
+    """Append one refinement step to the color history of `store` and of every
+    store in `others`, in one array pass; return `store`.
 
-    Records are ordered by the digest ranks of their colors among the colors
-    present in the previous table (at ell = 1, by the value rank of the
-    distance first).  Ranks are bijections, so sorting rank tuples sorts the
-    records, and every tuple's records are sorted by one array sort.  At
-    ell = 1 a record's two ranks are packed into one int64 key, which the
-    assert below shows cannot overflow, and `np.sort` orders each point's
-    row of n keys.  At ell >= 2 the record ranks of all tuples form one
-    (n^ell, n, ell) array, sorted along each tuple's records by one
-    `np.lexsort`; those ranks are never packed, so no rank count overflows.
-    Sorted ranks are mapped back to ids, and each tuple is interned under
-    the bytes of its row of ids.  At ell >= 2 the digest inputs of new
-    classes are gathered BLOCK at a time as rows of one uint8 array.
+    The stores share one interner and have equal n and ell, else ValueError.
+    They are a leading batch axis B on every array below; their tuples are
+    interned in one call, first store first, so new classes get the ids that
+    refining the stores one after the other would give them.  Records are
+    ordered by the digest ranks of their colors among the colors present in
+    the stores' previous tables (at ell = 1, by the value rank of the distance
+    first).  Ranks are bijections, so sorting rank tuples sorts the records,
+    and every tuple's records are sorted by one array sort.  At ell = 1 a
+    record's two ranks are packed into one int64 key, which the assert below
+    shows cannot overflow, and `np.sort` orders each point's row of n keys
+    in the (B, n, n) key array.  At ell >= 2 the record ranks of all tuples
+    form one (B n^ell, n, ell) array, sorted along each tuple's records by
+    one `np.lexsort`; those ranks are never packed, so no rank count
+    overflows.  Sorted ranks are mapped back to ids, and each tuple is
+    interned under the bytes of its row of ids.  At ell >= 2 the digest
+    inputs of new classes are gathered BLOCK at a time as rows of one uint8
+    array.
     """
-    inter = store.interner
-    n, ell = store.n, store.ell
-    prev = store.tables[-1]
+    stores = (store, *others)
+    inter, n, ell = store.interner, store.n, store.ell
+    if any(s.interner is not inter or s.n != n or s.ell != ell for s in others):
+        raise ValueError("stores refined together need one interner and equal n and ell")
+    prev = list(chain.from_iterable(s.tables[-1] for s in stores))
     rprev, order = _present_ranking(prev, inter.digests)
+    rprev = np.array(rprev, dtype=np.int64).reshape((len(stores),) + (n,) * ell)
     colors = np.array(order, dtype=np.int64)
     digests, frames = inter.digests, inter._dist_frames
     if ell == 1:
@@ -581,9 +596,9 @@ def refine(store: ColorStore) -> ColorStore:
         m = len(order)
         dranks, dorder = inter.distance_ranking()
         assert len(dorder) * m <= 2 ** 63, "packed record keys overflow int64"
-        keys = dranks[store.dist_array] * m + np.array(rprev, dtype=np.int64)
-        keys.sort(axis=1)
-        q, r = np.divmod(keys, m)
+        keys = dranks[np.array([s.dist_array for s in stores])] * m + rprev[:, None]
+        keys.sort(axis=-1)
+        q, r = np.divmod(keys.reshape(-1, n), m)
         rows = _key_rows(KIND_NODE1, prev, 2 * n, 2)
         rows[:, 2::2], rows[:, 3::2] = dorder[q], colors[r]
 
@@ -598,16 +613,16 @@ def refine(store: ColorStore) -> ColorStore:
                 yield b"".join(parts)
         table = inter.intern_nodes(KIND_NODE1, rows, encode)
     else:
-        ranks = np.array(rprev, dtype=np.int64).reshape((n,) * ell)
-        records = np.empty((n,) * ell + (n, ell), dtype=np.int64)
+        records = np.empty(rprev.shape + (n, ell), dtype=np.int64)
         for i in range(ell):
-            # records[t, y, i] is the rank of t with position i set to y
-            others = [j for j in range(ell) if j != i]
-            records[..., i] = ranks.transpose([*others, i])[(slice(None),) * i + (None,)]
-        records = records.reshape(n ** ell, n, ell)
+            # records[b, t, y, i] is the rank in store b of t with position i set to y
+            axes = [0, *(1 + j for j in range(ell) if j != i), 1 + i]
+            records[..., i] = rprev.transpose(axes)[(slice(None),) * (1 + i) + (None,)]
+        tuples = rprev.size
+        records = records.reshape(tuples, n, ell)
         perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
-        perm += n * np.arange(n ** ell)[:, None]  # each tuple's order, as flat record rows
-        records = records.reshape(-1, ell)[perm].reshape(n ** ell, n * ell)
+        perm += n * np.arange(tuples)[:, None]  # each tuple's order, as flat record rows
+        records = records.reshape(-1, ell)[perm].reshape(tuples, n * ell)
         rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, order)), dtype="V16")
         tag, step = np.frombuffer(b"N" + ell.to_bytes(2, "big"), np.uint8), 3 + 16 * (1 + n * ell)
 
@@ -617,14 +632,16 @@ def refine(store: ColorStore) -> ColorStore:
                 enc = np.empty((len(block), step), dtype=np.uint8)
                 enc[:, :3] = tag
                 digs = enc[:, 3:].view("V16")
-                digs[:, 0] = rank_digests[ranks.flat[block]]
+                digs[:, 0] = rank_digests[rprev.flat[block]]
                 digs[:, 1:] = rank_digests[records[block]]
                 flat = memoryview(enc).cast("B")
                 yield from (flat[i:i + step] for i in range(0, len(flat), step))
         rows = _key_rows(KIND_NODE, prev, n * ell, ell)
         rows[:, 2:] = colors[records]
         table = inter.intern_nodes(KIND_NODE, rows, encode)
-    store.tables.append(table)
+    size = n ** ell
+    for b, s in enumerate(stores):
+        s.tables.append(table[b * size:(b + 1) * size])
     return store
 
 

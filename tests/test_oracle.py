@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import signal
@@ -7,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from geowl import oracle
+from geowl import oracle, wl
 from geowl.geometry import PointCloud, sq_dist
 from geowl.report import reconstruct
 from geowl.wl import Interner, fingerprint, run_wl
@@ -272,3 +274,69 @@ def test_search_is_deterministic_and_reports_provenance():
     hi = oracle.search_indistinguishable(1, 1, 1, 3, budget=30, seed=5,
                                          trials=range(15, 30))
     assert lo + hi == a
+
+
+def _reference_search_pair(ell, iters, d, n, seed, trial):
+    """A search trial's fingerprints, from `PointCloud`s colored one after the other."""
+    base = seed * 1_000_003 + trial * 7919
+    if trial % 2 == 0:
+        a, b = (oracle.random_cloud(n, d, base + i, grid=2, span=1) for i in (0, 1))
+    else:
+        a, b = (oracle._symmetric_cloud(n, d, base + i, grid=2) for i in (0, 1))
+        if a is None or b is None:
+            return None
+    inter = Interner("exact")
+    return a, b, [fingerprint(run_wl(c, ell, iters, interner=inter)) for c in (a, b)]
+
+
+def test_search_fingerprints_match_coloring_the_clouds(monkeypatch):
+    """The search's lockstep trials on integer numerators tap the fingerprints of
+    `random_cloud` / `_symmetric_cloud` -> `run_wl` -> `fingerprint`, and its
+    findings are the pairs whose fingerprints tie and the oracle rejects."""
+    tapped = []
+
+    def tap(store, iteration=None):
+        tapped.append(fingerprint(store, iteration))
+        return tapped[-1]
+
+    monkeypatch.setattr(wl, "fingerprint", tap)
+    regimes = [(1, 4, 1, 1), (2, 6, 1, 3), (2, 10, 1, 3), (3, 6, 2, 3), (3, 5, 3, 1),
+               (2, 4, 1, 0), (1, 3, 1, 2), (2, 5, 2, 0), (3, 4, 3, 2)]
+    ties = 0
+    for d, n, ell, iters in regimes:
+        for seed in (0, 3):
+            tapped.clear()
+            found = oracle.search_indistinguishable(ell, iters, d, n, 6, seed)
+            want, findings = [], []
+            for trial in range(6):
+                ref = _reference_search_pair(ell, iters, d, n, seed, trial)
+                if ref is None:
+                    continue
+                a, b, fps = ref
+                want += [fp.digest() for fp in fps]
+                if fps[0].entries == fps[1].entries:
+                    ties += 1
+                    if oracle.is_isometric(a, b) is None:
+                        findings.append((trial, [[str(c) for c in p] for p in a.points],
+                                         [[str(c) for c in p] for p in b.points]))
+            assert [fp.digest() for fp in tapped] == want
+            assert [(f["trial"], f["cloud_a"], f["cloud_b"]) for f in found] == findings
+    assert ties > 0
+
+
+def test_search_tie_path_findings_are_pinned():
+    # at iters = 0 every pair of the same n ties, so every trial reaches the oracle
+    found = oracle.search_indistinguishable(1, 0, 2, 4, 10, 5)
+    assert [f["trial"] for f in found] == list(range(10))
+    assert found[0] == {"trial": 0, "seed": 5, "ell": 1, "iters": 0, "dim": 2,
+                        "cloud_a": [["1", "0"], ["1/2", "0"], ["-1/2", "1/2"], ["-1", "-1/2"]],
+                        "cloud_b": [["-1", "1/2"], ["1", "-1/2"], ["1", "1/2"], ["1/2", "-1"]]}
+    digest = hashlib.blake2b(json.dumps(found, sort_keys=True).encode(), digest_size=16)
+    assert digest.hexdigest() == "5230f3cad435045988c9e5f3802043eb"
+
+
+def test_search_rejects_bad_ell_and_iters():
+    with pytest.raises(ValueError, match="ell"):
+        oracle.search_indistinguishable(0, 1, 2, 4, 2, 1)
+    with pytest.raises(ValueError, match="iters"):
+        oracle.search_indistinguishable(1, -1, 2, 4, 2, 1)

@@ -12,7 +12,7 @@ import pytest
 from geowl import oracle, reconstruct, wl
 from geowl.config import RunConfig
 from geowl.errors import CapExceededError, ParameterMismatchError
-from geowl.geometry import PointCloud, sq_dist
+from geowl.geometry import PointCloud, barycenter, sq_dist
 from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, _as_float, _key_rows, compare,
                       fingerprint, first_distinguishing_iteration, initial_coloring, refine,
                       run_wl, store_from_sq_values)
@@ -591,6 +591,70 @@ def test_refine_matches_the_per_tuple_reference():
         assert new_tables == ref_tables
         assert new.kinds == ref.kinds and new.digests == ref.digests
         assert [new.payload(c, k) for c, k in enumerate(new.kinds)] == ref.payloads
+
+
+def test_lockstep_refine_matches_refining_one_store_at_a_time():
+    """`refine(*stores)` gives, at every iteration, the tables, kinds, digests and
+    payloads of refining the stores one after the other: each case's clouds plus
+    a partner of another shape, through one interner."""
+    for ell, clouds, mode in _equivalence_cases():
+        mode = mode or ("exact" if clouds[0].exact else "float")
+        clouds = clouds + [_posed(clouds[0].n, clouds[0].dim, 99)]
+        runs = []
+        for lockstep in (False, True):
+            inter = Interner(mode)
+            stores = [initial_coloring(c, ell, mode=mode, interner=inter) for c in clouds]
+            history = []
+            for _ in range(3):
+                if lockstep:
+                    assert refine(*stores) is stores[0]
+                else:
+                    for store in stores:
+                        refine(store)
+                history.append((list(inter.kinds), list(inter.digests)))
+            payloads = [inter.payload(c, k) for c, k in enumerate(inter.kinds)]
+            runs.append(([s.tables for s in stores], history, payloads))
+        assert runs[0] == runs[1]
+
+
+def test_lockstep_refine_rejects_unlike_stores():
+    inter = Interner("exact")
+    a = initial_coloring(oracle.random_cloud(5, 2, seed=1), 2, interner=inter)
+    cases = [initial_coloring(oracle.random_cloud(5, 2, seed=2), 2),  # another interner
+             initial_coloring(oracle.random_cloud(4, 2, seed=2), 2, interner=inter),
+             initial_coloring(oracle.random_cloud(5, 2, seed=2), 1, interner=inter)]
+    for other in cases:
+        count = len(inter.kinds)
+        with pytest.raises(ValueError, match="one interner and equal n and ell"):
+            refine(a, other)
+        assert a.iterations == 0 and other.iterations == 0 and len(inter.kinds) == count
+
+
+def test_point_history_takes_each_record_row_as_its_slot_row():
+    """At ell = 1 `_History` skips the sort and `_distinct_rows`: the general path
+    (sorted slot rows, then their distinct rows) finds every color's row distinct,
+    in color order, and sums the same values, on exact and float, random and
+    symmetric clouds."""
+    clouds = [oracle.random_cloud(n, d, seed=70 + n) for n, d in ((2, 1), (7, 2), (9, 1),
+                                                                  (12, 3), (40, 2))]
+    clouds += [c for c in (oracle._symmetric_cloud(n, d, 80 + n, 2)
+                           for n, d in ((5, 1), (6, 2), (8, 2), (9, 3))) if c is not None]
+    clouds += [_GRID, _HALF_GRID, _line(0, 1, 2, 3, 5, 6)]
+    runs = [(c, run_wl(c, 1, 1, mode=mode)) for c in clouds for mode in ("exact", "float")]
+    runs += [(_floats(c), run_wl(_floats(c), 1, 1)) for c in clouds]
+    assert len(runs) >= 30
+    for cloud, store in runs:
+        h = wl._History(store, 1)
+        _, recs = store.tuple_distances(h.c1)
+        slots = np.sort(np.swapaxes(recs, 1, 2), -1).reshape(-1, store.n)
+        first, inv = wl._distinct_rows(slots)
+        assert first == list(range(len(h.c1))) and inv.tolist() == first
+        assert (np.sort(h.nums[slots]) == np.sort(h.nums[recs[..., 0]])).all()
+        center = barycenter(cloud)
+        for p, c in zip(cloud.points, store.tables[1]):
+            want = sq_dist(p, center)
+            assert (h.value(h.norms[c][0]) == want if h.exact
+                    else math.isclose(h.norms[c][0], want, rel_tol=1e-9, abs_tol=1e-8))
 
 
 def _payload_decode(store, c):
