@@ -44,8 +44,12 @@ _RUN_OPTIONS = {
     "ell": (("--ell",), dict(type=int, help="tuple dimension of the coloring")),
     "iters": (("--iters",), dict(type=int, help="number of refinement iterations")),
     "mode": (("--mode",), dict(choices=("exact", "float"),
-                               help="arithmetic mode (default: exact for rational inputs)")),
-    "tol": (("--tol",), dict(type=float, help="float-mode tolerance")),
+                               help="arithmetic mode (default: exact for rational inputs; "
+                                    "wlnd runs exact only, reading floats as their exact "
+                                    "values, and rejects float)")),
+    "tol": (("--tol",), dict(type=float,
+                             help="numerical tolerance: the float-mode distance snap, and "
+                                  "the rank and ranking tolerance of every algorithm")),
     "seed": (("--seed",), dict(type=int, default=None,
                                help="random seed (default: GEOWL_SEED or 0)")),
     "jobs": (("--jobs",), dict(type=int, help="parallelism for inner maps")),

@@ -8,31 +8,32 @@ for every tuple and every cloud point, an enhanced profile: the full squared
 distance matrix of (barycenter, x_1, ..., x_d) together with the d profiles
 obtained by substituting the barycenter into each slot.
 
-Extraction reads the history through `wl._History`, which numbers the
-distinct squared distances and barycenter norms in increasing order (exact
-ones as integers over one denominator), and builds one `ProfileTable` per
-store: each enhanced profile as arrays of those numbers, each distinct
-substituted profile once.  Ranking is one float pass over these arrays,
-`ProfileTable.ranks_and_bounds`, which gives each row its rank and depth
-bound from one Gram build; the `EnhancedProfile` of a candidate, in
-Fractions or floats, is built only when reconstruction tries it.  Gram
-matrices, their rank rule, exact elimination and the render of Gram
-coordinates come from `geometry`, shared with `oneshot`.
+The store must be exact: `report.reconstruct` colors a float cloud as the
+dyadic rationals its floats are, and a float store is refused.  Extraction
+reads the history through `wl._History`, which numbers the distinct squared
+distances and barycenter norms in increasing order, as integers over one
+denominator, and builds one `ProfileTable` per store: each enhanced profile
+as arrays of those numbers, each distinct substituted profile once.
+Ranking is one float pass over these arrays, `ProfileTable.ranks_and_bounds`,
+which gives each row its rank and depth bound from one Gram build; the
+`EnhancedProfile` of a candidate, in Fractions, is built only when
+reconstruction tries it.  Gram matrices, their rank rule, exact elimination
+and the render of Gram coordinates come from `geometry`, shared with
+`oneshot`.
 
 Reconstruction runs in the anchors' Gram coordinates: with the barycenter
 at the origin, x = sum_j lambda_j z_j over the anchors z_j, whose Gram
-matrix G comes straight from the enhanced profile.  An exact store runs
-each tried candidate on one `GramKernel`: G and the profile entries as
-integers over one denominator, with det and adj of G by fraction-free
-elimination, and Gram coordinates as integers over one denominator, from
-the mirror candidates to the certificate; float stores use tolerances.
-The cone is lambda >= 0, the slab about face j is lambda_j^2 <
-epsilon^2 (G^-1)_jj, and reflecting through face j is the rational map
-lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.  Degenerate clouds are
-placed inside the anchors' span; full-dimensional ones by forbidden-region
-elimination under a potential bound on the depth, the anchor tuples tried
-in increasing order of that bound; each is certified, and the accepted one
-rendered as float points, from G.
+matrix G comes straight from the enhanced profile.  Each tried candidate
+runs on one `GramKernel`: G and the profile entries as integers over one
+denominator, with det and adj of G by fraction-free elimination, and Gram
+coordinates as integers over one denominator, from the mirror candidates
+to the certificate.  The cone is lambda >= 0, the slab about face j is
+lambda_j^2 < epsilon^2 (G^-1)_jj, and reflecting through face j is the
+rational map lambda -> lambda - 2 lambda_j / (G^-1)_jj * G^-1 e_j.
+Degenerate clouds are placed inside the anchors' span; full-dimensional
+ones by forbidden-region elimination under a potential bound on the depth,
+the anchor tuples tried in increasing order of that bound; each is
+certified, and the accepted one rendered as float points, from G.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ import numpy as np
 from .config import (DEFAULT_MAX_DEPTH, DEFAULT_SELECT_SAMPLES, DEFAULT_TOL,
                      DEFAULT_VERIFY_SNAP)
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _gram, _gram2,
-                       gram_affine_dim, gram_basis, gram_points, gram_ranks, is_exact)
+from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _gram2,
+                       gram_affine_dim, gram_basis, gram_points, gram_ranks)
 # Not called here: perfbench/tracer.py binds these names on this module, and
 # its per-layer metrics read them (their call counts stay 0).
 from .geometry import anchor_embed, mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
@@ -86,14 +87,6 @@ class EnhancedProfile:
     def dimension(self, tol: float = DEFAULT_TOL) -> int:
         return gram_affine_dim(self.a, tol)
 
-    @property
-    def exact(self) -> bool:
-        return all(is_exact(v) for row in self.a.entries for v in row)
-
-    def gram(self) -> np.ndarray:
-        """The anchors' Gram matrix: Fractions (object array) if exact, else floats."""
-        return _gram(np.array(self.a.entries, dtype=object if self.exact else float))
-
     def sort_key(self):
         return (_float_rows(self.a.entries), tuple(map(_float_rows, self.profiles)))
 
@@ -105,8 +98,8 @@ def _float_rows(rows) -> tuple:
 class ProfileTable:
     """Enhanced profiles with their multiplicities, as arrays of value ids.
 
-    distances[v] is the v-th smallest distinct squared distance (Fractions
-    for an exact store, else floats) and floats[v] its float, correctly rounded.
+    distances[v] is the v-th smallest distinct squared distance, a Fraction,
+    and floats[v] its float, correctly rounded.
     Row r is one distinct enhanced profile: A[r] holds the ids of its anchor
     distance matrix and profiles[P[r, i]] the (n, d) ids of its profile i,
     so each distinct substituted profile is stored once; counts[r] is its
@@ -118,7 +111,6 @@ class ProfileTable:
         self.distances, self.A, self.P, self.profiles = distances, A, P, profiles
         self.counts = counts
         self.d = A.shape[-1] - 1
-        self.exact = all(map(is_exact, distances))
         self.floats = np.array([float(v) for v in distances])
         self._profile_rows: dict[int, tuple] = {}
 
@@ -168,8 +160,7 @@ class ProfileTable:
         singular in floats, or rank below d) gets +inf.
         """
         ranks, bounds = np.empty(len(rows), dtype=int), np.full(len(rows), np.inf)
-        exact = np.vectorize(self.distances.__getitem__, otypes="O") if self.exact else None
-        f = 0 if self.exact else 1
+        exact = np.vectorize(self.distances.__getitem__, otypes="O")
         for s in range(0, len(rows), 1024):
             block = rows[s:s + 1024]
             G, ranks[s:s + 1024] = gram_ranks(self.A[block], self.floats, tol, exact)
@@ -183,8 +174,8 @@ class ProfileTable:
                     with suppress(np.linalg.LinAlgError):
                         H[k] = np.linalg.inv(g)
             plus, minus, _ = mirror_lambdas(
-                G, H, self.floats[self.profiles[self.P[block[full], 0]]], 0, tol, f)
-            bound = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol, f)[1]
+                G, H, self.floats[self.profiles[self.P[block[full], 0]]], 0, tol)
+            bound = depth_bound(np.concatenate([plus, minus], axis=-2), G, H, tol)[1]
             bounds[s + full] = np.where(np.isfinite(bound), bound, np.inf)  # NaN too
         return ranks, bounds
 
@@ -213,7 +204,11 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> ProfileTable:
     (b, x_1, ..., x_m, y)'s distance matrix.  The profile with b in slot i < m
     is the profile of record color i with its slot i moved last, and the last
     one is x's own with b moved last; each is keyed (c2, i) and sorted once.
+    Raises ValueError on a float store: reconstruction runs on exact ones only.
     """
+    if store.interner.mode != "exact":
+        raise ValueError("wlnd needs an exact store: it has no float mode, and reads "
+                         "a float cloud as the exact values of its floats")
     h = _History(store, 3)
     m, n, d = store.ell, store.n, store.ell + 1
     perms = [[*range(1, i + 1), 0, *range(i + 2, d), i + 1] for i in range(m)]
@@ -253,14 +248,13 @@ def _dots2(G: np.ndarray, E: np.ndarray, i: int) -> np.ndarray:
     return g
 
 
-def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
-                   tol: float = 0.0, f: int = 1):
+def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int, tol: float = 0.0):
     """Float Gram coordinates (plus, minus, resident) of the points realizing profile-i
     entries.
 
     `_dots2` and |x|^2 = E[r, i] fix lambda = G^-1 <x, z> but for lambda_i =
     +-sqrt(disc): x and its mirror across face i, equal for resident rows,
-    |disc| <= 100 tol (G^-1)_ii max(f, E[r]), f = 0 for exact data, else 1.
+    |disc| <= 100 tol (G^-1)_ii max(E[r]).
     Leading axes stack frames; unrealizable rows are NaN.  `GramKernel.mirror` is exact.
     """
     g = _dots2(G, E, i) * 0.5
@@ -269,7 +263,7 @@ def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
     disc = Hg[..., i] ** 2 - hii * ((g * Hg).sum(-1) - E[..., i])
     v = H[..., :, i] / hii
     u = Hg - Hg[..., i:i + 1] * v[..., None, :]
-    resident = np.abs(disc) <= hii * tol * np.maximum(E.max(-1), f) * 100
+    resident = np.abs(disc) <= hii * tol * E.max(-1) * 100
     with np.errstate(invalid="ignore"):
         root = np.sqrt(np.where(resident, 0.0, disc))
     lift = root[..., None] * v[..., None, :]
@@ -277,26 +271,31 @@ def mirror_lambdas(G: np.ndarray, H: np.ndarray, E: np.ndarray, i: int,
 
 
 def _gamma(norm, gd, hd_max, eps):
-    """`depth_bound`'s gamma_bound from max |x|, the G_jj, max_j (G^-1)_jj and epsilon."""
-    c_const = 2 / np.sqrt(hd_max)  # twice the least z_j to face j
-    gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
+    """`depth_bound`'s gamma_bound from max |x|, the G_jj, max_j (G^-1)_jj and epsilon.
+
+    A frame that is not positive definite in floats (NaN or negative
+    (G^-1)_jj) gives NaN, and a zero epsilon inf, without a warning: neither is
+    finite, and the callers treat both as no bound."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_const = 2 / np.sqrt(hd_max)  # twice the least z_j to face j
+        gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
     return np.where(eps < np.inf, gamma, np.inf)
 
 
-def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0, f: int = 1):
+def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0):
     """Squared slab width epsilon^2 and the potential bound gamma_bound on the depth.
 
     epsilon^2 is a quarter of the least squared face distance min_j
     lambda_j^2 / (G^-1)_jj of a candidate (row of lams) above (1000 tol)^2
-    max(f, max_j G_jj), f as in `mirror_lambdas`.  A useful reflection raises
-    sum_j <x, z_j> by c*epsilon, c = 2 min_j (G^-1)_jj^(-1/2), so the depth is below
+    max_j G_jj.  A useful reflection raises sum_j <x, z_j> by c*epsilon,
+    c = 2 min_j (G^-1)_jj^(-1/2), so the depth is below
     ceil(max |x| * sum_j |z_j| / (c*epsilon)) + 1, or inf if every candidate
     sits on a face.  Leading axes stack float frames; `GramKernel.depth_bound`
     is the exact form.
     """
     hd = np.diagonal(H, axis1=-2, axis2=-1)
     gd = np.diagonal(G, axis1=-2, axis2=-1)
-    face2 = np.asarray((tol * 1000) ** 2 * np.maximum(f, gd.max(-1)))
+    face2 = np.asarray((tol * 1000) ** 2 * gd.max(-1))
     rho2 = (lams * lams / hd[..., None, :]).min(-1)
     eps2 = np.where(rho2 > face2[..., None], rho2, np.inf).min(-1) / 4
     norm = np.sqrt(((lams @ G) * lams).sum(-1).max(-1))
@@ -313,8 +312,6 @@ class GramKernel:
     InconsistentDataError if a diagonal entry of adj is not positive, as it is
     for every Gram matrix.
     """
-
-    limit = 0  # profile entries are matched exactly
 
     def __init__(self, G: np.ndarray, c: int):
         m = len(G)
@@ -387,35 +384,6 @@ class GramKernel:
         return ForbiddenRegion(self, eps2)
 
 
-class _FloatGram:
-    """`reconstruct_fulldim`'s float arithmetic behind GramKernel's interface
-    (c = q = 1): `mirror_lambdas`, `depth_bound` and a tolerance-scaled match."""
-
-    c = q = 1
-
-    def __init__(self, G: np.ndarray, tol: float):
-        self.G, self.H, self.tol = G, np.linalg.inv(G), tol
-        self.limit = tol * max(1.0, math.sqrt(float(max(np.diagonal(G))))) * 1e5
-
-    def mirror(self, E: list, i: int):
-        plus, minus, resident = mirror_lambdas(self.G, self.H, np.array(E, dtype=float), i,
-                                               self.tol)
-        if np.isnan(minus).any():
-            raise InconsistentDataError("a profile entry is unrealizable")
-        return plus.tolist(), minus.tolist(), resident.tolist()
-
-    def targets(self, lam: tuple):
-        dots = (self.G @ np.array(lam)).tolist()
-        return sum(a * b for a, b in zip(lam, dots)), \
-            [2 * x - g for x, g in zip(dots, np.diagonal(self.G).tolist())]
-
-    def depth_bound(self, lams: list):
-        return depth_bound(np.array(lams), self.G, self.H, self.tol)
-
-    def region(self, eps2) -> ForbiddenRegion:
-        return ForbiddenRegion(self.G, eps2, self.tol)
-
-
 def _numerators(ep: EnhancedProfile) -> tuple[np.ndarray, int, list[list[tuple]]]:
     """An exact ep as integers over one denominator c, twice the lcm of its
     denominators: the anchors' Gram matrix times c and each profile's entries."""
@@ -472,60 +440,51 @@ def select_cone_tuple(table: ProfileTable, tol: float = DEFAULT_TOL) -> Ranked:
 
 @dataclass
 class GramCloud:
-    """Point p is sum_j lambdas[p][j] / q z_j over the anchors of Gram matrix G / c:
-    integer numerators for an exact store, floats (c = q = 1) for a float one."""
+    """Point p is sum_j lambdas[p][j] / q z_j over the anchors of Gram matrix G / c,
+    both in integer numerators."""
 
     G: np.ndarray
     lambdas: list[tuple]
-    c: int = 1
-    q: int = 1
+    c: int
+    q: int
     depth: int = 0
     gamma_bound: int = 0
     epsilon: float | None = None
 
     @property
     def points(self) -> np.ndarray:
-        """Float points, rendered from G by `geometry.gram_points` (in Fractions if exact)."""
-        lams = np.array(self.lambdas, dtype=self.G.dtype)
-        if self.G.dtype != object:
-            return gram_points(self.G, lams)
+        """Float points, rendered from G in Fractions by `geometry.gram_points`."""
         frac = np.vectorize(Fraction, otypes="O")
-        return gram_points(frac(self.G, self.c), frac(lams, self.q))
+        return gram_points(frac(self.G, self.c), frac(np.array(self.lambdas, dtype=object),
+                                                      self.q))
 
     def sq_distances(self) -> tuple[np.ndarray, int]:
-        """The points' squared distances (l_x - l_y)^T G (l_x - l_y) over a denominator:
-        integers over c q^2, as |x|^2 + |y|^2 - 2<x, y>, if exact; floats over 1,
-        bitwise symmetric with a zero diagonal, otherwise."""
-        lams = np.array(self.lambdas, dtype=self.G.dtype)
-        if self.G.dtype == object:
-            dots = lams @ self.G @ lams.T
-            norms = np.diagonal(dots)
-            return norms[:, None] + norms[None, :] - 2 * dots, self.c * self.q ** 2
-        diff = lams[:, None, :] - lams[None, :, :]
-        return ((diff @ self.G) * diff).sum(-1), 1
+        """The points' squared distances (l_x - l_y)^T G (l_x - l_y) as integers over
+        c q^2, computed as |x|^2 + |y|^2 - 2<x, y>."""
+        lams = np.array(self.lambdas, dtype=object)
+        dots = lams @ self.G @ lams.T
+        norms = np.diagonal(dots)
+        return norms[:, None] + norms[None, :] - 2 * dots, self.c * self.q ** 2
 
 
-def reconstruct_lowdim(ep: EnhancedProfile, tol: float = DEFAULT_TOL) -> GramCloud:
+def reconstruct_lowdim(ep: EnhancedProfile) -> GramCloud:
     """Place every cloud point inside the proper subspace that the anchors span.
 
     A greedy basis B of the anchors (`gram_basis`) spans it, so a slot
     outside B can be dropped: the profile with the barycenter in that slot
     gives <x, z_j> for j in B, and so x = sum_{j in B} lambda_j z_j, by the
-    GramKernel of B's anchors if exact.
+    GramKernel of B's anchors.
     """
-    G, c, entries = _numerators(ep) if ep.exact else (ep.gram(), 1, ep.profiles)
-    basis = gram_basis(G, tol)
+    G, c, entries = _numerators(ep)
+    basis = gram_basis(G)
     drop = next((j for j in range(len(G)) if j not in basis), None)
     if drop is None:
         raise ReconstructionError("the anchors span the whole space")
-    g = _dots2(G, np.array(entries[drop], dtype=G.dtype), drop)
+    g = _dots2(G, np.array(entries[drop], dtype=object), drop)
     lams, sub = np.zeros_like(g), np.ix_(basis, basis)
-    if ep.exact:  # lambda = g / (2c) c adj / det
-        kernel = GramKernel(G[sub], c)
-        lams[:, basis], q = g[:, basis] @ kernel.adj, 2 * kernel.det
-    else:
-        lams[:, basis], q = (g * 0.5)[:, basis] @ np.linalg.inv(G[sub]), 1
-    return GramCloud(G, list(map(tuple, lams.tolist())), c, q)
+    kernel = GramKernel(G[sub], c)  # lambda = g / (2c) c adj / det
+    lams[:, basis] = g[:, basis] @ kernel.adj
+    return GramCloud(G, list(map(tuple, lams.tolist())), c, 2 * kernel.det)
 
 
 class ForbiddenRegion:
@@ -537,28 +496,21 @@ class ForbiddenRegion:
     the reflection words depth-first, never back through the face a point
     came from, and tests only the levels below the depth at which that point
     last missed; it keeps no frontier, so memory stays flat at any depth.
-    G is a float Gram matrix, whose points are floats, or a GramKernel, whose
-    points are integer numerators over its q (eps2 a rational); a level-k
-    point is a numerator over q step^k, and tol is the float cone tolerance.
+    Points are integer numerators over the kernel's q, eps2 a rational; a
+    level-k point is a numerator over q step^k.
     """
 
-    def __init__(self, G, eps2, tol: float = 0.0):
-        if isinstance(G, GramKernel):  # 2 (G^-1)_kj / (G^-1)_jj = 2 adj_kj / adj_jj
-            a, w = G.diag, (2 * G.adj).T.tolist()
-            self._step = math.lcm(*(x // math.gcd(x, *row) for x, row in zip(a, w)))
-            self._w = [[y * self._step // x for y in row] for x, row in zip(a, w)]
-            num, den = eps2.as_integer_ratio()
-            self._slabs = [(num * G.c * x * G.q ** 2, den * G.det) for x in a]
-        else:
-            H = np.linalg.inv(G)
-            self._step = 1.0
-            self._w = [[float(2 * H[k][j] / H[j][j]) for k in range(len(H))]
-                       for j in range(len(H))]
-            self._slabs = [(float(eps2 * H[j][j]), 1.0) for j in range(len(H))]
-        self.tol, self._known, self._cuts = tol, {}, []
+    def __init__(self, kernel: GramKernel, eps2):
+        # 2 (G^-1)_kj / (G^-1)_jj = 2 adj_kj / adj_jj
+        a, w = kernel.diag, (2 * kernel.adj).T.tolist()
+        self._step = math.lcm(*(x // math.gcd(x, *row) for x, row in zip(a, w)))
+        self._w = [[y * self._step // x for y in row] for x, row in zip(a, w)]
+        num, den = eps2.as_integer_ratio()
+        self._slabs = [(num * kernel.c * x * kernel.q ** 2, den * kernel.det) for x in a]
+        self._known, self._cuts = {}, []
 
     def _in_base(self, p: tuple, cuts: list) -> bool:
-        if min(p) >= (-self.tol * max(1.0, max(map(abs, p))) if self.tol else 0):
+        if min(p) >= 0:
             return True
         return any(c * c * sd < cut for c, (_, sd), cut in zip(p, self._slabs, cuts))
 
@@ -592,24 +544,19 @@ class CandidateRejected(ReconstructionError):
         self.reason = reason
 
 
-def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
-                        max_depth: int = DEFAULT_MAX_DEPTH) -> GramCloud:
+def reconstruct_fulldim(ep: EnhancedProfile, max_depth: int = DEFAULT_MAX_DEPTH) -> GramCloud:
     """Forbidden-region elimination for full-dimensional anchor tuples.
 
-    Runs in Gram coordinates, on ep's GramKernel (integers over one
-    denominator, matched exactly) if exact, else in floats with tol scaled by
-    the longest anchor.  Phase 1 places the points on a face; phase 2 takes
-    the slab and depth bound from profile 0's other candidates
+    Runs in Gram coordinates, on ep's GramKernel: integers over one
+    denominator, matched exactly.  Phase 1 places the points on a face;
+    phase 2 takes the slab and depth bound from profile 0's other candidates
     (`depth_bound`), and each round places the entries with one mirror
     candidate in the region, then deepens it; both are `Entries.sweep` passes.
-    A placed point takes its entry (an equal one, if exact) from every
-    profile, or rejects ep as "unmatched".
+    A placed point takes an equal entry from every profile, or rejects ep
+    as "unmatched".
     """
-    if ep.exact:
-        G, c, entries = _numerators(ep)
-        frame = GramKernel(G, c)
-    else:
-        frame, entries = _FloatGram(ep.gram(), tol), ep.profiles
+    G, c, entries = _numerators(ep)
+    frame = GramKernel(G, c)
     profiles = [Entries(p) for p in entries]
     placed: list[tuple] = []
     cands_of = []  # per profile, each distinct entry's one or two mirror candidates
@@ -624,8 +571,7 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
             if t is None:
                 raise InconsistentDataError("a placed point is off the profiles' grid")
             for j, entries in enumerate(profiles):
-                entries.take(tuple(norm2 - (k != j) * tk for k, tk in enumerate(t)),
-                             frame.limit)
+                entries.take(tuple(norm2 - (k != j) * tk for k, tk in enumerate(t)), 0)
         except InconsistentDataError as exc:
             raise CandidateRejected("unmatched", str(exc)) from None
         placed.append(lam)
@@ -671,30 +617,6 @@ def reconstruct_fulldim(ep: EnhancedProfile, tol: float = DEFAULT_TOL,
                 "depth_cap", f"unresolved points at the depth bound (cap {depth_cap})")
 
 
-def _grid_keys(store: ColorStore, tol: float):
-    """The certificate's map from a candidate's squared distances over a denominator
-    to keys on the input's own grid.  Exact integers over c q^2 pass as they
-    are.  A float distance takes the grid token of the nearest input distance,
-    which must lie within one grid step plus tol times the largest input
-    squared distance, or the candidate is rejected as "fingerprint_mismatch"."""
-    if store.interner.mode == "exact":
-        return lambda sq, den: (sq, den)
-    ids = np.unique(store.dist_array)
-    ids = ids[np.argsort(store.dist_floats[ids], kind="stable")]
-    values = store.dist_floats[ids]
-    tokens = np.array([store.interner.dist_keys[i] for i in ids.tolist()], dtype=object)
-    bound = store.interner.snap + tol * values[-1]
-
-    def keys(sq, den):
-        at = np.clip(np.searchsorted(values, sq), 1, len(values) - 1)
-        near = at - (sq - values[at - 1] <= values[at] - sq)
-        if not (err := np.abs(sq - values[near]).max()) <= bound:  # NaN too
-            raise CandidateRejected("fingerprint_mismatch",
-                                    f"a distance is {err:.3e} off the input's (bound {bound:.3e})")
-        return tokens[near], 1
-    return keys
-
-
 def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                    samples: int = DEFAULT_SELECT_SAMPLES, seed: int = 0,
                    max_depth: int = DEFAULT_MAX_DEPTH,
@@ -704,26 +626,24 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
     Candidates go in `select_cone_tuple`'s order, each built when it is
     tried; one is accepted when its recoloring reproduces the input
     fingerprint `fingerprint(store, 3)`, which certifies isometry.  Every
-    candidate's squared distances (l_x - l_y)^T G (l_x - l_y), in G's
-    arithmetic, become keys on the input's grid (`_grid_keys`) and are
-    recolored in the store's mode and snap, in an interner of their own.
+    candidate's squared distances (l_x - l_y)^T G (l_x - l_y), integers over
+    one denominator, are recolored as exact keys, in an interner of their own.
     counters["failures"] counts the earlier rejects by FAILURE_REASONS.
     `samples`, `seed` and `verify_snap` are unread (perfbench passes them).
     """
     if store.ell < 2:
         raise ValueError("reconstruct_nd needs a tuple history with ell >= 2")
-    d = store.ell + 1
+    d, table = store.ell + 1, enhanced_profiles_from_wl3(store)
     if store.n == 1:
         return ReconstructionReport(cloud=PointCloud(d, ((0.0,) * d,)), method="nd-trivial",
                                     counters={"candidates_tried": 0})
 
-    candidates = select_cone_tuple(enhanced_profiles_from_wl3(store), tol=tol)
-    fin, keys = fingerprint(store, 3), _grid_keys(store, tol)
+    candidates = select_cone_tuple(table, tol=tol)
+    fin = fingerprint(store, 3)
 
     def certificate(res: GramCloud):
-        sq, den = keys(*res.sq_distances())
-        return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, mode=store.interner.mode,
-                                                 snap=store.interner.snap, den=den))
+        sq, den = res.sq_distances()
+        return fingerprint(run_wl_from_sq_values(sq, store.ell, 3, d, den=den))
 
     failures: list[str] = []
     reasons = dict.fromkeys(FAILURE_REASONS, 0)
@@ -732,9 +652,9 @@ def reconstruct_nd(store: ColorStore, tol: float = DEFAULT_TOL,
                     "failures": dict(reasons)}
         try:
             if not candidates.full:
-                res, method = reconstruct_lowdim(ep, tol), "nd-lowdim"
+                res, method = reconstruct_lowdim(ep), "nd-lowdim"
             else:
-                res, method = reconstruct_fulldim(ep, tol, max_depth), "nd-fulldim"
+                res, method = reconstruct_fulldim(ep, max_depth), "nd-fulldim"
                 counters.update(depth=res.depth, gamma_bound=res.gamma_bound,
                                 epsilon=res.epsilon)
             if compare(fin, certificate(res)) == "equal":

@@ -2,8 +2,8 @@ import hashlib
 import math
 import random
 import time
+import warnings
 from collections import Counter
-from contextlib import suppress
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -12,10 +12,10 @@ import pytest
 
 from geowl import RunConfig, oracle, recon_nd, reconstruct
 from geowl.errors import ReconstructionError
-from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, barycenter, gram_affine_dim,
+from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _gram, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
 from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, GramCloud,
-                            GramKernel, ProfileTable, _gram, _gram2, _numerators, depth_bound,
+                            GramKernel, ProfileTable, _gram2, _numerators, depth_bound,
                             enhanced_profiles_from_wl3, mirror_lambdas, reconstruct_fulldim,
                             reconstruct_lowdim, reconstruct_nd, select_cone_tuple)
 from geowl.wl import _History, run_wl, run_wl_from_sq_values
@@ -29,6 +29,11 @@ PLANAR3 = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
 # matrices are singular
 TINY_GAP = PointCloud(3, ((F(0), F(0), F(0)), (F(1, 10 ** 12), F(0), F(0)),
                           (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(1), F(1), F(1))))
+
+
+def _dyadic(cloud):
+    """The cloud with its floats read exactly, as `reconstruct` reads it for wlnd."""
+    return PointCloud(cloud.dim, tuple(tuple(map(F, p)) for p in cloud.points))
 
 
 def _multiset(table):
@@ -231,15 +236,15 @@ def _select_by_one_sort(eps, tol=1e-9):
 
 def test_select_order_equals_one_sort_on_bound_and_sort_key():
     # the table's ranking, read in order, against the one-sort reference on
-    # enhanced profiles built straight from coordinates (float stores snap
-    # their distances, so a float copy is checked against its own profiles)
+    # enhanced profiles built straight from coordinates; a float copy is read
+    # as its exact dyadic values, over denominators near 2^52
     coarse = oracle.random_cloud(6, 3, 1, grid=1, span=1)
-    floated = PointCloud.from_array(oracle.random_cloud(8, 3, 3).as_array())
+    floated = _dyadic(PointCloud.from_array(oracle.random_cloud(8, 3, 3).as_array()))
     for cloud in (coarse, oracle.random_cloud(8, 3, 3), oracle.random_cloud(5, 4, 4000),
                   floated):
         table = enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3))
         ranked = select_cone_tuple(table)
-        want = _select_by_one_sort(_multiset(table) if cloud is floated else _direct_eps(cloud))
+        want = _select_by_one_sort(_direct_eps(cloud))
         assert ranked.full and list(ranked) == want
         # on the integer grid, congruent anchor sets tie on (bound, anchor matrix)
         keys = [(_ranking_bound(ep), ep.a.as_array().tolist()) for ep in want]
@@ -329,25 +334,26 @@ def test_rendered_points_keep_a_gap_of_1e_12_apart():
 
 
 def test_float_candidates_recolor_their_gram_coordinates(monkeypatch):
-    # a float store's candidates are certified from (l_x - l_y)^T G (l_x - l_y),
-    # keyed by the input's own grid tokens, symmetric with a zero diagonal; no
-    # candidate is embedded or recolored as a point cloud, and the input is not
-    # recolored at all
+    # a float cloud read as its dyadic values has its candidates certified from
+    # (l_x - l_y)^T G (l_x - l_y), integers over one denominator that equal the
+    # input's squared distances, symmetric with a zero diagonal; no candidate is
+    # embedded or recolored as a point cloud, and the input is not recolored at all
     matrices = []
 
-    def recolor(sq, *args, **kwargs):
-        matrices.append(np.asarray(sq))
-        return run_wl_from_sq_values(sq, *args, **kwargs)
+    def recolor(sq, *args, den, **kwargs):
+        matrices.append((np.asarray(sq), den))
+        return run_wl_from_sq_values(sq, *args, den=den, **kwargs)
     monkeypatch.setattr("geowl.recon_nd.run_wl_from_sq_values", recolor)
     for name in ("run_wl", "anchor_embed"):
         monkeypatch.setattr(f"geowl.recon_nd.{name}", lambda *a, **k: pytest.fail("called"))
-    cloud = PointCloud.from_array(oracle.random_cloud(7, 3, 4).as_array() * 1.0001)
+    cloud = _dyadic(PointCloud.from_array(oracle.random_cloud(7, 3, 4).as_array() * 1.0001))
     store = run_wl(cloud, 2, 3)
     rep = reconstruct_nd(store)
     # four candidates are rejected as unmatched before the fifth is recolored
     assert rep.counters["candidates_tried"] == 5 and len(matrices) == 1
-    keys, tokens = matrices[0], store.interner.dist_keys
-    assert sorted(keys.ravel().tolist()) == sorted(tokens[i] for i in store.dist_array.ravel())
+    (keys, den), values = matrices[0], store.interner.dist_keys
+    assert sorted(F(k, den) for k in keys.ravel().tolist()) == \
+        sorted(values[i] for i in store.dist_array.ravel())
     assert np.array_equal(keys, keys.T) and not np.diagonal(keys).any()
 
 
@@ -357,15 +363,16 @@ def _scaled(n: int, d: int, seed: int, factor: float) -> PointCloud:
 
 @pytest.mark.parametrize("n, d", [(7, 3), (6, 4)])
 def test_float_certificate_is_free_of_the_clouds_units(n, d):
-    # on an absolute verify grid of 1e-6 every early candidate of these x10^4
-    # copies read as a fingerprint mismatch, and none verified
+    # on an absolute float verify grid of 1e-6 every early candidate of these
+    # x10^4 float copies read as a fingerprint mismatch, and none verified; read
+    # exactly, they have no grid
     rep = reconstruct(_scaled(n, d, 100, 10.0 ** 4), "wlnd")
     assert rep.verified and rep.counters["candidates_tried"] == 1
 
 
 @pytest.mark.parametrize("n, d, seed", [(8, 3, 101), (7, 4, 501)])
 def test_float_certificate_does_not_hinge_on_a_grid_boundary(n, d, seed):
-    # x0.37 puts input distances a few grid tokens from a boundary of the old
+    # x0.37 put input distances a few grid tokens from a boundary of an old float
     # verify grid: the first copy then tried 5 candidates, 2 of them mismatches
     rep = reconstruct(_scaled(n, d, seed, 0.37), "wlnd")
     assert rep.verified and rep.counters["failures"]["fingerprint_mismatch"] == 0
@@ -373,17 +380,18 @@ def test_float_certificate_does_not_hinge_on_a_grid_boundary(n, d, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_float_certificate_follows_a_coarse_tolerance(seed):
-    # at tol 1e-6 the old certificate rejected every candidate of both copies
+    # at tol 1e-6 an old float certificate rejected every candidate of both
+    # copies; tol now only ranks, and the certificate is exact
     rep = reconstruct(_scaled(7, 3, seed, 1.0001), "wlnd", RunConfig(tol=1e-6))
     assert rep.verified
 
 
 def test_no_hundredth_scale_copy_comes_back_unverified():
-    # a candidate the certificate accepts is one the oracle accepts; before it
-    # keyed on the input's own tokens, 3 of these 12 came back unverified
+    # a candidate the certificate accepts is one the oracle accepts; a float
+    # certificate keyed on grid tokens let 3 of these 12 come back unverified,
+    # and left others unreconstructed; read exactly, every copy verifies
     for (n, d), s in product([(7, 3), (6, 4)], range(6)):
-        with suppress(ReconstructionError):
-            assert reconstruct(_scaled(n, d, 100 + s, 10.0 ** -2), "wlnd").verified, (n, d, s)
+        assert reconstruct(_scaled(n, d, 100 + s, 10.0 ** -2), "wlnd").verified, (n, d, s)
 
 
 def test_wlnd_is_scale_free():
@@ -414,11 +422,9 @@ def test_reconstruct_nd_builds_only_the_candidates_tried(monkeypatch):
 def test_table_rank_agrees_with_gram_affine_dim():
     # coarse grids have coplanar anchor quadruples, whose determinant is exactly
     # 0; PLANAR3 has nothing else; random_cloud(7, 3, 17) has six thin full
-    # tuples whose float determinant falls under the screen; float stores take
-    # the singular values
+    # tuples whose float determinant falls under the screen
     clouds = [oracle.random_cloud(7, 3, 11, grid=1, span=1), oracle.random_cloud(7, 3, 17),
-              oracle.random_cloud(6, 4, 12, grid=1, span=1), PLANAR3,
-              PointCloud.from_array(oracle.random_cloud(6, 3, 1, grid=1, span=1).as_array())]
+              oracle.random_cloud(6, 4, 12, grid=1, span=1), PLANAR3]
     for cloud in clouds:
         table = enhanced_profiles_from_wl3(run_wl(cloud, cloud.dim - 1, 3))
         ranks = table.ranks_and_bounds(np.arange(len(table)))[0].tolist()
@@ -464,25 +470,27 @@ def test_reconstruct_lowdim_anchors_only():
 
 
 def test_forbidden_membership_examples():
-    _check_orthant_region(exact=False)
+    # generators e_0, 2 e_1, 3 e_2 over c = 2: G = diag(1, 4, 9) / 2
+    _check_orthant_region(GramKernel(np.diag([1, 4, 9]).astype(object), 2))
 
 
 def test_forbidden_membership_examples_exact():
-    _check_orthant_region(exact=True)
+    _check_orthant_region(GramKernel(np.eye(3, dtype=object), 1))
 
 
-def _check_orthant_region(exact):
-    # the orthant cone: G = I, so Gram coordinates are the coordinates
+def _check_orthant_region(kernel):
+    # an orthant cone: orthogonal generators z_j along the axes, so Gram
+    # coordinates are the coordinates over |z_j|, and points are integer
+    # numerators over the kernel's q
     planes = tuple(
         Hyperplane.from_points([(0, 0, 0), [1.0 if k == i else 0.0 for k in range(3)],
                                 [1.0 if k == j else 0.0 for k in range(3)]],
                                toward=[1.0 if k == m else 0.0 for k in range(3)])
         for m, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))))
-    if exact:  # points are integer numerators over the kernel's q
-        kernel = GramKernel(np.eye(3, dtype=object), 1)
-        region, num = ForbiddenRegion(kernel, eps2=F(1, 100)), lambda x: x * kernel.q
-    else:
-        region, num = ForbiddenRegion(np.eye(3), eps2=0.1 ** 2, tol=1e-9), float
+    region = ForbiddenRegion(kernel, eps2=F(1, 100))
+
+    def num(x):
+        return x * kernel.q
     inside = tuple(map(num, (1, 2, 3)))
     for depth in range(4):
         assert region.membership(inside, depth)
@@ -495,58 +503,77 @@ def _check_orthant_region(exact):
     assert region.membership(far, 3)
 
 
+def _integer_frame(rng, d):
+    """Integer generators z_j (rows) of a frame that is not too thin, and its
+    GramKernel over c = 1."""
+    while True:
+        zs = rng.integers(-4, 5, size=(d, d))
+        if abs(np.linalg.det(zs)) > 0.3 * 4 ** d:
+            break
+    return zs, GramKernel((zs @ zs.T).astype(object), 1)
+
+
+def _random_numerators(rng, kernel, d, span=3):
+    """Gram coordinates in [-span, span], as integer numerators over the kernel's q."""
+    return tuple(int(kernel.q * F(int(v), 64)) for v in rng.integers(-64 * span, 64 * span + 1,
+                                                                     size=d))
+
+
 def test_forbidden_membership_monotone():
     rng = np.random.default_rng(17)
     for _ in range(10):
-        while True:
-            gens = rng.uniform(-1, 1, size=(3, 3))
-            if abs(np.linalg.det(gens)) > 0.3:
-                break
-        zs = gens
-        region = ForbiddenRegion(zs @ zs.T, eps2=0.05 ** 2, tol=1e-9)
+        _, kernel = _integer_frame(rng, 3)
+        region = ForbiddenRegion(kernel, eps2=F(1, 25))
         for _ in range(10):
-            x = tuple(np.linalg.solve(zs.T, rng.uniform(-3, 3, size=3)).tolist())
+            lam = _random_numerators(rng, kernel, 3)
             for k in range(4):
-                if region.membership(x, k):
-                    assert region.membership(x, k + 1)
+                if region.membership(lam, k):
+                    assert region.membership(lam, k + 1)
 
 
 def test_greedy_reflection_path_reaches_base_region():
     # the potential sum_i <x, z_i> rises by at least c*epsilon per greedy step,
-    # so the path length stays under |x| * sum|z_i| / (c*epsilon) + 1
+    # so the path length stays under |x| * sum|z_i| / (c*epsilon) + 1, and the
+    # region at that depth holds the start; Gram coordinates are reflected in
+    # Fractions, the point itself in floats
     rng = np.random.default_rng(29)
+    eps2, epsilon = F(1, 25), 0.2
     for _ in range(20):
         d = int(rng.integers(2, 5))
-        while True:
-            zs = rng.uniform(-1, 1, size=(d, d))
-            if abs(np.linalg.det(zs)) > 0.3:
-                break
+        zs, kernel = _integer_frame(rng, d)
+        zs = zs.astype(float)
         planes = []
         for i in range(d):
             anchors = zs.copy()
             anchors[i] = 0.0
             planes.append(Hyperplane.from_points(anchors, toward=zs[i]))
-        epsilon = 0.05
-        region = ForbiddenRegion(zs @ zs.T, eps2=epsilon ** 2, tol=1e-9)
-        zinv = np.linalg.inv(np.array(zs).T)
-        c_const = 2.0 * min(abs(float(np.dot(zs[i], planes[i].normal)))
-                            for i in range(d))
-        x = rng.uniform(-4, 4, size=d)
+        region = ForbiddenRegion(kernel, eps2)
+        H = [[F(int(a), kernel.det) for a in row] for row in kernel.adj.tolist()]  # G^-1, c = 1
+        c_const = 2.0 * min(abs(float(np.dot(zs[i], planes[i].normal))) for i in range(d))
+        start = _random_numerators(rng, kernel, d)
+        lam = [F(v, kernel.q) for v in start]
+        x = np.array([float(v) for v in lam]) @ zs
+
+        def in_base(lam):
+            return min(lam) >= 0 or any(v * v < eps2 * H[j][j] for j, v in enumerate(lam))
+        assert region.membership(start, 0) == in_base(lam)
         bound = math.ceil(float(np.linalg.norm(x))
                           * float(sum(np.linalg.norm(z) for z in zs))
                           / (c_const * epsilon)) + 1
         steps = 0
         gamma = float(sum(np.dot(x, z) for z in zs))
-        while not region.membership(tuple((zinv @ x).tolist()), 0):
-            lam = zinv @ x
-            i = int(np.argmin(lam))
+        while not in_base(lam):
+            i = min(range(d), key=lam.__getitem__)
             assert lam[i] < 0
+            lam = [v - 2 * lam[i] / H[i][i] * H[k][i] for k, v in enumerate(lam)]
             x = np.asarray(reflect(x, planes[i]))
+            assert np.allclose(x, np.array([float(v) for v in lam]) @ zs)
             new_gamma = float(sum(np.dot(x, z) for z in zs))
             assert new_gamma >= gamma + c_const * epsilon - 1e-9
             gamma = new_gamma
             steps += 1
             assert steps <= bound
+        assert region.membership(start, steps)
 
 
 def test_epsilon_clears_all_recovered_points():
@@ -665,16 +692,60 @@ def test_profile0_mirror_candidates_never_both_inside_the_cone():
 
 @pytest.mark.parametrize("n, d, seed", [(6, 3, 5), (10, 3, 3), (5, 4, 4000), (6, 4, 7105)])
 def test_float_store_roundtrips(n, d, seed):
-    # float copies of exact clouds color in float mode and run the float elimination
+    # float copies of exact clouds are read as their dyadic values, and verify
+    # by the candidate that float reconstruction accepted; the render is floats
     cloud = PointCloud.from_array(oracle.random_cloud(n, d, seed).as_array())
     rep = reconstruct(cloud, "wlnd")
     assert rep.verified, (n, d, seed)
+    assert rep.counters["candidates_tried"] == {10: 3}.get(n, 1)
     assert all(isinstance(c, float) for p in rep.cloud.points for c in p)
 
 
-def test_exact_cloud_roundtrips_in_float_mode():
-    rep = reconstruct(oracle.random_cloud(6, 3, 5), "wlnd", RunConfig(mode="float"))
-    assert rep.verified
+def test_exact_cloud_in_float_mode_is_a_value_error():
+    # wlnd runs exact only: mode "float" colors a float store, exact cloud or
+    # float, and the extraction refuses it, also for a single point
+    for cloud in (oracle.random_cloud(6, 3, 5), _scaled(6, 3, 5, 1.0)):
+        with pytest.raises(ValueError, match="exact store"):
+            reconstruct(cloud, "wlnd", RunConfig(mode="float"))
+    with pytest.raises(ValueError, match="exact store"):
+        reconstruct_nd(run_wl(PointCloud(3, ((F(1), F(2), F(3)),)), 2, 3, mode="float"))
+
+
+def _gaussian_with_mean(seed: int) -> PointCloud:
+    """Seven Gaussian points and their float mean: the barycenter of the eight
+    is a hair off the last point."""
+    pts = np.random.default_rng(seed).normal(size=(7, 3))
+    return PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
+
+
+def test_float_clouds_of_every_scale_verify():
+    # a float cloud is read as the dyadic rationals its floats are: the x10^-4
+    # copies raised, and the x10^-3 ones and the Gaussian clouds plus their mean
+    # at tol 1e-4 came back unverified, from float reconstruction
+    for (n, d), s, k in product([(7, 3), (6, 4)], range(3), (-4, -3, 0, 4)):
+        assert reconstruct(_scaled(n, d, 100 + s, 10.0 ** k), "wlnd").verified, (n, d, s, k)
+    for seed in range(4):
+        assert reconstruct(_gaussian_with_mean(seed), "wlnd", RunConfig(tol=1e-4)).verified, seed
+
+
+@pytest.mark.parametrize("cloud, tried", [
+    (_dyadic(_gaussian_with_mean(1)), 1),
+    (_dyadic(PointCloud.from_array(np.array(
+        [(0, 0, 0), (1e-300, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))), 5)],
+    ids=["gaussian-1", "gap-1e-300"])
+def test_rows_without_a_float_bound_raise_no_warning(cloud, tried):
+    # frames whose float G^-1 has a negative diagonal rank +inf, and a positive
+    # epsilon^2 that is 0 as a float gives no bound; neither warns any more, and
+    # the candidate order is the one reached with warnings ignored
+    table = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = select_cone_tuple(table).rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert select_cone_tuple(table).rows == want
+        rep = reconstruct_nd(run_wl(cloud, 2, 3))
+    assert rep.counters["candidates_tried"] == tried
 
 
 def test_float_slot_norms_use_the_grid_step():
@@ -756,7 +827,7 @@ def test_gram_kernel_matches_the_fraction_formulas(cloud, stride):
     assert ranked.full
     frac = np.vectorize(F, otypes="O")
     for ep in (ranked[k] for k in range(len(ranked)) if k < 19 or k % stride == 0):
-        G, (Gi, c, entries) = ep.gram(), _numerators(ep)
+        G, (Gi, c, entries) = _gram(np.array(ep.a.entries, dtype=object)), _numerators(ep)
         H, kernel = _reference_inverse(G), GramKernel(Gi, c)
         assert (frac(c * kernel.adj, kernel.det) == H).all()
         for i, profile in enumerate(ep.profiles):
