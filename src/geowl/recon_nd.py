@@ -275,11 +275,23 @@ def _gamma(norm, gd, hd_max, eps):
 
     A frame that is not positive definite in floats (NaN or negative
     (G^-1)_jj) gives NaN, and a zero epsilon inf, without a warning: neither is
-    finite, and the callers treat both as no bound."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    finite, and the callers treat both as no bound.  A bound past the float
+    range is inf, also without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c_const = 2 / np.sqrt(hd_max)  # twice the least z_j to face j
         gamma = np.ceil(norm * np.sqrt(gd).sum(-1) / (c_const * eps)) + 1
     return np.where(eps < np.inf, gamma, np.inf)
+
+
+def _float_sqrt(x: Fraction) -> float:
+    """sqrt(x) of a positive rational as a float: x is scaled by 4^s into the normal
+    float range before its root is taken and the root by 2^-s after, exact powers of
+    two, so the root is math.sqrt(float(x)) wherever x is a normal float and stays
+    positive and finite where x itself under- or overflows a float."""
+    num, den = x.as_integer_ratio()
+    s = (den.bit_length() - num.bit_length()) // 2
+    root = math.sqrt((num << 2 * s) / den if s >= 0 else num / (den << -2 * s))
+    return math.ldexp(root, -s)
 
 
 def depth_bound(lams: np.ndarray, G: np.ndarray, H: np.ndarray, tol: float = 0.0):
@@ -366,19 +378,20 @@ class GramKernel:
         return nn // (q * q), [2 * x // q - g for x, g in zip(s, self._gdiag)]
 
     def depth_bound(self, lams: list):
-        """`depth_bound` of integer Gram coordinates over q, epsilon^2 a Fraction:
-        lambda_j^2 / (G^-1)_jj is Lambda_j^2 (lcm / adj_jj) det / (q^2 c lcm)."""
+        """`depth_bound` of integer Gram coordinates over q, epsilon^2 a Fraction (inf
+        if every candidate sits on a face): lambda_j^2 / (G^-1)_jj is
+        Lambda_j^2 (lcm / adj_jj) det / (q^2 c lcm).  gamma_bound takes epsilon
+        from `_float_sqrt`, positive whenever epsilon^2 is."""
         w = [self.lcm // a for a in self.diag]
         rho = min(filter(None, (min(x * x * v for x, v in zip(lam, w)) for lam in lams)),
                   default=0)
         den = 4 * self.q * self.q * self.c * self.lcm
-        eps2, eps2f = (Fraction(rho * self.det, den), rho * self.det / den) if rho \
-            else (math.inf, math.inf)
+        eps2 = Fraction(rho * self.det, den) if rho else math.inf
         nn = max(self._dots(lam)[1] for lam in lams)
         gd = np.array([g / self.c for g in self._gdiag])
         hd_max = np.array([self.c * a / self.det for a in self.diag]).max()
         return eps2, _gamma(np.sqrt(nn / (self.c * self.q * self.q)), gd, hd_max,
-                             np.sqrt(eps2f))
+                             _float_sqrt(eps2) if rho else math.inf)
 
     def region(self, eps2) -> ForbiddenRegion:
         return ForbiddenRegion(self, eps2)
@@ -448,7 +461,7 @@ class GramCloud:
     c: int
     q: int
     depth: int = 0
-    gamma_bound: int = 0
+    gamma_bound: int | float = 0  # an int, or inf when the bound is past the float range
     epsilon: float | None = None
 
     @property
@@ -600,17 +613,18 @@ def reconstruct_fulldim(ep: EnhancedProfile, max_depth: int = DEFAULT_MAX_DEPTH)
 
     # phase 2: epsilon and the depth bound from the doubled candidate set of profile 0
     eps2, gamma = frame.depth_bound([c for _, e in profiles[0].live() for c in cands_of[0][e]])
-    if not math.isfinite(gamma):
+    if eps2 == math.inf:
         raise InconsistentDataError("all remaining candidates sit on anchor hyperplanes")
     region = frame.region(eps2)
-    depth_cap = min(max_depth, int(gamma))
+    depth_cap = int(min(max_depth, gamma))  # gamma is inf past the float range
 
     depth = 0
     while True:
         for i in range(d):
             profiles[i].sweep(chooser(i, lambda c: region.membership(c, depth)), place)
         if not any(profiles):
-            return cloud(depth=depth, gamma_bound=int(gamma), epsilon=math.sqrt(float(eps2)))
+            return cloud(depth=depth, gamma_bound=int(gamma) if gamma < math.inf else math.inf,
+                         epsilon=_float_sqrt(eps2))
         depth += 1
         if depth > depth_cap:
             raise CandidateRejected(

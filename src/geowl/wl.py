@@ -33,16 +33,19 @@ A refinement is array work at every ell, over one or more stores that share
 an interner (the two clouds of a comparison are refined in lockstep, a
 leading batch axis B on every array).  The colors present in the previous
 tables are ranked by digest and each record list is put in canonical order
-by sorting rank tuples: at ell = 1, one packed (distance value rank, color
-rank) key per record and one row sort over the B x n x n array of keys; at
-ell >= 2, the (B n^ell, n, ell) array of record ranks, built by
-broadcasting the rank table once per position, and one lexicographic array
-sort.  A tuple's key, also its payload, is the bytes of its int64 row [kind
-and width, head, record ids] (the kind tells a matrix from a node at
-n = ell); one call looks up all the stores' keys and inserts the new classes
-in one batch, and only a new class is hashed.  At ell = 1 a new class's digest
-input is joined from one list laid out like its key, filled from strided views
-of the key.
+by sorting rank tuples packed into int64 keys: at ell = 1, one (distance
+value rank, color rank) key per record and one row sort over the B x n x n
+array of keys; at ell >= 2, a record's ell color ranks in radix m (m colors
+present), split into as few int64 words as hold them exactly, built by
+broadcasting the rank table once per position.  One word per record (at
+ell <= 3 whenever at most 2^21 colors are present) is one row sort over the
+(B n^ell, n) array of words, more are one `np.lexsort`; the sorted words
+are unpacked into the (B n^ell, n, ell) record ranks.  A tuple's key, also its payload,
+is the bytes of its int64 row [kind and width, head, record ids] (the kind
+tells a matrix from a node at n = ell); one call looks up all the stores'
+keys and inserts the new classes in one batch, and only a new class is
+hashed.  At ell = 1 a new class's digest input is joined from one list laid
+out like its key, filled from strided views of the key.
 """
 
 from __future__ import annotations
@@ -560,6 +563,51 @@ def _present_ranking(prev: list[int], digests: list[bytes]) -> tuple[list[int], 
     return list(map(rank.__getitem__, prev)), order
 
 
+def _ranks_per_word(m: int, ell: int) -> int:
+    """The most ranks below m, at most ell, that one int64 word holds in radix m:
+    the largest k <= ell with m^k <= 2^63, decided on Python integers."""
+    k = 1
+    while k < ell and m ** (k + 1) <= 2 ** 63:
+        k += 1
+    return k
+
+
+def _sorted_records(rprev: np.ndarray, m: int) -> np.ndarray:
+    """The (B n^ell, n, ell) record ranks of every tuple of a (B, n, ..., n) table of
+    ranks below m, each tuple's records in lexicographic order: record y of tuple t
+    holds the ranks of t with y in each position.
+
+    A record's ranks are packed in radix m into int64 words of `_ranks_per_word`
+    ranks each, built from the table once per position.  One word per record is
+    sorted in place, more are ordered by one `np.lexsort`; then each word is
+    unpacked."""
+    ell, n = rprev.ndim - 1, rprev.shape[1]
+    k = _ranks_per_word(m, ell)
+    spans = [range(lo, min(lo + k, ell)) for lo in range(0, ell, k)]
+    words = []
+    for span in spans:
+        word = np.zeros(rprev.shape + (n,), dtype=np.int64)
+        for i in span:
+            # word[b, t, y] takes the rank in store b of t with position i set to y
+            axes = [0, *(1 + j for j in range(ell) if j != i), 1 + i]
+            word *= m
+            word += rprev.transpose(axes)[(slice(None),) * (1 + i) + (None,)]
+        words.append(word.reshape(-1, n))
+    if len(words) == 1:
+        words[0].sort(axis=-1)
+    else:
+        perm = np.lexsort(words[::-1], axis=-1)
+        words = [np.take_along_axis(word, perm, -1) for word in words]
+    records = np.empty(words[0].shape + (ell,), dtype=np.int64)
+    for span, word in zip(spans, words):
+        for i in reversed(span[1:]):
+            quotient = word // m  # faster than np.divmod: a scalar divisor is precomputed
+            records[..., i] = word - quotient * m
+            word = quotient
+        records[..., span[0]] = word
+    return records
+
+
 def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
     """Append one refinement step to the color history of `store` and of every
     store in `others`, in one array pass; return `store`.
@@ -574,13 +622,14 @@ def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
     and every tuple's records are sorted by one array sort.  At ell = 1 a
     record's two ranks are packed into one int64 key, which the assert below
     shows cannot overflow, and `np.sort` orders each point's row of n keys
-    in the (B, n, n) key array.  At ell >= 2 the record ranks of all tuples
-    form one (B n^ell, n, ell) array, sorted along each tuple's records by
-    one `np.lexsort`; those ranks are never packed, so no rank count
-    overflows.  Sorted ranks are mapped back to ids, and each tuple is
-    interned under the bytes of its row of ids.  At ell >= 2 the digest
-    inputs of new classes are gathered BLOCK at a time as rows of one uint8
-    array.
+    in the (B, n, n) key array.  At ell >= 2 a record's ell ranks are packed
+    in radix m, m the count of present colors, into int64 words of k ranks
+    each, k the largest with m^k <= 2^63, so no word overflows
+    (`_sorted_records`): one word per record is sorted in place, more are
+    ordered by one `np.lexsort` over the words.  Sorted ranks are mapped back
+    to ids, and each tuple is interned under the bytes of its row of ids.  At
+    ell >= 2 the digest inputs of new classes are gathered BLOCK at a time as
+    rows of one uint8 array.
     """
     stores = (store, *others)
     inter, n, ell = store.interner, store.n, store.ell
@@ -613,16 +662,7 @@ def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
                 yield b"".join(parts)
         table = inter.intern_nodes(KIND_NODE1, rows, encode)
     else:
-        records = np.empty(rprev.shape + (n, ell), dtype=np.int64)
-        for i in range(ell):
-            # records[b, t, y, i] is the rank in store b of t with position i set to y
-            axes = [0, *(1 + j for j in range(ell) if j != i), 1 + i]
-            records[..., i] = rprev.transpose(axes)[(slice(None),) * (1 + i) + (None,)]
-        tuples = rprev.size
-        records = records.reshape(tuples, n, ell)
-        perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
-        perm += n * np.arange(tuples)[:, None]  # each tuple's order, as flat record rows
-        records = records.reshape(-1, ell)[perm].reshape(tuples, n * ell)
+        records = _sorted_records(rprev, len(order)).reshape(rprev.size, n * ell)
         rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, order)), dtype="V16")
         tag, step = np.frombuffer(b"N" + ell.to_bytes(2, "big"), np.uint8), 3 + 16 * (1 + n * ell)
 

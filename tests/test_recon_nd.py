@@ -15,9 +15,10 @@ from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _gram, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
 from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, GramCloud,
-                            GramKernel, ProfileTable, _gram2, _numerators, depth_bound,
-                            enhanced_profiles_from_wl3, mirror_lambdas, reconstruct_fulldim,
-                            reconstruct_lowdim, reconstruct_nd, select_cone_tuple)
+                            GramKernel, ProfileTable, _float_sqrt, _gram2, _numerators,
+                            depth_bound, enhanced_profiles_from_wl3, mirror_lambdas,
+                            reconstruct_fulldim, reconstruct_lowdim, reconstruct_nd,
+                            select_cone_tuple)
 from geowl.wl import _History, run_wl, run_wl_from_sq_values
 
 TET = PointCloud(3, ((F(0), F(0), F(0)), (F(1), F(0), F(0)),
@@ -728,15 +729,20 @@ def test_float_clouds_of_every_scale_verify():
         assert reconstruct(_gaussian_with_mean(seed), "wlnd", RunConfig(tol=1e-4)).verified, seed
 
 
+def _gap_cloud(scale: float) -> PointCloud:
+    """Points 1e-300 apart, with the other three at `scale`, read exactly."""
+    return _dyadic(PointCloud.from_array(np.array(
+        [(0, 0, 0), (1e-300, 0, 0), (0, scale, 0), (0, 0, scale), (scale,) * 3])))
+
+
 @pytest.mark.parametrize("cloud, tried", [
-    (_dyadic(_gaussian_with_mean(1)), 1),
-    (_dyadic(PointCloud.from_array(np.array(
-        [(0, 0, 0), (1e-300, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))), 5)],
-    ids=["gaussian-1", "gap-1e-300"])
+    (_dyadic(_gaussian_with_mean(1)), 1), (_gap_cloud(1), 1)], ids=["gaussian-1", "gap-1e-300"])
 def test_rows_without_a_float_bound_raise_no_warning(cloud, tried):
     # frames whose float G^-1 has a negative diagonal rank +inf, and a positive
-    # epsilon^2 that is 0 as a float gives no bound; neither warns any more, and
-    # the candidate order is the one reached with warnings ignored
+    # epsilon^2 that is 0 as a float gives no ranking bound; neither warns, and
+    # the candidate order is the one reached with warnings ignored.  Elimination
+    # takes epsilon from the exact epsilon^2, so the gap cloud's first candidate
+    # is accepted at depth 0 (5 were tried while epsilon^2 underflowed to 0)
     table = enhanced_profiles_from_wl3(run_wl(cloud, 2, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -746,6 +752,31 @@ def test_rows_without_a_float_bound_raise_no_warning(cloud, tried):
         assert select_cone_tuple(table).rows == want
         rep = reconstruct_nd(run_wl(cloud, 2, 3))
     assert rep.counters["candidates_tried"] == tried
+
+
+def test_float_sqrt_matches_math_sqrt_and_scales_past_the_float_range():
+    # bit-identical to math.sqrt(float(x)) wherever x is a normal float, and
+    # within an ulp of the root where x under- or overflows a float
+    rng = random.Random(5)
+    for _ in range(2000):
+        num, den = rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30)
+        x = F(num, den) * F(2) ** rng.randrange(-990, 990)
+        assert _float_sqrt(x) == math.sqrt(float(x)), x
+    for x, root in ((F(1, 10 ** 600), 1e-300), (F(10 ** 600), 1e300),
+                    (F(1, 10 ** 601), 3.1622776601683794e-301)):
+        assert math.isclose(_float_sqrt(x), root, rel_tol=3e-16)
+
+
+def test_gap_cloud_epsilon_and_bound_come_from_the_exact_epsilon():
+    # epsilon^2 ~ 7.2e-602: the counter reports its root; at scale 1e10 the
+    # depth bound is past the float range, inf, and the depth cap applies
+    for scale, gamma in ((1, 10 ** 300), (1e10, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = reconstruct_nd(run_wl(_gap_cloud(scale), 2, 3))
+        assert rep.counters["candidates_tried"] == 1 and rep.counters["depth"] == 0
+        assert math.isclose(rep.counters["epsilon"], 2.6832815729997475e-301, rel_tol=1e-15)
+        assert rep.counters["gamma_bound"] >= gamma
 
 
 def test_float_slot_norms_use_the_grid_step():

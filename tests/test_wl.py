@@ -569,9 +569,7 @@ def test_refine_matches_the_per_tuple_reference():
     grids and a line with repeated gaps, d = 1-4, ell = 1-4, ell = 1 clouds
     of 40 and 45 points, and clouds that share one interner, among them an
     isometric image colored second.  The reference interns its own tuple
-    keys and digest bytes, so `wl`'s interning is not compared with itself.  At
-    ell >= 2 the array sort compares rank tuples column by column and never
-    packs ranks into one integer, so no class count can overflow it.
+    keys and digest bytes, so `wl`'s interning is not compared with itself.
     """
     cases = _equivalence_cases()
     assert len(cases) >= 40
@@ -615,6 +613,77 @@ def test_lockstep_refine_matches_refining_one_store_at_a_time():
             payloads = [inter.payload(c, k) for c, k in enumerate(inter.kinds)]
             runs.append(([s.tables for s in stores], history, payloads))
         assert runs[0] == runs[1]
+
+
+def _lexsort_records(rprev, m):
+    """The column-lexsort record order: every tuple's (n, ell) record ranks built
+    whole, then ordered by one `np.lexsort` over the ell rank columns."""
+    ell, n = rprev.ndim - 1, rprev.shape[1]
+    records = np.empty(rprev.shape + (n, ell), dtype=np.int64)
+    for i in range(ell):
+        axes = [0, *(1 + j for j in range(ell) if j != i), 1 + i]
+        records[..., i] = rprev.transpose(axes)[(slice(None),) * (1 + i) + (None,)]
+    records = records.reshape(-1, n, ell)
+    perm = np.lexsort([records[..., i] for i in reversed(range(ell))], axis=-1)
+    return np.take_along_axis(records, perm[..., None], 1)
+
+
+def test_ranks_per_word_is_exact_at_two_to_the_63():
+    # m^k = 2^63 packs (the largest word is 2^63 - 1), one rank more does not
+    assert wl._ranks_per_word(2 ** 21, 4) == 3 and wl._ranks_per_word(2 ** 21 + 1, 4) == 2
+    assert wl._ranks_per_word(2, 64) == 63 and wl._ranks_per_word(2, 63) == 63
+    assert wl._ranks_per_word(3, 64) == 39  # 3^39 < 2^63 < 3^40
+    assert wl._ranks_per_word(2 ** 63, 3) == 1 and wl._ranks_per_word(1, 5) == 5
+
+
+@pytest.mark.parametrize("b,n,ell,m,low", [
+    (1, 5, 2, 7, 0), (2, 4, 3, 60, 0), (1, 3, 4, 81, 0), (1, 3, 3, 1, 0),
+    (1, 4, 3, 2 ** 21, 2 ** 21 - 3),  # one word up to 2^63 - 1
+    (2, 6, 2, 2 ** 40, 0), (1, 4, 3, 2 ** 22, 2 ** 22 - 3), (1, 3, 5, 7546, 0),  # two words
+    (1, 4, 3, 5 * 2 ** 19, 5 * 2 ** 19 - 3)])  # two words: m^3 is about 2^63.97
+def test_packed_records_match_the_column_lexsort(b, n, ell, m, low):
+    rprev = np.random.default_rng(m).integers(low, m, size=(b,) + (n,) * ell)
+    assert (wl._sorted_records(rprev, m) == _lexsort_records(rprev, m)).all()
+
+
+def _refine_history(clouds, ell, mode, iters):
+    """Tables, kinds and digests after each lockstep refinement of the clouds."""
+    inter = Interner(mode)
+    stores = [initial_coloring(c, ell, mode=mode, interner=inter) for c in clouds]
+    history = []
+    for _ in range(iters):
+        refine(*stores)
+        history.append(([s.tables[-1] for s in stores], list(inter.kinds), list(inter.digests)))
+    return stores[0], history
+
+
+def test_refine_matches_the_column_lexsort_reference(monkeypatch):
+    """Packed record words give the column lexsort's tables, kinds and digests at
+    every iteration: ell = 2-4, exact and float stores, symmetric grids and a
+    line, and three clouds refined in lockstep."""
+    packed, cases = wl._sorted_records, [c for c in _equivalence_cases() if c[0] >= 2]
+    assert len(cases) >= 25 and sum(len(clouds) > 1 for _, clouds, _ in cases) >= 5
+    for ell, clouds, mode in cases:
+        mode = mode or ("exact" if clouds[0].exact else "float")
+        runs = []
+        for sort in (packed, _lexsort_records):
+            monkeypatch.setattr(wl, "_sorted_records", sort)
+            runs.append(_refine_history(clouds, ell, mode, 3)[1])
+        assert runs[0] == runs[1], (ell, len(clouds), mode)
+
+
+def test_refine_packs_two_words_per_record_at_ell_5(monkeypatch):
+    # 7 546 classes at iteration 0 and 7 546^5 > 2^63: four ranks in the first
+    # word and one in the second; the digest is the column lexsort's
+    cloud = oracle.random_cloud(6, 3, 11)
+    packed, runs = wl._sorted_records, []
+    for sort in (packed, _lexsort_records):
+        monkeypatch.setattr(wl, "_sorted_records", sort)
+        runs.append(_refine_history([cloud], 5, "exact", 2))
+    (store, history), (_, reference) = runs
+    assert history == reference
+    assert wl._ranks_per_word(len(set(store.tables[0])), 5) == 4
+    assert fingerprint(store).digest() == "fcd5075da0560f149c316c1d7e4b96c1"
 
 
 def test_lockstep_refine_rejects_unlike_stores():
