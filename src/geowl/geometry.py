@@ -357,11 +357,18 @@ def gram_points(G: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Float points x = sum_j lambda_j z_j (a row of lams each) over anchors of Gram
     matrix G, in `anchor_embed`'s frame: x = (lambda L) sqrt(D), G = L D L^T by
     `ldl` in G's arithmetic over the anchors used, so only lambda L and sqrt(D)
-    are rounded (a negative float D is clamped to 0)."""
+    are rounded (a negative float D is clamped to 0).  Exact D_j and column j of
+    lambda L are first scaled by 4^-k_j and 2^k_j, D_j / 4^k_j near 1: both factors
+    then round in the float range, and a product of normal floats keeps its bits."""
     used, m = np.flatnonzero((lams != 0).any(0)), len(G)
     L, D = np.eye(len(used), m, dtype=G.dtype), np.zeros(m, dtype=G.dtype)
     L[:, :len(used)], D[:len(used)] = ldl(G[np.ix_(used, used)])
-    return (lams[:, used] @ L).astype(float) * np.sqrt(np.maximum(D.astype(float), 0.0))
+    y = lams[:, used] @ L
+    if G.dtype == object:
+        k = [(p.bit_length() - q.bit_length()) // 2 if p > 0 else 0
+             for p, q in (x.as_integer_ratio() for x in D)]
+        y, D = y * [Fraction(2) ** j for j in k], D / [Fraction(4) ** j for j in k]
+    return y.astype(float) * np.sqrt(np.maximum(D.astype(float), 0.0))
 
 
 def anchor_embed(A: SquaredDistanceMatrix, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:

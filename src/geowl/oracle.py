@@ -262,10 +262,11 @@ def search_indistinguishable(ell: int, iters: int, d: int, n: int, budget: int,
     frequent), compares exact fingerprints at (ell, iters), and keeps pairs
     that the isometry oracle rejects: the clouds are exact, so a pair is kept
     when no bijection preserves every squared distance exactly.  A trial
-    stays on the clouds' integer numerators over the grid: both stores are
-    colored through one interner from the squared numerators over grid^2 and
-    refined in lockstep (`wl.refine(sa, sb)`), and the `PointCloud`s are
-    built only when the fingerprints tie.  Returns findings with full
+    stays on the clouds' integer numerators over the grid: one int64
+    broadcast squares both, one `intern_keys` call interns both matrices
+    over grid^2, one stacked build makes both iteration-0 stores, which are
+    refined in lockstep (`wl.refine(sa, sb)`); the `PointCloud`s are built
+    only when the fingerprints tie.  Returns findings with full
     provenance; an empty list is the expected outcome in the regimes where
     the test is complete.  `trials` restricts the scan to a subset of trial
     indices so callers can shard the budget; results depend only on
@@ -285,10 +286,11 @@ def search_indistinguishable(ell: int, iters: int, d: int, n: int, budget: int,
             drawn = [_symmetric_numerators(n, d, base + i, grid) for i in (0, 1)]
             if None in drawn:
                 continue
-        interner = wl.Interner("exact")
-        sa, sb = (wl.store_from_sq_values(exact_sq_numerators(nums)[0], ell, d,
-                                          den=grid * grid, interner=interner)
-                  for nums in drawn)
+        interner = wl._checked_interner(n, ell)
+        nums = np.array(drawn)  # (2, n, d): both clouds' numerators over grid
+        sq = ((nums[:, :, None] - nums[:, None]) ** 2).sum(-1)
+        ids = interner.intern_keys(sq.ravel().tolist(), grid * grid).reshape(sq.shape)
+        sa, sb = wl._stores(interner, ell, d, ids, [None, None])
         for _ in range(iters):
             wl.refine(sa, sb)
         fa = wl.fingerprint(sa)

@@ -57,7 +57,7 @@ from .geometry import (Entries, PointCloud, SquaredDistanceMatrix, _eliminate, _
 # its per-layer metrics read them (their call counts stay 0).
 from .geometry import anchor_embed, mirror_pair, solid_angle_mc, trilaterate  # noqa: F401
 from .report import ReconstructionReport
-from .wl import (ColorStore, _distinct_rows, _History, _index, _sorted_rows,
+from .wl import (ColorStore, _as_float, _distinct_rows, _History, _index, _sorted_rows,
                  compare, fingerprint, run_wl_from_sq_values)
 from .wl import run_wl  # noqa: F401  (not called here either)
 
@@ -388,10 +388,11 @@ class GramKernel:
         den = 4 * self.q * self.q * self.c * self.lcm
         eps2 = Fraction(rho * self.det, den) if rho else math.inf
         nn = max(self._dots(lam)[1] for lam in lams)
-        gd = np.array([g / self.c for g in self._gdiag])
-        hd_max = np.array([self.c * a / self.det for a in self.diag]).max()
-        return eps2, _gamma(np.sqrt(nn / (self.c * self.q * self.q)), gd, hd_max,
-                             _float_sqrt(eps2) if rho else math.inf)
+        # floats past the float range are inf, which _gamma reads as no bound
+        gd = np.array([_as_float(Fraction(g, self.c)) for g in self._gdiag])
+        hd_max = max(_as_float(Fraction(self.c * a, self.det)) for a in self.diag)
+        norm = np.sqrt(_as_float(Fraction(nn, self.c * self.q * self.q)))
+        return eps2, _gamma(norm, gd, hd_max, _float_sqrt(eps2) if rho else math.inf)
 
     def region(self, eps2) -> ForbiddenRegion:
         return ForbiddenRegion(self, eps2)

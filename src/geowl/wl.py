@@ -26,8 +26,8 @@ equal values over different denominators share one id, and only a new key
 builds its `Fraction`, its frame and its float.  Every value is
 checked before the first is interned.  Float distances are summed in the
 order of `geometry.sq_dist`, so each keeps all its bits.  At ell >= 2 the
-tuple matrices are one gather from the n x n ids, interned as the records of
-a refinement are.
+tuple matrices of B stores are one gather from a (B, n, n) stack of ids,
+interned as the records of a refinement are.
 
 A refinement is array work at every ell, over one or more stores that share
 an interner (the two clouds of a comparison are refined in lockstep, a
@@ -478,8 +478,8 @@ def _mode_for(cloud: PointCloud, mode: str | None) -> str:
     return "exact" if cloud.exact else "float"
 
 
-def _checked_interner(interner: Interner | None, mode: str, snap: float, n: int,
-                      ell: int, max_tuples: int) -> Interner:
+def _checked_interner(n: int, ell: int, interner: Interner | None = None, mode: str = "exact",
+                      snap: float = DEFAULT_TOL, max_tuples: int = DEFAULT_MAX_TUPLES) -> Interner:
     """The run's interner, after the checks that must precede any interning."""
     if ell < 1:
         raise ValueError("ell must be at least 1")
@@ -493,25 +493,29 @@ def _checked_interner(interner: Interner | None, mode: str, snap: float, n: int,
     return interner
 
 
-def _store(interner: Interner, ell: int, dim: int, ids: np.ndarray,
-           label: str | None) -> ColorStore:
-    """Iteration-0 store over an n x n int64 array of distance ids."""
-    n = len(ids)
-    store = ColorStore(interner, ell, dim, ids, label=label)
+def _stores(interner: Interner, ell: int, dim: int, ids: np.ndarray,
+            labels: list[str | None]) -> list[ColorStore]:
+    """Iteration-0 stores over a (B, n, n) int64 array of distance ids: all B n^ell tuple
+    matrices are one gather and one `intern_nodes` call, which gives the ids of
+    building the stores one after the other."""
+    (B, n), size = ids.shape[:2], ids.shape[1] ** ell  # size: tuples per store
+    stores = [ColorStore(interner, ell, dim, a, label) for a, label in zip(ids, labels)]
     if ell == 1:
-        store.tables.append([interner.intern_zero()] * n)
+        table = [interner.intern_zero()] * (B * size)
     else:
-        # mats[t] holds the distance matrix of tuple t, tuples in product order
+        # mats[b n^ell + t] holds the distance matrix of tuple t of store b, in product order
         tuples = np.indices((n,) * ell).reshape(ell, -1).T
-        mats = _key_rows(KIND_MAT, [ell] * n ** ell, ell * ell, ell)
-        mats[:, 2:] = ids[tuples[:, :, None], tuples[:, None, :]].reshape(n ** ell, ell * ell)
+        mats = _key_rows(KIND_MAT, [ell] * (B * size), ell * ell, ell)
+        mats[:, 2:] = ids[:, tuples[:, :, None], tuples[:, None, :]].reshape(B * size, ell * ell)
         frames, tag = interner._dist_frames, b"M" + ell.to_bytes(2, "big")
 
         def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
             return (tag + b"".join(map(frames.__getitem__, memoryview(k).cast("q")[2:]))
                     for k in keys)
-        store.tables.append(interner.intern_nodes(KIND_MAT, mats, encode))
-    return store
+        table = interner.intern_nodes(KIND_MAT, mats, encode)
+    for b, store in enumerate(stores):
+        store.tables.append(table[b * size:(b + 1) * size])
+    return stores
 
 
 def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
@@ -521,14 +525,14 @@ def store_from_sq_values(values, ell: int, dim: int, *, mode: str = "exact",
     """Iteration-0 store built directly from an n x n squared-distance matrix, or,
     given den, from integer keys over den: numerators in exact mode, grid tokens
     (den 1) in float mode."""
-    interner = _checked_interner(interner, mode, snap, len(values), ell, max_tuples)
+    interner = _checked_interner(len(values), ell, interner, mode, snap, max_tuples)
     if den is None:
         ids = interner.intern_values(values)
     elif mode != "exact" and den != 1:
         raise ValueError("float grid tokens are integer keys over den 1")
     else:
         ids = interner.intern_keys(np.asarray(values).ravel().tolist(), den)
-    return _store(interner, ell, dim, ids.reshape(len(values), -1), label)
+    return _stores(interner, ell, dim, ids.reshape(1, len(values), -1), [label])[0]
 
 
 def _float_sq_matrix(cloud: PointCloud):
@@ -547,13 +551,13 @@ def initial_coloring(cloud: PointCloud, ell: int, *, mode: str | None = None,
                      max_tuples: int = DEFAULT_MAX_TUPLES) -> ColorStore:
     """Color every tuple in S^ell by its intra-tuple squared-distance matrix."""
     mode = _mode_for(cloud, mode)
-    interner = _checked_interner(interner, mode, snap, cloud.n, ell, max_tuples)
+    interner = _checked_interner(cloud.n, ell, interner, mode, snap, max_tuples)
     if mode == "exact" and cloud.exact:
         sq, den2 = exact_sq_numerators(cloud.points)
         ids = interner.intern_keys(sq.ravel().tolist(), den2).reshape(cloud.n, cloud.n)
     else:
         ids = interner.intern_values(_float_sq_matrix(cloud))
-    return _store(interner, ell, cloud.dim, ids, cloud.label)
+    return _stores(interner, ell, cloud.dim, ids[None], [cloud.label])[0]
 
 
 def _present_ranking(prev: list[int], digests: list[bytes]) -> tuple[list[int], list[int]]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -70,6 +71,25 @@ def test_cmd_color_cap_exceeded(tmp_path, capsys):
                                 for k in range(4)][:50]}
     path = _write(tmp_path, "big.json", big)
     assert main(["color", path, "--ell", "3", "--iters", "1"]) == 3
+
+
+def test_cmd_search_cap_exceeded(capsys):
+    assert main(["search", "--d", "3", "--n", "50", "--ell", "3", "--budget", "1"]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_wlnd_roundtrip_past_the_float_range_exits_without_a_traceback(tmp_path, capsys):
+    # anchors 1e-300 apart and the other points at 1e100: the Gram entries span
+    # past the float range.  The depth bound's floats saturate to inf and the
+    # render scales each Gram factor into range, so the first candidate is
+    # certified; the oracle rejects the render (exit 1, verification failure)
+    pts = [(0, 0, 0), (1e-300, 0, 0), (0, 1e100, 0), (0, 0, 1e100), (1e100, 1e100, 1e100)]
+    path = _write(tmp_path, "gap100.json", {"points": [[str(F(x)) for x in p] for p in pts]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["roundtrip", path, "--algorithm", "wlnd"]) == 1
+    out = capsys.readouterr().out
+    assert "candidates_tried: 1" in out.splitlines() and "verified: no" in out.splitlines()
 
 
 def test_cmd_compare(tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geowl import oracle, wl
+from geowl.errors import CapExceededError
 from geowl.geometry import PointCloud, sq_dist
 from geowl.report import reconstruct
 from geowl.wl import Interner, fingerprint, run_wl
@@ -340,3 +341,9 @@ def test_search_rejects_bad_ell_and_iters():
         oracle.search_indistinguishable(0, 1, 2, 4, 2, 1)
     with pytest.raises(ValueError, match="iters"):
         oracle.search_indistinguishable(1, -1, 2, 4, 2, 1)
+
+
+def test_search_keeps_the_tuple_cap():
+    # 50^3 tuples exceed the default cap of 100 000: nothing is interned
+    with pytest.raises(CapExceededError, match="exceeds the cap"):
+        oracle.search_indistinguishable(3, 1, 3, 50, 1, 0)

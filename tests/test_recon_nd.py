@@ -769,14 +769,20 @@ def test_float_sqrt_matches_math_sqrt_and_scales_past_the_float_range():
 
 def test_gap_cloud_epsilon_and_bound_come_from_the_exact_epsilon():
     # epsilon^2 ~ 7.2e-602: the counter reports its root; at scale 1e10 the
-    # depth bound is past the float range, inf, and the depth cap applies
-    for scale, gamma in ((1, 10 ** 300), (1e10, math.inf)):
+    # depth bound is past the float range, inf, and the depth cap applies.  At
+    # scale 1e100 the Gram entries and factors themselves span past the float
+    # range: the bound's floats saturate to inf and the render stays finite
+    for scale, gamma in ((1, 10 ** 300), (1e10, math.inf), (1e100, math.inf)):
+        cloud = _gap_cloud(scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = reconstruct_nd(run_wl(_gap_cloud(scale), 2, 3))
+            rep = reconstruct_nd(run_wl(cloud, 2, 3))
         assert rep.counters["candidates_tried"] == 1 and rep.counters["depth"] == 0
         assert math.isclose(rep.counters["epsilon"], 2.6832815729997475e-301, rel_tol=1e-15)
         assert rep.counters["gamma_bound"] >= gamma
+        got, want = (np.sort(oracle._sq_matrix(c.as_array() / scale), axis=None)
+                     for c in (rep.cloud, cloud))
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_float_slot_norms_use_the_grid_step():

@@ -12,7 +12,7 @@ import pytest
 from geowl import oracle, reconstruct, wl
 from geowl.config import RunConfig
 from geowl.errors import CapExceededError, ParameterMismatchError
-from geowl.geometry import PointCloud, barycenter, sq_dist
+from geowl.geometry import PointCloud, barycenter, exact_sq_numerators, sq_dist
 from geowl.wl import (KIND_MAT, KIND_NODE, KIND_NODE1, Interner, _as_float, _key_rows, compare,
                       fingerprint, first_distinguishing_iteration, initial_coloring, refine,
                       run_wl, store_from_sq_values)
@@ -613,6 +613,31 @@ def test_lockstep_refine_matches_refining_one_store_at_a_time():
             payloads = [inter.payload(c, k) for c, k in enumerate(inter.kinds)]
             runs.append(([s.tables for s in stores], history, payloads))
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_stacked_iteration_0_matches_one_store_at_a_time(ell, b):
+    """B matrices of keys interned in one call and built by one `_stores` call give
+    the tables, distance keys, kinds and digests of building one store after the
+    other through one interner, also after two lockstep refinements.  The clouds
+    are a search's coarse-grid draws, random and mirror-symmetric, so distances
+    and tuple matrices repeat within and across the clouds."""
+    draws = [oracle._random_numerators(5, 3, 40 + i, 2, 1) if i % 2 == 0
+             else oracle._symmetric_numerators(5, 3, 40 + i, 2) for i in range(b)]
+    sqs = np.array([exact_sq_numerators(nums)[0] for nums in draws])
+    inter = Interner("exact")
+    ids = inter.intern_keys(sqs.ravel().tolist(), 4).reshape(sqs.shape)
+    stacked = wl._stores(inter, ell, 3, ids, [None] * b)
+    ref = Interner("exact")
+    single = [store_from_sq_values(sq, ell, 3, den=4, interner=ref) for sq in sqs]
+    for step in range(3):
+        if step:
+            refine(*stacked)
+            refine(*single)
+        assert [s.tables for s in stacked] == [s.tables for s in single]
+        assert inter.dist_keys == ref.dist_keys and inter.kinds == ref.kinds
+        assert inter.digests == ref.digests
 
 
 def _lexsort_records(rprev, m):
