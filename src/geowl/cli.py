@@ -44,12 +44,11 @@ _RUN_OPTIONS = {
     "ell": (("--ell",), dict(type=int, help="tuple dimension of the coloring")),
     "iters": (("--iters",), dict(type=int, help="number of refinement iterations")),
     "mode": (("--mode",), dict(choices=("exact", "float"),
-                               help="arithmetic mode (default: exact for rational inputs; "
-                                    "wlnd runs exact only, reading floats as their exact "
-                                    "values, and rejects float)")),
+                               help="arithmetic mode (default: exact for rational inputs, "
+                                    "float otherwise)")),
     "tol": (("--tol",), dict(type=float,
-                             help="numerical tolerance: the float-mode distance snap, and "
-                                  "the rank and ranking tolerance of every algorithm")),
+                             help="numerical tolerance: color's and compare's float snap, "
+                                  "and the rank and ranking tolerance of roundtrip")),
     "seed": (("--seed",), dict(type=int, default=None,
                                help="random seed (default: GEOWL_SEED or 0)")),
     "jobs": (("--jobs",), dict(type=int, help="parallelism for inner maps")),
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "and verify against the original")
     p.add_argument("cloud")
     p.add_argument("--algorithm", choices=("wl2d", "wlnd", "oneshot"), required=True)
-    _add_run_options(p, "mode", "tol", "max_tuples", "max_candidates", "max_depth")
+    _add_run_options(p, "tol", "max_tuples", "max_candidates", "max_depth")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("search", help="search for equal-fingerprint non-isometric pairs")

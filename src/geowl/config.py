@@ -23,14 +23,14 @@ def default_seed() -> int:
 class RunConfig:
     """Knobs for a coloring or reconstruction run.
 
-    mode None selects exact arithmetic for rational inputs and float mode
-    (with distance snapping at step tol) otherwise.  `wlnd` runs exact only:
-    it reads a float cloud as the dyadic rationals its floats are, and mode
-    "float" makes it raise ValueError.  tol is also the rank and ranking
-    tolerance of the exact pipelines.  select_samples and
-    verify_snap are not read: they sized the Monte Carlo cone-angle order and
-    the float certificate's own grid, which `wlnd` no longer uses, and stay
-    while perfbench/workloads.py passes them on.
+    mode sets the arithmetic of `color` and `compare`: None selects exact
+    arithmetic for rational inputs and float mode (with distance snapping at
+    step tol) otherwise.  `reconstruct` runs exact only: it reads a float
+    cloud as the dyadic rationals its floats are, and mode "float" makes it
+    raise ValueError.  tol is also the rank and ranking tolerance of the
+    pipelines.  select_samples and verify_snap are not read: they sized the
+    Monte Carlo cone-angle order and the float certificate's own grid, which
+    `wlnd` no longer uses, and stay while perfbench/workloads.py passes them on.
     """
 
     ell: int = 1

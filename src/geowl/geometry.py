@@ -28,11 +28,9 @@ def is_exact(value) -> bool:
     return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
 
 
-def _over_tol(tol: float, exact: bool) -> Callable[[Scalar, Scalar, Scalar], bool]:
-    """The tolerance rule's test value / den > tol * max(f, scale), den > 0: exactly on
-    integers (f = 0), with tol = a / b; as that float expression on floats (f = 1)."""
-    if not exact:
-        return lambda value, den, scale: value / den > tol * max(1, scale)
+def _over_tol(tol: float) -> Callable[[Scalar, Scalar, Scalar], bool]:
+    """The tolerance rule's test value / den > tol * scale, den > 0, decided exactly on
+    integers with tol = a / b: at every scale alike, as no absolute floor enters."""
     a, b = Fraction(tol).as_integer_ratio()
     return lambda value, den, scale: value * b > a * den * max(0, scale)
 
@@ -313,15 +311,13 @@ def gram_affine_dim(A: SquaredDistanceMatrix, tol: float = DEFAULT_TOL) -> int:
     return _exact_rank(G.tolist()) if exact else _float_rank(G, tol)
 
 
-def gram_ranks(ids: np.ndarray, floats: np.ndarray, tol: float = DEFAULT_TOL,
-               exact: Callable | None = None):
+def gram_ranks(ids: np.ndarray, floats: np.ndarray, exact: Callable):
     """The float Gram stack of the squared-distance matrices floats[ids] and each
-    one's rank, its tuple's affine dimension: `_float_rank`, or with `exact`
-    (ids -> Fractions) exact, where a float determinant of G / max|G_ij| above
-    1e-8 is nonzero, as rounding perturbs it by orders of magnitude less."""
+    one's rank, its tuple's affine dimension, decided exactly (`exact` maps ids to
+    Fractions): a float determinant of G / max|G_ij| above 1e-8 is nonzero, as
+    rounding perturbs it by orders of magnitude less, and any other G is ranked
+    over the rationals."""
     G = _gram(floats[ids])
-    if exact is None:
-        return G, _float_rank(G, tol)
     top = np.abs(G).max(axis=(-2, -1), initial=0.0)
     det = np.linalg.det(G / np.where(top > 0, top, 1.0)[..., None, None])
     rank = np.full(len(G), G.shape[-1])
@@ -330,15 +326,10 @@ def gram_ranks(ids: np.ndarray, floats: np.ndarray, tol: float = DEFAULT_TOL,
     return G, rank
 
 
-def gram_basis(G: np.ndarray, tol: float = DEFAULT_TOL) -> list[int]:
-    """The greedy basis of anchors z_j of Gram matrix G: each j that raises the rank
-    of the ones kept; for an object array, G's pivot columns, which are that basis."""
-    if G.dtype == object:
-        return _eliminate(G.tolist())[0]
-    basis: list[int] = []
-    for j in range(len(G)):
-        basis += [j] if _float_rank(G[np.ix_(basis + [j], basis + [j])], tol) > len(basis) else []
-    return basis
+def gram_basis(G: np.ndarray) -> list[int]:
+    """The greedy basis of anchors z_j of the exact (object) Gram matrix G: each j
+    that raises the rank of the ones kept, which are G's pivot columns."""
+    return _eliminate(G.tolist())[0]
 
 
 def ldl(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

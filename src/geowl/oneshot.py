@@ -42,7 +42,7 @@ from .geometry import (PointCloud, _gram, affine_dim, gram_basis, gram_points, g
 # metrics read them; `anchor_embed` and `trilaterate` are bound only.
 from .geometry import anchor_embed, mirror_pair, trilaterate  # noqa: F401
 from .report import ReconstructionReport
-from .wl import ColorStore
+from .wl import ColorStore, require_exact
 
 # Tuple colors per `tuple_distances` read.  At n = 30, d = 3 a read of 32 colors
 # takes 0.7 ms and one of 64 2.0 ms.  Of 16, 32, 48, 64 and 128, 32 took least in
@@ -169,8 +169,10 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
     they are distinct.  Unrealizable distance data in a tested tuple raises
     InconsistentDataError, and a test past the `cap`-th CapExceededError.
     When no tuple spans a hyperplane, the cloud lies in the span of the
-    first color of greatest dimension and is placed in it.
+    first color of greatest dimension and is placed in it.  A float store
+    raises ValueError.
     """
+    require_exact(store)
     if store.iterations < 1:
         raise ValueError("need at least one refinement")
     d = store.dim
@@ -185,7 +187,7 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
 
     ds_total, sq_total = _pair_sums(store)
     floats = store.dist_floats
-    exact = np.vectorize(store.value_of, otypes="O") if store.interner.mode == "exact" else None
+    exact = np.vectorize(store.value_of, otypes="O")
     heap = [(store.interner.digests[c], c) for c in set(store.tables[1])]
     heapq.heapify(heap)  # popped in digest order a block at a time: most scans stop early
     colors, off, tried = [], ~np.eye(d, dtype=bool), 0
@@ -194,7 +196,7 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
         mats, dists = store.tuple_distances(block)
         # a tuple that repeats a point spans no hyperplane
         rows = np.flatnonzero(~(mats[:, off] == store.dist_array[0, 0]).any(-1))
-        G, rank = gram_ranks(mats[rows], floats, tol, exact)
+        G, rank = gram_ranks(mats[rows], floats, exact)
         rows, G = rows[rank == d - 1], G[rank == d - 1]
         R, _, negative, supports = _rows(G, floats[dists[rows]], sq_total, tol)
         for i in range(len(rows)):
@@ -220,9 +222,9 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
             f"no hyperplane tuple accepted: {tried} tuples scanned, target sum {ds_total}")
     # the whole cloud lies in the span of the first color of greatest dimension
     mats, dists = store.tuple_distances(colors)
-    rank = gram_ranks(mats, floats, tol, exact)[1]
+    rank = gram_ranks(mats, floats, exact)[1]
     k = int(np.argmax(rank))
-    basis = gram_basis(_gram((exact or floats.__getitem__)(mats[k])), tol)
+    basis = gram_basis(_gram(exact(mats[k])))
     points = _placed(_gram(floats[mats[k]]), floats[dists[k]], basis, tol)
     if points[:, -1].any():
         raise InconsistentDataError("a record lies off the span of the top tuple")

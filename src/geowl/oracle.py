@@ -79,6 +79,19 @@ def _sq_matrix(X: np.ndarray) -> np.ndarray:
     return np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
 
 
+def _cheapest_first(cost: np.ndarray) -> np.ndarray:
+    """The bijection taking pairs (i, j) by increasing cost[i, j], ties row-major, while
+    both are free: the row-wise argmin wherever that argmin is injective."""
+    n = len(cost)
+    perm, used = [-1] * n, set()
+    for flat in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n)
+        if perm[i] < 0 and j not in used:
+            perm[i] = j
+            used.add(j)
+    return np.array(perm)
+
+
 def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment | None:
     """Decide whether a distance-preserving bijection maps a onto b.
 
@@ -88,7 +101,8 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
     exact, and its orthogonal fit leaves every point within tol·R of its
     image.  The search backtracks a's affinely independent anchors onto b
     through sorted squared-distance rows, then sends every other point to
-    the point of b nearest in squared distances to the anchors' images.
+    the point of b nearest in squared distances to the anchors' images (by
+    `_cheapest_first` where two points' float distances tie).
     Returns the witnessing alignment (orthogonal matrix, translation, point
     permutation, max per-point residual) or None.  Size or dimension
     mismatches simply report non-isometric.
@@ -112,9 +126,10 @@ def is_isometric(a: PointCloud, b: PointCloud, tol: float = 1e-6) -> Alignment |
 
     def try_assignment(images: list[int]) -> Alignment | None:
         gaps = to_anchors[:, None, :] - sqB[None, :, images]
-        perm = np.argmin(np.sum(gaps * gaps, axis=2), axis=1)
-        if len(set(perm.tolist())) < n:
-            return None
+        cost = np.sum(gaps * gaps, axis=2)
+        perm = np.argmin(cost, axis=1)
+        if len(set(perm.tolist())) < n:  # rows tie in floats: the cheapest injective pairs
+            perm = _cheapest_first(cost)
         if float(np.max(np.abs(sqA - sqB[np.ix_(perm, perm)]))) > bound:
             return None
         if exact:  # one common denominator for both clouds' squared distances

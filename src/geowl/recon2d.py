@@ -12,10 +12,10 @@ pivot lines, and then eliminates mirror candidates round by round while the
 known-empty angular region grows by the pivot angle on each side.  That
 region is the arc [-k*alpha, (k+1)*alpha] after k rounds, so each entry's
 first resolving round follows from its candidates' angles, and one walk in
-that order places all.
-Each tolerance test reads value <= tol * max(f, s), s the squared length the
-value comes from: f is 1 on a float store, whose grid step is tol, and 0 on an
-exact one, which thus decides alike at every scale (on integers, exactly).
+that order places all.  Stores are exact (a float cloud is colored as the
+dyadic rationals its floats are).  Each tolerance test reads value <= tol * s,
+s the squared length the value comes from, so it decides alike at every
+scale (on integers, exactly).
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
 from .errors import InconsistentDataError, ReconstructionError
-from .geometry import Entries, PointCloud, Scalar, _over_tol, is_exact
+from .geometry import Entries, PointCloud, Scalar, _over_tol
 from .report import ReconstructionReport
-from .wl import ColorStore, _History
+from .wl import ColorStore, _History, require_exact
 
 
 def norms_from_chi1(store: ColorStore) -> dict[int, Scalar]:
     """Map each iteration-1 point color to its squared distance to the barycenter.
 
     A view of `wl._History`, which applies the barycenter identity to the
-    colors' distance sums: exact stores as integers over one denominator,
-    float stores in record order.
+    colors' distance sums, as integers over one denominator.
     """
     if store.ell != 1 or store.iterations < 1:
         raise ValueError("need a single-point history with at least one iteration")
@@ -91,13 +90,13 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
     """Extract pivot data from a 3-iteration single-point history.
 
     The pivot u is the first point by color digest whose norm is above
-    tol * max(f, the largest norm), `reconstruct2d`'s test; v minimizes the
-    angle at the barycenter over 0 < angle < pi (compared on cosines, exactly
-    on an exact store), ties broken by color digest.  A partner whose squared
-    height over the u-line is within tol * max(f, its norm), `reconstruct2d`'s
-    u-line test, is no candidate for v.  With no v the cloud is collinear
-    with the barycenter and the fallback (0, M_u, M_u) applies.  It all runs on
-    `wl._History`'s numerators: `Fraction`s only for what is returned.
+    tol * the largest norm, `reconstruct2d`'s test; v minimizes the angle at
+    the barycenter over 0 < angle < pi (compared exactly on cosines), ties
+    broken by color digest.  A partner whose squared height over the u-line
+    is within tol * its norm, `reconstruct2d`'s u-line test, is no candidate
+    for v.  With no v the cloud is collinear with the barycenter and the
+    fallback (0, M_u, M_u) applies.  It all runs on `wl._History`'s
+    numerators: `Fraction`s only for what is returned.
     """
     if store.ell != 1 or store.iterations < 3:
         raise ValueError("need a single-point history with at least three iterations")
@@ -105,7 +104,7 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
         raise ValueError("initialization needs at least two points")
     h = _History(store, 1)
     norms = {c: norm for c, (norm,) in h.norms.items()}
-    over = _over_tol(tol, h.exact)
+    over = _over_tol(tol)
     digests = store.interner.digests
     c2s = list(set(store.tables[2]))
     c3s = sorted(set(store.tables[3]), key=digests.__getitem__)
@@ -138,7 +137,7 @@ def init2d(store: ColorStore, tol: float = DEFAULT_TOL) -> InitData2D:
                 or (not _cos_greater(best[0], best[1], q, N) and tiebreak < best[2])):
             best = (q, N, tiebreak, d2, c2_y)
     if best is None:
-        return InitData2D(d0_sq=0 if h.exact else 0.0, m_u=m_u, m_v=m_u)
+        return InitData2D(d0_sq=0, m_u=m_u, m_v=m_u)
     return InitData2D(d0_sq=h.value(best[3]), m_u=m_u, m_v=_profile(store, h, best[4]))
 
 
@@ -181,13 +180,13 @@ def _entry_round(d0: float, d1: float, alpha: float, ang_tol: float) -> tuple[fl
     return k, _PICK[kind(k, d0)][kind(k, d1)]
 
 
-def _pivot_norm(entries: Entries, tol: float, f: int, pivot: str) -> tuple[float, float]:
+def _pivot_norm(entries: Entries, tol: float, pivot: str) -> tuple[float, float]:
     """The pivot's squared norm and norm, from its multiset's one zero-distance
-    entry, d^2 <= tol * max(f, |y|^2); it must exceed tol * max(f, the largest norm)."""
-    zero = [e for _, e in entries.live() if abs(e[0]) <= tol * max(f, e[1])]
+    entry, d^2 <= tol * |y|^2; it must exceed tol * the largest norm."""
+    zero = [e for _, e in entries.live() if abs(e[0]) <= tol * e[1]]
     if len(zero) != 1:
         raise InconsistentDataError("pivot multiset must contain exactly one zero-distance entry")
-    if zero[0][1] <= tol * max(f, *(n2 for _, (_, n2) in entries.live())):
+    if zero[0][1] <= tol * max(n2 for _, (_, n2) in entries.live()):
         raise InconsistentDataError(f"pivot {pivot} must not sit at the barycenter")
     return zero[0][1], math.sqrt(zero[0][1])
 
@@ -210,26 +209,25 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
     m_u = Entries([(float(a), float(b)) for a, b in init.m_u])
     m_v = Entries([(float(a), float(b)) for a, b in init.m_v])
     d0sq = float(init.d0_sq)
-    f = 0 if is_exact(init.d0_sq) else 1
 
-    ru2, ru = _pivot_norm(m_u, tol, f, "u")
+    ru2, ru = _pivot_norm(m_u, tol, "u")
 
-    if d0sq <= tol * max(f, ru2):
+    if d0sq <= tol * ru2:
         # collinear: every point sits on the line through the barycenter and u
         pts = []
         for _, (d2, n2) in m_u.live():
             x = (ru2 + n2 - d2) / (2 * ru)
-            if abs(x * x - n2) > tol * max(f, n2) * 1000:
+            if abs(x * x - n2) > tol * n2 * 1000:
                 raise InconsistentDataError("collinear entry is off the pivot line")
             pts.append((x, 0.0))
         return PlanarReconstruction(cloud=_cloud2d(pts), rounds=0, round_bound=0, alpha=None)
 
-    rv2, rv = _pivot_norm(m_v, tol, f, "v")
+    rv2, rv = _pivot_norm(m_v, tol, "v")
 
     u = (ru, 0.0)
     xv = (ru2 + rv2 - d0sq) / (2 * ru)
     yv2 = rv2 - xv * xv
-    if yv2 <= tol * max(f, rv2):
+    if yv2 <= tol * rv2:
         raise InconsistentDataError("pivots are collinear with the barycenter but d0 > 0")
     v = (xv, math.sqrt(yv2))
     alpha = math.atan2(v[1], v[0])
@@ -240,8 +238,8 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
         n2 = p[0] * p[0] + p[1] * p[1]
         du2 = (p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2
         dv2 = (p[0] - v[0]) ** 2 + (p[1] - v[1]) ** 2
-        m_u.take((du2, n2), tol * max(f, du2, n2) * 1000)
-        m_v.take((dv2, n2), tol * max(f, dv2, n2) * 1000)
+        m_u.take((du2, n2), tol * max(du2, n2) * 1000)
+        m_v.take((dv2, n2), tol * max(dv2, n2) * 1000)
         placed.append(p)
 
     place(u)
@@ -251,7 +249,7 @@ def reconstruct2d(init: InitData2D, tol: float = DEFAULT_TOL) -> PlanarReconstru
         def cands(d2, n2):
             x = (r2 + n2 - d2) / (2 * r)
             h2 = n2 - x * x
-            if h2 <= tol * max(f, n2):
+            if h2 <= tol * n2:
                 return [(x * ex + 0.0, x * ey + 0.0)]  # + 0.0 turns -0.0 into 0.0
             h = math.sqrt(h2)
             return [(x * ex - h * ey, x * ey + h * ex), (x * ex + h * ey, x * ey - h * ex)]
@@ -303,8 +301,9 @@ def reconstruct_planar(store: ColorStore, tol: float = DEFAULT_TOL) -> Reconstru
 
     The counters are the elimination rounds, their bound and the pivot
     angle alpha (None for collinear clouds).  Single-point clouds
-    short-circuit to the origin.
+    short-circuit to the origin.  A float store raises ValueError.
     """
+    require_exact(store)
     if store.n == 1:
         res = PlanarReconstruction(cloud=_cloud2d([(0.0, 0.0)]), rounds=0,
                                    round_bound=0, alpha=None)

@@ -163,7 +163,7 @@ class ProfileTable:
         exact = np.vectorize(self.distances.__getitem__, otypes="O")
         for s in range(0, len(rows), 1024):
             block = rows[s:s + 1024]
-            G, ranks[s:s + 1024] = gram_ranks(self.A[block], self.floats, tol, exact)
+            G, ranks[s:s + 1024] = gram_ranks(self.A[block], self.floats, exact)
             full = np.flatnonzero(ranks[s:s + 1024] == self.d)
             G = G[full]
             try:
@@ -206,9 +206,6 @@ def enhanced_profiles_from_wl3(store: ColorStore) -> ProfileTable:
     one is x's own with b moved last; each is keyed (c2, i) and sorted once.
     Raises ValueError on a float store: reconstruction runs on exact ones only.
     """
-    if store.interner.mode != "exact":
-        raise ValueError("wlnd needs an exact store: it has no float mode, and reads "
-                         "a float cloud as the exact values of its floats")
     h = _History(store, 3)
     m, n, d = store.ell, store.n, store.ell + 1
     perms = [[*range(1, i + 1), 0, *range(i + 2, d), i + 1] for i in range(m)]

@@ -340,6 +340,12 @@ class ColorStore:
         return mats[at[:k]].reshape(k, m, m), dists
 
 
+def require_exact(store: ColorStore) -> None:
+    """ValueError on a float store: every reconstruction runs in exact arithmetic."""
+    if store.interner.mode != "exact":
+        raise ValueError("reconstruction needs an exact store; a float cloud is read exactly")
+
+
 def _index(colors, wanted: np.ndarray) -> np.ndarray:
     """Positions in `colors` (distinct ints) of every entry of `wanted`."""
     pos = {c: i for i, c in enumerate(colors)}
@@ -371,18 +377,15 @@ class _History:
 
     The one place where the barycenter identity is applied to whole
     colorings (`oneshot._rows` applies it to a block of tuple colors' sums).
-    An exact store runs on integers over S = 2 n^2 Q, Q the lcm of its
-    distance denominators: nums[did] is distance id did's numerator, a
-    slot's distance sum f one row sum (int64 when n times the largest
-    numerator fits, else Python ints), and a norm (f - T/(2n))/n, T the
-    ordered-pair sum, the exact quotient (2n f - T) / (2n^2).  `value` makes
-    a numerator a `Fraction`.  A float store keeps its floats (S = 1), sums
-    each row in increasing order (record order at ell = 1), and lets a norm
-    fall below 0 by its grid step snap, which bounds the error snapping puts
-    in a norm, on top of the default bound 1e-9 max(1, |T|).  norms maps
-    each iteration-1 color to its slots' norm numerators.  At ell = 1 a point
-    color is its distance multiset, so its record row is its one slot row,
-    distinct from every other color's: no row sort, no `_distinct_rows`.
+    It runs on integers over S = 2 n^2 Q, Q the lcm of the store's distance
+    denominators: nums[did] is distance id did's numerator, a slot's
+    distance sum f one row sum (int64 when n times the largest numerator
+    fits, else Python ints), and a norm (f - T/(2n))/n, T the ordered-pair
+    sum, the exact quotient (2n f - T) / (2n^2).  `value` makes a numerator
+    a `Fraction`.  A float store raises ValueError (`require_exact`).  norms
+    maps each iteration-1 color to its slots' norm numerators.  At ell = 1 a
+    point color is its distance multiset, so its record row is its one slot
+    row, distinct from every other color's: no row sort, no `_distinct_rows`.
     From two iterations on (ell >= 2), value ids number the distinct
     distances and norms in increasing order, distances[v] the value of id v; per
     iteration-1 color c1[k], mat[k] and bary[k] are the ids of its tuple's
@@ -396,18 +399,14 @@ class _History:
             raise ValueError("profiles need a tuple history (ell >= 2)")
         if store.iterations < iterations:
             raise ValueError(f"need a history of at least {iterations} iteration(s)")
-        inter = store.interner
-        self.exact = exact = inter.mode == "exact"
+        require_exact(store)
         dids = np.flatnonzero(np.bincount(store.dist_array.ravel())).tolist()
-        keys = list(map(inter.dist_keys.__getitem__, dids))
-        if exact:
-            tops, bottoms = zip(*map(Fraction.as_integer_ratio, keys))
-            self.S = 2 * n * n * math.lcm(*bottoms)
-            nums = list(map(mul, tops, map(floordiv, repeat(self.S), bottoms)))
-            dtype = np.int64 if n * max(map(abs, nums)) < 2 ** 63 else object
-        else:
-            self.S, nums, dtype = 1, [key * inter.snap for key in keys], float
-        self.nums = np.zeros(dids[-1] + 1, dtype=dtype)
+        keys = map(store.interner.dist_keys.__getitem__, dids)
+        tops, bottoms = zip(*map(Fraction.as_integer_ratio, keys))
+        self.S = 2 * n * n * math.lcm(*bottoms)
+        nums = list(map(mul, tops, map(floordiv, repeat(self.S), bottoms)))
+        self.nums = np.zeros(dids[-1] + 1,
+                             dtype=np.int64 if n * max(map(abs, nums)) < 2 ** 63 else object)
         self.nums[dids] = nums
 
         counts = Counter(store.tables[1])
@@ -419,8 +418,7 @@ class _History:
             slots = np.sort(np.swapaxes(recs, 1, 2), -1).reshape(-1, n)
             first, inv = _distinct_rows(slots)
             inv = inv.reshape(len(self.c1), m)
-        rows = self.nums[slots[first]]  # summed in int64, else in Python in increasing order
-        f = rows.sum(-1).tolist() if rows.dtype == np.int64 else [*map(sum, np.sort(rows).tolist())]
+        f = self.nums[slots[first]].sum(-1).tolist()  # in int64, else in Python ints
         # the cloud-wide multiset of distance multisets is inflated by n^(ell-1)
         multiplier = n ** (m - 1)
         global_counts: Counter = Counter()
@@ -432,19 +430,13 @@ class _History:
                 raise InconsistentDataError(
                     f"distance-multiset count {cnt} is not divisible by n^(ell-1)={multiplier}")
             total = total + (cnt // multiplier) * f[u]
-        if exact:  # every numerator is a multiple of 2n^2, so (2n f - T) / (2n^2) is exact
-            assert all(x % (2 * n * n) == 0 for x in (*f, total))
-            norms = [(2 * n * x - total) // (2 * n * n) for x in f]
-        else:
-            norms = [(x - total / (2 * n)) / n for x in f]
-        # snapping moves a float norm by at most 0.75 snap: the bound is snap
-        # on top of the default DEFAULT_TOL * max(1, |T|)
-        extra = 0.0 if exact else inter.snap / max(1.0, abs(total))
-        over = _over_tol(DEFAULT_TOL + extra, exact)
+        # every numerator is a multiple of 2n^2, so (2n f - T) / (2n^2) is exact
+        assert all(x % (2 * n * n) == 0 for x in (*f, total))
+        norms = [(2 * n * x - total) // (2 * n * n) for x in f]
+        over = _over_tol(DEFAULT_TOL)
         if any(over(-v, 1, abs(total)) for v in norms):
             raise InconsistentDataError(
                 f"negative squared barycenter distance {self.value(min(norms))} from f-values")
-        norms = norms if exact else [max(v, 0.0) for v in norms]
         self.norms = {c: tuple(map(norms.__getitem__, row))
                       for c, row in zip(self.c1, inv.tolist())}
         if iterations >= 2:
@@ -460,9 +452,9 @@ class _History:
             self.prev2 = _index(self.c1, prev1)
             self.entries = _sorted_rows(self.entry(_index(self.c1, recs)))
 
-    def value(self, num: Scalar) -> Scalar:
-        """The squared distance or norm with numerator num over S: a `Fraction` if exact."""
-        return Fraction(num, self.S) if self.exact else num
+    def value(self, num: int) -> Fraction:
+        """The squared distance or norm with numerator num over S."""
+        return Fraction(num, self.S)
 
     def entry(self, r: np.ndarray) -> np.ndarray:
         """(d(y,b), d(y,x_1), ..., d(y,x_m)) from the iteration-1 positions r[..., :]

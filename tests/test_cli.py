@@ -82,14 +82,14 @@ def test_wlnd_roundtrip_past_the_float_range_exits_without_a_traceback(tmp_path,
     # anchors 1e-300 apart and the other points at 1e100: the Gram entries span
     # past the float range.  The depth bound's floats saturate to inf and the
     # render scales each Gram factor into range, so the first candidate is
-    # certified; the oracle rejects the render (exit 1, verification failure)
+    # certified; the oracle aligns the render, whose two nearest points tie in floats
     pts = [(0, 0, 0), (1e-300, 0, 0), (0, 1e100, 0), (0, 0, 1e100), (1e100, 1e100, 1e100)]
     path = _write(tmp_path, "gap100.json", {"points": [[str(F(x)) for x in p] for p in pts]})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["roundtrip", path, "--algorithm", "wlnd"]) == 1
+        assert main(["roundtrip", path, "--algorithm", "wlnd"]) == 0
     out = capsys.readouterr().out
-    assert "candidates_tried: 1" in out.splitlines() and "verified: no" in out.splitlines()
+    assert "candidates_tried: 1" in out.splitlines() and "verified: yes" in out.splitlines()
 
 
 def test_cmd_compare(tmp_path, capsys):
@@ -263,6 +263,7 @@ def test_cli_golden_roundtrip_lines(tmp_path, capsys, algorithm):
     ["compare", "a.json", "b.json", "--jobs", "2"],
     ["roundtrip", "c.json", "--algorithm", "wl2d", "--iters", "3"],
     ["roundtrip", "c.json", "--algorithm", "wl2d", "--jobs", "2"],
+    ["roundtrip", "c.json", "--algorithm", "wl2d", "--mode", "float"],
     ["search", "--d", "1", "--n", "3", "--tol", "1e-6"],
     ["search", "--d", "1", "--n", "3", "--max-depth", "4"],
 ])

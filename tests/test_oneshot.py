@@ -161,13 +161,14 @@ def test_reconstruct_round_trip_random():
 
 
 def _scan_clouds():
-    """The 30 reference clouds and their float copies, n = 2 clouds in d = 2,
-    a coplanar and a collinear d = 3 cloud, and a nearly collinear d = 2 cloud."""
+    """The 30 reference clouds and their float copies x 0.1, read as the dyadic
+    rationals they are; n = 2 clouds in d = 2, a coplanar and a collinear d = 3
+    cloud, and a nearly collinear d = 2 cloud."""
     clouds = []
     for seed in range(30):
         d, n = (2, 5 + seed % 8) if seed < 16 else (3, 5 + seed % 5)
         clouds.append(oracle.random_cloud(n, d, seed=9100 + seed, grid=4, span=2))
-    clouds += [PointCloud(c.dim, tuple(tuple(float(x) for x in p) for p in c.points))
+    clouds += [PointCloud(c.dim, tuple(tuple(F(float(x) * 0.1) for x in p) for p in c.points))
                for c in clouds]
     clouds += [oracle.random_cloud(2, 2, seed=9200 + k, grid=4, span=2) for k in range(6)]
     flat = oracle.random_cloud(8, 2, seed=9300, grid=4, span=2)
@@ -181,10 +182,9 @@ def _scan_clouds():
 
 def _colors(store, tol=1e-9):
     """(dimension, matrix, records) of every tuple color in digest order, each
-    color read alone by `tuple_distances`, in the store's arithmetic."""
+    color read alone by `tuple_distances`, as Fractions."""
     digests = store.interner.digests
-    values = np.vectorize(store.value_of, otypes=[object]) \
-        if store.interner.mode == "exact" else store.dist_floats.__getitem__
+    values = np.vectorize(store.value_of, otypes=[object])
     for c in sorted(set(store.tables[1]), key=lambda c: digests[c]):
         mats, dists = store.tuple_distances([c])
         A = values(mats[0])
@@ -199,7 +199,7 @@ def _one_color(A, R, hyperplane, tol=1e-9, sq_total=None):
     if hyperplane:
         supports = _rows(G[None], R[None], sq_total, tol)[3][0]
         return _placed(G, R, list(range(len(G))), tol) if supports else None
-    return _placed(G, R, gram_basis(_gram(A), tol), tol)
+    return _placed(G, R, gram_basis(_gram(A)), tol)
 
 
 def _anchor_frame(A, R, hyperplane, tol=1e-9, sq_total=None):

@@ -118,6 +118,27 @@ def test_exact_clouds_need_exactly_equal_distances():
     assert oracle.is_isometric(_scaled(cloud, 1, True), _scaled(moved, 1, True)) is not None
 
 
+def test_points_that_tie_in_floats_get_distinct_images():
+    # (0, 0, 0) and (1e-300, 0, 0) have equal float distance rows (1e-600 underflows
+    # to 0), so both went to one image and the clouds read as non-isometric; a
+    # float cloud against itself, at every scale, and a swap of the two must align
+    for scale in (1.0, 1e100):
+        pts = [(0, 0, 0), (1e-300, 0, 0), (0, scale, 0), (0, 0, scale), (scale,) * 3]
+        fc = PointCloud.from_array(np.array(pts, dtype=float))
+        align = oracle.is_isometric(fc, fc)
+        assert align is not None and sorted(align.permutation) == list(range(5)), scale
+        swapped = PointCloud(3, (fc.points[1], fc.points[0]) + fc.points[2:])
+        assert oracle.is_isometric(fc, swapped) is not None, scale
+    # the greedy bijection is the row-wise argmin where that is injective
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        cost, perm = rng.random((6, 6)), rng.permutation(6)
+        assert sorted(oracle._cheapest_first(cost).tolist()) == list(range(6))
+        cost[range(6), perm] -= 1
+        assert oracle._cheapest_first(cost).tolist() == perm.tolist()
+    assert oracle._cheapest_first(np.zeros((3, 3))).tolist() == [0, 1, 2]
+
+
 def test_wide_planar_cloud_verifies():
     # the best alignment's residual, about 5e-3, is far below tol times the
     # extent of about 4.5e4

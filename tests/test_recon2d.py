@@ -63,23 +63,22 @@ def _fraction_norms(store):
 
 def test_norms_equal_the_scalar_sums():
     # integer sums over one denominator give the Fraction sums exactly, also for
-    # stores whose interner holds another cloud's distances; float stores agree bit for
-    # bit, as they sum in record order (the Gaussian cloud's sums depend on the order)
+    # stores whose interner holds another cloud's distances, and for float clouds
+    # read as their dyadic rationals (a Gaussian cloud's float sums depend on the order)
     clouds = [oracle.apply_random_isometry(oracle.random_cloud(n, 2, seed=70 + n), seed=n)
               for n in (3, 8, 17, 30)]
     clouds.append(PointCloud(2, tuple((F(x, 2), F(y, 3)) for x in range(3) for y in range(3))))
     shared = Interner("exact")
     stores = [run_wl(c, 1, 1) for c in clouds]
     stores += [run_wl(c, 1, 1, interner=shared) for c in clouds[1:3]]
-    stores += [run_wl(c, 1, 1, mode="float") for c in clouds[:3]]
+    stores += [run_wl(_dyadic(c), 1, 1) for c in clouds[:3]]
     rng = random.Random(5)
-    stores.append(run_wl(PointCloud(2, tuple((rng.gauss(0, 3), rng.gauss(0, 3))
-                                             for _ in range(17))), 1, 1))
+    stores.append(run_wl(_dyadic(PointCloud(2, tuple((rng.gauss(0, 3), rng.gauss(0, 3))
+                                                     for _ in range(17)))), 1, 1))
     for store in stores:
         norms = norms_from_chi1(store)
         assert norms == _fraction_norms(store)
-        assert all(type(v) is (F if store.interner.mode == "exact" else float)
-                   for v in norms.values())
+        assert all(type(v) is F for v in norms.values())
 
 
 def test_profiles_from_chi2_examples():
@@ -505,6 +504,13 @@ def _float_copy(cloud):
     return PointCloud(2, tuple((float(x), float(y)) for x, y in cloud.points))
 
 
+def _dyadic(cloud, scale=1.0):
+    """The cloud's float copy, times `scale`, read as the rationals its floats are,
+    as `reconstruct` reads a float cloud."""
+    return PointCloud(cloud.dim, tuple(tuple(F(float(c) * scale) for c in p)
+                                       for p in cloud.points))
+
+
 def _assert_same_reconstruction(init):
     got, want = reconstruct2d(init), _reference_reconstruct2d(init)
     assert got.cloud.points == want.cloud.points  # same points in the same order
@@ -516,7 +522,7 @@ def _assert_same_reconstruction(init):
 @pytest.mark.parametrize("k", range(6))
 def test_reconstruct2d_matches_the_reference_on_the_benchmark_shapes(k):
     shape = oracle.random_cloud(60 + 4 * k, 2, 900 + k)
-    for cloud in (shape, _float_copy(shape)):
+    for cloud in (shape, _dyadic(shape, 0.1)):
         got = _assert_same_reconstruction(init2d(run_wl(cloud, 1, 3)))
         assert got.rounds > 0
 
@@ -655,9 +661,10 @@ def _lattice_disk(k, half):
 @pytest.mark.parametrize("half", [False, True], ids=["disk", "half_disk"])
 @pytest.mark.parametrize("k", range(2, 7))
 def test_reconstruct2d_matches_the_reference_on_lattice_disks(k, half):
-    # candidates sit exactly on reflected pivot lines: the boundary kind
+    # candidates sit exactly on reflected pivot lines: the boundary kind; a
+    # power-of-two scale keeps them there in the dyadic copy
     shape = _lattice_disk(k, half)
-    for cloud in (shape, _float_copy(shape)):
+    for cloud in (shape, _dyadic(shape, 0.125)):
         _assert_same_reconstruction(init2d(run_wl(cloud, 1, 3)))
 
 
@@ -677,19 +684,20 @@ def _with_mean(seed, d):
     return PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
 
 
-def test_float_norms_use_the_grid_step():
-    # snapped sums put an error of up to about the step into the norm of the
-    # point at the barycenter, which a 1e-9 bound rejected for 19 of these
+def test_float_cloud_norms_are_exact_and_non_negative():
+    # on a float grid of 1e-4, snapped sums put an error of up to about the step
+    # into the norm of the point at the barycenter, which a 1e-9 bound rejected
+    # for 19 of these; read as their dyadic rationals, the norms are exact
     for seed in range(40):
-        store = run_wl(_with_mean(seed, 2), 1, 1, mode="float", snap=1e-4)
+        store = run_wl(_dyadic(_with_mean(seed, 2)), 1, 1)
         norms = norms_from_chi1(store)
         assert min(norms.values()) >= 0.0, seed
 
 
 def test_pivot_u_is_never_the_point_at_the_barycenter():
-    # the mean's norm read off the colors is 2.0e-11 here, below tol
+    # the mean's norm read off the colors is far below tol here
     cloud = _with_mean(9, 2)
-    store = run_wl(cloud, 1, 3)
+    store = run_wl(_dyadic(cloud), 1, 3)
     norms = norms_from_chi1(store)
     assert 0 < min(norms.values()) <= 1e-9
     rep = reconstruct(cloud, "wl2d")
@@ -781,25 +789,25 @@ def _init2d_stores():
     stores += [run_wl(c, 1, 3, interner=shared) for c in (thirds, randoms[5], randoms[8])]
     shape = oracle.random_cloud(10, 2, seed=3)
     stores += [run_wl(_scaled(shape, p), 1, 3) for p in (-80, 80)]
-    stores += [run_wl(_float_copy(c), 1, 3) for c in (randoms[4], shape, _lattice_disk(3, True))]
-    stores.append(run_wl(_with_mean(9, 2), 1, 3))  # a float point at the barycenter
+    stores += [run_wl(_dyadic(c, 0.1), 1, 3) for c in (randoms[4], shape, _lattice_disk(3, True))]
+    stores.append(run_wl(_dyadic(_with_mean(9, 2)), 1, 3))  # a float point at the barycenter
     lines = [PointCloud(2, ((F(0), F(0)), (F(2), F(0)))),
              PointCloud(2, tuple((F(x), F(2 * x)) for x in (-3, -1, 0, 2, 5))),
              PointCloud(2, ((F(1), F(1)), (F(-1), F(1)), (F(0), F(-2)), (F(0), F(0))))]
     stores += [run_wl(c, 1, 3) for c in lines]
-    stores.append(run_wl(_float_copy(lines[1]), 1, 3))
+    stores.append(run_wl(_dyadic(lines[1], 0.1), 1, 3))
     # centrally symmetric, each point x with a far partner 1000 x + (x rotated by 90
     # degrees) / 100, whose squared height over the u-line is within tol times its own
     # squared norm but not tol * |u|^2
     pts = [p for x, y in oracle.random_cloud(3, 2, seed=0).points
            for p in ((x, y), (1000 * x - y / 100, 1000 * y + x / 100))]
     far = PointCloud(2, tuple(pts + [(-x, -y) for x, y in pts]))
-    stores += [run_wl(far, 1, 3), run_wl(_float_copy(far), 1, 3)]
+    stores += [run_wl(far, 1, 3), run_wl(_dyadic(far, 0.1), 1, 3)]
     return stores
 
 
 def test_init2d_matches_its_fraction_form():
-    # random, shared-interner, scaled (1e-80 and 1e80), float, point-at-barycenter and
+    # random, shared-interner, scaled (1e-80 and 1e80), dyadic, point-at-barycenter and
     # collinear stores: equal pivot data, of equal types
     fallbacks = 0
     for store in _init2d_stores():
@@ -807,14 +815,14 @@ def test_init2d_matches_its_fraction_form():
         assert got == want
         assert _scalar_types(got) == _scalar_types(want)
         fallbacks += got.d0_sq == 0
-    assert fallbacks == 3  # the three collinear ones, exact and float
+    assert fallbacks == 3  # the three collinear ones, exact and dyadic
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.1, 2.0 ** -30, 1 / 3])
 def test_exact_tolerance_test_at_its_boundary(tol):
     # value / den = tol * scale exactly, and one numerator either side, against the
     # Fraction comparison: tol's integer ratio is exact, up to numerators of 1e160
-    over = _over_tol(tol, True)
+    over = _over_tol(tol)
     a, b = F(tol).as_integer_ratio()
     for scale in (0, 1, 7, 10 ** 80, 10 ** 140):
         for k in (1, 3, 10 ** 20):

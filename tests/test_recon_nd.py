@@ -14,6 +14,8 @@ from geowl import RunConfig, oracle, recon_nd, reconstruct
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _gram, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
+from geowl.oneshot import reconstruct_one_iter
+from geowl.recon2d import reconstruct_planar
 from geowl.recon_nd import (CandidateRejected, EnhancedProfile, ForbiddenRegion, GramCloud,
                             GramKernel, ProfileTable, _float_sqrt, _gram2, _numerators,
                             depth_bound, enhanced_profiles_from_wl3, mirror_lambdas,
@@ -703,13 +705,17 @@ def test_float_store_roundtrips(n, d, seed):
 
 
 def test_exact_cloud_in_float_mode_is_a_value_error():
-    # wlnd runs exact only: mode "float" colors a float store, exact cloud or
-    # float, and the extraction refuses it, also for a single point
-    for cloud in (oracle.random_cloud(6, 3, 5), _scaled(6, 3, 5, 1.0)):
-        with pytest.raises(ValueError, match="exact store"):
-            reconstruct(cloud, "wlnd", RunConfig(mode="float"))
-    with pytest.raises(ValueError, match="exact store"):
-        reconstruct_nd(run_wl(PointCloud(3, ((F(1), F(2), F(3)),)), 2, 3, mode="float"))
+    # every pipeline runs exact only: mode "float" colors a float store, exact
+    # cloud or float, and the pipeline refuses it, also for a single point
+    for algorithm, d in (("wlnd", 3), ("wl2d", 2), ("oneshot", 3), ("oneshot", 2)):
+        for cloud in (oracle.random_cloud(6, d, 5), _scaled(6, d, 5, 1.0)):
+            with pytest.raises(ValueError, match="exact store"):
+                reconstruct(cloud, algorithm, RunConfig(mode="float"))
+    for pipeline, d, ell, iters in ((reconstruct_nd, 3, 2, 3), (reconstruct_planar, 2, 1, 3),
+                                    (reconstruct_one_iter, 3, 3, 1)):
+        for cloud in (oracle.random_cloud(6, d, 5), PointCloud(d, ((F(1),) * d,))):
+            with pytest.raises(ValueError, match="exact store"):
+                pipeline(run_wl(cloud, ell, iters, mode="float"))
 
 
 def _gaussian_with_mean(seed: int) -> PointCloud:
@@ -719,12 +725,25 @@ def _gaussian_with_mean(seed: int) -> PointCloud:
     return PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
 
 
+def _noisy(n: int, d: int, seed: int, k: int) -> PointCloud:
+    """random_cloud(n, d, seed) x 10^k plus Gaussian noise of 10^-3 x 10^k: generic floats."""
+    pts = oracle.random_cloud(n, d, seed).as_array()
+    noise = np.random.default_rng(seed).normal(size=pts.shape)
+    return PointCloud.from_array((pts + 1e-3 * noise) * 10.0 ** k)
+
+
 def test_float_clouds_of_every_scale_verify():
-    # a float cloud is read as the dyadic rationals its floats are: the x10^-4
-    # copies raised, and the x10^-3 ones and the Gaussian clouds plus their mean
-    # at tol 1e-4 came back unverified, from float reconstruction
+    # a float cloud is read as the dyadic rationals its floats are: from float
+    # reconstruction the x10^-4 wlnd copies raised, and the x10^-3 ones and the
+    # Gaussian clouds plus their mean at tol 1e-4 came back unverified; so did
+    # the noisy wl2d copies at k = -4 and -3, and the noisy oneshot copies at
+    # k <= -3 raised "negative squared height"
     for (n, d), s, k in product([(7, 3), (6, 4)], range(3), (-4, -3, 0, 4)):
         assert reconstruct(_scaled(n, d, 100 + s, 10.0 ** k), "wlnd").verified, (n, d, s, k)
+    for s, k in product(range(3), (-4, -3, -2, 0, 4, 8)):
+        assert reconstruct(_noisy(12, 2, 100 + s, k), "wl2d").verified, ("wl2d", s, k)
+    for s, k in product(range(3), (-4, -3, 0, 4, 8)):
+        assert reconstruct(_noisy(8, 3, 100 + s, k), "oneshot").verified, ("oneshot", s, k)
     for seed in range(4):
         assert reconstruct(_gaussian_with_mean(seed), "wlnd", RunConfig(tol=1e-4)).verified, seed
 
@@ -785,12 +804,13 @@ def test_gap_cloud_epsilon_and_bound_come_from_the_exact_epsilon():
         assert np.abs(got - want).max() < 1e-12
 
 
-def test_float_slot_norms_use_the_grid_step():
-    # the tuple coloring's barycenter identity, with a point at the barycenter
+def test_float_cloud_slot_norms_are_exact_and_non_negative():
+    # the tuple coloring's barycenter identity, with a float point at the
+    # barycenter, on the cloud read as the dyadic rationals its floats are
     for seed in range(40):
         pts = np.random.default_rng(seed).normal(size=(6, 3)) * 3
-        cloud = PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)]))
-        store = run_wl(cloud, 2, 1, mode="float", snap=1e-4)
+        cloud = _dyadic(PointCloud.from_array(np.vstack([pts, pts.mean(axis=0)])))
+        store = run_wl(cloud, 2, 1)
         norms = _bary(store)
         assert min(map(min, norms.values())) >= 0.0, seed
 

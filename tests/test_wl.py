@@ -185,6 +185,12 @@ def _floats(cloud):
     return PointCloud(cloud.dim, tuple(tuple(float(c) for c in p) for p in cloud.points))
 
 
+def _dyadic(cloud, scale):
+    """The cloud's float copy times `scale`, read as the rationals its floats are."""
+    return PointCloud(cloud.dim, tuple(tuple(F(float(c) * scale) for c in p)
+                                       for p in cloud.points))
+
+
 _GRID = PointCloud(2, tuple((x, y) for x in range(3) for y in range(3)))
 _HALF_GRID = PointCloud(2, tuple((F(x, 2), F(y, 3)) for x in range(3) for y in range(3)))
 
@@ -727,15 +733,15 @@ def test_lockstep_refine_rejects_unlike_stores():
 def test_point_history_takes_each_record_row_as_its_slot_row():
     """At ell = 1 `_History` skips the sort and `_distinct_rows`: the general path
     (sorted slot rows, then their distinct rows) finds every color's row distinct,
-    in color order, and sums the same values, on exact and float, random and
-    symmetric clouds."""
+    in color order, and sums the same values, on exact and dyadic (float copies
+    x 0.1 and x 1e5, read exactly), random and symmetric clouds."""
     clouds = [oracle.random_cloud(n, d, seed=70 + n) for n, d in ((2, 1), (7, 2), (9, 1),
                                                                   (12, 3), (40, 2))]
     clouds += [c for c in (oracle._symmetric_cloud(n, d, 80 + n, 2)
                            for n, d in ((5, 1), (6, 2), (8, 2), (9, 3))) if c is not None]
     clouds += [_GRID, _HALF_GRID, _line(0, 1, 2, 3, 5, 6)]
-    runs = [(c, run_wl(c, 1, 1, mode=mode)) for c in clouds for mode in ("exact", "float")]
-    runs += [(_floats(c), run_wl(_floats(c), 1, 1)) for c in clouds]
+    clouds += [_dyadic(c, s) for c in clouds for s in (0.1, 1e5)]
+    runs = [(c, run_wl(c, 1, 1)) for c in clouds]
     assert len(runs) >= 30
     for cloud, store in runs:
         h = wl._History(store, 1)
@@ -747,8 +753,7 @@ def test_point_history_takes_each_record_row_as_its_slot_row():
         center = barycenter(cloud)
         for p, c in zip(cloud.points, store.tables[1]):
             want = sq_dist(p, center)
-            assert (h.value(h.norms[c][0]) == want if h.exact
-                    else math.isclose(h.norms[c][0], want, rel_tol=1e-9, abs_tol=1e-8))
+            assert h.value(h.norms[c][0]) == want
 
 
 def _payload_decode(store, c):
