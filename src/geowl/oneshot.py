@@ -60,8 +60,9 @@ def _pair_sums(store: ColorStore) -> tuple[float, float]:
     """The ordered pairwise sums of distances and of squared distances, read off
     the coloring by `ColorStore.pair_distances`."""
     dist = sq = 0.0
+    floats = store.dist_floats
     for did, k in store.pair_distances().items():
-        v = float(store.value_of(did))
+        v = float(floats[did])
         dist += k * math.sqrt(v)
         sq += k * v
     return dist, sq
@@ -172,7 +173,7 @@ def reconstruct_one_iter(store: ColorStore, tol: float = DEFAULT_TOL,
     first color of greatest dimension and is placed in it.  A float store
     raises ValueError.
     """
-    require_exact(store)
+    require_exact(store.interner.mode)
     if store.iterations < 1:
         raise ValueError("need at least one refinement")
     d = store.dim

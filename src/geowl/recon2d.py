@@ -303,7 +303,7 @@ def reconstruct_planar(store: ColorStore, tol: float = DEFAULT_TOL) -> Reconstru
     angle alpha (None for collinear clouds).  Single-point clouds
     short-circuit to the origin.  A float store raises ValueError.
     """
-    require_exact(store)
+    require_exact(store.interner.mode)
     if store.n == 1:
         res = PlanarReconstruction(cloud=_cloud2d([(0.0, 0.0)]), rounds=0,
                                    round_bound=0, alpha=None)

@@ -56,6 +56,7 @@ def reconstruct(cloud: PointCloud, algorithm: str,
     exact = PointCloud(cloud.dim, tuple(tuple(map(Fraction, p)) for p in cloud.points))
 
     def colored(ell: int, iters: int) -> wl.ColorStore:
+        wl.require_exact(cfg.mode or "exact")  # a refused mode costs no coloring
         return wl.run_wl(exact, ell, iters, mode=cfg.mode, snap=cfg.tol,
                          max_tuples=cfg.max_tuples)
 

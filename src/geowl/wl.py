@@ -22,12 +22,14 @@ its common denominator; int64 when every S fits), numerators over the lcm of
 the `Fraction` denominators for a value matrix or float distances in exact
 mode, and grid tokens trunc(v / snap + 0.5) in float mode.  An exact key is
 looked up as the reduced integer pair (S / g, D^2 / g), g = gcd(S, D^2), so
-equal values over different denominators share one id, and only a new key
-builds its `Fraction`, its frame and its float.  Every value is
-checked before the first is interned.  Float distances are summed in the
-order of `geometry.sq_dist`, so each keeps all its bits.  At ell >= 2 the
-tuple matrices of B stores are one gather from a (B, n, n) stack of ids,
-interned as the records of a refinement are.
+equal values over different denominators share one id.  Only a new key
+gets its frame and its float, and no key builds a `Fraction` until a reader
+asks for its value (`dist_keys`, `ColorStore.value_of`); distance ids are
+ranked by one float argsort, exact pairs compared only where floats tie.
+Every value is checked before the first is interned.  Float distances are
+summed in the order of `geometry.sq_dist`, so each keeps all its bits.  At
+ell >= 2 the tuple matrices of B stores are one gather from a (B, n, n)
+stack of ids, interned as the records of a refinement are.
 
 A refinement is array work at every ell, over one or more stores that share
 an interner (the two clouds of a comparison are refined in lockstep, a
@@ -44,8 +46,10 @@ are unpacked into the (B n^ell, n, ell) record ranks.  A tuple's key, also its p
 is the bytes of its int64 row [kind and width, head, record ids] (the kind
 tells a matrix from a node at n = ell); one call looks up all the stores'
 keys and inserts the new classes in one batch, and only a new class is
-hashed.  At ell = 1 a new class's digest input is joined from one list laid
-out like its key, filled from strided views of the key.
+hashed.  A digest input that carries distance frames (an ell = 1 class, an
+ell >= 2 initial matrix) is one `bytes.join` of a row of an object array,
+gathered BLOCK classes at a time from the interner's frame array and the
+present colors' digests; other ell >= 2 inputs are rows of one uint8 gather.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key, partial
 from itertools import chain, repeat, starmap
 from operator import floordiv, mul, truediv
 
@@ -72,15 +76,22 @@ KIND_MAT = 1    # ell x ell squared-distance matrix, row-major distance ids
 KIND_NODE1 = 2  # (prev color, sorted ((distance id, color id), ...))
 KIND_NODE = 3   # (prev color, sorted (ell-tuple of color ids, ...))
 
-BLOCK = 256  # new ell >= 2 classes whose digest inputs are held at once: bounds memory
+BLOCK = 256  # new classes whose digest inputs are held at once: bounds memory
 
 
-def _as_float(key) -> float:
-    """The correctly rounded float of a distance key; +-inf past the float range."""
+def _as_float(key, den: int = 1) -> float:
+    """The correctly rounded float of key / den, den > 0; +-inf past the float range."""
     try:
-        return float(key)
+        return float(key) if den == 1 else key / den
     except OverflowError:
         return math.inf if key > 0 else -math.inf
+
+
+def _joined(parts_of: Callable[[np.ndarray], np.ndarray], ts: list[int]) -> Iterable[bytes]:
+    """b"".join of each row of parts_of(block), an object array of bytes, for each BLOCK
+    entries of ts: one object gather per block, no Python loop over a row's parts."""
+    for s in range(0, len(ts), BLOCK):
+        yield from map(b"".join, parts_of(np.array(ts[s:s + BLOCK])).tolist())
 
 
 def _key_rows(kind: int, heads: list[int], size: int, width: int) -> np.ndarray:
@@ -111,10 +122,25 @@ class Interner:
         self._payloads: list[bytes] = []  # cid -> its key bytes
         self.digests: list[bytes] = []
         self._dist_index: dict = {}    # reduced pair (p, q) (exact) or grid token -> did
-        self.dist_keys: list = []      # did -> Fraction p / q (exact) or int grid token (float)
-        self._dist_frames: list[bytes] = []  # did -> framed canonical bytes of its key
+        self._dist_pairs: list = []    # did -> that pair or token
+        self._dist_fractions: list[Fraction] = []  # the first Fractions of dist_keys, once read
+        self._frame_array = np.empty(0, dtype=object)  # did -> framed key bytes, then room
         self._dist_floats: list[float] = []  # did -> float of its key, filled when interned
         self._dist_rank_cache: tuple = (-1, None)
+
+    @property
+    def dist_keys(self) -> list:
+        """did -> Fraction p / q (exact), built when first read, or int grid token (float)."""
+        if self.mode == "float":
+            return self._dist_pairs
+        built = self._dist_fractions
+        built.extend(starmap(Fraction, self._dist_pairs[len(built):]))
+        return built
+
+    @property
+    def _dist_frames(self) -> list[bytes]:
+        """did -> framed canonical bytes of its key."""
+        return self._frame_array[:len(self._dist_pairs)].tolist()
 
     # -- distances ---------------------------------------------------------
 
@@ -158,7 +184,7 @@ class Interner:
         An exact key is the reduced pair (num / g, den / g), g = gcd(num, den), so
         equal rationals over different denominators share an id; a frame is
         b"%d" or b"%d/%d" of the pair, the bytes of str(Fraction).  Only a new key
-        gets its `Fraction`, frame and float."""
+        gets its frame and float, and no key its `Fraction` until it is read."""
         distinct = list(dict.fromkeys(nums))
         if self.mode == "exact":
             if den < 1:
@@ -170,20 +196,21 @@ class Interner:
         found = list(map(self._dist_index.get, keys))
         if None in found:
             new = [key for key, did in zip(keys, found) if did is None]
-            start = len(self.dist_keys)
+            start, end = len(self._dist_pairs), len(self._dist_pairs) + len(new)
             if self.mode == "exact":
-                pairs, values = new, list(starmap(Fraction, new))
-                encs = [b"%d" % p if q == 1 else b"%d/%d" % (p, q) for p, q in new]
+                pairs, encs = new, [b"%d" % p if q == 1 else b"%d/%d" % (p, q) for p, q in new]
             else:
-                pairs, values = zip(new, repeat(1)), new
-                encs = [b"q%d" % key for key in new]
+                pairs, encs = list(zip(new, repeat(1))), [b"q%d" % key for key in new]
             try:  # int true division is correctly rounded, as float(Fraction) is
                 floats = list(starmap(truediv, pairs))
             except OverflowError:
-                floats = list(map(_as_float, values))
-            self._dist_index.update(zip(new, range(start, start + len(new))))
-            self.dist_keys.extend(values)
-            self._dist_frames.extend([len(enc).to_bytes(4, "big") + enc for enc in encs])
+                floats = list(starmap(_as_float, pairs))
+            if end > len(self._frame_array):  # doubled, so each frame is copied O(1) times
+                spare = np.full(max(end, 2 * start) - start, None)
+                self._frame_array = np.concatenate([self._frame_array[:start], spare])
+            self._frame_array[start:end] = [len(enc).to_bytes(4, "big") + enc for enc in encs]
+            self._dist_index.update(zip(new, range(start, end)))
+            self._dist_pairs.extend(new)
             self._dist_floats.extend(floats)
             found = list(map(self._dist_index.__getitem__, keys))
         ids = dict(zip(distinct, found))
@@ -192,15 +219,24 @@ class Interner:
     def distance_ranking(self) -> tuple[np.ndarray, np.ndarray]:
         """Distance ids ranked by value: (rank of each id, id at each rank), int64 arrays.
 
-        Keys are sorted as (float, key) pairs.  The float of a key is
-        correctly rounded, so it never reverses two keys, and only keys whose
-        floats tie are compared exactly.  The arrays are kept until a new
-        distance is interned.
+        One stable `np.argsort` orders the ids by float.  The float of a key is
+        correctly rounded, so it never reverses two keys, and only runs of equal
+        floats are sorted again, exactly and with no `Fraction`.  The arrays are
+        kept until a new distance is interned.
         """
-        count = len(self.dist_keys)
+        count = len(self._dist_pairs)
         if self._dist_rank_cache[0] != count:
-            keys = list(zip(self._dist_floats, self.dist_keys))
-            order = np.array(sorted(range(count), key=keys.__getitem__), dtype=np.int64)
+            floats = np.array(self._dist_floats)
+            order = np.argsort(floats, kind="stable")
+            ranked = floats[order]
+            ties = ranked[1:] == ranked[:-1]  # inf == inf, where a difference is nan
+            if ties.any():  # sort each run of equal floats exactly: p/q < r/s iff p s < r q
+                p, q = (zip(*self._dist_pairs) if self.mode == "exact"
+                        else (self._dist_pairs, [1] * count))
+                key = cmp_to_key(lambda a, b: p[a] * q[b] - p[b] * q[a])
+                edges = np.flatnonzero(np.diff(np.concatenate([[False], ties, [False]])))
+                for lo, hi in edges.reshape(-1, 2).tolist():  # order[lo:hi + 1] tie
+                    order[lo:hi + 1] = sorted(order[lo:hi + 1].tolist(), key=key)
             ranks = np.empty(count, dtype=np.int64)
             ranks[order] = np.arange(count)
             self._dist_rank_cache = (count, (ranks, order))
@@ -219,11 +255,11 @@ class Interner:
         return cid
 
     def intern_nodes(self, kind: int, rows: np.ndarray,
-                     encode: Callable[[list[int], list[bytes]], Iterable]) -> list[int]:
+                     encode: Callable[[list[int]], Iterable]) -> list[int]:
         """Intern each row of a `_key_rows` array, records in canonical order; return the
         new table.  A key, the bytes of a row sliced from one `tobytes()`, is the payload.
         New keys go in as one batch, in order of first occurrence as one at a time would;
-        encode(ts, keys) yields their digest inputs, ts their first rows, each hashed once."""
+        encode(ts) yields their digest inputs, ts their first rows, each hashed once."""
         data, step = rows.tobytes(), rows.shape[1] * 8
         keys = [data[i:i + step] for i in range(0, len(data), step)]
         found = list(map(self._index.get, keys))
@@ -233,7 +269,7 @@ class Interner:
         for t in [t for t, cid in enumerate(found) if cid is None]:
             new.setdefault(keys[t], t)
         digests = [hashlib.blake2b(enc, digest_size=16).digest()
-                   for enc in encode(list(new.values()), list(new))]
+                   for enc in encode(list(new.values()))]
         self._index.update(zip(new, range(len(self.kinds), len(self.kinds) + len(new))))
         self.kinds.extend([kind] * len(new))
         self._payloads.extend(new)
@@ -275,13 +311,15 @@ class ColorStore:
         return len(self.tables) - 1
 
     def value_of(self, did: int) -> Scalar:
-        key = self.interner.dist_keys[did]
-        return key if self.interner.mode == "exact" else key * self.interner.snap
+        """A distance id's squared distance; an exact key builds its `Fraction` here."""
+        inter, key = self.interner, self.interner._dist_pairs[did]
+        return Fraction(*key) if inter.mode == "exact" else key * inter.snap
 
     @cached_property
     def dist_floats(self) -> np.ndarray:
-        """float(value_of(did)) for every distance id up to the cloud's largest."""
-        return np.array([float(self.value_of(did)) for did in range(self.dist_array.max() + 1)])
+        """float(value_of(did)) for each distance id up to the cloud's largest: the interner's."""
+        floats = np.array(self.interner._dist_floats[:self.dist_array.max() + 1])
+        return floats if self.interner.mode == "exact" else floats * self.interner.snap
 
     def class_counts(self) -> list[int]:
         return [len(set(t)) for t in self.tables]
@@ -340,9 +378,9 @@ class ColorStore:
         return mats[at[:k]].reshape(k, m, m), dists
 
 
-def require_exact(store: ColorStore) -> None:
-    """ValueError on a float store: every reconstruction runs in exact arithmetic."""
-    if store.interner.mode != "exact":
+def require_exact(mode: str) -> None:
+    """ValueError on float mode: every reconstruction runs in exact arithmetic."""
+    if mode != "exact":
         raise ValueError("reconstruction needs an exact store; a float cloud is read exactly")
 
 
@@ -399,10 +437,9 @@ class _History:
             raise ValueError("profiles need a tuple history (ell >= 2)")
         if store.iterations < iterations:
             raise ValueError(f"need a history of at least {iterations} iteration(s)")
-        require_exact(store)
+        require_exact(store.interner.mode)
         dids = np.flatnonzero(np.bincount(store.dist_array.ravel())).tolist()
-        keys = map(store.interner.dist_keys.__getitem__, dids)
-        tops, bottoms = zip(*map(Fraction.as_integer_ratio, keys))
+        tops, bottoms = zip(*map(store.interner._dist_pairs.__getitem__, dids))
         self.S = 2 * n * n * math.lcm(*bottoms)
         nums = list(map(mul, tops, map(floordiv, repeat(self.S), bottoms)))
         self.nums = np.zeros(dids[-1] + 1,
@@ -499,12 +536,13 @@ def _stores(interner: Interner, ell: int, dim: int, ids: np.ndarray,
         tuples = np.indices((n,) * ell).reshape(ell, -1).T
         mats = _key_rows(KIND_MAT, [ell] * (B * size), ell * ell, ell)
         mats[:, 2:] = ids[:, tuples[:, :, None], tuples[:, None, :]].reshape(B * size, ell * ell)
-        frames, tag = interner._dist_frames, b"M" + ell.to_bytes(2, "big")
+        frames, tag = interner._frame_array, b"M" + ell.to_bytes(2, "big")
 
-        def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
-            return (tag + b"".join(map(frames.__getitem__, memoryview(k).cast("q")[2:]))
-                    for k in keys)
-        table = interner.intern_nodes(KIND_MAT, mats, encode)
+        def parts(block: np.ndarray) -> np.ndarray:  # tag, framed distances
+            out = np.empty((len(block), 1 + ell * ell), dtype=object)
+            out[:, 0], out[:, 1:] = tag, frames[mats[block, 2:]]
+            return out
+        table = interner.intern_nodes(KIND_MAT, mats, partial(_joined, parts))
     for b, store in enumerate(stores):
         store.tables.append(table[b * size:(b + 1) * size])
     return stores
@@ -623,9 +661,9 @@ def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
     each, k the largest with m^k <= 2^63, so no word overflows
     (`_sorted_records`): one word per record is sorted in place, more are
     ordered by one `np.lexsort` over the words.  Sorted ranks are mapped back
-    to ids, and each tuple is interned under the bytes of its row of ids.  At
-    ell >= 2 the digest inputs of new classes are gathered BLOCK at a time as
-    rows of one uint8 array.
+    to ids, and each tuple is interned under the bytes of its row of ids.  The
+    digest inputs of new classes are gathered BLOCK at a time as rows of one
+    object array of parts, each joined once (ell = 1), or of one uint8 array.
     """
     stores = (store, *others)
     inter, n, ell = store.interner, store.n, store.ell
@@ -635,7 +673,7 @@ def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
     rprev, order = _present_ranking(prev, inter.digests)
     rprev = np.array(rprev, dtype=np.int64).reshape((len(stores),) + (n,) * ell)
     colors = np.array(order, dtype=np.int64)
-    digests, frames = inter.digests, inter._dist_frames
+    digests = inter.digests
     if ell == 1:
         # one int64 key per record, (distance rank, color rank) in mixed radix
         m = len(order)
@@ -646,23 +684,22 @@ def refine(store: ColorStore, *others: ColorStore) -> ColorStore:
         q, r = np.divmod(keys.reshape(-1, n), m)
         rows = _key_rows(KIND_NODE1, prev, 2 * n, 2)
         rows[:, 2::2], rows[:, 3::2] = dorder[q], colors[r]
+        rank_digests = np.array(list(map(digests.__getitem__, order)), dtype=object)
+        frames = inter._frame_array
 
-        parts = [b"1"] * (2 + 2 * n)  # laid out as a key: [1, head, (frame, digest)...]
-
-        def encode(ts: list[int], keys: list[bytes]) -> Iterable[bytes]:
-            for key in keys:  # [word, head, (distance id, color id)...]
-                ids = memoryview(key).cast("q")
-                parts[1] = digests[ids[1]]
-                parts[2::2] = map(frames.__getitem__, ids[2::2])
-                parts[3::2] = map(digests.__getitem__, ids[3::2])
-                yield b"".join(parts)
-        table = inter.intern_nodes(KIND_NODE1, rows, encode)
+        def parts(block: np.ndarray) -> np.ndarray:  # as a key: 1, head, (frame, digest)...
+            out = np.empty((len(block), 2 + 2 * n), dtype=object)
+            out[:, 0] = b"1"
+            out[:, 1] = rank_digests[rprev.flat[block]]
+            out[:, 2::2], out[:, 3::2] = frames[rows[block, 2::2]], rank_digests[r[block]]
+            return out
+        table = inter.intern_nodes(KIND_NODE1, rows, partial(_joined, parts))
     else:
         records = _sorted_records(rprev, len(order)).reshape(rprev.size, n * ell)
         rank_digests = np.frombuffer(b"".join(map(digests.__getitem__, order)), dtype="V16")
         tag, step = np.frombuffer(b"N" + ell.to_bytes(2, "big"), np.uint8), 3 + 16 * (1 + n * ell)
 
-        def encode(ts: list[int], keys: list[bytes]) -> Iterable[memoryview]:
+        def encode(ts: list[int]) -> Iterable[memoryview]:
             for s in range(0, len(ts), BLOCK):  # tag, previous digest, record digests
                 block = np.array(ts[s:s + BLOCK])
                 enc = np.empty((len(block), step), dtype=np.uint8)

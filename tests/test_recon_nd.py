@@ -10,7 +10,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from geowl import RunConfig, oracle, recon_nd, reconstruct
+from geowl import RunConfig, oracle, recon_nd, reconstruct, wl
 from geowl.errors import ReconstructionError
 from geowl.geometry import (ConeSpec, Hyperplane, PointCloud, _gram, barycenter, gram_affine_dim,
                             reflect, solid_angle_mc, sq_dist, squared_distance_matrix)
@@ -716,6 +716,16 @@ def test_exact_cloud_in_float_mode_is_a_value_error():
         for cloud in (oracle.random_cloud(6, d, 5), PointCloud(d, ((F(1),) * d,))):
             with pytest.raises(ValueError, match="exact store"):
                 pipeline(run_wl(cloud, ell, iters, mode="float"))
+
+
+def test_float_mode_is_refused_before_coloring(monkeypatch):
+    # a user error costs no coloring: reconstruct raises before run_wl
+    def no_coloring(*args, **kwargs):
+        raise AssertionError("colored a cloud that float mode refuses")
+    monkeypatch.setattr(wl, "run_wl", no_coloring)
+    for algorithm, d in (("wlnd", 3), ("wl2d", 2), ("oneshot", 3)):
+        with pytest.raises(ValueError, match="exact store"):
+            reconstruct(oracle.random_cloud(6, d, 5), algorithm, RunConfig(mode="float"))
 
 
 def _gaussian_with_mean(seed: int) -> PointCloud:

@@ -438,6 +438,41 @@ def test_reinterning_known_keys_builds_no_fraction(monkeypatch):
     assert sorted(second.dist_array.ravel().tolist()) == sorted(first.dist_array.ravel().tolist())
 
 
+def test_coloring_builds_no_fraction(monkeypatch):
+    # keys are reduced pairs until a reader asks for a value: coloring, ranking and
+    # digesting an exact cloud's new distances build none
+    runs = [(oracle.random_cloud(30, 2, seed=81), 1, 3), (oracle.random_cloud(9, 3, seed=82), 2, 2)]
+    want = [fingerprint(run_wl(cloud, ell, iters)).digest() for cloud, ell, iters in runs]
+
+    def no_fraction(*args):
+        raise AssertionError("coloring built a Fraction")
+    monkeypatch.setattr(wl, "Fraction", no_fraction)
+    assert [fingerprint(run_wl(cloud, ell, iters)).digest() for cloud, ell, iters in runs] == want
+
+
+def test_frame_array_follows_the_interner():
+    # b's distances are new to the shared interner, which grows its frame array
+    # past a's; both refine after that, and match runs on fresh interners
+    a, b = oracle.random_cloud(5, 2, seed=83), oracle.random_cloud(14, 2, seed=84)
+    for ell in (1, 2):
+        inter = Interner("exact")
+        sa, sb = initial_coloring(a, ell, interner=inter), initial_coloring(b, ell, interner=inter)
+        assert set(sb.dist_array.ravel().tolist()) - set(sa.dist_array.ravel().tolist())
+        for _ in range(2):
+            refine(sa), refine(sb)
+        for store, cloud in ((sa, a), (sb, b)):
+            assert fingerprint(store) == fingerprint(run_wl(cloud, ell, 2)), (ell, cloud.n)
+
+
+def test_dist_floats_are_the_values_floats():
+    # read off the interner's floats, with no Fraction per distance
+    for cloud in (_posed(9, 3, 85), _HALF_GRID, _dyadic(_posed(8, 2, 86), 0.1)):
+        for ell in (1, 2):
+            store = initial_coloring(cloud, ell, mode="exact")
+            top = store.dist_array.max() + 1
+            assert store.dist_floats.tolist() == [float(store.value_of(d)) for d in range(top)]
+
+
 # The per-tuple refinement that the array code in `wl.refine` replaced, kept
 # as the reference: colors ranked by digest over all colors, one `sorted` call
 # per tuple, record lists interned as tuples of tuples under the reference's
@@ -532,7 +567,7 @@ def test_intern_nodes_inserts_each_new_row_once():
     inter = Interner("exact")
     calls = []
 
-    def encode(ts, keys):
+    def encode(ts):
         calls.append(ts)
         return [b"enc%d" % t for t in ts]
 
